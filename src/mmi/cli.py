@@ -76,6 +76,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {spec!r}")
     start, stop = float(parts[0]), float(parts[1])
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValueError(f"grid bounds must be finite, got {spec!r}")
     count = int(parts[2])
     if count < 1:
         raise ValueError("grid count must be at least 1")
@@ -242,7 +244,7 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-def _verify_fock(tols):
+def _verify_fock(tols, exact_gaps):
     wbar_s, sigma = 3.0, 1.0
     f_s = SpectralDistribution(wbar_s, sigma)
     taus = np.linspace(0.0, 6.0, 121)
@@ -253,6 +255,8 @@ def _verify_fock(tols):
         f_lo = SpectralDistribution(wlo, sigma)
         norm = fock_intensity(f_s, f_lo, 0.0)
         quad = np.array([1.0] + [fock_intensity(f_s, f_lo, t) / norm for t in taus[1:]])
+        exact = compute_interferogram(IntensityRequest(OnePhoton(f_s), OnePhoton(f_lo), taus)).ratios
+        exact_gaps.append(float(np.max(np.abs(quad - exact))))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             closed = np.asarray(fock_intensity_closed(f_s, f_lo, taus))
@@ -282,7 +286,7 @@ def _verify_fock(tols):
     return checks
 
 
-def _verify_coherent(tols):
+def _verify_coherent(tols, exact_gaps):
     f_s = SpectralDistribution(3.0, 1.0)
     f_lo = SpectralDistribution(3.15, 1.0)
     taus = np.linspace(0.0, 6.0, 61)
@@ -294,6 +298,8 @@ def _verify_coherent(tols):
         worst = max(worst, abs((coh - foc) - cross))
     norm = coherent_intensity(f_s, f_lo, 0.0)
     ratios = np.array([1.0] + [coherent_intensity(f_s, f_lo, t) / norm for t in taus[1:]])
+    exact = compute_interferogram(IntensityRequest(Coherent(f_s), Coherent(f_lo), taus)).ratios
+    exact_gaps.append(float(np.max(np.abs(ratios - exact))))
     try:
         label = discriminate_state_class(taus, ratios, f_lo).label
         ok = 0.0 if label == "coherent-like" else 1.0
@@ -346,11 +352,14 @@ def run_verification(quick: bool = False, seed: int = 20260808, samples: int = 2
         "tt_ident": 1e-12,
         "tt_asym": 1e-6,
         "tt_dual": 1e-9,
+        "spectral_exact": 1e-9,
     }
     checks = []
+    # max |quadrature - exact| over the spectral grids the groups integrate
+    exact_gaps = []
     groups = [
-        ("fock", lambda: _verify_fock(tols)),
-        ("coherent", lambda: _verify_coherent(tols)),
+        ("fock", lambda: _verify_fock(tols, exact_gaps)),
+        ("coherent", lambda: _verify_coherent(tols, exact_gaps)),
         ("thermal-vacuum", lambda: _verify_thermal_vacuum(tols, quick, seed, samples)),
         ("thermal-thermal", lambda: _verify_thermal_thermal(tols)),
     ]
@@ -359,6 +368,7 @@ def run_verification(quick: bool = False, seed: int = 20260808, samples: int = 2
             checks += group()
         except Exception as exc:  # a crashing scenario is a failing scenario
             checks.append((f"{label} scenario raised {type(exc).__name__}", float("inf"), 0.0))
+    checks.append(("spectral exact-vs-quadrature", max(exact_gaps, default=float("inf")), tols["spectral_exact"]))
     return checks
 
 

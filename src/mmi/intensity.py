@@ -1,17 +1,27 @@
 """Normalized single-photon detection intensity ⟨I⟩(τ)/⟨I⟩(0).
 
 Every scenario has a quadrature path that integrates the defining spectral
-integral directly, and, where one exists, a closed-form path:
+integral directly, an exact path that ``method="auto"`` takes, and, where
+one exists, a closed-form path:
 
-====================  =========================================  ==========
-ports (signal, LO)    quadrature integrand (up to constants)     closed form
-====================  =========================================  ==========
-one-photon pair       ω[f_s²(1+cos ωτ) + f_lo²(1-cos ωτ)]        Gaussian-envelope approximation
-coherent pair         same + cross term -2ω f_s f_lo sin ωτ      same + approximate sin term
-one-photon / vacuum   ω f_s²(1+cos ωτ)                           ½(1 + e^{-(στ)²/4} cos ω̄τ)
-thermal / vacuum      ω^d n̄(ω,θ)(1+cos ωτ)                       exact hyperbolic form (d=3)
-thermal pair          ω³[n̄₁(1+cos ωτ) + n̄₀(1-cos ωτ)]           exact hyperbolic form
-====================  =========================================  ==========
+====================  =========================================  ====================  ==========
+ports (signal, LO)    quadrature integrand (up to constants)     exact path (auto)     closed form
+====================  =========================================  ====================  ==========
+one-photon pair       ω[f_s²(1+cos ωτ) + f_lo²(1-cos ωτ)]        Gaussian-Fourier      Gaussian-envelope approximation
+coherent pair         same + cross term -2ω f_s f_lo sin ωτ      Gaussian-Fourier      same + approximate sin term
+one-photon / vacuum   ω f_s²(1+cos ωτ)                           Gaussian-Fourier      ½(1 + e^{-(στ)²/4} cos ω̄τ)
+thermal / vacuum      ω^d n̄(ω,θ)(1+cos ωτ)                       closed form (d=3)     exact hyperbolic form (d=3)
+thermal pair          ω³[n̄₁(1+cos ωτ) + n̄₀(1-cos ωτ)]           closed form           exact hyperbolic form
+====================  =========================================  ====================  ==========
+
+The spectral exact path ("exact" in the metadata) evaluates every term of
+the quadrature integrand, at d = 1 or 3, from the moments
+M_n(τ) = ∫₀^∞ ωⁿ e^{-(ω-μ)²/σ²} e^{iωτ} dω of
+:func:`mmi.spectra.gaussian_fourier_moments`, vectorised over the delay
+grid; the coherent cross term f_s f_lo is a single product Gaussian.  It
+agrees with the quadrature path to its 1e-12 tolerance and keeps working at
+optical ω̄/σ, where the rounding of cos ωτ stops quadrature short of it.
+Thermal / vacuum at d = 1 still takes quadrature under ``auto``.
 
 The thermal closed forms are exact and stable down to τ = 0 thanks to the
 cancellation-free kernel in :mod:`mmi.thermal_kernels`.  The spectral-state
@@ -42,8 +52,7 @@ from typing import Any
 
 import numpy as np
 
-from .quadrature import integrate_half_line
-from .spectra import SpectralDistribution, weighted_overlap
+from .spectra import SpectralDistribution, gaussian_fourier_moments, integrate_over_spectra
 from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, bose_weighted_integral
 from .thermal_kernels import bose_integral_constant, fringe_deviation
 
@@ -80,28 +89,42 @@ def _spectral_integral(f_s, f_lo, tau, d, cross: bool, abs_tol, rel_tol):
                 y = y - 2.0 * f_s.amplitude(w) * f_lo.amplitude(w) * np.sin(w * tau)
         return w**d * y
 
-    if f_lo is None:
-        peak = f_s.mean_freq
-        cutoff_start = f_s.upper_cutoff(1.0)
-    else:
-        peak = max(f_s.mean_freq, f_lo.mean_freq)
-        cutoff_start = max(f_s.upper_cutoff(1.0), f_lo.upper_cutoff(1.0))
+    spectra = (f_s,) if f_lo is None else (f_s, f_lo)
+    return integrate_over_spectra(integrand, spectra, abs_tol=abs_tol, rel_tol=rel_tol, osc_scale=abs(tau))
 
-    def envelope(x):
-        bound = f_s.amplitude(x) ** 2 * 2.0
-        if f_lo is not None:
-            bound = bound + f_lo.amplitude(x) ** 2 * 2.0 + 2.0 * f_s.amplitude(x) * f_lo.amplitude(x)
-        return x**d * bound if x > peak else 4.0 * (peak + 1.0) ** d
 
-    result = integrate_half_line(
-        integrand,
-        envelope=envelope,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        osc_scale=abs(tau),
-        cutoff_start=cutoff_start,
-    )
-    return result.value
+def _product_gaussian(mean_s, width_s, mean_lo, width_lo):
+    """f_s f_lo = detune e^{-(ω-centre)²/width²}/(N_s N_lo): (centre, width, detune)."""
+    var_sum = width_s**2 + width_lo**2
+    centre = (mean_s * width_lo**2 + mean_lo * width_s**2) / var_sum
+    detune = math.exp(-((mean_s - mean_lo) ** 2) / (2.0 * var_sum))
+    return centre, width_s * width_lo * math.sqrt(2.0 / var_sum), detune
+
+
+def _spectral_exact(f_s, f_lo, taus, d, cross: bool):
+    """Exact ratios over a delay grid, and the τ = 0 intensity.
+
+    The integrand of :func:`_spectral_integral` term by term: with
+    f² = e^{-(ω-ω̄)²/σ²}/N², ∫ω^d f²(1 ± cos ωτ) = (M_d(0) ± Re M_d(τ))/N²,
+    and the coherent cross term ∫ω^d f_s f_lo sin ωτ is Im M_d(τ) of the
+    product Gaussian (:func:`mmi.spectra.gaussian_fourier_moments`).
+    """
+    grid = np.concatenate([[0.0], taus.ravel()])
+
+    def moment(mean, width):
+        return gaussian_fourier_moments(mean, width, grid, d)[d]
+
+    m_s = moment(f_s.mean_freq, f_s.width).real / f_s.normalization**2
+    intensity = m_s[0] + m_s
+    if f_lo is not None:
+        m_lo = moment(f_lo.mean_freq, f_lo.width).real / f_lo.normalization**2
+        intensity += m_lo[0] - m_lo
+        if cross:
+            centre, width, detune = _product_gaussian(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width)
+            height = detune / (f_s.normalization * f_lo.normalization)
+            intensity -= 2.0 * height * moment(centre, width).imag
+    norm = float(intensity[0])
+    return (intensity[1:] / norm).reshape(taus.shape), norm
 
 
 def fock_intensity(
@@ -174,9 +197,8 @@ def _coherent_cross_ratio(mean_s, width_s, mean_lo, width_lo, tau):
     # same approximation applied to the product Gaussian of the two spectra
     t = np.asarray(tau, dtype=float)
     var_sum = width_s**2 + width_lo**2
-    mu = (mean_s * width_lo**2 + mean_lo * width_s**2) / var_sum
+    mu, _, detune = _product_gaussian(mean_s, width_s, mean_lo, width_lo)
     amp = math.sqrt(2.0 * width_s * width_lo / var_sum)
-    detune = math.exp(-((mean_s - mean_lo) ** 2) / (2.0 * var_sum))
     env = np.exp(-(width_s**2 * width_lo**2 / (2.0 * var_sum)) * t**2)
     return (mu / mean_s) * amp * detune * env * np.sin(mu * t)
 
@@ -249,8 +271,8 @@ def thermal_vacuum_ratio(
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if theta <= 0.0:
-        raise ValueError(f"temperature must be positive, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {theta}")
     if d not in (1, 3) and not allow_general_dimension:
         raise ValueError(f"dimension {d} unsupported; pass allow_general_dimension=True to force")
     if method == "closed_form" and d != 3:
@@ -302,8 +324,8 @@ def thermal_thermal_ratio(
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if theta0 <= 0.0 or theta1 <= 0.0:
-        raise ValueError("temperatures must be positive")
+    if not (0.0 < theta0 < math.inf and 0.0 < theta1 < math.inf):
+        raise ValueError("temperatures must be positive and finite")
     if method == "auto":
         method = "closed_form"
 
@@ -340,10 +362,12 @@ def thermal_thermal_ratio(
 class IntensityRequest:
     """A scenario to evaluate on a delay grid.
 
-    ``method``: 'auto' picks the exact path for the scenario (quadrature
-    for spectral states, the hyperbolic closed form for thermal ones);
+    ``method``: 'auto' picks the exact path for the scenario (the
+    Gaussian-Fourier moments for spectral states, the hyperbolic closed
+    form for thermal ones at d = 3, quadrature for thermal ones at d = 1);
     'closed_form' is only available where a closed expression exists
-    (spectral approximations at d = 1, thermal at d = 3).
+    (spectral approximations at d = 1, thermal at d = 3).  Delays must be
+    finite.
     """
 
     signal: PortState
@@ -357,7 +381,10 @@ class IntensityRequest:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "delays", np.atleast_1d(np.asarray(self.delays, dtype=float)))
+        delays = np.atleast_1d(np.asarray(self.delays, dtype=float))
+        if not np.all(np.isfinite(delays)):
+            raise ValueError("delays must be finite")
+        object.__setattr__(self, "delays", delays)
 
 
 @dataclass(frozen=True)
@@ -366,8 +393,9 @@ class Interferogram:
 
     The ratio is defined relative to the zero-delay intensity, so a τ = 0
     sample is identically 1.  ``normalization`` records the unnormalized
-    ⟨I⟩(0) for quadrature paths (module-internal scale); closed-form paths
-    are born normalized and record None.
+    ⟨I⟩(0) of the spectral exact and quadrature paths (module-internal
+    scale, the same for both); closed-form paths are born normalized and
+    record None.
     """
 
     delays: np.ndarray
@@ -409,53 +437,31 @@ def compute_interferogram(request: IntensityRequest, threads: int = 1) -> Interf
     method = request.method
     d = request.dimension
 
-    if isinstance(sig, (OnePhoton, Coherent)) and isinstance(lo, Vacuum):
-        if method in ("auto", "quadrature"):
+    if isinstance(sig, (OnePhoton, Coherent)) and (isinstance(lo, Vacuum) or type(lo) is type(sig)):
+        if d not in (1, 3):
+            raise ValueError(f"dimension {d} unsupported; expected 1 or 3")
+        f_s = sig.spectrum
+        f_lo = None if isinstance(lo, Vacuum) else lo.spectrum
+        cross = isinstance(lo, Coherent)
+        used = "exact" if method == "auto" else method
+        if used == "exact":
+            ratios, norm = _spectral_exact(f_s, f_lo, taus, d, cross)
+        elif used == "quadrature":
             ratios, norm = _grid_ratio_quadrature(
-                lambda t: _spectral_integral(
-                    sig.spectrum, None, t, d, False, request.abs_tol, request.rel_tol
-                ),
+                lambda t: _spectral_integral(f_s, f_lo, t, d, cross, request.abs_tol, request.rel_tol),
                 taus,
                 threads,
             )
-            used = "quadrature"
         else:
             if d != 1:
                 raise ValueError("spectral closed forms are one-dimensional")
-            ratios, norm = np.asarray(one_photon_vacuum_ratio(sig.spectrum, taus)), None
-            used = "closed_form"
-    elif isinstance(sig, OnePhoton) and isinstance(lo, OnePhoton):
-        if method in ("auto", "quadrature"):
-            ratios, norm = _grid_ratio_quadrature(
-                lambda t: fock_intensity(
-                    sig.spectrum, lo.spectrum, t, d,
-                    abs_tol=request.abs_tol, rel_tol=request.rel_tol,
-                ),
-                taus,
-                threads,
-            )
-            used = "quadrature"
-        else:
-            if d != 1:
-                raise ValueError("spectral closed forms are one-dimensional")
-            ratios, norm = np.asarray(fock_intensity_closed(sig.spectrum, lo.spectrum, taus)), None
-            used = "closed_form"
-    elif isinstance(sig, Coherent) and isinstance(lo, Coherent):
-        if method in ("auto", "quadrature"):
-            ratios, norm = _grid_ratio_quadrature(
-                lambda t: coherent_intensity(
-                    sig.spectrum, lo.spectrum, t, d,
-                    abs_tol=request.abs_tol, rel_tol=request.rel_tol,
-                ),
-                taus,
-                threads,
-            )
-            used = "quadrature"
-        else:
-            if d != 1:
-                raise ValueError("spectral closed forms are one-dimensional")
-            ratios, norm = np.asarray(coherent_intensity_closed(sig.spectrum, lo.spectrum, taus)), None
-            used = "closed_form"
+            if f_lo is None:
+                ratios = one_photon_vacuum_ratio(f_s, taus)
+            elif cross:
+                ratios = coherent_intensity_closed(f_s, f_lo, taus)
+            else:
+                ratios = fock_intensity_closed(f_s, f_lo, taus)
+            norm = None
     elif isinstance(sig, Thermal) and isinstance(lo, Vacuum):
         used = method if method != "auto" else ("closed_form" if d == 3 else "quadrature")
         ratios = np.asarray(

@@ -140,6 +140,8 @@ def integrate(
     """
     lo = float(lo)
     hi = float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(osc_scale)):
+        raise ValueError(f"non-finite interval [{lo}, {hi}] or oscillation rate {osc_scale}")
     if not hi > lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
     width = hi - lo

@@ -57,8 +57,8 @@ class Thermal:
     theta: float  # dimensionless temperature, k_B T / hbar in frequency units
 
     def __post_init__(self):
-        if self.theta <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.theta}")
 
 
 PortState = Vacuum | OnePhoton | Coherent | Thermal
@@ -70,8 +70,8 @@ def mean_occupation(omega, theta: float):
     Strictly decreasing in ω, diverging like θ/ω as ω -> 0+.  The pole is
     outside the domain: ω must be positive.
     """
-    if theta <= 0.0:
-        raise ValueError(f"temperature must be positive, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {theta}")
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
         raise ValueError("mean occupation requires omega > 0")
@@ -133,8 +133,8 @@ def bose_weighted_integral(
     is the blackbody fringe integral evaluated at a = τθ.  Dimensions other
     than 1 and 3 are gated behind ``allow_general_dimension``.
     """
-    if theta <= 0.0:
-        raise ValueError(f"temperature must be positive, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {theta}")
     if kernel not in ("one", "cos"):
         raise ValueError(f"unknown kernel {kernel!r}; expected 'one' or 'cos'")
     if d not in (1, 3) and not allow_general_dimension:

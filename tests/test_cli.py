@@ -41,11 +41,30 @@ def test_simulate_fock_writes_csv_and_sidecar(tmp_path):
     assert b"\r" not in out.read_bytes()
     sidecar = json.loads((tmp_path / "fock.json").read_text())
     assert sidecar["config"]["scenario"] == "fock"
-    assert sidecar["method"] == "quadrature"
+    assert sidecar["method"] == "exact"
     assert sidecar["seed"] is None
     assert "timestamp" in sidecar and "version" in sidecar
     # the zero-delay row is exactly 1
     assert lines[1] == b"0,1"
+
+
+def test_simulate_fock_quadrature_writes_csv_and_sidecar(tmp_path):
+    out = tmp_path / "fock.csv"
+    proc = run_cli(
+        "simulate", "fock", "--wbar-s", "3", "--wbar-lo", "3.15", "--sigma", "1",
+        "--grid", "0:6:40", "--method", "quadrature", "-o", str(out), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes().split(b"\n")[1] == b"0,1"
+    sidecar = json.loads((tmp_path / "fock.json").read_text())
+    assert sidecar["method"] == "quadrature"
+
+
+def test_simulate_rejects_infinite_delay(tmp_path):
+    for scenario in ("fock", "thermal-vacuum"):
+        proc = run_cli("simulate", scenario, "--grid", "0:inf:5", "-o", str(tmp_path / "x.csv"), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -162,6 +181,7 @@ def test_verify_quick_passes():
     proc = run_cli("verify", "--quick")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS" in proc.stdout
+    assert "[PASS] spectral exact-vs-quadrature" in proc.stdout
     assert "monte-carlo" not in proc.stdout  # deterministic checks only
 
 

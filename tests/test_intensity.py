@@ -15,6 +15,7 @@ from mmi.intensity import (
     thermal_thermal_ratio,
     thermal_vacuum_ratio,
 )
+from mmi.quadrature import QuadratureError
 from mmi.spectra import SpectralDistribution, weighted_overlap
 from mmi.states import Coherent, OnePhoton, Thermal, Vacuum
 from oracles import riemann_overlap
@@ -308,10 +309,23 @@ def test_two_temperature_rejects_nonpositive():
 # request/interferogram surface
 
 
-def test_compute_interferogram_fock_quadrature():
+def test_compute_interferogram_fock_auto_is_exact():
     taus = np.linspace(0.0, 3.0, 16)
     gram = compute_interferogram(
         IntensityRequest(signal=OnePhoton(F_S), lo=OnePhoton(F_LO), delays=taus)
+    )
+    assert gram.ratios[0] == 1.0
+    assert gram.metadata["method"] == "exact"
+    # same internal scale as the quadrature path
+    assert abs(gram.normalization / fock_intensity(F_S, F_LO, 0.0) - 1.0) < 1e-12
+    direct = fock_intensity(F_S, F_LO, taus[3]) / fock_intensity(F_S, F_LO, 0.0)
+    assert abs(gram.ratios[3] - direct) < 1e-12
+
+
+def test_compute_interferogram_fock_quadrature():
+    taus = np.linspace(0.0, 3.0, 16)
+    gram = compute_interferogram(
+        IntensityRequest(signal=OnePhoton(F_S), lo=OnePhoton(F_LO), delays=taus, method="quadrature")
     )
     assert gram.ratios[0] == 1.0
     assert gram.normalization is not None and gram.normalization > 0.0
@@ -322,7 +336,7 @@ def test_compute_interferogram_fock_quadrature():
 
 def test_compute_interferogram_thread_pool_matches_serial():
     taus = np.linspace(0.0, 2.0, 9)
-    req = IntensityRequest(signal=Coherent(F_S), lo=Coherent(F_LO), delays=taus)
+    req = IntensityRequest(signal=Coherent(F_S), lo=Coherent(F_LO), delays=taus, method="quadrature")
     serial = compute_interferogram(req, threads=1)
     pooled = compute_interferogram(req, threads=4)
     assert np.array_equal(serial.ratios, pooled.ratios)
@@ -375,3 +389,98 @@ def test_interferogram_invariants_enforced():
 def test_request_validates_method():
     with pytest.raises(ValueError):
         IntensityRequest(signal=OnePhoton(F_S), lo=Vacuum(), delays=[0.0], method="fft")
+
+
+def test_request_rejects_non_finite_delays():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            IntensityRequest(signal=OnePhoton(F_S), lo=OnePhoton(F_LO), delays=[0.0, bad])
+
+
+def test_thermal_ratios_reject_non_finite_temperatures():
+    with pytest.raises(ValueError):
+        thermal_vacuum_ratio(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        thermal_thermal_ratio(1.0, math.inf, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the exact spectral path
+
+
+def _spectral_ports(kind, f_s, f_lo):
+    if kind == "vacuum":
+        return OnePhoton(f_s), Vacuum()
+    port = OnePhoton if kind == "fock" else Coherent
+    return port(f_s), port(f_lo)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("mean_over_width", [0.0, 0.5, 1.0, 3.0, 10.0, 100.0])
+def test_exact_matches_quadrature(mean_over_width, d):
+    width = 1.3
+    taus = np.linspace(0.0, 20.0, 41) / width
+    f_s = SpectralDistribution(mean_over_width * width, width)
+    for detuning in (-0.05, -0.01, 0.01, 0.05):
+        f_lo = SpectralDistribution(mean_over_width * width * (1.0 + detuning), width)
+        for kind in ("vacuum", "fock", "coherent"):
+            sig, lo = _spectral_ports(kind, f_s, f_lo)
+            exact = compute_interferogram(IntensityRequest(sig, lo, taus, d))
+            quad = compute_interferogram(IntensityRequest(sig, lo, taus, d, "quadrature"))
+            assert exact.metadata["method"] == "exact"
+            assert float(np.max(np.abs(exact.ratios - quad.ratios))) <= 1e-12, (kind, detuning)
+            assert abs(exact.normalization / quad.normalization - 1.0) <= 1e-12, (kind, detuning)
+
+
+def test_exact_coherent_matches_quadrature_at_negative_delay():
+    # the cross term is odd in tau; unequal widths exercise the product Gaussian
+    f_lo = SpectralDistribution(3.2, 0.7)
+    taus = np.linspace(-6.0, 6.0, 25)
+    exact = compute_interferogram(IntensityRequest(Coherent(F_S), Coherent(f_lo), taus))
+    quad = compute_interferogram(IntensityRequest(Coherent(F_S), Coherent(f_lo), taus, method="quadrature"))
+    assert float(np.max(np.abs(exact.ratios - quad.ratios))) <= 1e-12
+
+
+def test_auto_spectral_request_makes_no_quadrature_calls(monkeypatch):
+    import mmi.intensity as intensity
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quadrature called on the exact path")
+
+    monkeypatch.setattr(intensity, "_spectral_integral", forbidden)
+    taus = np.linspace(0.0, 6.0, 31)
+    for d in (1, 3):
+        for kind in ("vacuum", "fock", "coherent"):
+            gram = compute_interferogram(IntensityRequest(*_spectral_ports(kind, F_S, F_LO), taus, d))
+            assert gram.metadata["method"] == "exact"
+
+
+def test_exact_path_plateau_at_very_large_delay():
+    # no panel budget: the fringe has died and the ratio sits on (1 + r)/2
+    taus = np.array([0.0, 1e4, 1e6])
+    gram = compute_interferogram(IntensityRequest(OnePhoton(F_S), OnePhoton(F_LO), taus))
+    plateau = 0.5 * (1.0 + fock_intensity(F_LO, F_S, 0.0) / fock_intensity(F_S, F_LO, 0.0))
+    assert np.all(np.abs(gram.ratios[1:] - plateau) < 1e-12)
+
+
+def test_fock_quadrature_resolves_optical_line_at_zero_delay():
+    # a width-1 line at 1e4 once slipped between the first panels' nodes
+    # and integrated to 2.7e-53; the exact value is twice the first moment
+    f_s = SpectralDistribution(1e4, 1.0)
+    got = fock_intensity(f_s, SpectralDistribution(1.05e4, 1.0), 0.0)
+    assert abs(got / 2e4 - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("mean_over_width", [1e2, 1e3, 1e4, 1e5, 1e6])
+def test_optical_quadrature_agrees_with_exact_or_raises(mean_over_width):
+    f_s = SpectralDistribution(mean_over_width, 1.0)
+    f_lo = SpectralDistribution(mean_over_width * 1.03, 1.0)
+    taus = np.linspace(0.0, 6.0, 7)
+    for port, quad_fn in ((OnePhoton, fock_intensity), (Coherent, coherent_intensity)):
+        exact = compute_interferogram(IntensityRequest(port(f_s), port(f_lo), taus))
+        for tau, ratio in zip(taus, exact.ratios):
+            try:
+                got = quad_fn(f_s, f_lo, tau)
+            except QuadratureError:
+                continue  # the rounding of cos(omega tau) put 1e-12 out of reach
+            assert abs(got - ratio * exact.normalization) <= 1e-9 * exact.normalization, tau

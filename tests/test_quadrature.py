@@ -102,3 +102,10 @@ def test_oscillation_cap_limits_initial_panel_width():
 def test_half_line_envelope_never_decaying_rejected():
     with pytest.raises(ValueError):
         integrate_half_line(lambda x: np.ones_like(x), envelope=lambda x: 1.0, abs_tol=1e-10)
+
+
+def test_non_finite_interval_or_oscillation_rate_rejected():
+    with pytest.raises(ValueError):
+        integrate(lambda x: np.cos(x), 0.0, 1.0, osc_scale=math.inf)
+    with pytest.raises(ValueError):
+        integrate(lambda x: np.ones_like(x), 0.0, math.inf)

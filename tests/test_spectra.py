@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mmi.spectra import SpectralDistribution, normalization_constant, weighted_overlap
+from mmi.quadrature import integrate
+from mmi.spectra import (
+    SpectralDistribution,
+    _faddeeva,
+    gaussian_fourier_moments,
+    normalization_constant,
+    weighted_overlap,
+)
 from oracles import decimal_erf, riemann_overlap
 
 SQRT_PI = math.sqrt(math.pi)
@@ -137,3 +144,76 @@ def test_overlap_rejects_bad_arguments():
         weighted_overlap(f, f, 7, "one", 0.0)
     with pytest.raises(ValueError):
         weighted_overlap(f, f, 0, "sinh", 0.0)
+
+
+def test_domain_errors_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SpectralDistribution(bad, 1.0)
+        with pytest.raises(ValueError):
+            SpectralDistribution(3.0, bad)
+        with pytest.raises(ValueError):
+            normalization_constant(3.0, bad)
+
+
+# ---------------------------------------------------------------------------
+# Faddeeva function and Gaussian-Fourier moments
+
+
+def _upper_half_plane_points():
+    rng = np.random.default_rng(5)
+    pts = []
+    for scale in (1e-3, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0, 1e4, 1e7):
+        x = rng.uniform(-scale, scale, 2000)
+        y = rng.uniform(0.0, scale, 2000)
+        pts += [x + 1j * y, x + 0j, 1j * y, x + 1e-3j * y]
+    return np.concatenate(pts)
+
+
+def test_faddeeva_matches_scipy_wofz():
+    special = pytest.importorskip("scipy.special")
+    z = _upper_half_plane_points()
+    ref = special.wofz(z)
+    assert float(np.max(np.abs(_faddeeva(z) - ref) / np.abs(ref))) <= 1e-13
+
+
+def test_faddeeva_matches_mpmath_erfc():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(6)
+    z = np.concatenate([rng.uniform(-12.0, 12.0, 40) + 1j * rng.uniform(0.0, 12.0, 40), [0j, 5.0 + 0j, 40j, -25 + 3j]])
+    got = _faddeeva(z)
+    for zi, wi in zip(z, got):
+        zm = mpmath.mpc(zi.real, zi.imag)
+        ref = complex(mpmath.exp(-zm * zm) * mpmath.erfc(-1j * zm))
+        assert abs(wi - ref) <= 1e-13 * abs(ref), zi
+
+
+@pytest.mark.parametrize("mean,width", [(0.0, 1.0), (0.7, 1.0), (3.0, 0.5), (40.0, 2.0)])
+def test_gaussian_fourier_moments_match_direct_quadrature(mean, width):
+    taus = np.array([-7.0, -1.3, 0.0, 0.4, 2.5, 9.0]) / width
+    moments = gaussian_fourier_moments(mean, width, taus, 3)
+    hi = mean + 12.0 * width
+    for n in range(4):
+        scale = width * (mean + width) ** n  # size of M_n(0)
+        for tau, got in zip(taus, moments[n]):
+            def part(kernel):
+                return integrate(
+                    lambda w: w**n * np.exp(-(((w - mean) / width) ** 2)) * kernel(w * tau),
+                    0.0, hi, abs_tol=1e-14 * scale, rel_tol=1e-14, osc_scale=abs(tau),
+                ).value
+            ref = complex(part(np.cos), part(np.sin))
+            assert abs(got - ref) <= 1e-13 * scale, (n, tau)
+
+
+def test_gaussian_fourier_zero_delay_is_normalization():
+    # M_0(0) = (σ√π/2)(1 + erf(ω̄/σ)) = |N|²
+    for mean in (0.0, 0.5, 3.0, 1e4):
+        m0 = gaussian_fourier_moments(mean, 1.7, 0.0, 0)[0]
+        assert abs(m0.real / normalization_constant(mean, 1.7) - 1.0) < 1e-14
+
+
+def test_weighted_overlap_resolves_optical_line():
+    # unit norm of f² for a width-1 line far from the origin
+    f = SpectralDistribution(3e4, 1.0)
+    assert abs(weighted_overlap(f, f, 0, "one") - 1.0) < 1e-12

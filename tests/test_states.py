@@ -150,3 +150,11 @@ def test_bose_weighted_integral_domain_errors():
         bose_weighted_integral(0.0, 3, "one")
     with pytest.raises(ValueError):
         bose_weighted_integral(1.0, 3, "sin")
+
+
+def test_non_finite_temperatures_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Thermal(bad)
+        with pytest.raises(ValueError):
+            mean_occupation(1.0, bad)

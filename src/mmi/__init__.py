@@ -31,7 +31,6 @@ from .intensity import (
     thermal_thermal_ratio,
     thermal_vacuum_ratio,
 )
-from .optics import BeamSplitter, DelayLine, DetectorKernel, detector_kernel, transform_modes
 from .quadrature import QuadratureError, QuadratureResult, integrate, integrate_half_line
 from .spectra import SpectralDistribution, normalization_constant, weighted_overlap
 from .states import (
@@ -50,12 +49,9 @@ from .thermal_kernels import bose_integral_constant, fringe_deviation, stable_th
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamSplitter",
     "Coherent",
     "CoherenceReport",
     "DEFAULT_COHERENCE_EPSILON",
-    "DelayLine",
-    "DetectorKernel",
     "FitProblem",
     "FitResult",
     "IdentifiabilityError",
@@ -76,7 +72,6 @@ __all__ = [
     "coherent_intensity",
     "coherent_intensity_closed",
     "compute_interferogram",
-    "detector_kernel",
     "discriminate_state_class",
     "estimate_coherence_time",
     "fit",
@@ -92,6 +87,5 @@ __all__ = [
     "stable_thermal_kernel",
     "thermal_thermal_ratio",
     "thermal_vacuum_ratio",
-    "transform_modes",
     "weighted_overlap",
 ]

@@ -1,9 +1,10 @@
 """Command-line surface: simulate, verify, fit, coherence.
 
 Outputs are desk-scale, human-diffable files: a CSV with a one-line header
-(``tau,ratio`` or ``a,ratio``; values at 12 significant digits, LF line
-endings) plus a JSON sidecar echoing the full configuration, the method
-used, the seed, the library version, and a timestamp.  CSV bytes are
+(``tau,ratio`` or ``a,ratio``, with ``ratio_closed,ratio_quadrature`` under
+``--method both``; values at 12 significant digits, LF line endings) plus
+a JSON sidecar echoing the full configuration, the method used, the seed,
+the library version, and a timestamp.  CSV bytes are
 deterministic for identical configuration and seed; the timestamp lives
 only in the sidecar.
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -84,14 +84,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MMI_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     names = list(columns)
     arrays = [np.asarray(columns[n]).ravel() for n in names]
@@ -145,95 +137,49 @@ def read_interferogram_csv(path: Path):
 # simulate
 
 
-def _spectral_pair(args):
-    f_s = SpectralDistribution(args.wbar_s, args.sigma)
-    f_lo = SpectralDistribution(args.wbar_lo, args.sigma_lo if args.sigma_lo else args.sigma)
-    return f_s, f_lo
+def _simulate_ports(args, grid):
+    """(signal, lo, delays, dimension, x column, config) of a simulate scenario.
+
+    Spectral grids are τ in units of 1/σ.  Thermal grids are a = τθ
+    (a₀ = τθ₀ for the pair), or τ in seconds with ``--si``.  A dimension
+    of None takes the scenario's default (see :mod:`mmi.intensity`).
+    """
+    scenario = args.scenario
+    if scenario in ("fock", "coherent", "one-photon-vacuum"):
+        f_s = SpectralDistribution(args.wbar_s, args.sigma)
+        if scenario == "one-photon-vacuum":
+            return OnePhoton(f_s), Vacuum(), grid, None, "tau", {"wbar_s": args.wbar_s, "sigma": args.sigma}
+        f_lo = SpectralDistribution(args.wbar_lo, args.sigma_lo if args.sigma_lo else args.sigma)
+        port = OnePhoton if scenario == "fock" else Coherent
+        config = {
+            "wbar_s": args.wbar_s, "wbar_lo": args.wbar_lo, "sigma": args.sigma, "sigma_lo": args.sigma_lo,
+        }
+        return port(f_s), port(f_lo), grid, None, "tau", config
+    x_name = "tau" if args.si else "a"
+    if scenario == "thermal-vacuum":
+        theta = args.theta * K_B / HBAR if args.si else args.theta
+        taus = grid if args.si else grid / theta
+        return Thermal(theta), Vacuum(), taus, args.d, x_name, {"theta": args.theta, "d": args.d}
+    theta0 = args.theta0 * K_B / HBAR if args.si else args.theta0
+    taus = grid if args.si else grid / theta0
+    config = {"theta0": args.theta0, "t1_over_t0": args.t1_over_t0}
+    return Thermal(args.t1_over_t0 * theta0), Thermal(theta0), taus, None, x_name, config
 
 
 def cmd_simulate(args) -> int:
     grid = _parse_grid(args.grid)
-    threads = args.threads
-    scenario = args.scenario
-    config = {
-        "scenario": scenario,
-        "grid": args.grid,
-        "method": args.method,
-        "si": args.si,
-        "threads": threads,
-    }
+    signal, lo, taus, dimension, x_name, config = _simulate_ports(args, grid)
+    both = args.method == "both"
+    methods = ("closed_form", "quadrature") if both else (args.method,)
+    names = ("ratio_closed", "ratio_quadrature") if both else ("ratio",)
+    columns = {x_name: grid}
+    for name, method in zip(names, methods):
+        gram = compute_interferogram(IntensityRequest(signal, lo, taus, dimension, method))
+        columns[name] = gram.ratios
+    method_used = "both" if both else gram.metadata["method"]
 
-    if scenario in ("fock", "coherent"):
-        f_s, f_lo = _spectral_pair(args)
-        config.update(
-            wbar_s=args.wbar_s, wbar_lo=args.wbar_lo,
-            sigma=args.sigma, sigma_lo=args.sigma_lo,
-        )
-        make = OnePhoton if scenario == "fock" else Coherent
-        request = IntensityRequest(
-            signal=make(f_s), lo=make(f_lo), delays=grid, dimension=1, method=args.method
-        )
-        gram = compute_interferogram(request, threads=threads)
-        columns = {"tau": grid, "ratio": gram.ratios}
-        method_used = gram.metadata["method"]
-    elif scenario == "one-photon-vacuum":
-        f_s = SpectralDistribution(args.wbar_s, args.sigma)
-        config.update(wbar_s=args.wbar_s, sigma=args.sigma)
-        request = IntensityRequest(
-            signal=OnePhoton(f_s), lo=Vacuum(), delays=grid, dimension=1, method=args.method
-        )
-        gram = compute_interferogram(request, threads=threads)
-        columns = {"tau": grid, "ratio": gram.ratios}
-        method_used = gram.metadata["method"]
-    elif scenario == "thermal-vacuum":
-        theta = args.theta * K_B / HBAR if args.si else args.theta
-        config.update(theta=args.theta, d=args.d)
-        # file column is a = tau*theta (dimensionless) or tau in seconds with --si
-        taus = grid if args.si else grid / theta
-        if args.method == "both":
-            closed = np.asarray(thermal_vacuum_ratio(theta, taus, args.d, "closed_form"))
-            quad = np.asarray(thermal_vacuum_ratio(theta, taus, args.d, "quadrature"))
-            columns = {
-                ("tau" if args.si else "a"): grid,
-                "ratio_closed": closed,
-                "ratio_quadrature": quad,
-            }
-            method_used = "both"
-        else:
-            request = IntensityRequest(
-                signal=Thermal(theta), lo=Vacuum(), delays=taus,
-                dimension=args.d, method=args.method,
-            )
-            gram = compute_interferogram(request, threads=threads)
-            columns = {("tau" if args.si else "a"): grid, "ratio": gram.ratios}
-            method_used = gram.metadata["method"]
-    elif scenario == "thermal-thermal":
-        theta0 = args.theta0 * K_B / HBAR if args.si else args.theta0
-        ratio_t = getattr(args, "t1_over_t0")
-        theta1 = ratio_t * theta0
-        config.update(theta0=args.theta0, t1_over_t0=ratio_t)
-        taus = grid if args.si else grid / theta0  # file column is a0 = tau*theta0
-        if args.method == "both":
-            closed = np.asarray(thermal_thermal_ratio(theta0, theta1, taus, "closed_form"))
-            quad = np.asarray(thermal_thermal_ratio(theta0, theta1, taus, "quadrature"))
-            columns = {
-                ("tau" if args.si else "a"): grid,
-                "ratio_closed": closed,
-                "ratio_quadrature": quad,
-            }
-            method_used = "both"
-        else:
-            request = IntensityRequest(
-                signal=Thermal(theta1), lo=Thermal(theta0), delays=taus,
-                dimension=3, method=args.method,
-            )
-            gram = compute_interferogram(request, threads=threads)
-            columns = {("tau" if args.si else "a"): grid, "ratio": gram.ratios}
-            method_used = gram.metadata["method"]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown scenario {scenario}")
-
-    out = Path(args.out) if args.out else Path(f"mmi_{scenario.replace('-', '_')}.csv")
+    config.update(scenario=args.scenario, grid=args.grid, method=args.method, si=args.si)
+    out = Path(args.out) if args.out else Path(f"mmi_{args.scenario.replace('-', '_')}.csv")
     write_csv(out, columns)
     sidecar = write_sidecar(out, config, method_used, None)
     print(f"wrote {out} and {sidecar}")
@@ -253,9 +199,10 @@ def _verify_fock(tols, exact_gaps):
     worst_plateau = 0.0
     for wlo in (3.15, 2.85):
         f_lo = SpectralDistribution(wlo, sigma)
-        norm = fock_intensity(f_s, f_lo, 0.0)
-        quad = np.array([1.0] + [fock_intensity(f_s, f_lo, t) / norm for t in taus[1:]])
-        exact = compute_interferogram(IntensityRequest(OnePhoton(f_s), OnePhoton(f_lo), taus)).ratios
+        ports = (OnePhoton(f_s), OnePhoton(f_lo), taus)
+        gram = compute_interferogram(IntensityRequest(*ports, method="quadrature"))
+        quad, norm = gram.ratios, gram.normalization
+        exact = compute_interferogram(IntensityRequest(*ports)).ratios
         exact_gaps.append(float(np.max(np.abs(quad - exact))))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -296,9 +243,9 @@ def _verify_coherent(tols, exact_gaps):
         foc = fock_intensity(f_s, f_lo, t)
         cross = -2.0 * weighted_overlap(f_s, f_lo, 1, "sin", t)
         worst = max(worst, abs((coh - foc) - cross))
-    norm = coherent_intensity(f_s, f_lo, 0.0)
-    ratios = np.array([1.0] + [coherent_intensity(f_s, f_lo, t) / norm for t in taus[1:]])
-    exact = compute_interferogram(IntensityRequest(Coherent(f_s), Coherent(f_lo), taus)).ratios
+    ports = (Coherent(f_s), Coherent(f_lo), taus)
+    ratios = compute_interferogram(IntensityRequest(*ports, method="quadrature")).ratios
+    exact = compute_interferogram(IntensityRequest(*ports)).ratios
     exact_gaps.append(float(np.max(np.abs(ratios - exact))))
     try:
         label = discriminate_state_class(taus, ratios, f_lo).label
@@ -511,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--method", default="auto",
                      choices=["auto", "closed_form", "quadrature", "both"])
     sim.add_argument("--out", "-o", default=None, help="output CSV path")
-    sim.add_argument("--threads", type=int, default=_default_threads(),
-                     help="worker threads for grid evaluation (default: MMI_THREADS or 1)")
     sim.add_argument("--si", action="store_true",
                      help="temperatures in kelvin, delays in seconds")
     sim.set_defaults(func=cmd_simulate)

@@ -110,6 +110,10 @@ class FitProblem:
     def __post_init__(self):
         object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float).ravel())
         object.__setattr__(self, "ratios", np.asarray(self.ratios, dtype=float).ravel())
+        if not (np.isfinite(self.tau).all() and np.isfinite(self.ratios).all()):
+            raise ValueError("delays and ratios must be finite")
+        if self.noise is not None and not np.isfinite(self.noise).all():
+            raise ValueError("noise levels must be finite")
         if self.model not in _MODEL_PARAMS:
             raise ValueError(f"unknown model {self.model!r}")
         names = _MODEL_PARAMS[self.model]
@@ -299,8 +303,8 @@ def estimate_coherence_time(
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("threshold must lie strictly between 0 and 0.5")
-    if theta <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {theta}")
 
     def deviation(a):
         return np.abs(np.asarray(thermal_vacuum_ratio(1.0, a, 3, "closed_form")) - 0.5)

@@ -23,6 +23,11 @@ agrees with the quadrature path to its 1e-12 tolerance and keeps working at
 optical ω̄/σ, where the rounding of cos ωτ stops quadrature short of it.
 Thermal / vacuum at d = 1 still takes quadrature under ``auto``.
 
+A request without a dimension takes the scenario's default: d = 3 for the
+thermal pair, whose only dimension it is, and d = 1 for every other pair,
+which admits d ∈ {1, 3}.  These rules, and the path each method takes, are
+decided once, by :func:`_resolve`, for every entry point of this module.
+
 The thermal closed forms are exact and stable down to τ = 0 thanks to the
 cancellation-free kernel in :mod:`mmi.thermal_kernels`.  The spectral-state
 closed forms replace ω by ω̄ and extend the frequency range to the whole
@@ -70,6 +75,35 @@ __all__ = [
 ]
 
 _METHODS = ("auto", "closed_form", "quadrature")
+# the dimensions each scenario admits, its default first, and the one
+# dimension its closed form exists in
+_DIMENSIONS = {"spectral": (1, 3), "thermal-vacuum": (1, 3), "thermal-thermal": (3,)}
+_CLOSED_FORM_DIMENSION = {"spectral": 1, "thermal-vacuum": 3, "thermal-thermal": 3}
+
+
+def _resolve(scenario: str, d: int | None, method: str, *, allow_general_dimension: bool = False):
+    """(dimension, path) that ``method`` takes for ``scenario`` at dimension d.
+
+    ``auto`` takes the exact Gaussian-Fourier path for spectral states and,
+    for thermal ones, the closed form where it exists, quadrature elsewhere.
+    A missing d takes the scenario's default.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    dims = _DIMENSIONS[scenario]
+    if d is None:
+        d = dims[0]
+    elif d not in dims and not allow_general_dimension:
+        expected = " or ".join(map(str, dims))
+        raise ValueError(f"dimension {d} unsupported for the {scenario} scenario; expected {expected}")
+    closed_d = _CLOSED_FORM_DIMENSION[scenario]
+    if method == "auto":
+        if scenario == "spectral":
+            return d, "exact"
+        method = "closed_form" if d == closed_d else "quadrature"
+    if method == "closed_form" and d != closed_d:
+        raise ValueError(f"the {scenario} closed form is only available in dimension {closed_d}")
+    return d, method
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +176,7 @@ def fock_intensity(
     dropped.  At τ = 0 the dark-port term vanishes and the value is twice
     the mean frequency under f_s².
     """
-    if d not in (1, 3):
-        raise ValueError(f"dimension {d} unsupported; expected 1 or 3")
+    d, _ = _resolve("spectral", d, "quadrature")
     return _spectral_integral(f_s, f_lo, tau, d, cross=False, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
@@ -163,8 +196,7 @@ def coherent_intensity(
     :func:`fock_intensity` is a genuine dual-path check against
     :func:`mmi.spectra.weighted_overlap`, not an identity).
     """
-    if d not in (1, 3):
-        raise ValueError(f"dimension {d} unsupported; expected 1 or 3")
+    d, _ = _resolve("spectral", d, "quadrature")
     return _spectral_integral(f_s, f_lo, tau, d, cross=True, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
@@ -269,16 +301,9 @@ def thermal_vacuum_ratio(
     stable kernel; the two agree to quadrature tolerance.  Decays to 1/2
     like a⁻⁴.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    d, method = _resolve("thermal-vacuum", d, method, allow_general_dimension=allow_general_dimension)
     if not 0.0 < theta < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {theta}")
-    if d not in (1, 3) and not allow_general_dimension:
-        raise ValueError(f"dimension {d} unsupported; pass allow_general_dimension=True to force")
-    if method == "closed_form" and d != 3:
-        raise ValueError("closed form is only available in three dimensions")
-    if method == "auto":
-        method = "closed_form" if d == 3 else "quadrature"
 
     t = np.asarray(tau, dtype=float)
     a = np.abs(t) * theta
@@ -322,12 +347,9 @@ def thermal_thermal_ratio(
     thermometry signal.  The quadrature path integrates the two Bose
     fringe integrals directly.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    _, method = _resolve("thermal-thermal", 3, method)
     if not (0.0 < theta0 < math.inf and 0.0 < theta1 < math.inf):
         raise ValueError("temperatures must be positive and finite")
-    if method == "auto":
-        method = "closed_form"
 
     t = np.asarray(tau, dtype=float)
     a0 = np.abs(t) * theta0
@@ -366,14 +388,15 @@ class IntensityRequest:
     Gaussian-Fourier moments for spectral states, the hyperbolic closed
     form for thermal ones at d = 3, quadrature for thermal ones at d = 1);
     'closed_form' is only available where a closed expression exists
-    (spectral approximations at d = 1, thermal at d = 3).  Delays must be
-    finite.
+    (spectral approximations at d = 1, thermal at d = 3).  ``dimension``
+    None takes the scenario's default: 3 for the thermal pair, else 1.
+    Delays must be finite.
     """
 
     signal: PortState
     lo: PortState
     delays: Any
-    dimension: int = 1
+    dimension: int | None = None
     method: str = "auto"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
@@ -424,7 +447,19 @@ def _describe_state(state: PortState) -> dict:
     return {"kind": kind, "mean_freq": state.spectrum.mean_freq, "width": state.spectrum.width}
 
 
-def compute_interferogram(request: IntensityRequest, threads: int = 1) -> Interferogram:
+def _scenario(sig: PortState, lo: PortState) -> str:
+    if isinstance(sig, (OnePhoton, Coherent)) and (isinstance(lo, Vacuum) or type(lo) is type(sig)):
+        return "spectral"
+    if isinstance(sig, Thermal) and isinstance(lo, Vacuum):
+        return "thermal-vacuum"
+    if isinstance(sig, Thermal) and isinstance(lo, Thermal):
+        return "thermal-thermal"
+    raise ValueError(
+        f"unsupported port combination: signal={type(sig).__name__}, lo={type(lo).__name__}"
+    )
+
+
+def compute_interferogram(request: IntensityRequest) -> Interferogram:
     """Evaluate a scenario over its delay grid.
 
     Supported port pairs: (one-photon, one-photon), (coherent, coherent),
@@ -434,57 +469,31 @@ def compute_interferogram(request: IntensityRequest, threads: int = 1) -> Interf
     """
     sig, lo = request.signal, request.lo
     taus = request.delays
-    method = request.method
-    d = request.dimension
+    tols = {"abs_tol": request.abs_tol, "rel_tol": request.rel_tol}
+    scenario = _scenario(sig, lo)
+    d, used = _resolve(scenario, request.dimension, request.method)
 
-    if isinstance(sig, (OnePhoton, Coherent)) and (isinstance(lo, Vacuum) or type(lo) is type(sig)):
-        if d not in (1, 3):
-            raise ValueError(f"dimension {d} unsupported; expected 1 or 3")
+    norm = None
+    if scenario == "thermal-vacuum":
+        ratios = thermal_vacuum_ratio(sig.theta, taus, d, used, **tols)
+    elif scenario == "thermal-thermal":
+        ratios = thermal_thermal_ratio(lo.theta, sig.theta, taus, used, **tols)
+    else:
         f_s = sig.spectrum
         f_lo = None if isinstance(lo, Vacuum) else lo.spectrum
         cross = isinstance(lo, Coherent)
-        used = "exact" if method == "auto" else method
         if used == "exact":
             ratios, norm = _spectral_exact(f_s, f_lo, taus, d, cross)
         elif used == "quadrature":
             ratios, norm = _grid_ratio_quadrature(
-                lambda t: _spectral_integral(f_s, f_lo, t, d, cross, request.abs_tol, request.rel_tol),
-                taus,
-                threads,
+                lambda t: _spectral_integral(f_s, f_lo, t, d, cross, **tols), taus
             )
+        elif f_lo is None:
+            ratios = one_photon_vacuum_ratio(f_s, taus)
+        elif cross:
+            ratios = coherent_intensity_closed(f_s, f_lo, taus)
         else:
-            if d != 1:
-                raise ValueError("spectral closed forms are one-dimensional")
-            if f_lo is None:
-                ratios = one_photon_vacuum_ratio(f_s, taus)
-            elif cross:
-                ratios = coherent_intensity_closed(f_s, f_lo, taus)
-            else:
-                ratios = fock_intensity_closed(f_s, f_lo, taus)
-            norm = None
-    elif isinstance(sig, Thermal) and isinstance(lo, Vacuum):
-        used = method if method != "auto" else ("closed_form" if d == 3 else "quadrature")
-        ratios = np.asarray(
-            thermal_vacuum_ratio(
-                sig.theta, taus, d, used, abs_tol=request.abs_tol, rel_tol=request.rel_tol
-            )
-        )
-        norm = None
-    elif isinstance(sig, Thermal) and isinstance(lo, Thermal):
-        if d != 3:
-            raise ValueError("the two-temperature scenario is three-dimensional")
-        used = method if method != "auto" else "closed_form"
-        ratios = np.asarray(
-            thermal_thermal_ratio(
-                lo.theta, sig.theta, taus, used,
-                abs_tol=request.abs_tol, rel_tol=request.rel_tol,
-            )
-        )
-        norm = None
-    else:
-        raise ValueError(
-            f"unsupported port combination: signal={type(sig).__name__}, lo={type(lo).__name__}"
-        )
+            ratios = fock_intensity_closed(f_s, f_lo, taus)
 
     ratios = np.asarray(ratios, dtype=float).reshape(taus.shape)
     ratios[taus == 0.0] = 1.0
@@ -500,19 +509,11 @@ def compute_interferogram(request: IntensityRequest, threads: int = 1) -> Interf
     return Interferogram(delays=taus.copy(), ratios=ratios, normalization=norm, metadata=meta)
 
 
-def _grid_ratio_quadrature(intensity_fn, taus, threads):
+def _grid_ratio_quadrature(intensity_fn, taus):
     norm = intensity_fn(0.0)
     if norm <= 0.0:
         raise ValueError("zero-delay intensity vanished; cannot normalize")
-
-    def one(t):
-        return 1.0 if t == 0.0 else intensity_fn(t) / norm
-
-    if threads > 1 and taus.size > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ratios = np.fromiter(pool.map(one, taus.ravel()), dtype=float, count=taus.size)
-    else:
-        ratios = np.fromiter((one(t) for t in taus.ravel()), dtype=float, count=taus.size)
+    ratios = np.fromiter(
+        (1.0 if t == 0.0 else intensity_fn(t) / norm for t in taus.ravel()), dtype=float, count=taus.size
+    )
     return ratios.reshape(taus.shape), norm

@@ -90,17 +90,33 @@ def test_simulate_equal_temperatures_writes_unity(tmp_path):
     assert all(row.split(",")[1] == "1" for row in rows)
 
 
+# grids on which every scenario's closed form is valid (ω̄_s = 3σ by default)
+BOTH_METHOD_ARGS = {
+    "fock": ("tau", ["--grid", "0:6:25"]),
+    "coherent": ("tau", ["--grid", "0:6:25"]),
+    "one-photon-vacuum": ("tau", ["--grid", "0:6:25"]),
+    "thermal-vacuum": ("a", ["--d", "3", "--grid", "0.01:6:50"]),
+    "thermal-thermal": ("a", ["--grid", "0:4:40"]),
+}
+
+
 def test_simulate_thermal_both_methods_agree(tmp_path):
-    out = tmp_path / "both.csv"
-    proc = run_cli(
-        "simulate", "thermal-vacuum", "--d", "3", "--method", "both",
-        "--grid", "0.01:6:50", "-o", str(out), cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = out.read_text().strip().splitlines()
-    assert rows[0] == "a,ratio_closed,ratio_quadrature"
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-9
+    # --method both on every scenario: its quadrature column is the
+    # --method quadrature run, and the exact thermal closed forms agree with it
+    for scenario, (x_name, extra) in BOTH_METHOD_ARGS.items():
+        both = tmp_path / f"{scenario}-both.csv"
+        quad = tmp_path / f"{scenario}-quadrature.csv"
+        assert cli.main(["simulate", scenario, *extra, "--method", "both", "-o", str(both)]) == 0
+        assert cli.main(["simulate", scenario, *extra, "--method", "quadrature", "-o", str(quad)]) == 0
+        rows = [row.split(",") for row in both.read_text().splitlines()]
+        quad_rows = [row.split(",") for row in quad.read_text().splitlines()]
+        assert rows[0] == [x_name, "ratio_closed", "ratio_quadrature"]
+        assert quad_rows[0] == [x_name, "ratio"]
+        assert [row[2] for row in rows[1:]] == [row[1] for row in quad_rows[1:]]
+        assert json.loads(both.with_suffix(".json").read_text())["method"] == "both"
+        if scenario.startswith("thermal"):
+            data = np.array(rows[1:], dtype=float)
+            assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-9
 
 
 def test_simulate_rejects_bad_combination(tmp_path):
@@ -145,6 +161,13 @@ def test_fit_flat_data_exits_identifiability(tmp_path):
     proc = run_cli("fit", str(out), "--model", "thermal-thermal", cwd=tmp_path)
     assert proc.returncode == 4
     assert "identifiability" in proc.stderr.lower()
+
+
+def test_fit_non_finite_cell_exits_usage(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("a,ratio\n0,1\n0.5,nan\n1,0.8\n1.5,0.7\n2,0.6\n")
+    assert cli.main(["fit", str(bad), "--model", "thermal-thermal"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_fit_malformed_csv_exits_usage(tmp_path):
@@ -210,6 +233,12 @@ def test_coherence_reports_calibrated_value(tmp_path):
     assert payload["epsilon"] == pytest.approx(0.04078149)
 
 
+def test_coherence_rejects_non_finite_temperature(capsys):
+    for theta in ("nan", "inf"):
+        assert cli.main(["coherence", "--theta", theta]) == 2
+        assert "temperature must be positive and finite" in capsys.readouterr().err
+
+
 def test_coherence_si_units(tmp_path):
     proc = run_cli("coherence", "--si", "--temperature", "2.725", cwd=tmp_path)
     assert proc.returncode == 0
@@ -232,20 +261,3 @@ def test_csv_values_carry_twelve_significant_digits(tmp_path):
     row = out.read_text().strip().splitlines()[1]
     a_str, ratio_str = row.split(",")
     assert len(ratio_str.replace(".", "").replace("-", "").lstrip("0")) >= 11
-
-
-def test_mmi_threads_env_sets_default(monkeypatch):
-    monkeypatch.setenv("MMI_THREADS", "3")
-    assert cli._default_threads() == 3
-    monkeypatch.setenv("MMI_THREADS", "not-a-number")
-    assert cli._default_threads() == 1
-    monkeypatch.delenv("MMI_THREADS")
-    assert cli._default_threads() == 1
-
-
-def test_threads_flag_does_not_change_output(tmp_path):
-    a = tmp_path / "t1.csv"
-    b = tmp_path / "t4.csv"
-    run_cli("simulate", "coherent", "--grid", "0:3:16", "-o", str(a), "--threads", "1", cwd=tmp_path)
-    run_cli("simulate", "coherent", "--grid", "0:3:16", "-o", str(b), "--threads", "4", cwd=tmp_path)
-    assert a.read_bytes() == b.read_bytes()

@@ -181,6 +181,28 @@ def test_dimensionless_collapse_under_temperature_rescaling():
     assert hot.coherence_length == hot.tau_c  # c = 1 by default
 
 
+def test_coherence_rejects_non_finite_temperature():
+    for theta in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="temperature"):
+            estimate_coherence_time(theta)
+
+
+def test_fit_problem_rejects_non_finite_data():
+    taus = np.linspace(0.0, 3.0, 20)
+    data = np.asarray(thermal_thermal_ratio(1.0, 1.01, taus))
+    for bad in (float("nan"), float("inf")):
+        spoiled = data.copy()
+        spoiled[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FitProblem(tau=taus, ratios=spoiled, model="thermal_thermal", fixed={"theta0": 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            FitProblem(tau=np.where(taus == taus[5], bad, taus), ratios=data, model="thermal_thermal",
+                       fixed={"theta0": 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            FitProblem(tau=taus, ratios=data, model="thermal_thermal", fixed={"theta0": 1.0},
+                       noise=np.where(taus == taus[5], bad, 1e-3))
+
+
 def test_threshold_domain():
     with pytest.raises(ValueError):
         estimate_coherence_time(epsilon=0.0)

@@ -334,14 +334,6 @@ def test_compute_interferogram_fock_quadrature():
     assert abs(gram.ratios[3] - direct) < 1e-12
 
 
-def test_compute_interferogram_thread_pool_matches_serial():
-    taus = np.linspace(0.0, 2.0, 9)
-    req = IntensityRequest(signal=Coherent(F_S), lo=Coherent(F_LO), delays=taus, method="quadrature")
-    serial = compute_interferogram(req, threads=1)
-    pooled = compute_interferogram(req, threads=4)
-    assert np.array_equal(serial.ratios, pooled.ratios)
-
-
 def test_compute_interferogram_thermal_closed():
     taus = np.linspace(0.0, 5.0, 11)
     gram = compute_interferogram(
@@ -349,6 +341,25 @@ def test_compute_interferogram_thermal_closed():
     )
     assert gram.metadata["method"] == "closed_form"
     assert gram.ratios[0] == 1.0
+
+
+def test_default_dimension_is_the_scenarios_own():
+    # the thermal pair exists only in three dimensions, so that is its default
+    taus = np.linspace(0.0, 4.0, 9)
+    pair = (Thermal(1.1), Thermal(1.0), taus)
+    implicit = compute_interferogram(IntensityRequest(*pair))
+    explicit = compute_interferogram(IntensityRequest(*pair, dimension=3))
+    assert implicit.metadata == explicit.metadata
+    assert implicit.metadata["dimension"] == 3
+    assert np.array_equal(implicit.ratios, explicit.ratios)
+    with pytest.raises(ValueError, match="dimension 1"):
+        compute_interferogram(IntensityRequest(*pair, dimension=1))
+    # every other pair defaults to one dimension
+    spectral = compute_interferogram(IntensityRequest(OnePhoton(F_S), Vacuum(), taus))
+    assert spectral.metadata["dimension"] == 1
+    thermal = compute_interferogram(IntensityRequest(Thermal(1.0), Vacuum(), taus))
+    assert thermal.metadata["dimension"] == 1
+    assert thermal.metadata["method"] == "quadrature"
 
 
 def test_compute_interferogram_rejects_vacuum_signal():

@@ -1,101 +1,89 @@
+"""The balanced beam splitter behind the detection integrand of mmi.intensity.
+
+The lossless 50:50 splitter maps (a_lo, a_signal) through
+U = [[1, i], [i, 1]]/√2.  Traversing it, the two delayed arms and it again
+gives the detector the row ½(1 - e^{iωτ}), (i/2)(1 + e^{iωτ}), whose weights
+(1 ∓ cos ωτ)/2 and cross weight -sin ωτ are the ones mmi.intensity
+integrates.  These tests check that integrand against the splitter and its
+port behaviour: bright signal port at τ = 0, exchanged ports at ωτ = π, and
+a cross term odd in τ.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
-from mmi.optics import BeamSplitter, DelayLine, detector_kernel, transform_modes
+from mmi.intensity import IntensityRequest, coherent_intensity, compute_interferogram, fock_intensity
+from mmi.spectra import SpectralDistribution
+from mmi.states import OnePhoton, Vacuum
+
+F_S = SpectralDistribution(3.0, 1.0)
+F_LO = SpectralDistribution(3.15, 1.1)
 
 
-def test_transmittance_bounds():
-    BeamSplitter(0.0)
-    BeamSplitter(1.0)
-    with pytest.raises(ValueError):
-        BeamSplitter(1.0001)
-    with pytest.raises(ValueError):
-        BeamSplitter(-0.1)
-
-
-def test_fully_transmitting_is_identity():
-    assert np.allclose(transform_modes(BeamSplitter(1.0)), np.eye(2))
-
-
-def test_fully_reflecting_is_i_swap():
-    u = transform_modes(BeamSplitter(0.0))
-    assert np.allclose(u, 1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-@pytest.mark.parametrize("t", [0.0, 0.1, 0.3, 0.5, 0.77, 1.0])
-def test_mode_matrix_unitary(t):
-    u = transform_modes(BeamSplitter(t))
-    assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-15)
+def _intensity(signal, lo, tau, method="auto"):
+    """Unnormalized ⟨I⟩(τ) on the module's internal scale."""
+    got = compute_interferogram(IntensityRequest(signal, lo, [tau], method=method))
+    return got.ratios[0] * got.normalization
 
 
 def test_balanced_splitter_matrix():
-    u = transform_modes(BeamSplitter(0.5))
-    assert np.allclose(u, np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0))
+    u = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
+    assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-15)
 
+    omega = np.linspace(0.0, 12.0, 24001)
+    for tau in (0.0, 0.4, 1.3, -2.2):
+        phase = np.exp(1j * omega * tau)
+        # row 0 of U diag(1, e^{iωτ}) U acting on (a_lo, a_signal)
+        c_lo = u[0, 0] * u[0, 0] + u[0, 1] * phase * u[1, 0]
+        c_s = u[0, 0] * u[0, 1] + u[0, 1] * phase * u[1, 1]
+        assert np.allclose(2.0 * abs(c_s) ** 2, 1.0 + np.cos(omega * tau), atol=1e-15)
+        assert np.allclose(2.0 * abs(c_lo) ** 2, 1.0 - np.cos(omega * tau), atol=1e-15)
+        assert np.allclose(4.0 * (c_lo.conj() * c_s).real, -2.0 * np.sin(omega * tau), atol=1e-15)
 
-@pytest.mark.parametrize("t", [0.05, 0.3, 0.5, 0.9])
-def test_double_traversal_reproduces_detector_coefficients(t):
-    # second splitter pass after per-arm phases: row 0 of U diag(e^{i phi2},
-    # e^{i phi3}) U acting on (a_lo, a_signal) must give the kernel
-    # coefficients (up to the common phase e^{i phi2} they drop)
-    tau = 0.83
-    omega = 2.31
-    phi2, phi3 = 0.4, 0.4 + omega * tau
-    u = transform_modes(BeamSplitter(t))
-    composed = u @ np.diag([np.exp(1j * phi2), np.exp(1j * phi3)]) @ u
-    kernel = detector_kernel(BeamSplitter(t), DelayLine(tau))
-    common = np.exp(1j * phi2)
-    assert np.allclose(composed[0, 0], common * kernel.lo_coefficient(omega))
-    assert np.allclose(composed[0, 1], common * kernel.signal_coefficient(omega))
+        # 2ω|E|² integrated over the spectra is the detected intensity
+        a_s, a_lo = F_S.amplitude(omega), F_LO.amplitude(omega)
+        fock = np.trapezoid(2.0 * omega * (abs(c_s * a_s) ** 2 + abs(c_lo * a_lo) ** 2), omega)
+        field = np.trapezoid(2.0 * omega * abs(c_s * a_s + c_lo * a_lo) ** 2, omega)
+        assert abs(fock - fock_intensity(F_S, F_LO, tau)) < 1e-9 * fock
+        assert abs(field - coherent_intensity(F_S, F_LO, tau)) < 1e-9 * fock
 
 
 def test_balanced_kernel_bright_and_dark_port():
-    kernel = detector_kernel(BeamSplitter(0.5), DelayLine(0.0))
-    omega = np.linspace(0.1, 10.0, 7)
-    assert np.allclose(kernel.signal_weight(omega), 1.0)
-    assert np.allclose(kernel.lo_weight(omega), 0.0)
+    # at τ = 0 the detector sees the whole signal port and none of the LO
+    alone = _intensity(OnePhoton(F_S), Vacuum(), 0.0, method="quadrature")
+    for f_lo in (F_LO, SpectralDistribution(0.5, 0.2), SpectralDistribution(9.0, 2.0)):
+        assert abs(fock_intensity(F_S, f_lo, 0.0) - alone) < 1e-10
+        assert abs(coherent_intensity(F_S, f_lo, 0.0) - alone) < 1e-10
 
 
 def test_balanced_kernel_fringe_null():
-    # omega*tau = pi: the ports exchange roles
-    kernel = detector_kernel(BeamSplitter(0.5), DelayLine(math.pi))
-    assert abs(kernel.signal_weight(1.0)) < 1e-15
-    assert abs(kernel.lo_weight(1.0) - 1.0) < 1e-15
+    # ω̄τ = π on a narrow line: the ports exchange roles.  Against vacuum the
+    # ratio falls to ½(1 - e^{-(στ)²/4}); the dropped sin ω̄τ term is 0 there.
+    narrow = SpectralDistribution(1.0, 1e-4)
+    null = compute_interferogram(IntensityRequest(OnePhoton(narrow), Vacuum(), [math.pi])).ratios[0]
+    assert abs(null + 0.5 * math.expm1(-((1e-4 * math.pi) ** 2) / 4.0)) < 1e-15
+    assert null < 2e-8
 
-
-def test_unbalanced_kernel_values_and_conservation():
-    kernel = detector_kernel(BeamSplitter(0.3), DelayLine(0.0))
-    assert abs(kernel.signal_weight(5.0) - 0.84) < 1e-15
-    assert abs(kernel.lo_weight(5.0) - 0.16) < 1e-15
-
-
-@pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.8, 1.0])
-def test_pointwise_weight_conservation(t):
-    kernel = detector_kernel(BeamSplitter(t), DelayLine(1.7))
-    omega = np.linspace(0.0, 20.0, 401)
-    total = kernel.signal_weight(omega) + kernel.lo_weight(omega)
-    assert np.max(np.abs(total - 1.0)) < 1e-14
-
-
-def test_kernel_periodicity_in_tau():
-    omega = 2.0
-    base = detector_kernel(BeamSplitter(0.5), DelayLine(0.7))
-    shifted = detector_kernel(BeamSplitter(0.5), DelayLine(0.7 + 2.0 * math.pi / omega))
-    assert abs(base.signal_weight(omega) - shifted.signal_weight(omega)) < 1e-12
-    assert abs(base.lo_weight(omega) - shifted.lo_weight(omega)) < 1e-12
+    # with a one-photon LO the detector sees the LO port as if at τ = 0
+    narrow_lo = SpectralDistribution(1.0, 2e-4)
+    exchanged = _intensity(OnePhoton(narrow), OnePhoton(narrow_lo), math.pi)
+    lo_bright = _intensity(OnePhoton(narrow_lo), OnePhoton(narrow), 0.0)
+    assert abs(exchanged - lo_bright) < 1e-6 * lo_bright
 
 
 def test_cross_weight_odd_in_tau():
-    omega = np.linspace(0.1, 8.0, 33)
-    plus = detector_kernel(BeamSplitter(0.5), DelayLine(0.9)).cross_weight(omega)
-    minus = detector_kernel(BeamSplitter(0.5), DelayLine(-0.9)).cross_weight(omega)
-    assert np.allclose(plus, -minus, atol=1e-15)
-    # at T = 1/2 the cross weight is exactly -sin(omega tau)
-    assert np.allclose(plus, -np.sin(omega * 0.9), atol=1e-15)
+    for tau in (0.3, 0.9, 2.7):
+        plus = coherent_intensity(F_S, F_LO, tau) - fock_intensity(F_S, F_LO, tau)
+        minus = coherent_intensity(F_S, F_LO, -tau) - fock_intensity(F_S, F_LO, -tau)
+        assert abs(plus) > 1e-3
+        assert abs(plus + minus) < 1e-10
 
 
 def test_delay_line_rejects_non_finite():
-    with pytest.raises(ValueError):
-        DelayLine(math.inf)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            fock_intensity(F_S, F_LO, bad)
+        with pytest.raises(ValueError):
+            coherent_intensity(F_S, F_LO, bad)

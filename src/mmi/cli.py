@@ -141,29 +141,29 @@ def _simulate_ports(args, grid):
     """(signal, lo, delays, dimension, x column, config) of a simulate scenario.
 
     Spectral grids are τ in units of 1/σ.  Thermal grids are a = τθ
-    (a₀ = τθ₀ for the pair), or τ in seconds with ``--si``.  A dimension
-    of None takes the scenario's default (see :mod:`mmi.intensity`).
+    (a₀ = τθ₀ for the pair), or τ in seconds with ``--si``.  ``--d`` reaches
+    every scenario; without it each takes its default (see :mod:`mmi.intensity`).
     """
     scenario = args.scenario
     if scenario in ("fock", "coherent", "one-photon-vacuum"):
         f_s = SpectralDistribution(args.wbar_s, args.sigma)
         if scenario == "one-photon-vacuum":
-            return OnePhoton(f_s), Vacuum(), grid, None, "tau", {"wbar_s": args.wbar_s, "sigma": args.sigma}
+            return OnePhoton(f_s), Vacuum(), grid, args.d, "tau", {"wbar_s": args.wbar_s, "sigma": args.sigma}
         f_lo = SpectralDistribution(args.wbar_lo, args.sigma_lo if args.sigma_lo else args.sigma)
         port = OnePhoton if scenario == "fock" else Coherent
         config = {
             "wbar_s": args.wbar_s, "wbar_lo": args.wbar_lo, "sigma": args.sigma, "sigma_lo": args.sigma_lo,
         }
-        return port(f_s), port(f_lo), grid, None, "tau", config
+        return port(f_s), port(f_lo), grid, args.d, "tau", config
     x_name = "tau" if args.si else "a"
     if scenario == "thermal-vacuum":
         theta = args.theta * K_B / HBAR if args.si else args.theta
         taus = grid if args.si else grid / theta
-        return Thermal(theta), Vacuum(), taus, args.d, x_name, {"theta": args.theta, "d": args.d}
+        return Thermal(theta), Vacuum(), taus, args.d, x_name, {"theta": args.theta}
     theta0 = args.theta0 * K_B / HBAR if args.si else args.theta0
     taus = grid if args.si else grid / theta0
     config = {"theta0": args.theta0, "t1_over_t0": args.t1_over_t0}
-    return Thermal(args.t1_over_t0 * theta0), Thermal(theta0), taus, None, x_name, config
+    return Thermal(args.t1_over_t0 * theta0), Thermal(theta0), taus, args.d, x_name, config
 
 
 def cmd_simulate(args) -> int:
@@ -178,7 +178,8 @@ def cmd_simulate(args) -> int:
         columns[name] = gram.ratios
     method_used = "both" if both else gram.metadata["method"]
 
-    config.update(scenario=args.scenario, grid=args.grid, method=args.method, si=args.si)
+    config.update(scenario=args.scenario, grid=args.grid, method=args.method, si=args.si,
+                  d=gram.metadata["dimension"])
     out = Path(args.out) if args.out else Path(f"mmi_{args.scenario.replace('-', '_')}.csv")
     write_csv(out, columns)
     sidecar = write_sidecar(out, config, method_used, None)
@@ -452,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t1/t0", dest="t1_over_t0", type=float, default=1.01,
                      help="signal/reference temperature ratio")
     sim.add_argument("--theta-ratio", dest="t1_over_t0", type=float, help=argparse.SUPPRESS)
-    sim.add_argument("--d", type=int, default=3, choices=[1, 3], help="space dimension (thermal-vacuum)")
+    sim.add_argument("--d", type=int, default=None, choices=[1, 3],
+                     help="space dimension (default 3 for thermal scenarios, 1 otherwise)")
     sim.add_argument("--grid", default="0:6:600",
                      help="delay grid start:stop:count (tau*sigma, or a for thermal scenarios)")
     sim.add_argument("--method", default="auto",

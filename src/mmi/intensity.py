@@ -24,8 +24,9 @@ optical ω̄/σ, where the rounding of cos ωτ stops quadrature short of it.
 Thermal / vacuum at d = 1 still takes quadrature under ``auto``.
 
 A request without a dimension takes the scenario's default: d = 3 for the
-thermal pair, whose only dimension it is, and d = 1 for every other pair,
-which admits d ∈ {1, 3}.  These rules, and the path each method takes, are
+thermal scenarios (the blackbody; the thermal pair exists only there) and
+d = 1 for the spectral ones.  Every scenario but the thermal pair admits
+d ∈ {1, 3}.  These rules, and the path each method takes, are
 decided once, by :func:`_resolve`, for every entry point of this module.
 
 The thermal closed forms are exact and stable down to τ = 0 thanks to the
@@ -77,7 +78,7 @@ __all__ = [
 _METHODS = ("auto", "closed_form", "quadrature")
 # the dimensions each scenario admits, its default first, and the one
 # dimension its closed form exists in
-_DIMENSIONS = {"spectral": (1, 3), "thermal-vacuum": (1, 3), "thermal-thermal": (3,)}
+_DIMENSIONS = {"spectral": (1, 3), "thermal-vacuum": (3, 1), "thermal-thermal": (3,)}
 _CLOSED_FORM_DIMENSION = {"spectral": 1, "thermal-vacuum": 3, "thermal-thermal": 3}
 
 
@@ -94,7 +95,7 @@ def _resolve(scenario: str, d: int | None, method: str, *, allow_general_dimensi
     if d is None:
         d = dims[0]
     elif d not in dims and not allow_general_dimension:
-        expected = " or ".join(map(str, dims))
+        expected = " or ".join(map(str, sorted(dims)))
         raise ValueError(f"dimension {d} unsupported for the {scenario} scenario; expected {expected}")
     closed_d = _CLOSED_FORM_DIMENSION[scenario]
     if method == "auto":
@@ -286,7 +287,7 @@ def one_photon_vacuum_ratio(f_s: SpectralDistribution, tau) -> float:
 def thermal_vacuum_ratio(
     theta: float,
     tau,
-    d: int = 3,
+    d: int | None = None,
     method: str = "auto",
     *,
     allow_general_dimension: bool = False,
@@ -299,7 +300,8 @@ def thermal_vacuum_ratio(
     a = τθ and J(d) = Γ(1+d)ζ(1+d).  Closed-form path (d = 3 only):
     ½[1 + 15((2 + cosh 2aπ)/sinh⁴(aπ) - 3/(aπ)⁴)], evaluated through the
     stable kernel; the two agree to quadrature tolerance.  Decays to 1/2
-    like a⁻⁴.
+    like a⁻⁴.  A missing d takes the scenario's default, 3, as
+    :class:`IntensityRequest` does.
     """
     d, method = _resolve("thermal-vacuum", d, method, allow_general_dimension=allow_general_dimension)
     if not 0.0 < theta < math.inf:
@@ -389,7 +391,7 @@ class IntensityRequest:
     form for thermal ones at d = 3, quadrature for thermal ones at d = 1);
     'closed_form' is only available where a closed expression exists
     (spectral approximations at d = 1, thermal at d = 3).  ``dimension``
-    None takes the scenario's default: 3 for the thermal pair, else 1.
+    None takes the scenario's default: 3 for thermal signals, else 1.
     Delays must be finite.
     """
 

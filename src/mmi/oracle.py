@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import SpectralDistribution
-from .states import mean_occupation, sample_amplitudes
+from .states import mean_occupation
 
 __all__ = [
     "CoherentField",
@@ -304,11 +304,21 @@ def thermal_intensity_montecarlo(
     """Phase-space Monte-Carlo oracle for thermal scenarios.
 
     Each draw realizes both ports as chaotic fields (circular complex
-    Gaussians with per-mode variance n̄), evaluates the coherent-state
+    Gaussians with per-mode mean |β|² = n̄), evaluates the coherent-state
     detection intensity for that realization at every requested delay and
     at zero delay, and averages.  The ratio estimator is the ratio of the
     two sample means over common draws; its standard error comes from the
     delta method with the sampled covariance.
+
+    The field is drawn in polar form.  A circular complex Gaussian with
+    E|β|² = n̄ has |β|² = n̄·E, E ~ Exp(1), and an independent uniform phase,
+    and the intensity reads the field only through |β_s|², |β_l|² and
+    Re(β_l β_s*) = √(|β_s|²|β_l|²) cos Δφ, where the relative phase Δφ of two
+    independent uniform phases is itself uniform.  So each mode of a draw
+    takes a signal exponential, then an LO exponential and one uniform U,
+    turned into cos Δφ as sin(π(U - ½)), which has the same arcsine law.
+    Thermal/vacuum draws the signal exponentials only.  The occupations
+    n̄_s, n̄_l and √(n̄_s n̄_l) are folded into the delay weights once.
     """
     if samples < 1000:
         raise ValueError("at least 1000 samples are required")
@@ -319,13 +329,14 @@ def thermal_intensity_montecarlo(
     measure = _measure(grid, d)
 
     nbar_s = np.asarray(mean_occupation(omega, theta_signal))
-    nbar_l = np.asarray(mean_occupation(omega, theta_lo)) if theta_lo is not None else None
-
     cos_m = np.cos(np.outer(omega, taus))  # (M, K)
     sin_m = np.sin(np.outer(omega, taus))
-    w_plus = measure[:, None] * (1.0 + cos_m)
-    w_minus = measure[:, None] * (1.0 - cos_m)
-    w_cross = measure[:, None] * (-2.0 * sin_m)
+    w_zero = 2.0 * measure * nbar_s
+    w_plus = (measure * nbar_s)[:, None] * (1.0 + cos_m)
+    if theta_lo is not None:
+        nbar_l = np.asarray(mean_occupation(omega, theta_lo))
+        w_minus = (measure * nbar_l)[:, None] * (1.0 - cos_m)
+        w_cross = (measure * np.sqrt(nbar_s * nbar_l))[:, None] * (-2.0 * sin_m)
 
     rng = np.random.default_rng(seed)
     k = taus.size
@@ -341,21 +352,26 @@ def thermal_intensity_montecarlo(
     done = 0
     while done < samples:
         n = min(batch, samples - done)
-        beta_s = sample_amplitudes(rng, nbar_s, n)
-        abs_s = np.abs(beta_s) ** 2
-        if nbar_l is not None:
-            beta_l = sample_amplitudes(rng, nbar_l, n)
-            abs_l = np.abs(beta_l) ** 2
-            cross = np.real(beta_l * np.conj(beta_s))
+        e_s = rng.standard_exponential((n, omega.size))
+        x = e_s @ w_plus
+        y = e_s @ w_zero
+        if theta_lo is not None:
+            e_l = rng.standard_exponential((n, omega.size))
+            # cos Δφ drawn as sin(π(U - ½)): numpy's sin is faster on [-π/2, π/2)
+            cos_dphi = rng.random((n, omega.size))
+            cos_dphi -= 0.5
+            cos_dphi *= math.pi
+            np.sin(cos_dphi, out=cos_dphi)
+            x += e_l @ w_minus
+            # e_s becomes √(E_s E_l) cos Δφ in place
+            e_s *= e_l
+            np.sqrt(e_s, out=e_s)
+            e_s *= cos_dphi
+            cross = e_s @ w_cross
+            x += cross
+            c_term = cross[:, cross_idx]
         else:
-            abs_l = None
-            cross = None
-
-        x = abs_s @ w_plus
-        y = 2.0 * (abs_s @ measure)
-        if abs_l is not None:
-            x = x + abs_l @ w_minus + cross @ w_cross
-        c_term = (cross @ w_cross[:, cross_idx]) if cross is not None else np.zeros(n)
+            c_term = np.zeros(n)
 
         sum_x += x.sum(axis=0)
         sum_y += y.sum()

@@ -26,6 +26,7 @@ __all__ = [
     "QuadratureResult",
     "integrate",
     "integrate_half_line",
+    "tail_cutoff",
 ]
 
 # Positive half of the 15-point Kronrod rule on [-1, 1], ascending.
@@ -177,8 +178,13 @@ def integrate(
         errs = np.concatenate([errs[keep], n_errs])
 
 
-def _resolve_cutoff(envelope: Callable[[float], float], threshold: float, start: float) -> float:
-    """Smallest x (within 25%) beyond which the envelope stays below threshold."""
+def tail_cutoff(envelope: Callable[[float], float], abs_tol: float, start: float = 1.0) -> float:
+    """Where :func:`integrate_half_line` truncates [0, inf) for this envelope.
+
+    The smallest x (within 25 %) beyond which the envelope stays below a
+    tenth of ``abs_tol``, searched by doubling from ``start`` and bisecting.
+    """
+    threshold = abs_tol / 10.0
     x = max(start, 1e-12)
     for _ in range(80):
         if envelope(x) < threshold:
@@ -205,14 +211,18 @@ def integrate_half_line(
     osc_scale: float = 0.0,
     max_panels: int = 8192,
     cutoff_start: float = 1.0,
+    cutoff: float | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, inf) by truncating where the envelope is negligible.
 
     ``envelope(x)`` must bound |f| and be eventually decreasing; the domain
-    is truncated where it drops below a tenth of the absolute tolerance,
-    then handed to :func:`integrate`.
+    is truncated where it drops below a tenth of the absolute tolerance
+    (:func:`tail_cutoff`), then handed to :func:`integrate`.  Callers that
+    integrate many functions under one envelope and tolerance may pass that
+    truncation point as ``cutoff``, which skips the search.
     """
-    cutoff = _resolve_cutoff(envelope, abs_tol / 10.0, cutoff_start)
+    if cutoff is None:
+        cutoff = tail_cutoff(envelope, abs_tol, cutoff_start)
     return integrate(
         f,
         0.0,

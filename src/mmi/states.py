@@ -11,16 +11,25 @@ symmetric complex Gaussian per mode, which is what ``sample_thermal_field``
 draws.  The sampling convention fixes E[|α_j|²] = n̄(ω_j, θ) exactly per
 mode; the mode-density factor ω^(d-1) δω of a d-dimensional field belongs
 to the intensity sums, not to the amplitudes.
+
+The same law has a polar form: |α|² = n̄·E with E ~ Exp(1), and an
+independent phase uniform on [0, 2π).  (For α = √(n̄/2)(X + iY) with X, Y
+independent standard normals, X² + Y² is χ² with two degrees of freedom,
+which is 2·Exp(1), and rotation invariance makes the phase uniform and
+independent of the modulus.)  The Monte-Carlo oracle draws that form
+directly, because the intensity needs only |α|² and relative phases; see
+:func:`mmi.oracle.thermal_intensity_montecarlo`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_half_line
+from .quadrature import integrate_half_line, tail_cutoff
 from .spectra import SpectralDistribution
 from .thermal_kernels import bose_integral_constant
 
@@ -93,7 +102,11 @@ class ThermalSampleField:
 
 
 def sample_amplitudes(rng: np.random.Generator, nbar: np.ndarray, draws: int) -> np.ndarray:
-    """(draws, modes) circularly symmetric complex Gaussians, E|α|² = n̄."""
+    """(draws, modes) circularly symmetric complex Gaussians, E|α|² = n̄.
+
+    Cartesian form: independent normal real and imaginary parts of variance
+    n̄/2.  It has the law of the polar form in the module docstring.
+    """
     scale = np.sqrt(0.5 * nbar)
     re = rng.standard_normal((draws, nbar.size))
     im = rng.standard_normal((draws, nbar.size))
@@ -146,6 +159,7 @@ def bose_weighted_integral(
     scale = theta ** (d + 1) * bose_integral_constant(d)
     if abs_tol is None:
         abs_tol = 1e-13 * scale
+    tol = abs_tol / theta ** (d + 1)
 
     def integrand(x):
         y = np.empty_like(x)
@@ -157,16 +171,27 @@ def bose_weighted_integral(
             y = y * np.cos(a * x)
         return y
 
+    result = integrate_half_line(
+        integrand,
+        envelope=_bose_envelope(d),
+        abs_tol=tol,
+        rel_tol=rel_tol,
+        osc_scale=a if kernel == "cos" else 0.0,
+        cutoff=_bose_cutoff(d, tol),
+    )
+    return theta ** (d + 1) * result.value
+
+
+def _bose_envelope(d):
     def envelope(x):
         # 1/(e^x - 1) <= e^-x / (1 - e^-1) for x >= 1
         return x**d * math.exp(-x) * 1.582 if x >= 1.0 else 2.0 * x ** (d - 1)
 
-    result = integrate_half_line(
-        integrand,
-        envelope=envelope,
-        abs_tol=abs_tol / theta ** (d + 1),
-        rel_tol=rel_tol,
-        osc_scale=a if kernel == "cos" else 0.0,
-        cutoff_start=8.0,
-    )
-    return theta ** (d + 1) * result.value
+    return envelope
+
+
+@functools.lru_cache(maxsize=64)
+def _bose_cutoff(d, abs_tol: float) -> float:
+    # the truncation point depends on d and the tolerance, not on τ or the
+    # kernel, so a delay grid searches for it once
+    return tail_cutoff(_bose_envelope(d), abs_tol, 8.0)

@@ -24,6 +24,7 @@ x = 1 (pinned by a test).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -146,12 +147,13 @@ def _zeta_euler_maclaurin(s: float, terms: int = 60) -> float:
     return partial + tail
 
 
+@functools.lru_cache(maxsize=64)
 def bose_integral_constant(d) -> float:
     """The full Bose moment: integral over [0, inf) of x^d / (e^x - 1).
 
     Equals Gamma(1+d) zeta(1+d).  Exact (Bernoulli-rational) for the odd
     integer dimensions used by the interferometer formulas; Euler-Maclaurin
-    zeta otherwise.
+    zeta otherwise.  Memoized: the exact branch runs Fraction arithmetic.
     """
     if d <= 0:
         raise ValueError("dimension must be positive")

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import subprocess_env
 from mmi import cli
-from mmi.intensity import thermal_thermal_ratio
+from mmi.intensity import IntensityRequest, compute_interferogram, thermal_thermal_ratio
+from mmi.spectra import SpectralDistribution
+from mmi.states import Coherent, OnePhoton, Vacuum
 
 ENV = subprocess_env()
 
@@ -126,6 +128,39 @@ def test_simulate_rejects_bad_combination(tmp_path):
     )
     assert proc.returncode == 2
     assert "closed form" in proc.stderr
+
+
+def test_simulate_dimension_reaches_every_scenario(tmp_path, capsys):
+    # --d sets the dimension of every scenario; the sidecar records the one used
+    def simulate(scenario, *extra):
+        out = tmp_path / f"{scenario}{len(extra)}.csv"
+        code = cli.main(["simulate", scenario, "--grid", "0:4:9", *extra, "-o", str(out)])
+        return code, out
+
+    f_s, f_lo = SpectralDistribution(3.0, 1.0), SpectralDistribution(3.15, 1.0)
+    ports = {"fock": (OnePhoton(f_s), OnePhoton(f_lo)), "coherent": (Coherent(f_s), Coherent(f_lo)),
+             "one-photon-vacuum": (OnePhoton(f_s), Vacuum())}
+    for scenario, pair in ports.items():
+        code1, out1 = simulate(scenario)
+        code3, out3 = simulate(scenario, "--d", "3")
+        assert code1 == code3 == 0
+        assert json.loads(out1.with_suffix(".json").read_text())["config"]["d"] == 1
+        assert json.loads(out3.with_suffix(".json").read_text())["config"]["d"] == 3
+        ratios = np.loadtxt(out3, delimiter=",", skiprows=1)[:, 1]
+        want = compute_interferogram(IntensityRequest(*pair, np.linspace(0.0, 4.0, 9), 3)).ratios
+        assert np.allclose(ratios, want, rtol=1e-11, atol=0.0)
+        assert out1.read_bytes() != out3.read_bytes()
+    # thermal scenarios default to three dimensions
+    code, default = simulate("thermal-vacuum")
+    code3, explicit = simulate("thermal-vacuum", "--d", "3")
+    assert code == code3 == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    assert json.loads(default.with_suffix(".json").read_text())["config"]["d"] == 3
+    code, out = simulate("thermal-thermal")
+    assert code == 0 and json.loads(out.with_suffix(".json").read_text())["config"]["d"] == 3
+    capsys.readouterr()
+    assert simulate("thermal-thermal", "--d", "1")[0] == 2
+    assert "dimension 1" in capsys.readouterr().err
 
 
 def test_simulate_rejects_malformed_grid(tmp_path):

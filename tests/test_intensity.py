@@ -354,12 +354,14 @@ def test_default_dimension_is_the_scenarios_own():
     assert np.array_equal(implicit.ratios, explicit.ratios)
     with pytest.raises(ValueError, match="dimension 1"):
         compute_interferogram(IntensityRequest(*pair, dimension=1))
-    # every other pair defaults to one dimension
+    # spectral pairs default to one dimension, thermal signals to three
     spectral = compute_interferogram(IntensityRequest(OnePhoton(F_S), Vacuum(), taus))
     assert spectral.metadata["dimension"] == 1
     thermal = compute_interferogram(IntensityRequest(Thermal(1.0), Vacuum(), taus))
-    assert thermal.metadata["dimension"] == 1
-    assert thermal.metadata["method"] == "quadrature"
+    assert thermal.metadata["dimension"] == 3
+    assert thermal.metadata["method"] == "closed_form"
+    # and so does the thermal/vacuum function itself
+    assert np.array_equal(np.asarray(thermal_vacuum_ratio(1.0, taus)), thermal.ratios)
 
 
 def test_compute_interferogram_rejects_vacuum_signal():

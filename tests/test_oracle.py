@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmi.intensity import coherent_intensity, fock_intensity, thermal_vacuum_ratio
+from mmi.intensity import coherent_intensity, fock_intensity, thermal_thermal_ratio, thermal_vacuum_ratio
 from mmi.oracle import (
     CoherentField,
     ModeGrid,
@@ -174,6 +174,57 @@ def test_montecarlo_matches_closed_form_thermal_vacuum():
 def test_montecarlo_equal_temperatures_flat():
     mc = thermal_intensity_montecarlo(1.0, 1.0, [0.3, 0.9, 1.8, 3.5], samples=20000, seed=5)
     assert np.all(np.abs(mc.ratios - 1.0) < 3.0 * mc.stderrs)
+
+
+def test_montecarlo_matches_closed_form_unequal_temperatures():
+    # the thermometry case: the cross term and both occupations matter
+    mc = thermal_intensity_montecarlo(1.1, 1.0, [0.5, 1.0, 2.0], samples=20000, seed=0)
+    truth = np.asarray(thermal_thermal_ratio(1.0, 1.1, mc.delays, "closed_form"))
+    assert np.all(np.abs(mc.ratios - truth) < 3.0 * mc.stderrs)
+    # and the test can tell the pair from equal temperatures
+    assert np.all(np.abs(truth - 1.0) > 10.0 * mc.stderrs)
+
+
+@pytest.mark.parametrize("theta_lo", [None, 1.0], ids=["vacuum", "thermal"])
+def test_montecarlo_standard_errors_are_calibrated(theta_lo):
+    # over many seeds, (estimate - truth)/stderr must look like a unit normal
+    taus = np.array([0.5, 1.0, 2.0])
+    if theta_lo is None:
+        theta_s = 1.0
+        truth = np.asarray(thermal_vacuum_ratio(1.0, taus, 3, "closed_form"))
+    else:
+        theta_s = 1.1
+        truth = np.asarray(thermal_thermal_ratio(theta_lo, theta_s, taus, "closed_form"))
+    runs = [thermal_intensity_montecarlo(theta_s, theta_lo, taus, samples=2000, seed=s) for s in range(100)]
+    z = np.array([(mc.ratios - truth) / mc.stderrs for mc in runs])
+    # the mean of 100 unit normals has standard deviation 0.1
+    assert np.all(np.abs(z.mean(axis=0)) < 0.4)
+    std = z.std(axis=0, ddof=1)
+    assert np.all((0.8 < std) & (std < 1.25))
+
+
+@pytest.mark.parametrize("theta_lo", [None, 1.0], ids=["vacuum", "thermal"])
+def test_montecarlo_standard_errors_match_gaussian_moments(theta_lo):
+    # Each mode of a realization adds m_j |β_s s_j + β_l l_j|², the squared
+    # modulus of a circular Gaussian: exponential with mean μ_j, variance μ_j².
+    # So the delta-method standard error is known exactly; a wrong law for
+    # the moduli or the relative phase changes it while the means stay right.
+    theta_s = 1.0 if theta_lo is None else 1.1
+    taus = np.array([0.5, 1.0, 2.0])
+    samples = 20000
+    grid = thermal_mode_grid(max(theta_s, theta_lo or 0.0))
+    w = grid.frequencies
+    m = grid.weights * w**3
+    c = np.cos(np.outer(w, taus))
+    sig = (m / np.expm1(w / theta_s))[:, None] * (1.0 + c)
+    mu = sig if theta_lo is None else sig + (m / np.expm1(w / theta_lo))[:, None] * (1.0 - c)
+    nu = 2.0 * m / np.expm1(w / theta_s)  # zero delay
+    r = mu.sum(axis=0) / nu.sum()
+    var = (mu**2).sum(axis=0) - 2.0 * r * (sig * nu[:, None]).sum(axis=0) + r**2 * (nu**2).sum()
+    exact = np.sqrt(var / samples) / nu.sum()
+    mc = thermal_intensity_montecarlo(theta_s, theta_lo, taus, samples=samples, seed=0)
+    assert np.all(np.abs(mc.stderrs / exact - 1.0) < 0.05)
+    assert np.all(np.abs(mc.ratios - r) < 3.0 * exact)
 
 
 def test_montecarlo_cross_term_vanishes():

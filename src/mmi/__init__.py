@@ -38,13 +38,11 @@ from .states import (
     OnePhoton,
     PortState,
     Thermal,
-    ThermalSampleField,
     Vacuum,
     bose_weighted_integral,
     mean_occupation,
-    sample_thermal_field,
 )
-from .thermal_kernels import bose_integral_constant, fringe_deviation, stable_thermal_kernel
+from .thermal_kernels import bose_integral_constant, fringe_deviation
 
 __version__ = "0.1.0"
 
@@ -65,7 +63,6 @@ __all__ = [
     "SpectralDistribution",
     "StateClassification",
     "Thermal",
-    "ThermalSampleField",
     "Vacuum",
     "bose_integral_constant",
     "bose_weighted_integral",
@@ -83,8 +80,6 @@ __all__ = [
     "mean_occupation",
     "normalization_constant",
     "one_photon_vacuum_ratio",
-    "sample_thermal_field",
-    "stable_thermal_kernel",
     "thermal_thermal_ratio",
     "thermal_vacuum_ratio",
     "weighted_overlap",

@@ -9,7 +9,9 @@ deterministic for identical configuration and seed; the timestamp lives
 only in the sidecar.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-failure, 4 identifiability error.
+failure, 4 identifiability error.  A flag that the chosen simulate
+scenario, fit model or coherence unit system does not read is a usage
+error, not silently ignored.
 
 Units are dimensionless by default (frequencies in units of the spectral
 width, temperatures as k_B T/ħ, delays as the matching reciprocal).  With
@@ -137,49 +139,88 @@ def read_interferogram_csv(path: Path):
 # simulate
 
 
+def _spectral_ports(port):
+    def ports(args):
+        f_s = SpectralDistribution(args.wbar_s, args.sigma)
+        f_lo = SpectralDistribution(args.wbar_lo, args.sigma_lo if args.sigma_lo else args.sigma)
+        return port(f_s), port(f_lo)
+
+    return ports
+
+
+def _one_photon_vacuum_ports(args):
+    return OnePhoton(SpectralDistribution(args.wbar_s, args.sigma)), Vacuum()
+
+
+def _temperature(args, value):
+    return value * K_B / HBAR if args.si else value
+
+
+def _thermal_vacuum_ports(args):
+    return Thermal(_temperature(args, args.theta)), Vacuum()
+
+
+def _thermal_pair_ports(args):
+    theta0 = _temperature(args, args.theta0)
+    return Thermal(args.t1_over_t0 * theta0), Thermal(theta0)
+
+
+# Each simulate scenario: its help, the flags it reads beyond --grid,
+# --method, --d and --out, and the (signal, LO) ports it builds from them.
+# The parser offers a scenario only its own flags; its sidecar records them.
+_SPECTRAL_PAIR_FLAGS = ("wbar_s", "wbar_lo", "sigma", "sigma_lo")
+_SIMULATE = {
+    "fock": ("one-photon wavepackets in both ports", _SPECTRAL_PAIR_FLAGS, _spectral_ports(OnePhoton)),
+    "coherent": ("coherent states in both ports", _SPECTRAL_PAIR_FLAGS, _spectral_ports(Coherent)),
+    "one-photon-vacuum": ("one-photon signal against vacuum", ("wbar_s", "sigma"), _one_photon_vacuum_ports),
+    "thermal-vacuum": ("thermal signal against vacuum", ("theta", "si"), _thermal_vacuum_ports),
+    "thermal-thermal": (
+        "thermal signal against a thermal reference", ("theta0", "t1_over_t0", "si"), _thermal_pair_ports,
+    ),
+}
+
+# dest -> (option strings, add_argument keywords) of every scenario flag
+_SIMULATE_FLAGS = {
+    "wbar_s": (("--wbar-s",), {"type": float, "default": 3.0, "help": "signal mean frequency (units of sigma)"}),
+    "wbar_lo": (("--wbar-lo",), {"type": float, "default": 3.15, "help": "LO mean frequency"}),
+    "sigma": (("--sigma",), {"type": float, "default": 1.0, "help": "spectral width"}),
+    "sigma_lo": (("--sigma-lo",), {"type": float, "default": None, "help": "LO width (defaults to --sigma)"}),
+    "theta": (("--theta",), {"type": float, "default": 1.0, "help": "signal temperature"}),
+    "theta0": (("--theta0",), {"type": float, "default": 1.0, "help": "LO (reference) temperature"}),
+    "t1_over_t0": (("--t1/t0",), {"type": float, "default": 1.01, "help": "signal/reference temperature ratio"}),
+    "si": (("--si",), {"action": "store_true", "help": "temperatures in kelvin, delays in seconds"}),
+}
+
+
 def _simulate_ports(args, grid):
-    """(signal, lo, delays, dimension, x column, config) of a simulate scenario.
+    """(signal, lo, delays, x column, config) of a simulate scenario.
 
     Spectral grids are τ in units of 1/σ.  Thermal grids are a = τθ
-    (a₀ = τθ₀ for the pair), or τ in seconds with ``--si``.  ``--d`` reaches
-    every scenario; without it each takes its default (see :mod:`mmi.intensity`).
+    (a₀ = τθ₀ for the pair), or τ in seconds with ``--si``.
     """
-    scenario = args.scenario
-    if scenario in ("fock", "coherent", "one-photon-vacuum"):
-        f_s = SpectralDistribution(args.wbar_s, args.sigma)
-        if scenario == "one-photon-vacuum":
-            return OnePhoton(f_s), Vacuum(), grid, args.d, "tau", {"wbar_s": args.wbar_s, "sigma": args.sigma}
-        f_lo = SpectralDistribution(args.wbar_lo, args.sigma_lo if args.sigma_lo else args.sigma)
-        port = OnePhoton if scenario == "fock" else Coherent
-        config = {
-            "wbar_s": args.wbar_s, "wbar_lo": args.wbar_lo, "sigma": args.sigma, "sigma_lo": args.sigma_lo,
-        }
-        return port(f_s), port(f_lo), grid, args.d, "tau", config
-    x_name = "tau" if args.si else "a"
-    if scenario == "thermal-vacuum":
-        theta = args.theta * K_B / HBAR if args.si else args.theta
-        taus = grid if args.si else grid / theta
-        return Thermal(theta), Vacuum(), taus, args.d, x_name, {"theta": args.theta}
-    theta0 = args.theta0 * K_B / HBAR if args.si else args.theta0
-    taus = grid if args.si else grid / theta0
-    config = {"theta0": args.theta0, "t1_over_t0": args.t1_over_t0}
-    return Thermal(args.t1_over_t0 * theta0), Thermal(theta0), taus, args.d, x_name, config
+    _, flags, ports = _SIMULATE[args.scenario]
+    signal, lo = ports(args)
+    config = {dest: getattr(args, dest) for dest in flags}
+    if not isinstance(signal, Thermal) or args.si:
+        return signal, lo, grid, "tau", config
+    reference = lo if isinstance(lo, Thermal) else signal
+    return signal, lo, grid / reference.theta, "a", config
 
 
 def cmd_simulate(args) -> int:
     grid = _parse_grid(args.grid)
-    signal, lo, taus, dimension, x_name, config = _simulate_ports(args, grid)
+    signal, lo, taus, x_name, config = _simulate_ports(args, grid)
     both = args.method == "both"
     methods = ("closed_form", "quadrature") if both else (args.method,)
     names = ("ratio_closed", "ratio_quadrature") if both else ("ratio",)
     columns = {x_name: grid}
     for name, method in zip(names, methods):
-        gram = compute_interferogram(IntensityRequest(signal, lo, taus, dimension, method))
+        gram = compute_interferogram(IntensityRequest(signal, lo, taus, args.d, method))
         columns[name] = gram.ratios
     method_used = "both" if both else gram.metadata["method"]
 
-    config.update(scenario=args.scenario, grid=args.grid, method=args.method, si=args.si,
-                  d=gram.metadata["dimension"])
+    config.setdefault("si", False)  # spectral scenarios have no --si
+    config.update(scenario=args.scenario, grid=args.grid, method=args.method, d=gram.metadata["dimension"])
     out = Path(args.out) if args.out else Path(f"mmi_{args.scenario.replace('-', '_')}.csv")
     write_csv(out, columns)
     sidecar = write_sidecar(out, config, method_used, None)
@@ -351,7 +392,42 @@ def cmd_verify(args) -> int:
 # fit
 
 
+# The flags each fit model reads, and their defaults.
+_FIT_FLAGS = {
+    "thermal-thermal": {"theta0": 1.0, "p0": None, "si": False},
+    "one-photon-vacuum": {"p0": None, "p1": None},
+    "fock": {"wbar_lo": None, "sigma": 1.0},
+}
+# The flags coherence reads without and with --si, and their defaults.
+_COHERENCE_FLAGS = {False: {"theta": 1.0}, True: {"temperature": 2.725}}
+
+
+def _own_flags(args, table: dict, key) -> list[str]:
+    """Default the flags ``table[key]`` reads; return the given flags it does not read.
+
+    The parser defaults every flag of ``table`` to None, so a flag that is
+    not None was given on the command line.
+    """
+    owned = table[key]
+    foreign = [
+        "--" + dest.replace("_", "-")
+        for dest in dict.fromkeys(dest for flags in table.values() for dest in flags)
+        if dest not in owned and getattr(args, dest) is not None
+    ]
+    for dest, default in owned.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    return foreign
+
+
 def cmd_fit(args) -> int:
+    foreign = _own_flags(args, _FIT_FLAGS, args.model)
+    if foreign:
+        print(f"the {args.model} model does not read {', '.join(foreign)}", file=sys.stderr)
+        return _EXIT_USAGE
+    if args.model == "one-photon-vacuum" and (args.p0 is None) != (args.p1 is None):
+        print("the one-photon-vacuum model takes --p0 and --p1 together", file=sys.stderr)
+        return _EXIT_USAGE
     x_name, x, ratios, noise = read_interferogram_csv(Path(args.data))
 
     if args.model == "thermal-thermal":
@@ -364,10 +440,9 @@ def cmd_fit(args) -> int:
             noise=noise,
         )
     elif args.model == "one-photon-vacuum":
-        has_guess = args.p0 is not None and args.p1 is not None
         problem = FitProblem(
             tau=x, ratios=ratios, model="one_photon_vacuum", noise=noise,
-            initial=(args.p0, args.p1) if has_guess else (),
+            initial=(args.p0, args.p1) if args.p0 is not None else (),
         )
     elif args.model == "fock":
         if args.wbar_lo is None:
@@ -405,6 +480,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_coherence(args) -> int:
+    foreign = _own_flags(args, _COHERENCE_FLAGS, args.si)
+    if foreign:
+        print(f"coherence {'with' if args.si else 'without'} --si does not read {', '.join(foreign)}",
+              file=sys.stderr)
+        return _EXIT_USAGE
     if args.si:
         theta = args.temperature * K_B / HBAR
         report = estimate_coherence_time(theta, args.epsilon, speed_of_light=C_LIGHT)
@@ -440,29 +520,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="evaluate a scenario on a delay grid, write CSV + JSON")
-    sim.add_argument(
-        "scenario",
-        choices=["fock", "coherent", "one-photon-vacuum", "thermal-vacuum", "thermal-thermal"],
-    )
-    sim.add_argument("--wbar-s", type=float, default=3.0, help="signal mean frequency (units of sigma)")
-    sim.add_argument("--wbar-lo", type=float, default=3.15, help="LO mean frequency")
-    sim.add_argument("--sigma", type=float, default=1.0, help="spectral width")
-    sim.add_argument("--sigma-lo", type=float, default=None, help="LO width (defaults to --sigma)")
-    sim.add_argument("--theta", type=float, default=1.0, help="thermal-vacuum temperature")
-    sim.add_argument("--theta0", type=float, default=1.0, help="LO (reference) temperature")
-    sim.add_argument("--t1/t0", dest="t1_over_t0", type=float, default=1.01,
-                     help="signal/reference temperature ratio")
-    sim.add_argument("--theta-ratio", dest="t1_over_t0", type=float, help=argparse.SUPPRESS)
-    sim.add_argument("--d", type=int, default=None, choices=[1, 3],
-                     help="space dimension (default 3 for thermal scenarios, 1 otherwise)")
-    sim.add_argument("--grid", default="0:6:600",
-                     help="delay grid start:stop:count (tau*sigma, or a for thermal scenarios)")
-    sim.add_argument("--method", default="auto",
-                     choices=["auto", "closed_form", "quadrature", "both"])
-    sim.add_argument("--out", "-o", default=None, help="output CSV path")
-    sim.add_argument("--si", action="store_true",
-                     help="temperatures in kelvin, delays in seconds")
-    sim.set_defaults(func=cmd_simulate)
+    scenarios = sim.add_subparsers(dest="scenario", required=True, metavar="scenario")
+    for scenario, (summary, flags, _) in _SIMULATE.items():
+        # no abbreviations: --theta must not silently become --theta0
+        scen = scenarios.add_parser(scenario, allow_abbrev=False, help=summary)
+        for dest in flags:
+            options, kwargs = _SIMULATE_FLAGS[dest]
+            scen.add_argument(*options, dest=dest, **kwargs)
+        scen.add_argument("--d", type=int, default=None, choices=[1, 3],
+                          help="space dimension (default 3 for thermal scenarios, 1 otherwise)")
+        scen.add_argument("--grid", default="0:6:600",
+                          help="delay grid start:stop:count (tau*sigma, or a for thermal scenarios)")
+        scen.add_argument("--method", default="auto",
+                          choices=["auto", "closed_form", "quadrature", "both"])
+        scen.add_argument("--out", "-o", default=None, help="output CSV path")
+        scen.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="triangulate closed forms, quadrature, and oracles")
     ver.add_argument("--quick", action="store_true", help="skip Monte-Carlo checks")
@@ -473,20 +545,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit_p = sub.add_parser("fit", help="fit a forward model to an interferogram CSV")
     fit_p.add_argument("data", help="CSV file matching the simulate schema")
-    fit_p.add_argument("--model", required=True,
-                       choices=["thermal-thermal", "one-photon-vacuum", "fock"])
-    fit_p.add_argument("--theta0", type=float, default=1.0, help="known reference temperature")
-    fit_p.add_argument("--wbar-lo", type=float, default=None, help="known LO mean frequency (fock)")
-    fit_p.add_argument("--sigma", type=float, default=1.0, help="width guess (fock)")
-    fit_p.add_argument("--p0", type=float, default=None, help="initial guess, first parameter")
-    fit_p.add_argument("--p1", type=float, default=None, help="initial guess, second parameter")
+    fit_p.add_argument("--model", required=True, choices=list(_FIT_FLAGS))
+    fit_p.add_argument("--theta0", type=float, default=None,
+                       help="known reference temperature (thermal-thermal; default 1)")
+    fit_p.add_argument("--wbar-lo", type=float, default=None, help="known LO mean frequency (fock, required)")
+    fit_p.add_argument("--sigma", type=float, default=None, help="width guess (fock; default 1)")
+    fit_p.add_argument("--p0", type=float, default=None,
+                       help="initial guess, first parameter (thermal-thermal, one-photon-vacuum)")
+    fit_p.add_argument("--p1", type=float, default=None,
+                       help="initial guess, second parameter (one-photon-vacuum, with --p0)")
     fit_p.add_argument("--out", default=None, help="optional JSON output path")
-    fit_p.add_argument("--si", action="store_true", help="CSV delays in seconds, theta0 in kelvin")
+    fit_p.add_argument("--si", action="store_true", default=None,
+                       help="CSV delays in seconds, theta0 in kelvin (thermal-thermal)")
     fit_p.set_defaults(func=cmd_fit)
 
     coh = sub.add_parser("coherence", help="thermal coherence time from the closed form")
-    coh.add_argument("--theta", type=float, default=1.0, help="dimensionless temperature")
-    coh.add_argument("--temperature", type=float, default=2.725, help="kelvin (with --si)")
+    coh.add_argument("--theta", type=float, default=None, help="dimensionless temperature (default 1; not with --si)")
+    coh.add_argument("--temperature", type=float, default=None, help="kelvin (with --si; default 2.725)")
     coh.add_argument("--epsilon", type=float, default=DEFAULT_COHERENCE_EPSILON,
                      help="fringe-visibility threshold in (0, 0.5)")
     coh.add_argument("--si", action="store_true")

@@ -76,13 +76,12 @@ __all__ = [
 ]
 
 _METHODS = ("auto", "closed_form", "quadrature")
-# the dimensions each scenario admits, its default first, and the one
+# per scenario: the dimensions it admits, its default first, and the one
 # dimension its closed form exists in
-_DIMENSIONS = {"spectral": (1, 3), "thermal-vacuum": (3, 1), "thermal-thermal": (3,)}
-_CLOSED_FORM_DIMENSION = {"spectral": 1, "thermal-vacuum": 3, "thermal-thermal": 3}
+_DIMENSIONS = {"spectral": ((1, 3), 1), "thermal-vacuum": ((3, 1), 3), "thermal-thermal": ((3,), 3)}
 
 
-def _resolve(scenario: str, d: int | None, method: str, *, allow_general_dimension: bool = False):
+def _resolve(scenario: str, d: int | None, method: str):
     """(dimension, path) that ``method`` takes for ``scenario`` at dimension d.
 
     ``auto`` takes the exact Gaussian-Fourier path for spectral states and,
@@ -91,13 +90,12 @@ def _resolve(scenario: str, d: int | None, method: str, *, allow_general_dimensi
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    dims = _DIMENSIONS[scenario]
+    dims, closed_d = _DIMENSIONS[scenario]
     if d is None:
         d = dims[0]
-    elif d not in dims and not allow_general_dimension:
+    elif d not in dims:
         expected = " or ".join(map(str, sorted(dims)))
         raise ValueError(f"dimension {d} unsupported for the {scenario} scenario; expected {expected}")
-    closed_d = _CLOSED_FORM_DIMENSION[scenario]
     if method == "auto":
         if scenario == "spectral":
             return d, "exact"
@@ -290,7 +288,6 @@ def thermal_vacuum_ratio(
     d: int | None = None,
     method: str = "auto",
     *,
-    allow_general_dimension: bool = False,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-12,
 ):
@@ -303,7 +300,7 @@ def thermal_vacuum_ratio(
     like a⁻⁴.  A missing d takes the scenario's default, 3, as
     :class:`IntensityRequest` does.
     """
-    d, method = _resolve("thermal-vacuum", d, method, allow_general_dimension=allow_general_dimension)
+    d, method = _resolve("thermal-vacuum", d, method)
     if not 0.0 < theta < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {theta}")
 
@@ -317,11 +314,7 @@ def thermal_vacuum_ratio(
     flat = np.atleast_1d(a)
     vals = np.empty_like(flat)
     for i, ai in enumerate(flat):
-        osc = bose_weighted_integral(
-            1.0, d, "cos", ai,
-            allow_general_dimension=allow_general_dimension,
-            abs_tol=abs_tol * j_const, rel_tol=rel_tol,
-        )
+        osc = bose_weighted_integral(1.0, d, "cos", ai, abs_tol=abs_tol * j_const, rel_tol=rel_tol)
         vals[i] = 0.5 * (1.0 + osc / j_const)
     out = vals.reshape(np.shape(a))
     return out if out.ndim else float(out)

@@ -322,9 +322,13 @@ def thermal_intensity_montecarlo(
     """
     if samples < 1000:
         raise ValueError("at least 1000 samples are required")
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("delays must be finite")
     if grid is None:
         grid = thermal_mode_grid(max(theta_signal, theta_lo or 0.0))
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
     omega = grid.frequencies
     measure = _measure(grid, d)
 

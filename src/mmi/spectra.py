@@ -71,19 +71,15 @@ def _faddeeva(z):
     return 2.0 * p / (den * den) + (1.0 / _SQRT_PI) / den
 
 
-def normalization_constant(mean_freq: float, width: float, *, extended_range: bool = False) -> float:
+def normalization_constant(mean_freq: float, width: float) -> float:
     """Squared norm |N|² of the Gaussian amplitude: (σ√π/2)(1 + erf(ω̄/σ)).
 
-    ``extended_range=True`` returns the σ√π limit obtained by letting the
-    frequency integral run over the whole real line, which is the value the
-    approximate closed-form interferograms implicitly use.  (The error made
-    is exponentially small in (ω̄/σ)²; note the limit is σ√π, sometimes
-    misprinted as σπ.)
+    Its wide-pulse limit σ√π (sometimes misprinted as σπ) is the value the
+    approximate closed-form interferograms implicitly use, with an error
+    exponentially small in (ω̄/σ)².
     """
     if not 0.0 < width < math.inf:
         raise ValueError(f"spectral width must be positive and finite, got {width}")
-    if extended_range:
-        return width * _SQRT_PI
     return 0.5 * width * _SQRT_PI * (1.0 + math.erf(mean_freq / width))
 
 

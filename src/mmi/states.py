@@ -7,18 +7,15 @@ because the detected mean intensity depends on the state only through the
 per-mode mean occupation n̄(ω, θ).
 
 Thermal light is chaotic: its phase-space representation is a circularly
-symmetric complex Gaussian per mode, which is what ``sample_thermal_field``
-draws.  The sampling convention fixes E[|α_j|²] = n̄(ω_j, θ) exactly per
-mode; the mode-density factor ω^(d-1) δω of a d-dimensional field belongs
-to the intensity sums, not to the amplitudes.
-
-The same law has a polar form: |α|² = n̄·E with E ~ Exp(1), and an
-independent phase uniform on [0, 2π).  (For α = √(n̄/2)(X + iY) with X, Y
-independent standard normals, X² + Y² is χ² with two degrees of freedom,
-which is 2·Exp(1), and rotation invariance makes the phase uniform and
-independent of the modulus.)  The Monte-Carlo oracle draws that form
-directly, because the intensity needs only |α|² and relative phases; see
-:func:`mmi.oracle.thermal_intensity_montecarlo`.
+symmetric complex Gaussian per mode with E[|α_j|²] = n̄(ω_j, θ); the
+mode-density factor ω^(d-1) δω of a d-dimensional field belongs to the
+intensity sums, not to the amplitudes.  The same law has a polar form:
+|α|² = n̄·E with E ~ Exp(1), and an independent phase uniform on [0, 2π).
+(For α = √(n̄/2)(X + iY) with X, Y independent standard normals, X² + Y²
+is χ² with two degrees of freedom, which is 2·Exp(1), and rotation
+invariance makes the phase uniform and independent of the modulus.)  The
+Monte-Carlo oracle draws that form, because the intensity needs only |α|²
+and relative phases; see :func:`mmi.oracle.thermal_intensity_montecarlo`.
 """
 
 from __future__ import annotations
@@ -38,11 +35,9 @@ __all__ = [
     "OnePhoton",
     "PortState",
     "Thermal",
-    "ThermalSampleField",
     "Vacuum",
     "bose_weighted_integral",
     "mean_occupation",
-    "sample_thermal_field",
 ]
 
 
@@ -88,72 +83,26 @@ def mean_occupation(omega, theta: float):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ThermalSampleField:
-    """One realization of per-mode complex amplitudes of a thermal field."""
-
-    frequencies: np.ndarray
-    amplitudes: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if self.frequencies.shape != self.amplitudes.shape:
-            raise ValueError("frequency grid and amplitude array differ in shape")
-
-
-def sample_amplitudes(rng: np.random.Generator, nbar: np.ndarray, draws: int) -> np.ndarray:
-    """(draws, modes) circularly symmetric complex Gaussians, E|α|² = n̄.
-
-    Cartesian form: independent normal real and imaginary parts of variance
-    n̄/2.  It has the law of the polar form in the module docstring.
-    """
-    scale = np.sqrt(0.5 * nbar)
-    re = rng.standard_normal((draws, nbar.size))
-    im = rng.standard_normal((draws, nbar.size))
-    return scale * (re + 1j * im)
-
-
-def sample_thermal_field(theta: float, mode_grid: np.ndarray, seed: int) -> ThermalSampleField:
-    """Draw one chaotic-light realization on the given frequency grid.
-
-    Per mode the amplitude is a circularly symmetric complex Gaussian with
-    E[|α_j|²] = n̄(ω_j, θ): uniformly random phase, exponentially
-    distributed |α_j|².  Deterministic for a fixed seed (PCG64, 128-bit
-    state).
-    """
-    grid = np.asarray(mode_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("mode grid is empty")
-    nbar = np.asarray(mean_occupation(grid, theta), dtype=float)
-    rng = np.random.default_rng(seed)
-    amps = sample_amplitudes(rng, nbar, 1)[0]
-    return ThermalSampleField(frequencies=grid, amplitudes=amps, seed=seed)
-
-
 def bose_weighted_integral(
     theta: float,
     d: int,
     kernel: str = "one",
     tau: float = 0.0,
     *,
-    allow_general_dimension: bool = False,
     abs_tol: float | None = None,
     rel_tol: float = 1e-12,
 ) -> float:
     """∫₀^∞ ω^d n̄(ω, θ) kernel(ωτ) dω for kernel in {one, cos}.
 
     With kernel = one this is θ^(d+1) Γ(1+d) ζ(1+d); with kernel = cos it
-    is the blackbody fringe integral evaluated at a = τθ.  Dimensions other
-    than 1 and 3 are gated behind ``allow_general_dimension``.
+    is the blackbody fringe integral evaluated at a = τθ.  d is 1 or 3.
     """
     if not 0.0 < theta < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {theta}")
     if kernel not in ("one", "cos"):
         raise ValueError(f"unknown kernel {kernel!r}; expected 'one' or 'cos'")
-    if d not in (1, 3) and not allow_general_dimension:
-        raise ValueError(f"dimension {d} unsupported; pass allow_general_dimension=True to force")
-    if d <= 0:
-        raise ValueError("dimension must be positive")
+    if d not in (1, 3):
+        raise ValueError(f"dimension {d} unsupported; expected 1 or 3")
 
     a = abs(float(tau)) * theta
     scale = theta ** (d + 1) * bose_integral_constant(d)

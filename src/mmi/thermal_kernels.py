@@ -4,15 +4,12 @@ The blackbody fringe formulas involve g(x) = (2 + cosh 2x)/sinh^4 x combined
 with a subtracted 3/x^4 pole of identical strength.  Near x = 0 the naive
 difference loses all significant digits (both operands scale like 3/x^4
 while the difference tends to 1/15), and for large x naive cosh/sinh
-overflow.  This module provides both pieces in a cancellation- and
-overflow-free form:
-
-* ``stable_thermal_kernel(x)``  -> g(x), via an exponential rearrangement
-  8 e^(-2x) (1 + 4 e^(-2x) + e^(-4x)) / (1 - e^(-2x))^4 for moderate/large x
-  and pole-plus-series reconstruction for small x;
-* ``fringe_deviation(x)``       -> 15 (g(x) - 3/x^4), the quantity that
-  actually enters the normalized intensities, via an even power series for
-  x below the switch point and the direct difference above it.
+overflow.  ``fringe_deviation(x)`` evaluates 15 (g(x) - 3/x^4), the
+quantity that enters the normalized intensities, in a cancellation- and
+overflow-free form: an even power series for x below the switch point, and
+above it the direct difference with g rearranged as
+8 e^(-2x) (1 + 4 e^(-2x) + e^(-4x)) / (1 - e^(-2x))^4, which stays finite
+where cosh 2x overflows.
 
 The series coefficients are exact rationals: the Taylor coefficients of the
 deviation are 90 C(2j+3, 3) ζ(2j+4) / π^(2j+4) with alternating sign, and
@@ -34,7 +31,6 @@ __all__ = [
     "SERIES_SWITCH",
     "bose_integral_constant",
     "fringe_deviation",
-    "stable_thermal_kernel",
     "zeta_even",
 ]
 
@@ -112,51 +108,14 @@ def fringe_deviation(x):
     return out if out.ndim else float(out)
 
 
-def stable_thermal_kernel(x):
-    """(2 + cosh 2x) / sinh^4 x without overflow or cancellation.
-
-    Strictly positive and monotonically decreasing.  For x below the series
-    switch the pole is reconstructed as 3/x^4 + fringe_deviation(x)/15 (a
-    sum of positives, so no digits are lost); above it the exponential
-    rearrangement is used, which stays finite for arbitrarily large x where
-    naive cosh/sinh overflow.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("kernel argument must be positive")
-    out = np.empty_like(arr)
-    small = arr < SERIES_SWITCH
-    if small.any():
-        xs = arr[small]
-        out[small] = 3.0 / xs**4 + _deviation_series(xs) / 15.0
-    big = ~small
-    if big.any():
-        out[big] = _kernel_exp(arr[big])
-    return out if out.ndim else float(out)
-
-
-def _zeta_euler_maclaurin(s: float, terms: int = 60) -> float:
-    """zeta(s) for real s > 1 via partial sum plus tail corrections."""
-    n = np.arange(1, terms)
-    partial = float(np.sum(n ** (-s)))
-    m = float(terms)
-    tail = m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** (-s)
-    tail += s * m ** (-s - 1.0) / 12.0
-    tail -= s * (s + 1.0) * (s + 2.0) * m ** (-s - 3.0) / 720.0
-    tail += s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * m ** (-s - 5.0) / 30240.0
-    return partial + tail
-
-
 @functools.lru_cache(maxsize=64)
 def bose_integral_constant(d) -> float:
     """The full Bose moment: integral over [0, inf) of x^d / (e^x - 1).
 
-    Equals Gamma(1+d) zeta(1+d).  Exact (Bernoulli-rational) for the odd
-    integer dimensions used by the interferometer formulas; Euler-Maclaurin
-    zeta otherwise.  Memoized: the exact branch runs Fraction arithmetic.
+    Equals Gamma(1+d) zeta(1+d), exact (Bernoulli-rational) for the odd
+    positive integer dimensions the interferometer formulas use.  Memoized:
+    it runs Fraction arithmetic.
     """
-    if d <= 0:
-        raise ValueError("dimension must be positive")
-    if float(d).is_integer() and int(d) % 2 == 1:
-        return math.factorial(int(d)) * zeta_even(int(d) + 1)
-    return math.gamma(1.0 + d) * _zeta_euler_maclaurin(1.0 + d)
+    if not (float(d).is_integer() and d > 0 and int(d) % 2 == 1):
+        raise ValueError(f"dimension must be a positive odd integer, got {d}")
+    return math.factorial(int(d)) * zeta_even(int(d) + 1)

@@ -55,16 +55,6 @@ def _decimal_pi() -> Decimal:
     return 16 * arctan_inv(5) - 4 * arctan_inv(239)
 
 
-def decimal_thermal_kernel(x: float) -> float:
-    """(2 + cosh 2x)/sinh^4 x evaluated naively in 60-digit Decimal."""
-    xd = Decimal(repr(x))
-    e_plus = (2 * xd).exp()
-    e_minus = (-2 * xd).exp()
-    cosh2x = (e_plus + e_minus) / 2
-    sinh_x = (xd.exp() - (-xd).exp()) / 2
-    return float((2 + cosh2x) / sinh_x**4)
-
-
 def decimal_fringe_deviation(x: float) -> float:
     """15(g(x) - 3/x^4) in 60-digit Decimal (naive form, exact at this scale)."""
     xd = Decimal(repr(x))

@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +164,73 @@ def test_simulate_dimension_reaches_every_scenario(tmp_path, capsys):
     capsys.readouterr()
     assert simulate("thermal-thermal", "--d", "1")[0] == 2
     assert "dimension 1" in capsys.readouterr().err
+
+
+# what each scenario offers beyond --grid, --method, --d, --out and --help
+SCENARIO_FLAGS = {
+    "fock": {"--wbar-s", "--wbar-lo", "--sigma", "--sigma-lo"},
+    "coherent": {"--wbar-s", "--wbar-lo", "--sigma", "--sigma-lo"},
+    "one-photon-vacuum": {"--wbar-s", "--sigma"},
+    "thermal-vacuum": {"--theta", "--si"},
+    "thermal-thermal": {"--theta0", "--t1/t0", "--si"},
+}
+
+
+def test_simulate_help_lists_only_the_scenarios_flags(capsys):
+    for scenario, own in SCENARIO_FLAGS.items():
+        assert cli.main(["simulate", scenario, "--help"]) == 0
+        listed = set(re.findall(r"--[\w/-]+", capsys.readouterr().out))
+        assert listed == own | {"--grid", "--method", "--d", "--out", "--help"}, scenario
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate thermal-thermal --wbar-s 7 --theta 9",
+    "simulate thermal-thermal --theta 9",  # not an abbreviation of --theta0
+    "simulate fock --theta0 5",
+    "simulate fock --si",
+    "simulate one-photon-vacuum --wbar-lo 3",
+    "simulate thermal-vacuum --theta-ratio 2",
+    "simulate thermal-vacuum --t1/t0 2",
+    "simulate --grid 0:1:5 fock",
+])
+def test_simulate_rejects_flags_the_scenario_does_not_read(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv.split()) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_fit_and_coherence_reject_flags_they_do_not_read(tmp_path, capsys):
+    data = tmp_path / "tt.csv"
+    assert cli.main(["simulate", "thermal-thermal", "--grid", "0:3:40", "-o", str(data)]) == 0
+    capsys.readouterr()
+    for argv, flags in [
+        (["fit", str(data), "--model", "thermal-thermal", "--wbar-lo", "3", "--p1", "4"], ("--wbar-lo", "--p1")),
+        (["fit", str(data), "--model", "fock", "--wbar-lo", "3.15", "--p0", "9"], ("--p0",)),
+        (["fit", str(data), "--model", "fock", "--wbar-lo", "3.15", "--si"], ("--si",)),
+        (["fit", str(data), "--model", "one-photon-vacuum", "--theta0", "2"], ("--theta0",)),
+        (["coherence", "--temperature", "5"], ("--temperature",)),
+        (["coherence", "--si", "--theta", "7"], ("--theta",)),
+    ]:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+    # one-photon-vacuum reads its initial guess as a pair
+    assert cli.main(["fit", str(data), "--model", "one-photon-vacuum", "--p0", "3"]) == 2
+    assert "--p0 and --p1" in capsys.readouterr().err
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # every `mmi` line of README's "Command line" block, in order, exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv and argv[0] == "mmi"]
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_simulate_rejects_malformed_grid(tmp_path):

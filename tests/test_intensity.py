@@ -230,10 +230,10 @@ def test_thermal_vacuum_d1_quadrature_only():
 
 
 def test_thermal_vacuum_dimension_gate():
-    with pytest.raises(ValueError):
-        thermal_vacuum_ratio(1.0, 1.0, 2)
-    val = thermal_vacuum_ratio(1.0, 0.0, 2, "quadrature", allow_general_dimension=True)
-    assert abs(val - 1.0) < 1e-9
+    for d in (2, 5):
+        for method in ("auto", "quadrature"):
+            with pytest.raises(ValueError, match=f"dimension {d} unsupported"):
+                thermal_vacuum_ratio(1.0, 1.0, d, method)
 
 
 # ---------------------------------------------------------------------------

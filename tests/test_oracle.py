@@ -261,6 +261,19 @@ def test_montecarlo_requires_sample_budget():
         thermal_intensity_montecarlo(1.0, None, [1.0], samples=10, seed=0)
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_montecarlo_rejects_empty_batch(batch):
+    # a zero batch would never advance the draw count
+    with pytest.raises(ValueError, match="batch must be at least 1"):
+        thermal_intensity_montecarlo(1.0, None, [1.0], samples=2000, batch=batch)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_montecarlo_rejects_non_finite_delays(bad):
+    with pytest.raises(ValueError, match="delays must be finite"):
+        thermal_intensity_montecarlo(1.0, 1.0, [0.5, bad], samples=2000)
+
+
 def test_thermal_grid_spans_pole_and_tail():
     grid = thermal_mode_grid(2.0)
     assert grid.frequencies[0] == pytest.approx(2e-3)

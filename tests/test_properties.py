@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mmi.intensity import IntensityRequest, compute_interferogram  # noqa: E402
 from mmi.quadrature import QuadratureError  # noqa: E402
 from mmi.spectra import SpectralDistribution  # noqa: E402
 from mmi.states import Coherent, OnePhoton, Thermal, Vacuum  # noqa: E402
+from oracles import riemann_overlap  # noqa: E402
 
 SCENARIOS = ("fock", "coherent", "one-photon-vacuum", "thermal-vacuum", "thermal-thermal")
 EVEN_SCENARIOS = ("fock", "one-photon-vacuum", "thermal-vacuum", "thermal-thermal")
@@ -85,3 +86,29 @@ def test_auto_agrees_with_quadrature(name, data, units):
     except QuadratureError:
         return  # only where quadrature converges
     assert np.max(np.abs(_ratios(scenario, taus) - quad)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ("fock", "coherent", "one-photon-vacuum"))
+@PROPERTY_SETTINGS
+@example(mean_s=0.05, width_s=1.0, mean_lo=6.0, width_lo=3.0, d=3, units=[0.379])
+@given(
+    mean_s=st.floats(0.0, 20.0), width_s=st.floats(0.5, 3.0),
+    mean_lo=st.floats(0.0, 20.0), width_lo=st.floats(0.5, 3.0),
+    d=st.sampled_from((1, 3)), units=delays,
+)
+def test_ratio_within_moment_bound(name, mean_s, width_s, mean_lo, width_lo, d, units):
+    # 0 <= ratio <= 1 + m_lo/m_s with m = ∫₀^∞ ω^d f² dω: Cauchy-Schwarz on
+    # the detection integrand, for both pairs; against vacuum m_lo = 0.  The
+    # example reaches 431, far above 1 + ω̄_lo/ω̄_s = 121.
+    f_s = SpectralDistribution(mean_s, width_s)
+    if name == "one-photon-vacuum":
+        signal, lo, m_lo = OnePhoton(f_s), Vacuum(), 0.0
+    else:
+        port = OnePhoton if name == "fock" else Coherent
+        signal, lo = port(f_s), port(SpectralDistribution(mean_lo, width_lo))
+        m_lo = riemann_overlap(mean_lo, width_lo, mean_lo, width_lo, d)
+    m_s = riemann_overlap(mean_s, width_s, mean_s, width_s, d)
+    taus = np.array(units) / width_s
+    ratios = compute_interferogram(IntensityRequest(signal, lo, taus, d)).ratios
+    assert np.all(ratios >= 0.0)
+    assert np.all(ratios <= (1.0 + m_lo / m_s) * (1.0 + 1e-9))

@@ -42,11 +42,6 @@ def test_normalization_constant_wide_pulse_limit():
     assert abs(normalization_constant(40.0, 2.0) - 2.0 * SQRT_PI) < 1e-15
 
 
-def test_normalization_constant_extended_range_flag():
-    assert normalization_constant(3.0, 1.0, extended_range=True) == SQRT_PI
-    assert normalization_constant(3.0, 2.5, extended_range=True) == 2.5 * SQRT_PI
-
-
 def test_normalization_monotone_in_mean():
     # strictly increasing until erf saturates at double precision (~6 sigma),
     # never decreasing anywhere

@@ -7,10 +7,9 @@ from mmi.thermal_kernels import (
     SERIES_SWITCH,
     bose_integral_constant,
     fringe_deviation,
-    stable_thermal_kernel,
     zeta_even,
 )
-from oracles import decimal_fringe_deviation, decimal_thermal_kernel
+from oracles import decimal_fringe_deviation
 
 
 def test_zeta_even_known_values():
@@ -28,42 +27,30 @@ def test_zeta_even_rejects_odd_or_nonpositive():
 def test_bose_constants():
     assert abs(bose_integral_constant(1) - math.pi**2 / 6.0) < 1e-15
     assert abs(bose_integral_constant(3) - math.pi**4 / 15.0) < 1e-13
-    # Euler-Maclaurin path on even dimension: Gamma(3) zeta(3)
-    apery = 1.2020569031595943  # zeta(3)
-    assert abs(bose_integral_constant(2) - 2.0 * apery) < 1e-11
+    for d in (0, 2, 2.5, -1):
+        with pytest.raises(ValueError):
+            bose_integral_constant(d)
 
 
 def test_kernel_against_extended_precision_naive_form():
-    # the naive Decimal evaluation is exact at these arguments; x = 20 is
-    # where double-precision cosh/sinh^4 already juggle ~1e17 magnitudes
+    # the e^{-2x} branch of the fringe deviation against the naive Decimal
+    # evaluation, which is exact at these arguments; x = 20 is where
+    # double-precision cosh/sinh^4 already juggle ~1e17 magnitudes
     for x in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
-        ref = decimal_thermal_kernel(x)
-        got = stable_thermal_kernel(x)
-        assert abs(got - ref) / ref < 1e-12, x
-
-
-def test_kernel_small_x_pole_reconstruction():
-    for x in (1e-3, 0.01, 0.1, 0.5, 0.99):
-        ref = decimal_thermal_kernel(x)
-        got = stable_thermal_kernel(x)
-        assert abs(got - ref) / ref < 1e-13, x
+        ref = decimal_fringe_deviation(x)
+        got = fringe_deviation(x)
+        assert abs(got - ref) / abs(ref) < 1e-12, x
 
 
 def test_kernel_survives_where_naive_cosh_overflows():
-    # cosh(2x) overflows double precision beyond 2x ~ 710; the stable path
-    # must stay finite (and tiny) there
+    # cosh(2x) overflows double precision beyond 2x ~ 710; the fringe
+    # deviation must stay finite there, at its -45/x^4 asymptote
     with pytest.raises(OverflowError):
         math.cosh(2.0 * 400.0)
     with np.errstate(over="raise"):
-        val = stable_thermal_kernel(400.0)
-    assert np.isfinite(val) and val >= 0.0
-
-
-def test_kernel_positive_and_monotone_decreasing():
-    x = np.linspace(0.05, 40.0, 800)
-    g = stable_thermal_kernel(x)
-    assert np.all(g > 0.0)
-    assert np.all(np.diff(g) < 0.0)
+        val = fringe_deviation(400.0)
+    assert np.isfinite(val)
+    assert abs(val + 45.0 / 400.0**4) <= 1e-15 * 45.0 / 400.0**4
 
 
 def test_fringe_deviation_limits():
@@ -94,9 +81,5 @@ def test_series_and_direct_branches_agree_at_switch():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        stable_thermal_kernel(0.0)
-    with pytest.raises(ValueError):
-        stable_thermal_kernel(-1.0)
     with pytest.raises(ValueError):
         fringe_deviation(-0.5)

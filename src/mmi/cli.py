@@ -302,9 +302,11 @@ def _verify_coherent(tols, exact_gaps):
 
 def _verify_thermal_vacuum(tols, quick, seed, samples):
     a_grid = np.linspace(0.01, 10.0, 101)
-    closed = np.asarray(thermal_vacuum_ratio(1.0, a_grid, 3, "closed_form"))
-    quad = np.asarray(thermal_vacuum_ratio(1.0, a_grid, 3, "quadrature"))
-    checks = [("thermal-vacuum dual path", float(np.max(np.abs(closed - quad))), tols["tv_dual"])]
+    checks = []
+    for d, name in ((3, "thermal-vacuum dual path"), (1, "thermal-vacuum d = 1 dual path")):
+        closed = np.asarray(thermal_vacuum_ratio(1.0, a_grid, d, "closed_form"))
+        quad = np.asarray(thermal_vacuum_ratio(1.0, a_grid, d, "quadrature"))
+        checks.append((name, float(np.max(np.abs(closed - quad))), tols["tv_dual"]))
     if not quick:
         mc = thermal_intensity_montecarlo(1.0, None, [0.5, 1.0, 2.0], samples=samples, seed=seed)
         truth = np.asarray(thermal_vacuum_ratio(1.0, mc.delays, 3, "closed_form"))
@@ -429,10 +431,15 @@ def cmd_fit(args) -> int:
         print("the one-photon-vacuum model takes --p0 and --p1 together", file=sys.stderr)
         return _EXIT_USAGE
     x_name, x, ratios, noise = read_interferogram_csv(Path(args.data))
+    expected = "a" if args.model == "thermal-thermal" and not args.si else "tau"  # a = τθ₀; --si: τ in s
+    if x_name != expected:
+        print(f"the {args.model} model{' with --si' if args.si else ''} reads the x column '{expected}', "
+              f"but {args.data} has '{x_name}'", file=sys.stderr)
+        return _EXIT_USAGE
 
     if args.model == "thermal-thermal":
         theta0 = args.theta0 * K_B / HBAR if args.si else args.theta0
-        taus = x if (x_name == "tau") else x / theta0
+        taus = x if args.si else x / theta0
         problem = FitProblem(
             tau=taus, ratios=ratios, model="thermal_thermal",
             fixed={"theta0": theta0},

@@ -10,8 +10,8 @@ ports (signal, LO)    quadrature integrand (up to constants)     exact path (aut
 one-photon pair       ω[f_s²(1+cos ωτ) + f_lo²(1-cos ωτ)]        Gaussian-Fourier      Gaussian-envelope approximation
 coherent pair         same + cross term -2ω f_s f_lo sin ωτ      Gaussian-Fourier      same + approximate sin term
 one-photon / vacuum   ω f_s²(1+cos ωτ)                           Gaussian-Fourier      ½(1 + e^{-(στ)²/4} cos ω̄τ)
-thermal / vacuum      ω^d n̄(ω,θ)(1+cos ωτ)                       closed form (d=3)     exact hyperbolic form (d=3)
-thermal pair          ω³[n̄₁(1+cos ωτ) + n̄₀(1-cos ωτ)]           closed form           exact hyperbolic form
+thermal / vacuum      ω^d n̄(ω,θ)(1+cos ωτ)                       closed form           exact hyperbolic form (d=1, 3)
+thermal pair          ω³[n̄₁(1+cos ωτ) + n̄₀(1-cos ωτ)]           closed form           exact hyperbolic form (d=3)
 ====================  =========================================  ====================  ==========
 
 The spectral exact path ("exact" in the metadata) evaluates every term of
@@ -21,7 +21,8 @@ M_n(τ) = ∫₀^∞ ωⁿ e^{-(ω-μ)²/σ²} e^{iωτ} dω of
 grid; the coherent cross term f_s f_lo is a single product Gaussian.  It
 agrees with the quadrature path to its 1e-12 tolerance and keeps working at
 optical ω̄/σ, where the rounding of cos ωτ stops quadrature short of it.
-Thermal / vacuum at d = 1 still takes quadrature under ``auto``.
+The thermal closed forms are exact at every dimension a thermal scenario
+admits, so ``auto`` never integrates; ``method="quadrature"`` is the check.
 
 A request without a dimension takes the scenario's default: d = 3 for the
 thermal scenarios (the blackbody; the thermal pair exists only there) and
@@ -30,7 +31,8 @@ d ∈ {1, 3}.  These rules, and the path each method takes, are
 decided once, by :func:`_resolve`, for every entry point of this module.
 
 The thermal closed forms are exact and stable down to τ = 0 thanks to the
-cancellation-free kernel in :mod:`mmi.thermal_kernels`.  The spectral-state
+cancellation-free kernel in :mod:`mmi.thermal_kernels`, one generator for
+every odd d.  The spectral-state
 closed forms replace ω by ω̄ and extend the frequency range to the whole
 real line, so they are approximations.  Over the whole line,
 ∫ ω e^{-(ω-ω̄)²/σ²} cos ωτ dω = √π σ e^{-(στ)²/4}[ω̄ cos ω̄τ - (σ²τ/2) sin ω̄τ],
@@ -76,32 +78,28 @@ __all__ = [
 ]
 
 _METHODS = ("auto", "closed_form", "quadrature")
-# per scenario: the dimensions it admits, its default first, and the one
-# dimension its closed form exists in
-_DIMENSIONS = {"spectral": ((1, 3), 1), "thermal-vacuum": ((3, 1), 3), "thermal-thermal": ((3,), 3)}
+# the dimensions each scenario admits, default first; thermal closed forms exist at each
+_DIMENSIONS = {"spectral": (1, 3), "thermal-vacuum": (3, 1), "thermal-thermal": (3,)}
 
 
 def _resolve(scenario: str, d: int | None, method: str):
     """(dimension, path) that ``method`` takes for ``scenario`` at dimension d.
 
-    ``auto`` takes the exact Gaussian-Fourier path for spectral states and,
-    for thermal ones, the closed form where it exists, quadrature elsewhere.
-    A missing d takes the scenario's default.
+    ``auto`` takes the exact Gaussian-Fourier path for spectral states and the
+    closed form for thermal ones.  A missing d takes the scenario's default.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    dims, closed_d = _DIMENSIONS[scenario]
+    dims = _DIMENSIONS[scenario]
     if d is None:
         d = dims[0]
     elif d not in dims:
         expected = " or ".join(map(str, sorted(dims)))
         raise ValueError(f"dimension {d} unsupported for the {scenario} scenario; expected {expected}")
     if method == "auto":
-        if scenario == "spectral":
-            return d, "exact"
-        method = "closed_form" if d == closed_d else "quadrature"
-    if method == "closed_form" and d != closed_d:
-        raise ValueError(f"the {scenario} closed form is only available in dimension {closed_d}")
+        return d, "exact" if scenario == "spectral" else "closed_form"
+    if method == "closed_form" and scenario == "spectral" and d != 1:
+        raise ValueError(f"the {scenario} closed form is only available in dimension 1")
     return d, method
 
 
@@ -282,6 +280,16 @@ def one_photon_vacuum_ratio(f_s: SpectralDistribution, tau) -> float:
 # thermal scenarios
 
 
+def _bose_fringe(a, d: int, method: str, abs_tol: float, rel_tol: float) -> np.ndarray:
+    """K_d(a) = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx over a grid of a ≥ 0: the
+    stable kernel at x = πa (closed form), or one quadrature per delay."""
+    if method == "closed_form":
+        return np.asarray(fringe_deviation(a * math.pi, d))
+    j_const = bose_integral_constant(d)
+    osc = [bose_weighted_integral(1.0, d, "cos", ai, abs_tol=abs_tol * j_const, rel_tol=rel_tol) for ai in a.ravel()]
+    return (np.array(osc) / j_const).reshape(a.shape)
+
+
 def thermal_vacuum_ratio(
     theta: float,
     tau,
@@ -293,30 +301,18 @@ def thermal_vacuum_ratio(
 ):
     """Normalized intensity for thermal signal against vacuum; even in τ.
 
-    Quadrature path: ½[1 + (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx] with
-    a = τθ and J(d) = Γ(1+d)ζ(1+d).  Closed-form path (d = 3 only):
-    ½[1 + 15((2 + cosh 2aπ)/sinh⁴(aπ) - 3/(aπ)⁴)], evaluated through the
-    stable kernel; the two agree to quadrature tolerance.  Decays to 1/2
-    like a⁻⁴.  A missing d takes the scenario's default, 3, as
-    :class:`IntensityRequest` does.
+    ½[1 + K_d(a)], a = τθ, K_d(a) = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx and
+    J(d) = Γ(1+d)ζ(1+d).  The closed form (``auto``) is exact at d = 1 and 3,
+    K_3 = 15((2 + cosh 2aπ)/sinh⁴(aπ) - 3/(aπ)⁴), K_1 = 3(1/(aπ)² - 1/sinh²(aπ));
+    it agrees with quadrature to quadrature tolerance.  Decays to 1/2 like
+    a^{-(d+1)}.  A missing d takes the default, 3, as :class:`IntensityRequest` does.
     """
     d, method = _resolve("thermal-vacuum", d, method)
     if not 0.0 < theta < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {theta}")
 
-    t = np.asarray(tau, dtype=float)
-    a = np.abs(t) * theta
-    if method == "closed_form":
-        out = 0.5 * (1.0 + np.asarray(fringe_deviation(a * math.pi)))
-        return out if out.ndim else float(out)
-
-    j_const = bose_integral_constant(d)
-    flat = np.atleast_1d(a)
-    vals = np.empty_like(flat)
-    for i, ai in enumerate(flat):
-        osc = bose_weighted_integral(1.0, d, "cos", ai, abs_tol=abs_tol * j_const, rel_tol=rel_tol)
-        vals[i] = 0.5 * (1.0 + osc / j_const)
-    out = vals.reshape(np.shape(a))
+    a = np.abs(np.asarray(tau, dtype=float)) * theta
+    out = 0.5 * (1.0 + _bose_fringe(a, d, method, abs_tol, rel_tol))
     return out if out.ndim else float(out)
 
 
@@ -331,8 +327,7 @@ def thermal_thermal_ratio(
 ):
     """Normalized intensity for thermal signal (θ₁) against thermal LO (θ₀).
 
-    Exact closed form (three dimensions), written through the fringe
-    deviation K(a) = 15((2+cosh 2aπ)/sinh⁴ aπ - 3/(aπ)⁴):
+    Exact closed form (three dimensions), through K = K_3 of :func:`thermal_vacuum_ratio`:
 
         ratio = ½[1 + r⁴ + K(a₁) - r⁴ K(a₀)],   r = θ₀/θ₁, a_i = τθ_i,
 
@@ -346,28 +341,12 @@ def thermal_thermal_ratio(
     if not (0.0 < theta0 < math.inf and 0.0 < theta1 < math.inf):
         raise ValueError("temperatures must be positive and finite")
 
-    t = np.asarray(tau, dtype=float)
-    a0 = np.abs(t) * theta0
-    a1 = np.abs(t) * theta1
+    t = np.abs(np.asarray(tau, dtype=float))
     r4 = (theta0 / theta1) ** 4
-
-    if method == "closed_form":
-        dev1 = np.asarray(fringe_deviation(a1 * math.pi))
-        dev0 = np.asarray(fringe_deviation(a0 * math.pi))
-        # grouping the kernel difference keeps the equal-temperature
-        # cancellation exact in floating point
-        out = 0.5 * (1.0 + r4 + (dev1 - r4 * dev0))
-        return out if out.ndim else float(out)
-
-    j3 = bose_integral_constant(3)
-    flat0 = np.atleast_1d(a0).ravel()
-    flat1 = np.atleast_1d(a1).ravel()
-    vals = np.empty_like(flat0)
-    for i, (x0, x1) in enumerate(zip(flat0, flat1)):
-        osc1 = bose_weighted_integral(1.0, 3, "cos", x1, abs_tol=abs_tol * j3, rel_tol=rel_tol)
-        osc0 = bose_weighted_integral(1.0, 3, "cos", x0, abs_tol=abs_tol * j3, rel_tol=rel_tol)
-        vals[i] = 0.5 * (1.0 + r4) + (osc1 - r4 * osc0) / (2.0 * j3)
-    out = vals.reshape(np.shape(a0))
+    k1, k0 = (_bose_fringe(t * theta, 3, method, abs_tol, rel_tol) for theta in (theta1, theta0))
+    # grouping the kernel difference keeps the equal-temperature
+    # cancellation exact in floating point
+    out = 0.5 * (1.0 + r4 + (k1 - r4 * k0))
     return out if out.ndim else float(out)
 
 
@@ -381,10 +360,10 @@ class IntensityRequest:
 
     ``method``: 'auto' picks the exact path for the scenario (the
     Gaussian-Fourier moments for spectral states, the hyperbolic closed
-    form for thermal ones at d = 3, quadrature for thermal ones at d = 1);
-    'closed_form' is only available where a closed expression exists
-    (spectral approximations at d = 1, thermal at d = 3).  ``dimension``
-    None takes the scenario's default: 3 for thermal signals, else 1.
+    form for thermal ones); 'closed_form' is available for the thermal
+    scenarios at every dimension they admit and for the spectral
+    approximations at d = 1.  ``dimension`` None takes the scenario's
+    default: 3 for thermal signals, else 1.
     Delays must be finite.
     """
 

@@ -93,9 +93,6 @@ class QuadratureResult:
     error: float  # a-posteriori estimate: sum over panels of |K15 - G7|
     panels: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _eval_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """Kronrod value and |K15-G7| error for a batch of panels."""
@@ -209,8 +206,6 @@ def integrate_half_line(
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-12,
     osc_scale: float = 0.0,
-    max_panels: int = 8192,
-    cutoff_start: float = 1.0,
     cutoff: float | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, inf) by truncating where the envelope is negligible.
@@ -222,13 +217,5 @@ def integrate_half_line(
     truncation point as ``cutoff``, which skips the search.
     """
     if cutoff is None:
-        cutoff = tail_cutoff(envelope, abs_tol, cutoff_start)
-    return integrate(
-        f,
-        0.0,
-        cutoff,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        osc_scale=osc_scale,
-        max_panels=max_panels,
-    )
+        cutoff = tail_cutoff(envelope, abs_tol)
+    return integrate(f, 0.0, cutoff, abs_tol=abs_tol, rel_tol=rel_tol, osc_scale=osc_scale)

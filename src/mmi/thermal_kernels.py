@@ -1,22 +1,26 @@
 """Numerically stable kernels for the thermal interference closed forms.
 
-The blackbody fringe formulas involve g(x) = (2 + cosh 2x)/sinh^4 x combined
-with a subtracted 3/x^4 pole of identical strength.  Near x = 0 the naive
-difference loses all significant digits (both operands scale like 3/x^4
-while the difference tends to 1/15), and for large x naive cosh/sinh
-overflow.  ``fringe_deviation(x)`` evaluates 15 (g(x) - 3/x^4), the
-quantity that enters the normalized intensities, in a cancellation- and
-overflow-free form: an even power series for x below the switch point, and
-above it the direct difference with g rearranged as
-8 e^(-2x) (1 + 4 e^(-2x) + e^(-4x)) / (1 - e^(-2x))^4, which stays finite
-where cosh 2x overflows.
+For odd d = 2k + 1, summing 1/(e^t - 1) = Σₙ e^{-nt} gives (Gradshteyn &
+Ryzhik 3.911.2) ∫₀^∞ sin(at)/(e^t - 1) dt = S(a) = (π/2) coth πa - 1/(2a),
+and d derivatives in a turn sin(at) into (-1)^k t^d cos(at).  So at x = πa,
+with J(d) = Γ(1+d)ζ(1+d) and coth^(d) = P_d(coth) (a polynomial, as
+coth' = 1 - coth²), the normalized fringe integral is
 
-The series coefficients are exact rationals: the Taylor coefficients of the
-deviation are 90 C(2j+3, 3) ζ(2j+4) / π^(2j+4) with alternating sign, and
-ζ(2m)/π^(2m) = 2^(2m) |B_2m| / (2 (2m)!) in terms of Bernoulli numbers, so
-everything is generated with Fraction arithmetic at import time.  The two
-branches agree to better than 1e-12 in a neighbourhood of the switch point
-x = 1 (pinned by a test).
+    K_d = (1/J(d)) ∫₀^∞ t^d cos(at)/(e^t - 1) dt
+        = (-1)^k (π^(d+1)/J(d)) [P_d(coth x)/2 + d!/(2x^(d+1))]:
+
+15((2 + cosh 2x)/sinh⁴x - 3/x⁴) at d = 3, 3(1/x² - 1/sinh²x) at d = 1.
+The pole cancels every digit near x = 0 and cosh overflows for large x, so
+``fringe_deviation(x, d)`` takes, below x = 1, the even series with x^(2j)
+coefficient (-1)^j C(d+2j, d) ζ(d+1+2j)/(π^(2j) ζ(d+1)), exact rationals
+by ζ(2m)/π^(2m) = 2^(2m)|B_2m|/(2 (2m)!).  Above it, with q = e^(-2x),
+coth x = 1 + 2 Σₙ qⁿ gives P_d(coth x) = -2^(d+1) Σₙ n^d qⁿ =
+-2^(d+1) q A_d(q)/(1-q)^(d+1), whose integer numerator A_d holds the
+Eulerian numbers (1 + 4q + q² at d = 3); it stays finite where cosh 2x
+overflows.  Both are generated per odd d ≤ 7 and agree to 1e-12 at the
+switch for d = 1 and 3 (2e-11 at d = 7).  The Bernoulli table ends at B_54,
+which the 25-term series needs at d = 3; d = 5 and 7 take the 24 and 23
+terms it holds.
 """
 
 from __future__ import annotations
@@ -53,58 +57,83 @@ def _bernoulli(n_max: int) -> list[Fraction]:
 _BERNOULLI = _bernoulli(2 * _SERIES_TERMS + 4)
 
 
+def _zeta_over_pi(two_m: int) -> Fraction:
+    """ζ(2m)/π^(2m), an exact rational."""
+    if two_m >= len(_BERNOULLI):
+        raise ValueError(f"ζ({two_m}) needs B_{two_m}, beyond the Bernoulli table (B_0 .. B_{len(_BERNOULLI) - 1})")
+    return Fraction(2**two_m) * abs(_BERNOULLI[two_m]) / (2 * math.factorial(two_m))
+
+
 def zeta_even(two_m: int) -> float:
     """Riemann zeta at a positive even integer, from Bernoulli numbers."""
     if two_m <= 0 or two_m % 2:
         raise ValueError("argument must be a positive even integer")
-    q = Fraction(2**two_m) * abs(_BERNOULLI[two_m]) / (2 * math.factorial(two_m))
-    return float(q) * math.pi**two_m
+    return float(_zeta_over_pi(two_m)) * math.pi**two_m
 
 
-def _deviation_coefficients() -> np.ndarray:
-    coeffs = []
-    for j in range(_SERIES_TERMS + 1):
-        m = j + 2
-        q = Fraction(2 ** (2 * m)) * abs(_BERNOULLI[2 * m]) / (2 * math.factorial(2 * m))
-        c = Fraction(90) * math.comb(2 * j + 3, 3) * q
-        coeffs.append(float(c) * (-1) ** j)
-    return np.array(coeffs)
+def _odd_dimension(d) -> int:
+    if not (float(d).is_integer() and d > 0 and int(d) % 2 == 1):
+        raise ValueError(f"dimension must be a positive odd integer, got {d}")
+    return int(d)
 
 
-_DEV_COEFFS = _deviation_coefficients()
+@functools.lru_cache(maxsize=None)
+def _kernel(d):
+    """(series from the top term down, π^(d+1)/J(d), -(-1)^k 2^d, A_d, pole, d + 1)
+    of K_d; see the module docstring.  Validates d once per value."""
+    d = _odd_dimension(d)
+    if d > 7:
+        raise ValueError(f"the fringe kernel is built for odd d <= 7, got {d}")
+    base = _zeta_over_pi(d + 1)  # J(d)/(d! π^(d+1))
+    terms = min(_SERIES_TERMS, (len(_BERNOULLI) - 2 - d) // 2)
+    series = [(-1) ** j * math.comb(d + 2 * j, d) * _zeta_over_pi(d + 1 + 2 * j) / base for j in range(terms + 1)]
+    # the Eulerian numbers A(d, m) = Σᵢ (-1)^i C(d+1, i) (m+1-i)^d
+    eulerian = [sum((-1) ** i * math.comb(d + 1, i) * (m + 1 - i) ** d for i in range(m + 1)) for m in range(d)]
+    sign = (-1) ** (d // 2)
+    return (tuple(float(c) for c in reversed(series)), float(1 / (math.factorial(d) * base)), float(-sign * 2**d),
+            tuple(map(float, eulerian)), float(sign / (2 * base)), d + 1)
 
 
-def _deviation_series(x: np.ndarray) -> np.ndarray:
+def _series_branch(x: np.ndarray, kernel) -> np.ndarray:
     x2 = x * x
     acc = np.zeros_like(x2)
-    for c in _DEV_COEFFS[::-1]:
+    for c in kernel[0]:
         acc = acc * x2 + c
     return acc
 
 
-def _kernel_exp(x: np.ndarray) -> np.ndarray:
-    e2 = np.exp(-2.0 * x)
-    return 8.0 * e2 * (1.0 + 4.0 * e2 + e2 * e2) / (1.0 - e2) ** 4
+def _exponential_branch(x: np.ndarray, kernel) -> np.ndarray:
+    _, scale, gain, eulerian, pole, power = kernel
+    q = np.exp(-2.0 * x)
+    return scale * (_eulerian_sum(q, eulerian) * (gain * q) / (1.0 - q) ** power) + pole / x**power
 
 
-def fringe_deviation(x):
-    """15 ((2 + cosh 2x) / sinh^4 x - 3/x^4), cancellation-free.
+def _eulerian_sum(q: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """coeffs[0] + coeffs[1] q + ... + q^m upwards (Eulerian numbers end in 1): 1 + 4q + q·q
+    at d = 3.  Called before the caller's other temporaries exist, it costs no extra array."""
+    out, term = coeffs[0], q
+    for c in coeffs[1:-1]:
+        out = out + c * term
+        term = term * q
+    return out + term if len(coeffs) > 1 else out
+
+
+def fringe_deviation(x, d: int = 3):
+    """K_d(x), the normalized Bose fringe at x = πa, cancellation-free, for odd d ≤ 7.
 
     Tends to 1 as x -> 0+ (which pins the zero-delay normalization of the
-    thermal interferograms) and to -45/x^4 as x -> inf.  Accepts scalars or
-    arrays; x must be >= 0.
+    thermal interferograms) and to its pole term, -45/x⁴ at d = 3, as
+    x -> inf.  Accepts scalars or arrays; x must be >= 0.
     """
+    kernel = _kernel(d)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("kernel argument must be non-negative")
     out = np.empty_like(arr)
     small = arr < SERIES_SWITCH
-    if small.any():
-        out[small] = _deviation_series(arr[small])
-    big = ~small
-    if big.any():
-        xb = arr[big]
-        out[big] = 15.0 * _kernel_exp(xb) - 45.0 / xb**4
+    for mask, branch in ((small, _series_branch), (~small, _exponential_branch)):
+        if mask.any():
+            out[mask] = branch(arr[mask], kernel)
     return out if out.ndim else float(out)
 
 
@@ -112,10 +141,7 @@ def fringe_deviation(x):
 def bose_integral_constant(d) -> float:
     """The full Bose moment: integral over [0, inf) of x^d / (e^x - 1).
 
-    Equals Gamma(1+d) zeta(1+d), exact (Bernoulli-rational) for the odd
-    positive integer dimensions the interferometer formulas use.  Memoized:
-    it runs Fraction arithmetic.
+    Equals Gamma(1+d) zeta(1+d), exact (Bernoulli-rational) for odd d up to
+    53, where the Bernoulli table ends.  Memoized: it runs Fraction arithmetic.
     """
-    if not (float(d).is_integer() and d > 0 and int(d) % 2 == 1):
-        raise ValueError(f"dimension must be a positive odd integer, got {d}")
-    return math.factorial(int(d)) * zeta_even(int(d) + 1)
+    return math.factorial(_odd_dimension(d)) * zeta_even(int(d) + 1)

@@ -55,13 +55,18 @@ def _decimal_pi() -> Decimal:
     return 16 * arctan_inv(5) - 4 * arctan_inv(239)
 
 
-def decimal_fringe_deviation(x: float) -> float:
-    """15(g(x) - 3/x^4) in 60-digit Decimal (naive form, exact at this scale)."""
+def decimal_fringe_deviation(x: float, d: int = 3) -> float:
+    """The naive fringe kernel in 60-digit Decimal (exact at this scale).
+
+    d = 3: 15((2 + cosh 2x)/sinh^4 x - 3/x^4); d = 1: 3(1/x^2 - 1/sinh^2 x).
+    """
     xd = Decimal(repr(x))
-    e_plus = (2 * xd).exp()
-    e_minus = (-2 * xd).exp()
-    cosh2x = (e_plus + e_minus) / 2
     sinh_x = (xd.exp() - (-xd).exp()) / 2
+    if d == 1:
+        return float(3 * (1 / xd**2 - 1 / sinh_x**2))
+    if d != 3:
+        raise ValueError(d)
+    cosh2x = ((2 * xd).exp() + (-2 * xd).exp()) / 2
     g = (2 + cosh2x) / sinh_x**4
     return float(15 * (g - 3 / xd**4))
 

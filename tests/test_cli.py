@@ -96,21 +96,22 @@ def test_simulate_equal_temperatures_writes_unity(tmp_path):
 
 
 # grids on which every scenario's closed form is valid (ω̄_s = 3σ by default)
-BOTH_METHOD_ARGS = {
-    "fock": ("tau", ["--grid", "0:6:25"]),
-    "coherent": ("tau", ["--grid", "0:6:25"]),
-    "one-photon-vacuum": ("tau", ["--grid", "0:6:25"]),
-    "thermal-vacuum": ("a", ["--d", "3", "--grid", "0.01:6:50"]),
-    "thermal-thermal": ("a", ["--grid", "0:4:40"]),
-}
+BOTH_METHOD_ARGS = [
+    ("fock", "tau", ["--grid", "0:6:25"]),
+    ("coherent", "tau", ["--grid", "0:6:25"]),
+    ("one-photon-vacuum", "tau", ["--grid", "0:6:25"]),
+    ("thermal-vacuum", "a", ["--d", "3", "--grid", "0.01:6:50"]),
+    ("thermal-vacuum", "a", ["--d", "1", "--grid", "0.01:6:50"]),
+    ("thermal-thermal", "a", ["--grid", "0:4:40"]),
+]
 
 
 def test_simulate_thermal_both_methods_agree(tmp_path):
     # --method both on every scenario: its quadrature column is the
     # --method quadrature run, and the exact thermal closed forms agree with it
-    for scenario, (x_name, extra) in BOTH_METHOD_ARGS.items():
-        both = tmp_path / f"{scenario}-both.csv"
-        quad = tmp_path / f"{scenario}-quadrature.csv"
+    for scenario, x_name, extra in BOTH_METHOD_ARGS:
+        both = tmp_path / f"{scenario}{extra[1]}-both.csv"
+        quad = tmp_path / f"{scenario}{extra[1]}-quadrature.csv"
         assert cli.main(["simulate", scenario, *extra, "--method", "both", "-o", str(both)]) == 0
         assert cli.main(["simulate", scenario, *extra, "--method", "quadrature", "-o", str(quad)]) == 0
         rows = [row.split(",") for row in both.read_text().splitlines()]
@@ -125,8 +126,9 @@ def test_simulate_thermal_both_methods_agree(tmp_path):
 
 
 def test_simulate_rejects_bad_combination(tmp_path):
+    # the spectral closed forms exist in one dimension only
     proc = run_cli(
-        "simulate", "thermal-vacuum", "--d", "1", "--method", "closed_form",
+        "simulate", "fock", "--d", "3", "--method", "closed_form",
         "--grid", "0:5:10", "-o", str(tmp_path / "x.csv"), cwd=tmp_path,
     )
     assert proc.returncode == 2
@@ -268,6 +270,24 @@ def test_fit_flat_data_exits_identifiability(tmp_path):
     assert "identifiability" in proc.stderr.lower()
 
 
+def test_fit_rejects_a_csv_from_another_scenario(tmp_path, capsys):
+    # the x column names the unit: a = τθ₀ for thermal CSVs, τ in seconds
+    # under --si, τ for spectral ones
+    tt, si = tmp_path / "tt.csv", tmp_path / "si.csv"
+    assert cli.main(["simulate", "thermal-thermal", "--grid", "0:3:40", "-o", str(tt)]) == 0
+    assert cli.main(["simulate", "thermal-vacuum", "--si", "--theta", "2.725", "--grid", "0:1e-11:40",
+                     "-o", str(si)]) == 0
+    capsys.readouterr()
+    for argv, header in [
+        (["fit", str(tt), "--model", "one-photon-vacuum"], "'a'"),
+        (["fit", str(tt), "--model", "fock", "--wbar-lo", "3.15"], "'a'"),
+        (["fit", str(si), "--model", "thermal-thermal"], "'tau'"),
+        (["fit", str(tt), "--model", "thermal-thermal", "--si"], "'a'"),
+    ]:
+        assert cli.main(argv) == 2, argv
+        assert header in capsys.readouterr().err
+
+
 def test_fit_non_finite_cell_exits_usage(tmp_path, capsys):
     bad = tmp_path / "nan.csv"
     bad.write_text("a,ratio\n0,1\n0.5,nan\n1,0.8\n1.5,0.7\n2,0.6\n")
@@ -311,6 +331,20 @@ def test_verify_quick_passes():
     assert "PASS" in proc.stdout
     assert "[PASS] spectral exact-vs-quadrature" in proc.stdout
     assert "monte-carlo" not in proc.stdout  # deterministic checks only
+
+
+def test_verify_quick_imports_no_test_extras():
+    # scipy, mpmath and hypothesis back tests only; the package never loads them
+    code = (
+        "import sys, mmi\n"
+        "from mmi import cli\n"
+        "assert cli.main(['verify', '--quick']) == 0\n"
+        "print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert "[PASS] thermal-vacuum d = 1 dual path" in proc.stdout
 
 
 def test_verify_detects_injected_cross_term_sign_bug(monkeypatch, capsys):

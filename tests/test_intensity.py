@@ -222,11 +222,15 @@ def test_thermal_vacuum_power_law_approach():
     assert abs(slope + 4.0) < 0.1
 
 
-def test_thermal_vacuum_d1_quadrature_only():
-    with pytest.raises(ValueError):
-        thermal_vacuum_ratio(1.0, 1.0, 1, "closed_form")
-    val = thermal_vacuum_ratio(1.0, 0.0, 1, "quadrature")
-    assert abs(val - 1.0) < 1e-11
+def test_thermal_vacuum_d1_closed_form_matches_quadrature():
+    # K_1 = 3(1/x² - 1/sinh²x) at x = πa against the Bose integral itself
+    a = np.linspace(0.01, 5.0, 120)
+    closed = np.asarray(thermal_vacuum_ratio(1.0, a, 1, "closed_form"))
+    quad = np.asarray(thermal_vacuum_ratio(1.0, a, 1, "quadrature"))
+    assert float(np.max(np.abs(closed - quad))) <= 1e-9
+    assert thermal_vacuum_ratio(1.0, 0.0, 1, "closed_form") == 1.0
+    assert thermal_vacuum_ratio(1.0, 0.0, 1) == 1.0
+    assert abs(thermal_vacuum_ratio(1.0, 0.0, 1, "quadrature") - 1.0) < 1e-11
 
 
 def test_thermal_vacuum_dimension_gate():
@@ -454,18 +458,25 @@ def test_exact_coherent_matches_quadrature_at_negative_delay():
     assert float(np.max(np.abs(exact.ratios - quad.ratios))) <= 1e-12
 
 
-def test_auto_spectral_request_makes_no_quadrature_calls(monkeypatch):
+def test_auto_never_integrates(monkeypatch):
+    # every port pair at every dimension it admits answers under auto with
+    # both quadrature entry points of the module disabled
     import mmi.intensity as intensity
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("quadrature called on the exact path")
+        raise AssertionError("quadrature called under auto")
 
     monkeypatch.setattr(intensity, "_spectral_integral", forbidden)
+    monkeypatch.setattr(intensity, "bose_weighted_integral", forbidden)
     taus = np.linspace(0.0, 6.0, 31)
     for d in (1, 3):
         for kind in ("vacuum", "fock", "coherent"):
             gram = compute_interferogram(IntensityRequest(*_spectral_ports(kind, F_S, F_LO), taus, d))
             assert gram.metadata["method"] == "exact"
+        gram = compute_interferogram(IntensityRequest(Thermal(1.0), Vacuum(), taus, d))
+        assert gram.metadata["method"] == "closed_form"
+    gram = compute_interferogram(IntensityRequest(Thermal(1.01), Thermal(1.0), taus, 3))
+    assert gram.metadata["method"] == "closed_form"
 
 
 def test_exact_path_plateau_at_very_large_delay():

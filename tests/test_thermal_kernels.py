@@ -69,17 +69,75 @@ def test_fringe_deviation_against_extended_precision():
         assert abs(got - ref) < 1e-13 + 1e-12 * abs(ref), x
 
 
+def test_one_dimensional_kernel_against_extended_precision():
+    # K_1 = 3(1/x^2 - 1/sinh^2 x) at the x values of the d = 3 checks
+    for x in (0.05, 0.3, 0.7, 0.999, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 10.0, 20.0, 50.0):
+        ref = decimal_fringe_deviation(x, 1)
+        got = fringe_deviation(x, 1)
+        assert abs(got - ref) <= 1e-12 * abs(ref), x
+    assert fringe_deviation(0.0, 1) == 1.0
+    with np.errstate(over="raise"):
+        val = fringe_deviation(400.0, 1)
+    assert np.isfinite(val)
+    assert abs(val - 3.0 / 400.0**2) <= 1e-15 * 3.0 / 400.0**2
+
+
 def test_series_and_direct_branches_agree_at_switch():
     # the branch boundary is pinned: both branch implementations must agree
-    # to 1e-12 in a neighbourhood of the switch point
-    from mmi.thermal_kernels import _deviation_series, _kernel_exp
+    # to 1e-12 in a neighbourhood of the switch point, at d = 1 and 3
+    from mmi.thermal_kernels import _exponential_branch, _kernel, _series_branch
 
     x = np.linspace(0.8 * SERIES_SWITCH, 1.2 * SERIES_SWITCH, 41)
-    series = _deviation_series(x)
-    direct = 15.0 * _kernel_exp(x) - 45.0 / x**4
-    assert float(np.max(np.abs(series - direct))) < 1e-12
+    for d in (1, 3):
+        gap = _series_branch(x, _kernel(d)) - _exponential_branch(x, _kernel(d))
+        assert float(np.max(np.abs(gap))) < 1e-12, d
+
+
+def test_kernel_generator_matches_the_coth_derivatives():
+    # K_3 in the e^{-2x} form is 15(8q(1+4q+q^2)/(1-q)^4) - 45/x^4, and K_1
+    # is 3/x^2 - 12q/(1-q)^2, q = e^{-2x}: the generated pieces reproduce both
+    from mmi.thermal_kernels import _kernel
+
+    assert _kernel(3)[1:] == (15.0, 8.0, (1.0, 4.0, 1.0), -45.0, 4)
+    assert _kernel(1)[1:] == (6.0, -2.0, (1.0,), 3.0, 2)
+
+
+def test_fringe_identity_to_thirty_digits():
+    # ∫₀^∞ x^d cos(ax)/(e^x - 1) dx = (-1)^k S^(d)(a), d = 2k + 1,
+    # S(a) = (π/2) coth πa - 1/(2a), by oscillatory quadrature in mpmath;
+    # then the float kernel, on both branches, against the right-hand side
+    mpmath = pytest.importorskip("mpmath")
+
+    def s(t):
+        return mpmath.pi / 2 * mpmath.coth(mpmath.pi * t) - 1 / (2 * t)
+
+    with mpmath.workdps(35):
+        for d in (1, 3, 5, 7):
+            a = mpmath.mpf("0.7")
+            lhs = mpmath.quadosc(lambda x: x**d * mpmath.cos(a * x) / mpmath.expm1(x), [0, mpmath.inf], omega=a)
+            rhs = (-1) ** (d // 2) * mpmath.diff(s, a, d)
+            assert abs(lhs - rhs) <= mpmath.mpf(10) ** -30 * abs(rhs), d
+            j_const = mpmath.factorial(d) * mpmath.zeta(d + 1)
+            for a in (mpmath.mpf("0.2"), mpmath.mpf("0.7")):  # x = πa below and above the switch
+                want = float((-1) ** (d // 2) * mpmath.diff(s, a, d) / j_const)
+                assert abs(fringe_deviation(float(mpmath.pi * a), d) - want) <= 1e-11 * abs(want), (d, a)
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
         fringe_deviation(-0.5)
+    for d in (2, 0, -1, 2.5):
+        with pytest.raises(ValueError):
+            fringe_deviation(1.0, d)
+
+
+def test_stated_error_past_the_bernoulli_table():
+    # B_54 is the last Bernoulli number held: J(55) needs ζ(56), and the
+    # kernel is built for odd d <= 7 only
+    assert bose_integral_constant(53) == pytest.approx(math.factorial(53), rel=1e-13)
+    with pytest.raises(ValueError, match="Bernoulli table"):
+        bose_integral_constant(55)
+    with pytest.raises(ValueError, match="odd d <= 7"):
+        fringe_deviation(1.0, 55)
+    with pytest.raises(ValueError):
+        fringe_deviation(1.0, 9)

@@ -192,6 +192,12 @@ _SIMULATE_FLAGS = {
 }
 
 
+def _x_column(args, thermal: bool) -> str:
+    """The CSV delay column: a = τθ of the reference for thermal data, τ otherwise or with ``--si``
+    (read only for thermal data; the spectral simulate scenarios have no ``--si``)."""
+    return "a" if thermal and not args.si else "tau"
+
+
 def _simulate_ports(args, grid):
     """(signal, lo, delays, x column, config) of a simulate scenario.
 
@@ -201,10 +207,10 @@ def _simulate_ports(args, grid):
     _, flags, ports = _SIMULATE[args.scenario]
     signal, lo = ports(args)
     config = {dest: getattr(args, dest) for dest in flags}
-    if not isinstance(signal, Thermal) or args.si:
-        return signal, lo, grid, "tau", config
-    reference = lo if isinstance(lo, Thermal) else signal
-    return signal, lo, grid / reference.theta, "a", config
+    x_name = _x_column(args, isinstance(signal, Thermal))
+    if x_name == "tau":
+        return signal, lo, grid, x_name, config
+    return signal, lo, grid / (lo if isinstance(lo, Thermal) else signal).theta, x_name, config
 
 
 def cmd_simulate(args) -> int:
@@ -394,26 +400,30 @@ def cmd_verify(args) -> int:
 # fit
 
 
-# The flags each fit model reads, and their defaults.
-_FIT_FLAGS = {
-    "thermal-thermal": {"theta0": 1.0, "p0": None, "si": False},
-    "one-photon-vacuum": {"p0": None, "p1": None},
-    "fock": {"wbar_lo": None, "sigma": 1.0},
+# Each fit model: its library model, the flags it reads with their defaults,
+# the `fixed` quantities it builds from them, and the flags of its start
+# point, given together or not at all.  A flag without a default that is not
+# a start flag is required.
+_FIT = {
+    "thermal-thermal": ("thermal_thermal", {"theta0": 1.0, "p0": None, "si": False},
+                        lambda args: {"theta0": _temperature(args, args.theta0)}, ("p0",)),
+    "one-photon-vacuum": ("one_photon_vacuum", {"p0": None, "p1": None}, lambda args: {}, ("p0", "p1")),
+    "fock": ("fock_fock", {"wbar_lo": None, "sigma": 1.0},
+             lambda args: {"lo_mean_freq": args.wbar_lo, "width_guess": args.sigma}, ()),
 }
 # The flags coherence reads without and with --si, and their defaults.
 _COHERENCE_FLAGS = {False: {"theta": 1.0}, True: {"temperature": 2.725}}
 
 
-def _own_flags(args, table: dict, key) -> list[str]:
-    """Default the flags ``table[key]`` reads; return the given flags it does not read.
+def _own_flags(args, owned: dict, flag_sets) -> list[str]:
+    """Default the flags of ``owned``; return the given flags of ``flag_sets`` that ``owned`` lacks.
 
-    The parser defaults every flag of ``table`` to None, so a flag that is
-    not None was given on the command line.
+    The parser defaults every flag of ``flag_sets`` to None, so a flag that
+    is not None was given on the command line.
     """
-    owned = table[key]
     foreign = [
         "--" + dest.replace("_", "-")
-        for dest in dict.fromkeys(dest for flags in table.values() for dest in flags)
+        for dest in dict.fromkeys(dest for flags in flag_sets for dest in flags)
         if dest not in owned and getattr(args, dest) is not None
     ]
     for dest, default in owned.items():
@@ -423,47 +433,30 @@ def _own_flags(args, table: dict, key) -> list[str]:
 
 
 def cmd_fit(args) -> int:
-    foreign = _own_flags(args, _FIT_FLAGS, args.model)
+    model, flags, fixed_from, start = _FIT[args.model]
+    foreign = _own_flags(args, flags, (entry[1] for entry in _FIT.values()))
     if foreign:
         print(f"the {args.model} model does not read {', '.join(foreign)}", file=sys.stderr)
         return _EXIT_USAGE
-    if args.model == "one-photon-vacuum" and (args.p0 is None) != (args.p1 is None):
-        print("the one-photon-vacuum model takes --p0 and --p1 together", file=sys.stderr)
+    initial = tuple(getattr(args, dest) for dest in start if getattr(args, dest) is not None)
+    if initial and len(initial) != len(start):
+        together = " and ".join("--" + dest for dest in start)
+        print(f"the {args.model} model takes {together} together", file=sys.stderr)
         return _EXIT_USAGE
+    for dest in flags:
+        if dest not in start and getattr(args, dest) is None:
+            print(f"--{dest.replace('_', '-')} is required for the {args.model} model", file=sys.stderr)
+            return _EXIT_USAGE
     x_name, x, ratios, noise = read_interferogram_csv(Path(args.data))
-    expected = "a" if args.model == "thermal-thermal" and not args.si else "tau"  # a = τθ₀; --si: τ in s
+    expected = _x_column(args, args.model == "thermal-thermal")
     if x_name != expected:
         print(f"the {args.model} model{' with --si' if args.si else ''} reads the x column '{expected}', "
               f"but {args.data} has '{x_name}'", file=sys.stderr)
         return _EXIT_USAGE
 
-    if args.model == "thermal-thermal":
-        theta0 = args.theta0 * K_B / HBAR if args.si else args.theta0
-        taus = x if args.si else x / theta0
-        problem = FitProblem(
-            tau=taus, ratios=ratios, model="thermal_thermal",
-            fixed={"theta0": theta0},
-            initial=(args.p0,) if args.p0 is not None else (),
-            noise=noise,
-        )
-    elif args.model == "one-photon-vacuum":
-        problem = FitProblem(
-            tau=x, ratios=ratios, model="one_photon_vacuum", noise=noise,
-            initial=(args.p0, args.p1) if args.p0 is not None else (),
-        )
-    elif args.model == "fock":
-        if args.wbar_lo is None:
-            print("--wbar-lo is required for the fock model", file=sys.stderr)
-            return _EXIT_USAGE
-        problem = FitProblem(
-            tau=x, ratios=ratios, model="fock_fock",
-            fixed={"lo_mean_freq": args.wbar_lo, "width_guess": args.sigma},
-            noise=noise,
-        )
-    else:  # pragma: no cover
-        raise ValueError(args.model)
-
-    result = fit(problem)
+    fixed = fixed_from(args)
+    taus = x / fixed["theta0"] if expected == "a" else x  # a = τθ₀
+    result = fit(FitProblem(tau=taus, ratios=ratios, model=model, fixed=fixed, initial=initial, noise=noise))
     payload = {
         "model": args.model,
         "estimates": result.estimates,
@@ -487,13 +480,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_coherence(args) -> int:
-    foreign = _own_flags(args, _COHERENCE_FLAGS, args.si)
+    foreign = _own_flags(args, _COHERENCE_FLAGS[args.si], _COHERENCE_FLAGS.values())
     if foreign:
         print(f"coherence {'with' if args.si else 'without'} --si does not read {', '.join(foreign)}",
               file=sys.stderr)
         return _EXIT_USAGE
     if args.si:
-        theta = args.temperature * K_B / HBAR
+        theta = _temperature(args, args.temperature)
         report = estimate_coherence_time(theta, args.epsilon, speed_of_light=C_LIGHT)
         extra = {"temperature_kelvin": args.temperature, "tau_c_seconds": report.tau_c,
                  "coherence_length_m": report.coherence_length}
@@ -552,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit_p = sub.add_parser("fit", help="fit a forward model to an interferogram CSV")
     fit_p.add_argument("data", help="CSV file matching the simulate schema")
-    fit_p.add_argument("--model", required=True, choices=list(_FIT_FLAGS))
+    fit_p.add_argument("--model", required=True, choices=list(_FIT))
     fit_p.add_argument("--theta0", type=float, default=None,
                        help="known reference temperature (thermal-thermal; default 1)")
     fit_p.add_argument("--wbar-lo", type=float, default=None, help="known LO mean frequency (fock, required)")

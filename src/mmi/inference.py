@@ -1,6 +1,6 @@
 """Inverse problems on interferograms.
 
-Three parametric forward models are fit by damped least squares:
+Four parametric forward models are fit by damped least squares:
 
 * ``thermal_thermal``: temperature ratio θ₁/θ₀ with the reference θ₀
   known (the interferometric-thermometer configuration; only the ratio is
@@ -9,6 +9,10 @@ Three parametric forward models are fit by damped least squares:
   pulse against vacuum;
 * ``fock_fock`` / ``coherent_coherent``: signal mean frequency and common
   width with the LO spectrum known, without/with the sin cross term.
+
+The table ``_MODELS`` lists each model once: its parameter names, the
+known quantities it reads from ``FitProblem.fixed`` (a problem missing one
+is rejected when it is built), its prediction and its default start point.
 
 The coherence-time estimator inverts the thermal-vacuum closed form: it
 returns the smallest dimensionless delay beyond which the fringe deviation
@@ -24,13 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intensity import (
-    _coherent_cross_ratio,
-    _fock_closed_ratio,
-    one_photon_vacuum_ratio,
-    thermal_thermal_ratio,
-    thermal_vacuum_ratio,
-)
+from .intensity import _closed_pair_ratio, one_photon_vacuum_ratio, thermal_thermal_ratio, thermal_vacuum_ratio
 from .spectra import SpectralDistribution
 
 __all__ = [
@@ -65,34 +63,52 @@ class NonConvergenceError(RuntimeError):
         self.result = result
 
 
-_MODEL_PARAMS = {
-    "thermal_thermal": ("theta_ratio",),
-    "one_photon_vacuum": ("mean_freq", "width"),
-    "fock_fock": ("mean_freq", "width"),
-    "coherent_coherent": ("mean_freq", "width"),
+def _spectral_pair_start(problem) -> tuple:
+    lo_mean = problem.fixed["lo_mean_freq"]
+    width = problem.fixed.get("width_guess", lo_mean / 3.0)
+    # plateau of the closed form is (1 + lo/sig)/2: invert the tail mean
+    tail = problem.ratios[problem.tau >= 0.75 * problem.tau.max()]
+    plateau = float(np.mean(tail)) if tail.size else 1.0
+    mean_guess = lo_mean / max(2.0 * plateau - 1.0, 0.2)
+    return (mean_guess, width)
+
+
+# Each fit model: its parameter names, the `fixed` keys it reads, its
+# prediction (tau, params, fixed) -> ratios and its default start point.  The
+# spectral pairs use the unguarded closed form: the optimizer may step through
+# parameter regions where the public closed forms refuse the approximation.
+_MODELS = {
+    "thermal_thermal": (
+        ("theta_ratio",), ("theta0",),
+        lambda tau, p, fixed: thermal_thermal_ratio(fixed["theta0"], p[0] * fixed["theta0"], tau),
+        lambda problem: (1.1,),
+    ),
+    "one_photon_vacuum": (
+        ("mean_freq", "width"), (),
+        lambda tau, p, fixed: one_photon_vacuum_ratio(SpectralDistribution(p[0], p[1]), tau),
+        lambda problem: (3.0, 1.0),
+    ),
+    "fock_fock": (
+        ("mean_freq", "width"), ("lo_mean_freq",),
+        lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], fixed["lo_mean_freq"], p[1], tau, False),
+        _spectral_pair_start,
+    ),
+    "coherent_coherent": (
+        ("mean_freq", "width"), ("lo_mean_freq",),
+        lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], fixed["lo_mean_freq"], p[1], tau, True),
+        _spectral_pair_start,
+    ),
 }
 
 
 def model_prediction(model: str, tau: np.ndarray, params, fixed: dict) -> np.ndarray:
     """Forward model ratios on a delay grid; `fixed` holds the known quantities."""
-    tau = np.asarray(tau, dtype=float)
-    if model == "thermal_thermal":
-        (ratio,) = params
-        theta0 = fixed["theta0"]
-        return np.asarray(thermal_thermal_ratio(theta0, ratio * theta0, tau))
-    if model == "one_photon_vacuum":
-        mean, width = params
-        return np.asarray(one_photon_vacuum_ratio(SpectralDistribution(mean, width), tau))
-    if model in ("fock_fock", "coherent_coherent"):
-        # unguarded formulas: the optimizer may step through parameter
-        # regions where the public ops would refuse the approximation
-        mean, width = params
-        lo_mean = fixed["lo_mean_freq"]
-        out = np.asarray(_fock_closed_ratio(mean, width, lo_mean, width, tau))
-        if model == "coherent_coherent":
-            out = out - np.asarray(_coherent_cross_ratio(mean, width, lo_mean, width, tau))
-        return out
-    raise ValueError(f"unknown model {model!r}; expected one of {sorted(_MODEL_PARAMS)}")
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {sorted(_MODELS)}")
+    names, _, predict, _ = _MODELS[model]
+    if len(params) != len(names):
+        raise ValueError(f"model {model} takes parameters {names}")
+    return np.asarray(predict(np.asarray(tau, dtype=float), params, fixed))
 
 
 @dataclass(frozen=True)
@@ -114,10 +130,13 @@ class FitProblem:
             raise ValueError("delays and ratios must be finite")
         if self.noise is not None and not np.isfinite(self.noise).all():
             raise ValueError("noise levels must be finite")
-        if self.model not in _MODEL_PARAMS:
+        if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        names = _MODEL_PARAMS[self.model]
-        initial = tuple(self.initial) if self.initial else _default_initial(self)
+        names, needs, _, start = _MODELS[self.model]
+        missing = [key for key in needs if self.fixed.get(key) is None]
+        if missing:
+            raise ValueError(f"model {self.model} needs fixed {missing}")
+        initial = tuple(self.initial) if self.initial else start(self)
         object.__setattr__(self, "initial", initial)
         if len(initial) != len(names):
             raise ValueError(f"model {self.model} takes parameters {names}")
@@ -138,7 +157,7 @@ class FitProblem:
 
     @property
     def parameter_names(self) -> tuple:
-        return _MODEL_PARAMS[self.model]
+        return _MODELS[self.model][0]
 
     def weights(self) -> np.ndarray:
         if self.noise is None:
@@ -147,22 +166,6 @@ class FitProblem:
         if np.any(sigma <= 0.0):
             raise ValueError("noise levels must be positive")
         return 1.0 / sigma
-
-
-def _default_initial(problem: FitProblem) -> tuple:
-    if problem.model == "thermal_thermal":
-        return (1.1,)
-    if problem.model == "one_photon_vacuum":
-        return (3.0, 1.0)
-    lo_mean = problem.fixed.get("lo_mean_freq")
-    if lo_mean is None:
-        raise ValueError("fock/coherent fits need fixed['lo_mean_freq']")
-    width = problem.fixed.get("width_guess", lo_mean / 3.0)
-    # plateau of the closed form is (1 + lo/sig)/2: invert the tail mean
-    tail = problem.ratios[problem.tau >= 0.75 * problem.tau.max()]
-    plateau = float(np.mean(tail)) if tail.size else 1.0
-    mean_guess = lo_mean / max(2.0 * plateau - 1.0, 0.2)
-    return (mean_guess, width)
 
 
 @dataclass(frozen=True)
@@ -320,13 +323,14 @@ def estimate_coherence_time(
     if i + 1 >= grid.size:
         raise RuntimeError("threshold crossing not bracketed; widen the scan")
     lo_a, hi_a = grid[i], grid[i + 1]
-    for _ in range(80):
-        mid = 0.5 * (lo_a + hi_a)
-        if deviation(mid) >= epsilon:
-            lo_a = mid
-        else:
-            hi_a = mid
     a_c = 0.5 * (lo_a + hi_a)
+    # halve until the midpoint rounds onto an end: the bracket cannot shrink further
+    while lo_a < a_c < hi_a:
+        if deviation(a_c) >= epsilon:
+            lo_a = a_c
+        else:
+            hi_a = a_c
+        a_c = 0.5 * (lo_a + hi_a)
     tau_c = a_c / theta
     return CoherenceReport(a_c, tau_c, speed_of_light * tau_c, epsilon)
 

@@ -207,29 +207,34 @@ def _check_closed_form_regime(spec: SpectralDistribution, label: str):
         warnings.warn(
             f"closed form is a wide-pulse approximation; accuracy degrades for "
             f"{label} mean frequency below 3 widths",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def _fock_closed_ratio(mean_s, width_s, mean_lo, width_lo, tau):
-    # extended-range, ω -> ω̄ form; unguarded so optimizers may roam
+def _closed_pair_ratio(mean_s, width_s, mean_lo, width_lo, tau, cross: bool):
+    # extended-range, ω -> ω̄ form, less its product-Gaussian cross term when
+    # `cross` (the coherent pair); unguarded so optimizers may roam
     t = np.asarray(tau, dtype=float)
     ratio = mean_lo / mean_s
     env_s = np.exp(-((width_s * t) ** 2) / 4.0)
     env_lo = np.exp(-((width_lo * t) ** 2) / 4.0)
-    return 0.5 * (
+    out = 0.5 * (
         1.0 + ratio + env_s * np.cos(t * mean_s) - ratio * env_lo * np.cos(t * mean_lo)
     )
+    if cross:
+        var_sum = width_s**2 + width_lo**2
+        mu, _, detune = _product_gaussian(mean_s, width_s, mean_lo, width_lo)
+        amp = math.sqrt(2.0 * width_s * width_lo / var_sum)
+        env = np.exp(-(width_s**2 * width_lo**2 / (2.0 * var_sum)) * t**2)
+        out = out - (mu / mean_s) * amp * detune * env * np.sin(mu * t)
+    return out
 
 
-def _coherent_cross_ratio(mean_s, width_s, mean_lo, width_lo, tau):
-    # same approximation applied to the product Gaussian of the two spectra
-    t = np.asarray(tau, dtype=float)
-    var_sum = width_s**2 + width_lo**2
-    mu, _, detune = _product_gaussian(mean_s, width_s, mean_lo, width_lo)
-    amp = math.sqrt(2.0 * width_s * width_lo / var_sum)
-    env = np.exp(-(width_s**2 * width_lo**2 / (2.0 * var_sum)) * t**2)
-    return (mu / mean_s) * amp * detune * env * np.sin(mu * t)
+def _closed_pair(f_s: SpectralDistribution, f_lo: SpectralDistribution, tau, cross: bool):
+    _check_closed_form_regime(f_s, "signal")
+    _check_closed_form_regime(f_lo, "local oscillator")
+    out = _closed_pair_ratio(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width, tau, cross)
+    return out if out.ndim else float(out)
 
 
 def fock_intensity_closed(f_s: SpectralDistribution, f_lo: SpectralDistribution, tau) -> float:
@@ -242,10 +247,7 @@ def fock_intensity_closed(f_s: SpectralDistribution, f_lo: SpectralDistribution,
     ratio (see the module docstring), so its error is bounded by
     |ω̄_lo - ω̄_s|/(e ω̄_s) whatever ω̄/σ is, not made small by ω̄ ≫ σ.
     """
-    _check_closed_form_regime(f_s, "signal")
-    _check_closed_form_regime(f_lo, "local oscillator")
-    out = _fock_closed_ratio(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width, tau)
-    return out if out.ndim else float(out)
+    return _closed_pair(f_s, f_lo, tau, cross=False)
 
 
 def coherent_intensity_closed(f_s: SpectralDistribution, f_lo: SpectralDistribution, tau) -> float:
@@ -257,12 +259,7 @@ def coherent_intensity_closed(f_s: SpectralDistribution, f_lo: SpectralDistribut
     (ω̄₊/ω̄_s) e^{-(ω̄_s-ω̄_lo)²/4σ²} e^{-(στ)²/4} sin(ω̄₊τ),
     with ω̄₊ = (ω̄_s + ω̄_lo)/2.
     """
-    _check_closed_form_regime(f_s, "signal")
-    _check_closed_form_regime(f_lo, "local oscillator")
-    base = _fock_closed_ratio(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width, tau)
-    cross = _coherent_cross_ratio(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width, tau)
-    out = base - cross
-    return out if out.ndim else float(out)
+    return _closed_pair(f_s, f_lo, tau, cross=True)
 
 
 def one_photon_vacuum_ratio(f_s: SpectralDistribution, tau) -> float:
@@ -464,10 +461,8 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
             )
         elif f_lo is None:
             ratios = one_photon_vacuum_ratio(f_s, taus)
-        elif cross:
-            ratios = coherent_intensity_closed(f_s, f_lo, taus)
         else:
-            ratios = fock_intensity_closed(f_s, f_lo, taus)
+            ratios = _closed_pair(f_s, f_lo, taus, cross)
 
     ratios = np.asarray(ratios, dtype=float).reshape(taus.shape)
     ratios[taus == 0.0] = 1.0

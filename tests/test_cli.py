@@ -220,6 +220,9 @@ def test_fit_and_coherence_reject_flags_they_do_not_read(tmp_path, capsys):
     # one-photon-vacuum reads its initial guess as a pair
     assert cli.main(["fit", str(data), "--model", "one-photon-vacuum", "--p0", "3"]) == 2
     assert "--p0 and --p1" in capsys.readouterr().err
+    # the fock model has no default LO mean frequency
+    assert cli.main(["fit", str(data), "--model", "fock"]) == 2
+    assert "--wbar-lo is required for the fock model" in capsys.readouterr().err
 
 
 def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
@@ -257,6 +260,26 @@ def test_fit_roundtrip_through_files(tmp_path):
     assert abs(result["estimates"]["theta_ratio"] - 1.01) < 1e-6
     assert result["converged"] is True
     assert result["uncertainties"]["theta_ratio"] > 0.0
+
+
+@pytest.mark.parametrize("simulate, fit_args, truth", [
+    (["thermal-thermal", "--theta0", "1.2", "--t1/t0", "0.95", "--grid", "0:3:200"],
+     ["thermal-thermal", "--theta0", "1.2"], {"theta_ratio": 0.95}),
+    (["one-photon-vacuum", "--wbar-s", "3.2", "--sigma", "0.9", "--method", "closed_form"],
+     ["one-photon-vacuum"], {"mean_freq": 3.2, "width": 0.9}),
+    (["fock", "--wbar-s", "3", "--wbar-lo", "3.15", "--sigma", "1", "--method", "closed_form"],
+     ["fock", "--wbar-lo", "3.15"], {"mean_freq": 3.0, "width": 1.0}),
+])
+def test_fit_recovers_every_model_from_its_simulate_csv(tmp_path, capsys, simulate, fit_args, truth):
+    data = tmp_path / "data.csv"
+    assert cli.main(["simulate", *simulate, "-o", str(data)]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", str(data), "--model", *fit_args]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["converged"] is True
+    assert result["estimates"].keys() == truth.keys()
+    for name, value in truth.items():
+        assert abs(result["estimates"][name] - value) < 1e-6, name
 
 
 def test_fit_flat_data_exits_identifiability(tmp_path):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import mmi.inference
 from mmi.inference import (
     DEFAULT_COHERENCE_EPSILON,
     FitProblem,
@@ -10,7 +13,7 @@ from mmi.inference import (
     fit,
     model_prediction,
 )
-from mmi.intensity import coherent_intensity, fock_intensity, thermal_thermal_ratio
+from mmi.intensity import coherent_intensity, fock_intensity, thermal_thermal_ratio, thermal_vacuum_ratio
 from mmi.spectra import SpectralDistribution
 
 F_S = SpectralDistribution(3.0, 1.0)
@@ -134,6 +137,23 @@ def test_model_jacobians_match_central_differences():
             assert float(np.max(np.abs(forward - central))) / scale < 1e-5, (model, i)
 
 
+def test_fit_problem_names_missing_fixed_quantities():
+    taus = np.linspace(0.0, 6.0, 150)
+    data = model_prediction("fock_fock", taus, (3.0, 1.0), {"lo_mean_freq": 3.15})
+    for model in ("fock_fock", "coherent_coherent"):
+        with pytest.raises(ValueError, match="lo_mean_freq"):
+            FitProblem(tau=taus, ratios=data, model=model, initial=(3.0, 1.0))
+    with pytest.raises(ValueError, match="theta0"):
+        FitProblem(tau=taus, ratios=np.asarray(thermal_thermal_ratio(1.0, 1.01, taus)), model="thermal_thermal")
+
+
+def test_model_prediction_rejects_a_wrong_parameter_count():
+    with pytest.raises(ValueError, match="theta_ratio"):
+        model_prediction("thermal_thermal", [0.0, 1.0], (1.01, 2.0), {"theta0": 1.0})
+    with pytest.raises(ValueError, match="width"):
+        model_prediction("fock_fock", [0.0, 1.0], (3.0,), {"lo_mean_freq": 3.15})
+
+
 def test_weighting_changes_heteroscedastic_fit():
     rng = np.random.default_rng(3)
     taus = np.linspace(0.0, 3.0, 200) / 1.01
@@ -201,6 +221,35 @@ def test_fit_problem_rejects_non_finite_data():
         with pytest.raises(ValueError, match="finite"):
             FitProblem(tau=taus, ratios=data, model="thermal_thermal", fixed={"theta0": 1.0},
                        noise=np.where(taus == taus[5], bad, 1e-3))
+
+
+def test_coherence_bisection_stops_when_the_bracket_cannot_shrink(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return thermal_vacuum_ratio(*args)
+
+    def deviation(a):
+        return np.abs(np.asarray(thermal_vacuum_ratio(1.0, a, 3, "closed_form")) - 0.5)
+
+    monkeypatch.setattr(mmi.inference, "thermal_vacuum_ratio", counted)
+    for epsilon in (DEFAULT_COHERENCE_EPSILON, 1e-3, 0.01, 0.2, 0.49):
+        calls.clear()
+        a_c = estimate_coherence_time(epsilon=epsilon).a_c
+        assert len(calls) <= 60, epsilon
+        # the same bracket, bisected for a fixed 80 rounds
+        a_max = max((45.0 / (2.0 * epsilon)) ** 0.25 / math.pi * 1.5, 2.0)
+        grid = np.linspace(1e-4, a_max, 4096)
+        i = np.nonzero(deviation(grid) >= epsilon)[0][-1]
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if deviation(mid) >= epsilon:
+                lo = mid
+            else:
+                hi = mid
+        assert a_c == 0.5 * (lo + hi), epsilon
 
 
 def test_threshold_domain():

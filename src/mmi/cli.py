@@ -4,7 +4,8 @@ Outputs are desk-scale, human-diffable files: a CSV with a one-line header
 (``tau,ratio`` or ``a,ratio``, with ``ratio_closed,ratio_quadrature`` under
 ``--method both``; values at 12 significant digits, LF line endings) plus
 a JSON sidecar echoing the full configuration, the method used, the seed,
-the library version, and a timestamp.  CSV bytes are
+the library version, and a timestamp, plus the quadrature counters when
+a run integrated.  CSV bytes are
 deterministic for identical configuration and seed; the timestamp lives
 only in the sidecar.
 
@@ -95,7 +96,8 @@ def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
             fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
-def write_sidecar(csv_path: Path, config: dict, method: str, seed) -> Path:
+def write_sidecar(csv_path: Path, config: dict, method: str, seed, quadrature: dict | None = None) -> Path:
+    """The JSON next to a CSV; ``quadrature`` holds the counters of an integrated run."""
     sidecar = csv_path.with_suffix(".json")
     payload = {
         "config": config,
@@ -104,6 +106,8 @@ def write_sidecar(csv_path: Path, config: dict, method: str, seed) -> Path:
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if quadrature is not None:
+        payload["quadrature"] = quadrature
     sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return sidecar
 
@@ -229,7 +233,8 @@ def cmd_simulate(args) -> int:
     config.update(scenario=args.scenario, grid=args.grid, method=args.method, d=gram.metadata["dimension"])
     out = Path(args.out) if args.out else Path(f"mmi_{args.scenario.replace('-', '_')}.csv")
     write_csv(out, columns)
-    sidecar = write_sidecar(out, config, method_used, None)
+    # under --method both the last run is the quadrature one
+    sidecar = write_sidecar(out, config, method_used, None, gram.metadata.get("quadrature"))
     print(f"wrote {out} and {sidecar}")
     return _EXIT_OK
 
@@ -380,7 +385,7 @@ def cmd_verify(args) -> int:
     if args.out:
         payload = {
             "checks": [
-                {"name": n, "max_deviation": v, "tolerance": t, "passed": v <= t}
+                {"name": n, "max_deviation": float(v), "tolerance": t, "passed": bool(v <= t)}
                 for n, v, t in checks
             ],
             "quick": args.quick,

@@ -55,11 +55,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
+from .quadrature import QuadratureResult
 from .spectra import SpectralDistribution, gaussian_fourier_moments, integrate_over_spectra
 from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, bose_weighted_integral
 from .thermal_kernels import bose_integral_constant, fringe_deviation
@@ -108,20 +109,26 @@ def _resolve(scenario: str, d: int | None, method: str):
 
 
 def _spectral_integral(f_s, f_lo, tau, d, cross: bool, abs_tol, rel_tol):
-    """One-shot quadrature of the full detection integrand."""
-    tau = float(tau)
+    """Quadrature of the full detection integrand at every delay of ``tau``.
 
-    def integrand(w):
-        c = np.cos(w * tau)
-        y = f_s.amplitude(w) ** 2 * (1.0 + c)
+    Each amplitude is evaluated once per node for the whole grid; returns the
+    :class:`~mmi.quadrature.QuadratureResult`, value and error shaped like ``tau``.
+    """
+
+    def integrand(w, t):
+        wt = np.multiply.outer(w, t)
+        c = np.cos(wt)
+        amp_s = f_s.amplitude(w)
+        y = (amp_s**2)[:, None] * (1.0 + c)
         if f_lo is not None:
-            y = y + f_lo.amplitude(w) ** 2 * (1.0 - c)
+            amp_lo = f_lo.amplitude(w)
+            y += (amp_lo**2)[:, None] * (1.0 - c)
             if cross:
-                y = y - 2.0 * f_s.amplitude(w) * f_lo.amplitude(w) * np.sin(w * tau)
-        return w**d * y
+                y -= (2.0 * amp_s * amp_lo)[:, None] * np.sin(wt)
+        return (w**d)[:, None] * y
 
     spectra = (f_s,) if f_lo is None else (f_s, f_lo)
-    return integrate_over_spectra(integrand, spectra, abs_tol=abs_tol, rel_tol=rel_tol, osc_scale=abs(tau))
+    return integrate_over_spectra(integrand, spectra, tau, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def _product_gaussian(mean_s, width_s, mean_lo, width_lo):
@@ -174,7 +181,7 @@ def fock_intensity(
     the mean frequency under f_s².
     """
     d, _ = _resolve("spectral", d, "quadrature")
-    return _spectral_integral(f_s, f_lo, tau, d, cross=False, abs_tol=abs_tol, rel_tol=rel_tol)
+    return _spectral_integral(f_s, f_lo, tau, d, cross=False, abs_tol=abs_tol, rel_tol=rel_tol).value
 
 
 def coherent_intensity(
@@ -194,7 +201,7 @@ def coherent_intensity(
     :func:`mmi.spectra.weighted_overlap`, not an identity).
     """
     d, _ = _resolve("spectral", d, "quadrature")
-    return _spectral_integral(f_s, f_lo, tau, d, cross=True, abs_tol=abs_tol, rel_tol=rel_tol)
+    return _spectral_integral(f_s, f_lo, tau, d, cross=True, abs_tol=abs_tol, rel_tol=rel_tol).value
 
 
 def _check_closed_form_regime(spec: SpectralDistribution, label: str):
@@ -277,14 +284,48 @@ def one_photon_vacuum_ratio(f_s: SpectralDistribution, tau) -> float:
 # thermal scenarios
 
 
-def _bose_fringe(a, d: int, method: str, abs_tol: float, rel_tol: float) -> np.ndarray:
-    """K_d(a) = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx over a grid of a ≥ 0: the
-    stable kernel at x = πa (closed form), or one quadrature per delay."""
-    if method == "closed_form":
-        return np.asarray(fringe_deviation(a * math.pi, d))
+def _bose_fringe(a, d: int, abs_tol: float, rel_tol: float) -> QuadratureResult:
+    """K_d(a) = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx over a grid of a ≥ 0 by
+    quadrature, in one call for the whole grid; value and error are in units of K."""
     j_const = bose_integral_constant(d)
-    osc = [bose_weighted_integral(1.0, d, "cos", ai, abs_tol=abs_tol * j_const, rel_tol=rel_tol) for ai in a.ravel()]
-    return (np.array(osc) / j_const).reshape(a.shape)
+    res = bose_weighted_integral(1.0, d, "cos", a, abs_tol=abs_tol * j_const, rel_tol=rel_tol)
+    return replace(res, value=res.value / j_const, error=res.error / j_const)
+
+
+def _counters(result: QuadratureResult, ratio_error) -> dict:
+    """``metadata["quadrature"]``: panels and integrand evaluations summed over
+    the calls, and the largest error estimate of a ratio."""
+    return {
+        "panels": result.panels,
+        "evaluations": result.evaluations,
+        "max_error": float(np.max(ratio_error, initial=0.0)),
+    }
+
+
+def _thermal_vacuum(theta, tau, d, method, abs_tol, rel_tol):
+    """Ratios of :func:`thermal_vacuum_ratio` and the quadrature counters (None for the closed form)."""
+    a = np.abs(np.asarray(tau, dtype=float)) * theta
+    if method == "closed_form":
+        return 0.5 * (1.0 + np.asarray(fringe_deviation(a * math.pi, d))), None
+    k = _bose_fringe(a, d, abs_tol, rel_tol)
+    return 0.5 * (1.0 + k.value), _counters(k, 0.5 * k.error)
+
+
+def _thermal_pair(theta0, theta1, tau, method, abs_tol, rel_tol):
+    """Ratios of :func:`thermal_thermal_ratio` and the quadrature counters (None for the closed form)."""
+    t = np.abs(np.asarray(tau, dtype=float))
+    r4 = (theta0 / theta1) ** 4
+    quad = None
+    if method == "closed_form":
+        k1, k0 = (np.asarray(fringe_deviation(t * theta * math.pi, 3)) for theta in (theta1, theta0))
+    else:
+        # both a-grids in one call
+        k = _bose_fringe(np.stack([t * theta1, t * theta0]), 3, abs_tol, rel_tol)
+        k1, k0 = k.value
+        quad = _counters(k, 0.5 * (k.error[0] + r4 * k.error[1]))
+    # grouping the kernel difference keeps the equal-temperature
+    # cancellation exact in floating point
+    return 0.5 * (1.0 + r4 + (k1 - r4 * k0)), quad
 
 
 def thermal_vacuum_ratio(
@@ -308,8 +349,7 @@ def thermal_vacuum_ratio(
     if not 0.0 < theta < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {theta}")
 
-    a = np.abs(np.asarray(tau, dtype=float)) * theta
-    out = 0.5 * (1.0 + _bose_fringe(a, d, method, abs_tol, rel_tol))
+    out = np.asarray(_thermal_vacuum(theta, tau, d, method, abs_tol, rel_tol)[0])
     return out if out.ndim else float(out)
 
 
@@ -338,12 +378,7 @@ def thermal_thermal_ratio(
     if not (0.0 < theta0 < math.inf and 0.0 < theta1 < math.inf):
         raise ValueError("temperatures must be positive and finite")
 
-    t = np.abs(np.asarray(tau, dtype=float))
-    r4 = (theta0 / theta1) ** 4
-    k1, k0 = (_bose_fringe(t * theta, 3, method, abs_tol, rel_tol) for theta in (theta1, theta0))
-    # grouping the kernel difference keeps the equal-temperature
-    # cancellation exact in floating point
-    out = 0.5 * (1.0 + r4 + (k1 - r4 * k0))
+    out = np.asarray(_thermal_pair(theta0, theta1, tau, method, abs_tol, rel_tol)[0])
     return out if out.ndim else float(out)
 
 
@@ -389,7 +424,10 @@ class Interferogram:
     sample is identically 1.  ``normalization`` records the unnormalized
     ⟨I⟩(0) of the spectral exact and quadrature paths (module-internal
     scale, the same for both); closed-form paths are born normalized and
-    record None.
+    record None.  A quadrature run also records
+    ``metadata["quadrature"] = {"panels", "evaluations", "max_error"}``: the
+    panels and integrand nodes of every integration call summed, and the
+    largest a-posteriori error estimate of a ratio.
     """
 
     delays: np.ndarray
@@ -444,11 +482,11 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
     scenario = _scenario(sig, lo)
     d, used = _resolve(scenario, request.dimension, request.method)
 
-    norm = None
+    norm = quad = None
     if scenario == "thermal-vacuum":
-        ratios = thermal_vacuum_ratio(sig.theta, taus, d, used, **tols)
+        ratios, quad = _thermal_vacuum(sig.theta, taus, d, used, **tols)
     elif scenario == "thermal-thermal":
-        ratios = thermal_thermal_ratio(lo.theta, sig.theta, taus, used, **tols)
+        ratios, quad = _thermal_pair(lo.theta, sig.theta, taus, used, **tols)
     else:
         f_s = sig.spectrum
         f_lo = None if isinstance(lo, Vacuum) else lo.spectrum
@@ -456,9 +494,13 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
         if used == "exact":
             ratios, norm = _spectral_exact(f_s, f_lo, taus, d, cross)
         elif used == "quadrature":
-            ratios, norm = _grid_ratio_quadrature(
-                lambda t: _spectral_integral(f_s, f_lo, t, d, cross, **tols), taus
-            )
+            # [0, τ…] in one grid: the zero-delay intensity normalizes the rest
+            res = _spectral_integral(f_s, f_lo, np.concatenate([[0.0], taus.ravel()]), d, cross, **tols)
+            norm = float(res.value[0])
+            if norm <= 0.0:
+                raise ValueError("zero-delay intensity vanished; cannot normalize")
+            ratios = res.value[1:] / norm
+            quad = _counters(res, (res.error[1:] + np.abs(ratios) * res.error[0]) / norm)
         elif f_lo is None:
             ratios = one_photon_vacuum_ratio(f_s, taus)
         else:
@@ -475,14 +517,7 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
         "rel_tol": request.rel_tol,
         "seed": None,
     }
+    if quad is not None:
+        meta["quadrature"] = quad
     return Interferogram(delays=taus.copy(), ratios=ratios, normalization=norm, metadata=meta)
 
-
-def _grid_ratio_quadrature(intensity_fn, taus):
-    norm = intensity_fn(0.0)
-    if norm <= 0.0:
-        raise ValueError("zero-delay intensity vanished; cannot normalize")
-    ratios = np.fromiter(
-        (1.0 if t == 0.0 else intensity_fn(t) / norm for t in taus.ravel()), dtype=float, count=taus.size
-    )
-    return ratios.reshape(taus.shape), norm

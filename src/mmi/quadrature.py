@@ -8,6 +8,18 @@ with the embedded 7-point Gauss rule as error estimator; in the oscillatory
 regime the initial panel width is capped at a quarter period so the local
 polynomial degree stays far above the phase variation per panel.
 
+Integrands may be vector-valued: ``f(x)`` of shape ``(nodes,)`` or
+``(nodes, K)``, one column per member of a family such as the cos(ωτ_k)
+fringe integrals of a delay grid.  Both rules then act on every panel as
+one (2 × 15) matrix product, and refinement is global, as in the
+vector-valued QUADPACK qag scheme (Piessens et al. 1983): every panel that
+carries more than its share of the tolerance of any unconverged member is
+bisected, and the call returns only once each member k meets
+``max(abs_tol, rel_tol·|I_k|)``.  :func:`integrate_grid` splits a delay grid
+into chunks of ascending |τ|, each with its own oscillation rate, so that
+the first pass of a chunk evaluates at most ``CHUNK_ELEMENTS`` node × delay
+values; the budget bounds memory, it is not a tuning knob.
+
 Nodes and weights were generated from the exact Stieltjes-polynomial
 construction in rational arithmetic and verified to integrate monomials
 exactly through degree 22 (degree 13 for the embedded Gauss rule).
@@ -25,6 +37,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "integrate",
+    "integrate_grid",
     "integrate_half_line",
     "tail_cutoff",
 ]
@@ -72,13 +85,21 @@ GAUSS_WEIGHTS[7] = _POS_GAUSS[0]
 GAUSS_WEIGHTS[[5, 9]] = _POS_GAUSS[1]
 GAUSS_WEIGHTS[[3, 11]] = _POS_GAUSS[2]
 GAUSS_WEIGHTS[[1, 13]] = _POS_GAUSS[3]
+_RULES = np.stack([KRONROD_WEIGHTS, GAUSS_WEIGHTS])
+
+# Default panel budget of one integration.
+MAX_PANELS = 8192
+# Most node × delay values the first pass of one chunk of integrate_grid
+# evaluates: 512 KiB per float64 array, so memory stays flat on any grid.
+CHUNK_ELEMENTS = 65536
 
 
 class QuadratureError(RuntimeError):
     """Raised when the panel budget is exhausted above tolerance.
 
-    Carries the achieved and requested error estimates so callers can
-    decide whether the partial result is usable.
+    Carries the achieved and requested error estimates (of the worst member,
+    for a vector integrand) so callers can decide whether the partial result
+    is usable.
     """
 
     def __init__(self, message: str, achieved: float, requested: float):
@@ -89,22 +110,28 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error: float  # a-posteriori estimate: sum over panels of |K15 - G7|
+    value: float | np.ndarray
+    error: float | np.ndarray  # a-posteriori estimate per member: sum over panels of |K15 - G7|
     panels: int
+    evaluations: int  # integrand nodes, each counted once whatever the number of members
 
 
 def _eval_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
-    """Kronrod value and |K15-G7| error for a batch of panels."""
+    """Kronrod values and |K15-G7| errors, (panels, members), for a batch of panels,
+    and the shape of one member set of the integrand."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * NODES[None, :]
-    y = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
+    y = np.asarray(f(x.reshape(-1)), dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("integrand returned a non-finite value")
-    kron = (y * KRONROD_WEIGHTS).sum(axis=1) * half
-    gauss = (y * GAUSS_WEIGHTS).sum(axis=1) * half
-    return kron, np.abs(kron - gauss)
+    sums = (_RULES @ y.reshape(len(lo), NODES.size, -1)) * half[:, None, None]
+    return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1]), y.shape[1:]
+
+
+def _initial_panels(width: float, osc_scale):
+    """First-pass panel count: eighths of the interval, each at most a quarter period."""
+    return np.maximum(8, np.ceil(2.0 * width * np.asarray(osc_scale) / math.pi)).astype(int)
 
 
 def integrate(
@@ -115,26 +142,30 @@ def integrate(
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-12,
     osc_scale: float = 0.0,
-    max_panels: int = 8192,
+    max_panels: int = MAX_PANELS,
 ) -> QuadratureResult:
-    """Adaptively integrate a vectorized integrand over [lo, hi].
+    """Adaptively integrate a vectorized, possibly vector-valued integrand over [lo, hi].
 
     Parameters
     ----------
     f:
-        Vectorized callable, ``f(x: ndarray) -> ndarray``.  Must be finite
-        on the open interval; panel nodes never touch the endpoints, so
-        removable endpoint singularities (e.g. x^d/(e^x - 1) at 0) are fine.
+        Vectorized callable, ``f(x: ndarray) -> ndarray`` of shape
+        ``(x.size,)`` or ``(x.size, K)``.  Must be finite on the open
+        interval; panel nodes never touch the endpoints, so removable
+        endpoint singularities (e.g. x^d/(e^x - 1) at 0) are fine.
     abs_tol, rel_tol:
-        Convergence requires the summed panel error estimate to fall below
-        ``max(abs_tol, rel_tol * |integral|)``.
+        Convergence requires each member's summed panel error estimate to
+        fall below ``max(abs_tol, rel_tol * |integral|)``.
     osc_scale:
         Effective angular rate of the fastest oscillation of the integrand
-        (ωτ kernels: the delay τ).  Initial panel widths are capped at
-        ``pi / (2 * osc_scale)``, a quarter period.
+        (ωτ kernels: the largest delay τ).  Initial panel widths are capped
+        at ``pi / (2 * osc_scale)``, a quarter period.
     max_panels:
         Panel budget; exceeding it raises :class:`QuadratureError` carrying
-        the achieved estimate.
+        the achieved estimate of the worst member.
+
+    The value and error are floats for a scalar integrand and arrays of
+    shape ``(K,)`` for a vector-valued one.
     """
     lo = float(lo)
     hi = float(hi)
@@ -142,37 +173,90 @@ def integrate(
         raise ValueError(f"non-finite interval [{lo}, {hi}] or oscillation rate {osc_scale}")
     if not hi > lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
-    width = hi - lo
-    base = width / 8.0
-    if osc_scale > 0.0:
-        base = min(base, math.pi / (2.0 * osc_scale))
-    n0 = min(max(8, int(math.ceil(width / base))), max_panels)
-    edges = np.linspace(lo, hi, n0 + 1)
+    edges = np.linspace(lo, hi, min(int(_initial_panels(hi - lo, osc_scale)), max_panels) + 1)
     p_lo, p_hi = edges[:-1], edges[1:]
-    vals, errs = _eval_panels(f, p_lo, p_hi)
+    vals, errs, shape = _eval_panels(f, p_lo, p_hi)
+    evaluations = vals.shape[0] * NODES.size
 
     while True:
-        total = float(vals.sum())
-        err = float(errs.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
-        if err <= tol:
-            return QuadratureResult(total, err, len(vals))
+        total = vals.sum(axis=0)
+        err = errs.sum(axis=0)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        unmet = err > tol
+        if not unmet.any():
+            value, error = total.reshape(shape), err.reshape(shape)
+            if not shape:
+                value, error = float(value), float(error)
+            return QuadratureResult(value, error, len(vals), evaluations)
+        floor = np.maximum(tol, np.finfo(float).tiny)  # abs_tol = 0 may leave tol = 0
         if len(vals) >= max_panels:
-            raise QuadratureError("quadrature panel budget exhausted", err, tol)
-        # Bisect every panel carrying more than its share of the budget.
-        split = errs > tol / (2.0 * len(vals))
+            worst = int(np.argmax(np.where(unmet, err / floor, 0.0)))
+            raise QuadratureError("quadrature panel budget exhausted", float(err[worst]), float(tol[worst]))
+        # Bisect every panel carrying more than its share of the budget of
+        # some unconverged member.
+        share = errs[:, unmet] * (2.0 * len(vals)) / floor[unmet]
+        split = (share > 1.0).any(axis=1)
         if not split.any():
-            split[np.argmax(errs)] = True
+            split[np.argmax(share.max(axis=1))] = True
         s_lo, s_hi = p_lo[split], p_hi[split]
         mid = 0.5 * (s_lo + s_hi)
         n_lo = np.concatenate([s_lo, mid])
         n_hi = np.concatenate([mid, s_hi])
-        n_vals, n_errs = _eval_panels(f, n_lo, n_hi)
+        n_vals, n_errs, _ = _eval_panels(f, n_lo, n_hi)
+        evaluations += n_vals.shape[0] * NODES.size
         keep = ~split
         p_lo = np.concatenate([p_lo[keep], n_lo])
         p_hi = np.concatenate([p_hi[keep], n_hi])
         vals = np.concatenate([vals[keep], n_vals])
         errs = np.concatenate([errs[keep], n_errs])
+
+
+def _chunk_ends(rates: np.ndarray, width: float) -> list[int]:
+    """End indices of the chunks of ascending ``rates`` whose first pass over
+    [0, width] stays within ``CHUNK_ELEMENTS`` node × delay values (at least
+    one delay each)."""
+    nodes = NODES.size * np.minimum(_initial_panels(width, rates), MAX_PANELS)
+    most = max(1, CHUNK_ELEMENTS // (NODES.size * 8))  # no chunk holds more delays
+    ends = [0]
+    while ends[-1] < rates.size:
+        start = ends[-1]
+        block = np.arange(1, most + 1)[: rates.size - start] * nodes[start : start + most]
+        ends.append(start + max(1, int(np.searchsorted(block, CHUNK_ELEMENTS, side="right"))))
+    return ends[1:]
+
+
+def integrate_grid(
+    delays, width: float, integrate_chunk: Callable[[np.ndarray, float], QuadratureResult]
+) -> QuadratureResult:
+    """Integrate a family of integrands, one per delay τ_k, chunk by chunk.
+
+    The delays are sorted by |τ| and split into chunks whose first pass over
+    an interval of length ``width`` holds at most ``CHUNK_ELEMENTS`` node ×
+    delay values.  ``integrate_chunk(chunk_delays, osc_scale)`` integrates one
+    chunk as a vector-valued integrand, ``osc_scale`` being its largest |τ|,
+    and returns its :class:`QuadratureResult`.  The value and error come
+    back in the shape of ``delays`` (floats for a scalar); panels and
+    evaluations are summed over the chunks.
+    """
+    t = np.asarray(delays, dtype=float)
+    flat = t.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("delays must be finite")
+    order = np.argsort(np.abs(flat), kind="stable")
+    value = np.empty(flat.size)
+    error = np.empty(flat.size)
+    panels = evaluations = start = 0
+    for end in _chunk_ends(np.abs(flat[order]), width):
+        idx = order[start:end]
+        res = integrate_chunk(flat[idx], float(abs(flat[idx[-1]])))
+        value[idx] = res.value
+        error[idx] = res.error
+        panels += res.panels
+        evaluations += res.evaluations
+        start = end
+    if not t.ndim:
+        return QuadratureResult(float(value[0]), float(error[0]), panels, evaluations)
+    return QuadratureResult(value.reshape(t.shape), error.reshape(t.shape), panels, evaluations)
 
 
 def tail_cutoff(envelope: Callable[[float], float], abs_tol: float, start: float = 1.0) -> float:
@@ -210,7 +294,8 @@ def integrate_half_line(
 ) -> QuadratureResult:
     """Integrate over [0, inf) by truncating where the envelope is negligible.
 
-    ``envelope(x)`` must bound |f| and be eventually decreasing; the domain
+    ``envelope(x)`` must bound |f| (every member of a vector-valued f) and be
+    eventually decreasing; the domain
     is truncated where it drops below a tenth of the absolute tolerance
     (:func:`tail_cutoff`), then handed to :func:`integrate`.  Callers that
     integrate many functions under one envelope and tolerance may pass that

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import integrate
+from .quadrature import QuadratureResult, integrate, integrate_grid
 
 __all__ = [
     "SpectralDistribution",
@@ -135,14 +135,18 @@ def gaussian_fourier_moments(mean: float, width: float, tau, order: int) -> list
     return moments
 
 
-def integrate_over_spectra(integrand, spectra, *, abs_tol: float, rel_tol: float, osc_scale: float = 0.0) -> float:
-    """∫₀^∞ of an integrand that is negligible outside every spectrum's peak.
+def integrate_over_spectra(integrand, spectra, delays, *, abs_tol: float, rel_tol: float) -> QuadratureResult:
+    """∫₀^∞ integrand(ω, τ_k) dω at each delay, for an integrand negligible
+    outside every spectrum's peak.
 
-    The domain is the union of the windows [ω̄ ± 9σ] of ``spectra``,
-    clipped at 0 and merged where they overlap; each window gets its own
-    adaptive quadrature and an equal share of ``abs_tol``.  Starting from
-    the peaks, not from [0, ∞), keeps a narrow line at large ω̄/σ from
-    slipping between the first panels' nodes.
+    ``integrand(w, t)`` returns the ``(w.size, t.size)`` values at the delays
+    ``t`` of one chunk of :func:`mmi.quadrature.integrate_grid`.  The domain
+    is the union of the windows [ω̄ ± 9σ] of ``spectra``, clipped at 0 and
+    merged where they overlap; each window gets its own adaptive quadrature
+    and an equal share of ``abs_tol``.  Starting from the peaks, not from
+    [0, ∞), keeps a narrow line at large ω̄/σ from slipping between the
+    first panels' nodes.  Returns the value and error in the shape of
+    ``delays``, summed over the windows.
     """
     spans = sorted(
         (max(0.0, s.mean_freq - _WINDOW_WIDTHS * s.width), s.mean_freq + _WINDOW_WIDTHS * s.width)
@@ -155,10 +159,20 @@ def integrate_over_spectra(integrand, spectra, *, abs_tol: float, rel_tol: float
         else:
             windows.append([lo, hi])
     share = abs_tol / len(windows)
-    return sum(
-        integrate(integrand, lo, hi, abs_tol=share, rel_tol=rel_tol, osc_scale=osc_scale).value
-        for lo, hi in windows
-    )
+
+    def integrate_chunk(t, osc_scale):
+        parts = [
+            integrate(lambda w: integrand(w, t), lo, hi, abs_tol=share, rel_tol=rel_tol, osc_scale=osc_scale)
+            for lo, hi in windows
+        ]
+        return QuadratureResult(
+            sum(p.value for p in parts),
+            sum(p.error for p in parts),
+            sum(p.panels for p in parts),
+            sum(p.evaluations for p in parts),
+        )
+
+    return integrate_grid(delays, sum(hi - lo for lo, hi in windows), integrate_chunk)
 
 
 def weighted_overlap(
@@ -183,27 +197,16 @@ def weighted_overlap(
         raise ValueError(f"unsupported weight power {weight_power}")
     if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
-    tau = float(tau)
+    kern = {"cos": np.cos, "sin": np.sin}.get(kernel)
 
-    if kernel == "one":
-        kern = None
-    elif kernel == "cos":
-        kern = np.cos
-    else:
-        kern = np.sin
-
-    def integrand(w):
+    def integrand(w, t):
         y = f.amplitude(w) * g.amplitude(w)
         if weight_power:
             y = y * w**weight_power
+        y = y[:, None]
         if kern is not None:
-            y = y * kern(w * tau)
+            y = y * kern(np.multiply.outer(w, t))
         return y
 
-    return integrate_over_spectra(
-        integrand,
-        (f, g),
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        osc_scale=abs(tau) if kernel != "one" else 0.0,
-    )
+    delay = float(tau) if kern is not None else 0.0
+    return integrate_over_spectra(integrand, (f, g), delay, abs_tol=abs_tol, rel_tol=rel_tol).value

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import integrate_half_line, tail_cutoff
+from .quadrature import QuadratureResult, integrate_grid, integrate_half_line, tail_cutoff
 from .spectra import SpectralDistribution
 from .thermal_kernels import bose_integral_constant
 
@@ -87,15 +87,19 @@ def bose_weighted_integral(
     theta: float,
     d: int,
     kernel: str = "one",
-    tau: float = 0.0,
+    tau=0.0,
     *,
     abs_tol: float | None = None,
     rel_tol: float = 1e-12,
-) -> float:
-    """∫₀^∞ ω^d n̄(ω, θ) kernel(ωτ) dω for kernel in {one, cos}.
+) -> QuadratureResult:
+    """∫₀^∞ ω^d n̄(ω, θ) kernel(ωτ) dω for kernel in {one, cos}, by quadrature.
 
     With kernel = one this is θ^(d+1) Γ(1+d) ζ(1+d); with kernel = cos it
     is the blackbody fringe integral evaluated at a = τθ.  d is 1 or 3.
+    ``tau`` may be an array: the Bose weight x^d/(eˣ - 1) is evaluated once
+    per node for every delay, and each delay meets the tolerance.  Returns
+    the :class:`~mmi.quadrature.QuadratureResult` with value and error in
+    the shape of ``tau`` (floats for a scalar).
     """
     if not 0.0 < theta < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {theta}")
@@ -104,31 +108,34 @@ def bose_weighted_integral(
     if d not in (1, 3):
         raise ValueError(f"dimension {d} unsupported; expected 1 or 3")
 
-    a = abs(float(tau)) * theta
-    scale = theta ** (d + 1) * bose_integral_constant(d)
+    # cos(0 · x) = 1 exactly, so the constant kernel is the fringe at a = 0
+    a = np.abs(np.asarray(tau, dtype=float)) * (theta if kernel == "cos" else 0.0)
+    scale = theta ** (d + 1)
     if abs_tol is None:
-        abs_tol = 1e-13 * scale
-    tol = abs_tol / theta ** (d + 1)
+        abs_tol = 1e-13 * scale * bose_integral_constant(d)
+    tol = abs_tol / scale
+    cutoff = _bose_cutoff(d, tol)
 
-    def integrand(x):
+    def weight(x):
         y = np.empty_like(x)
         tiny = x < 1e-8
         xt = x[~tiny]
         y[~tiny] = xt**d / np.expm1(xt)
         y[tiny] = x[tiny] ** (d - 1) * (1.0 - 0.5 * x[tiny])
-        if kernel == "cos":
-            y = y * np.cos(a * x)
         return y
 
-    result = integrate_half_line(
-        integrand,
-        envelope=_bose_envelope(d),
-        abs_tol=tol,
-        rel_tol=rel_tol,
-        osc_scale=a if kernel == "cos" else 0.0,
-        cutoff=_bose_cutoff(d, tol),
-    )
-    return theta ** (d + 1) * result.value
+    def integrate_chunk(rates, osc_scale):
+        return integrate_half_line(
+            lambda x: weight(x)[:, None] * np.cos(np.multiply.outer(x, rates)),
+            envelope=_bose_envelope(d),
+            abs_tol=tol,
+            rel_tol=rel_tol,
+            osc_scale=osc_scale,
+            cutoff=cutoff,
+        )
+
+    result = integrate_grid(a, cutoff, integrate_chunk)
+    return replace(result, value=scale * result.value, error=scale * result.error)
 
 
 def _bose_envelope(d):

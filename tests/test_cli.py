@@ -49,6 +49,7 @@ def test_simulate_fock_writes_csv_and_sidecar(tmp_path):
     assert sidecar["method"] == "exact"
     assert sidecar["seed"] is None
     assert "timestamp" in sidecar and "version" in sidecar
+    assert "quadrature" not in sidecar  # nothing was integrated
     # the zero-delay row is exactly 1
     assert lines[1] == b"0,1"
 
@@ -63,6 +64,10 @@ def test_simulate_fock_quadrature_writes_csv_and_sidecar(tmp_path):
     assert out.read_bytes().split(b"\n")[1] == b"0,1"
     sidecar = json.loads((tmp_path / "fock.json").read_text())
     assert sidecar["method"] == "quadrature"
+    counters = sidecar["quadrature"]
+    assert set(counters) == {"panels", "evaluations", "max_error"}
+    assert counters["evaluations"] >= 15 * counters["panels"] > 0
+    assert 0.0 <= counters["max_error"] <= 1e-12
 
 
 def test_simulate_rejects_infinite_delay(tmp_path):
@@ -119,7 +124,9 @@ def test_simulate_thermal_both_methods_agree(tmp_path):
         assert rows[0] == [x_name, "ratio_closed", "ratio_quadrature"]
         assert quad_rows[0] == [x_name, "ratio"]
         assert [row[2] for row in rows[1:]] == [row[1] for row in quad_rows[1:]]
-        assert json.loads(both.with_suffix(".json").read_text())["method"] == "both"
+        sidecar = json.loads(both.with_suffix(".json").read_text())
+        assert sidecar["method"] == "both"
+        assert sidecar["quadrature"] == json.loads(quad.with_suffix(".json").read_text())["quadrature"]
         if scenario.startswith("thermal"):
             data = np.array(rows[1:], dtype=float)
             assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-9
@@ -354,6 +361,15 @@ def test_verify_quick_passes():
     assert "PASS" in proc.stdout
     assert "[PASS] spectral exact-vs-quadrature" in proc.stdout
     assert "monte-carlo" not in proc.stdout  # deterministic checks only
+
+
+def test_verify_out_writes_a_json_report(tmp_path):
+    out = tmp_path / "verify.json"
+    proc = run_cli("verify", "--quick", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["quick"] is True
+    assert report["checks"] and all(check["passed"] is True for check in report["checks"])
 
 
 def test_verify_quick_imports_no_test_extras():

@@ -17,7 +17,7 @@ from mmi.intensity import (
 )
 from mmi.quadrature import QuadratureError
 from mmi.spectra import SpectralDistribution, weighted_overlap
-from mmi.states import Coherent, OnePhoton, Thermal, Vacuum
+from mmi.states import Coherent, OnePhoton, Thermal, Vacuum, bose_weighted_integral
 from oracles import riemann_overlap
 
 F_S = SpectralDistribution(3.0, 1.0)
@@ -172,7 +172,7 @@ def test_one_photon_vacuum_tracks_quadrature():
     from mmi.intensity import _spectral_integral
 
     def vac_quad(tau):
-        return _spectral_integral(F_S, None, tau, 1, False, 1e-12, 1e-12)
+        return _spectral_integral(F_S, None, tau, 1, False, 1e-12, 1e-12).value
 
     norm = vac_quad(0.0)
     worst = 0.0
@@ -508,3 +508,119 @@ def test_optical_quadrature_agrees_with_exact_or_raises(mean_over_width):
             except QuadratureError:
                 continue  # the rounding of cos(omega tau) put 1e-12 out of reach
             assert abs(got - ratio * exact.normalization) <= 1e-9 * exact.normalization, tau
+
+
+# ---------------------------------------------------------------------------
+# batched delay-grid quadrature
+
+# unsorted, with a repeat, τ = 0 and negative delays
+MIXED_DELAYS = np.array([2.5, -0.7, 0.0, 6.0, 2.5, 0.05, -4.0, 1.3])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_thermal_vacuum_grid_quadrature_matches_one_delay_calls(d):
+    theta = 1.2
+    grid = np.asarray(thermal_vacuum_ratio(theta, MIXED_DELAYS, d, "quadrature"))
+    single = np.array([thermal_vacuum_ratio(theta, t, d, "quadrature") for t in MIXED_DELAYS])
+    assert np.max(np.abs(grid - single)) <= 1e-13
+    assert np.max(np.abs(grid - np.asarray(thermal_vacuum_ratio(theta, MIXED_DELAYS, d, "closed_form")))) <= 1e-12
+
+
+def test_thermal_pair_grid_quadrature_matches_one_delay_calls():
+    grid = np.asarray(thermal_thermal_ratio(1.0, 1.07, MIXED_DELAYS, "quadrature"))
+    single = np.array([thermal_thermal_ratio(1.0, 1.07, t, "quadrature") for t in MIXED_DELAYS])
+    assert np.max(np.abs(grid - single)) <= 1e-13
+    assert np.max(np.abs(grid - np.asarray(thermal_thermal_ratio(1.0, 1.07, MIXED_DELAYS, "closed_form")))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_bose_integral_grid_errors_meet_each_delay_tolerance(d):
+    from mmi.thermal_kernels import bose_integral_constant
+
+    res = bose_weighted_integral(1.3, d, "cos", MIXED_DELAYS)
+    assert res.value.shape == res.error.shape == MIXED_DELAYS.shape
+    abs_tol = 1e-13 * 1.3 ** (d + 1) * bose_integral_constant(d)
+    assert np.all(res.error <= np.maximum(abs_tol, 1e-12 * np.abs(res.value)))
+    # τ = 0 is the constant kernel
+    constant = bose_weighted_integral(1.3, d, "one").value
+    assert abs(res.value[2] - constant) <= 1e-13 * constant
+
+
+@pytest.mark.parametrize("kind", ["vacuum", "fock", "coherent"])
+def test_spectral_grid_quadrature_matches_one_delay_calls(kind):
+    from mmi.intensity import _spectral_integral
+
+    f_lo = None if kind == "vacuum" else F_LO
+    cross = kind == "coherent"
+    gram = compute_interferogram(
+        IntensityRequest(*_spectral_ports(kind, F_S, F_LO), MIXED_DELAYS, method="quadrature")
+    )
+
+    def one(t):
+        return _spectral_integral(F_S, f_lo, t, 1, cross, 1e-12, 1e-12)
+
+    norm = one(0.0).value
+    assert abs(gram.normalization - norm) <= 1e-13 * norm
+    single = np.array([one(t).value / norm for t in MIXED_DELAYS])
+    assert np.max(np.abs(gram.ratios - single)) <= 1e-13
+    # the two windows merge into one, so each delay meets max(abs_tol, rel_tol |I|)
+    res = _spectral_integral(F_S, f_lo, MIXED_DELAYS, 1, cross, 1e-12, 1e-12)
+    assert np.all(res.error <= np.maximum(1e-12, 1e-12 * np.abs(res.value)))
+
+
+def test_grid_larger_than_one_chunk_matches_one_delay_calls(monkeypatch):
+    import mmi.states as states
+
+    chunks = []
+    integrate_half_line = states.integrate_half_line
+
+    def counted(*args, **kwargs):
+        chunks.append(kwargs["osc_scale"])
+        return integrate_half_line(*args, **kwargs)
+
+    monkeypatch.setattr(states, "integrate_half_line", counted)
+    taus = np.random.default_rng(3).uniform(-10.0, 10.0, 600)
+    grid = np.asarray(thermal_vacuum_ratio(1.0, taus, 3, "quadrature"))
+    assert 1 < len(chunks) < taus.size
+    single = np.array([thermal_vacuum_ratio(1.0, t, 3, "quadrature") for t in taus])
+    assert np.max(np.abs(grid - single)) <= 1e-13
+
+
+def test_quadrature_integrates_each_grid_in_one_call(monkeypatch):
+    import mmi.intensity as intensity
+
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(intensity, "bose_weighted_integral", counting(intensity.bose_weighted_integral))
+    monkeypatch.setattr(intensity, "_spectral_integral", counting(intensity._spectral_integral))
+    taus = np.linspace(0.0, 6.0, 31)
+    for ports in ((Thermal(1.0), Vacuum()), (Thermal(1.05), Thermal(1.0)), (OnePhoton(F_S), OnePhoton(F_LO))):
+        gram = compute_interferogram(IntensityRequest(*ports, taus, method="quadrature"))
+        counters = gram.metadata["quadrature"]
+        assert set(counters) == {"panels", "evaluations", "max_error"}
+        assert counters["evaluations"] >= 15 * counters["panels"] > 0
+        assert 0.0 <= counters["max_error"] <= 1e-12
+        assert "quadrature" not in compute_interferogram(IntensityRequest(*ports, taus)).metadata
+    assert calls == ["bose_weighted_integral", "bose_weighted_integral", "_spectral_integral"]
+
+
+def test_thermal_grid_quadrature_memory_stays_flat():
+    # an unchunked node × delay matrix on this grid would take about 60 MB
+    import tracemalloc
+
+    a = np.linspace(0.01, 10.0, 2000)
+    thermal_vacuum_ratio(1.0, a[:3], 3, "quadrature")  # cutoff search and kernel tables
+    tracemalloc.start()
+    try:
+        thermal_vacuum_ratio(1.0, a, 3, "quadrature")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -68,13 +68,13 @@ def test_bose_weighted_integral_constant_kernel(d):
     # theta^(d+1) Gamma(1+d) zeta(d+1)
     theta = 1.7
     expected = theta ** (d + 1) * math.gamma(1.0 + d) * (math.pi**2 / 6.0 if d == 1 else math.pi**4 / 90.0)
-    got = bose_weighted_integral(theta, d, "one")
+    got = bose_weighted_integral(theta, d, "one").value
     assert abs(got - expected) / expected < 1e-9
 
 
 def test_bose_weighted_integral_cos_matches_riemann_oracle():
     a = 1.3
-    got = bose_weighted_integral(1.0, 3, "cos", a)
+    got = bose_weighted_integral(1.0, 3, "cos", a).value
     ref = riemann_bose_cos(3, a)
     assert abs(got - ref) < 1e-7  # limited by the oracle's step size
 
@@ -85,7 +85,7 @@ def test_bose_weighted_integral_cos_matches_hyperbolic_bracket():
     from mmi.thermal_kernels import bose_integral_constant, fringe_deviation
 
     theta = 1.0
-    got = bose_weighted_integral(theta, 3, "cos", 1.0)
+    got = bose_weighted_integral(theta, 3, "cos", 1.0).value
     bracket = fringe_deviation(math.pi)
     assert abs(got - theta**4 * bose_integral_constant(3) * bracket) < 1e-10
 
@@ -94,8 +94,8 @@ def test_bose_weighted_integral_scaling_in_theta():
     # substitution x = omega/theta: value scales like theta^(d+1) with a = tau*theta fixed
     theta = 2.0
     a = 0.8
-    v1 = bose_weighted_integral(1.0, 3, "cos", a)
-    v2 = bose_weighted_integral(theta, 3, "cos", a / theta)
+    v1 = bose_weighted_integral(1.0, 3, "cos", a).value
+    v2 = bose_weighted_integral(theta, 3, "cos", a / theta).value
     assert abs(v2 - theta**4 * v1) < 1e-9 * theta**4
 
 

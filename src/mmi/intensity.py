@@ -302,13 +302,25 @@ def _counters(result: QuadratureResult, ratio_error) -> dict:
     }
 
 
+def _closed_fringe(a, d):
+    """K_d at x = aπ by the closed form, forming aπ in place on the caller's
+    a-grid; a temporary a-grid is freed as this returns.  A float for a
+    scalar a, so the caller's in-place finish is plain float arithmetic."""
+    a *= math.pi
+    return fringe_deviation(a, d)
+
+
 def _thermal_vacuum(theta, tau, d, method, abs_tol, rel_tol):
     """Ratios of :func:`thermal_vacuum_ratio` and the quadrature counters (None for the closed form)."""
     a = np.abs(np.asarray(tau, dtype=float)) * theta
     if method == "closed_form":
-        return 0.5 * (1.0 + np.asarray(fringe_deviation(a * math.pi, d))), None
-    k = _bose_fringe(a, d, abs_tol, rel_tol)
-    return 0.5 * (1.0 + k.value), _counters(k, 0.5 * k.error)
+        k, quad = _closed_fringe(a, d), None
+    else:
+        res = _bose_fringe(a, d, abs_tol, rel_tol)
+        k, quad = res.value, _counters(res, 0.5 * res.error)
+    k += 1.0  # ½(1 + K) in place
+    k *= 0.5
+    return k, quad
 
 
 def _thermal_pair(theta0, theta1, tau, method, abs_tol, rel_tol):
@@ -317,15 +329,21 @@ def _thermal_pair(theta0, theta1, tau, method, abs_tol, rel_tol):
     r4 = (theta0 / theta1) ** 4
     quad = None
     if method == "closed_form":
-        k1, k0 = (np.asarray(fringe_deviation(t * theta * math.pi, 3)) for theta in (theta1, theta0))
+        k1 = _closed_fringe(t * theta1, 3)
+        t *= theta0  # the last a-grid reuses |τ|
+        k0 = _closed_fringe(t, 3)
     else:
         # both a-grids in one call
         k = _bose_fringe(np.stack([t * theta1, t * theta0]), 3, abs_tol, rel_tol)
         k1, k0 = k.value
         quad = _counters(k, 0.5 * (k.error[0] + r4 * k.error[1]))
-    # grouping the kernel difference keeps the equal-temperature
-    # cancellation exact in floating point
-    return 0.5 * (1.0 + r4 + (k1 - r4 * k0)), quad
+    # ½(1 + r⁴ + (K₁ - r⁴K₀)) in place; grouping the kernel difference keeps
+    # the equal-temperature cancellation exact in floating point
+    k0 *= r4
+    k1 -= k0
+    k1 += 1.0 + r4
+    k1 *= 0.5
+    return k1, quad
 
 
 def thermal_vacuum_ratio(

@@ -12,7 +12,9 @@ performs the window average analytically, which collapses the double
 frequency sum onto its diagonal (the infinite-window limit).  A finite
 window keeps the full double sum weighted by sinc((ω-ω')T/2) and exists as
 a diagnostic: its deviation from the analytic mode scales like
-1/(T · δω), the frequency-leakage of a finite measurement.
+1/(T · δω), the frequency-leakage of a finite measurement.  No library
+path uses it; it stays as the leakage diagnostic that the test suite
+exercises (``test_finite_window_leakage_scales_inversely_with_window``).
 """
 
 from __future__ import annotations
@@ -109,14 +111,13 @@ class TruncatedState:
 
     The amplitude on mode j is √(δω_j) f(ω_j), renormalized to unit norm;
     the pre-normalization deficit records the discretization plus domain
-    truncation loss.  The number basis of M modes capped at n_max photons
-    has (n_max+1)^M states; only the single-photon sector (M amplitudes)
-    is stored.
+    truncation loss.  Photon number is conserved until detection, so one
+    photon never needs more than one quantum per mode: only the
+    single-photon sector (one amplitude per mode) is stored.
     """
 
     grid: ModeGrid
     amplitudes: np.ndarray
-    photon_cap: int = 1
     norm_deficit: float = 0.0
 
     def __post_init__(self):
@@ -125,10 +126,6 @@ class TruncatedState:
         total = float(np.sum(self.amplitudes**2))
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"state norm deviates from 1 by {total - 1.0:.2e}")
-
-    @property
-    def log2_basis_dimension(self) -> float:
-        return self.grid.size * math.log2(self.photon_cap + 1)
 
     def mean_frequency(self) -> float:
         return float(np.sum(self.amplitudes**2 * self.grid.frequencies))

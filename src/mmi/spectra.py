@@ -180,18 +180,20 @@ def weighted_overlap(
     g: SpectralDistribution,
     weight_power: int = 0,
     kernel: str = "one",
-    tau: float = 0.0,
+    tau=0.0,
     *,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-12,
-) -> float:
+):
     """∫₀^∞ ω^p f(ω) g(ω) kernel(ωτ) dω for kernel in {one, cos, sin}.
 
     This is the shared integral behind every spectral-state interferogram:
     p = 1, kernel = cos gives the fringe terms, kernel = sin the coherent
     cross term, and (f, f, 0, one) recovers the unit norm.  Symmetric in
     (f, g) bit-for-bit, because the integrand is built from the commutative
-    product of the two amplitudes.
+    product of the two amplitudes.  τ may be a scalar (a float comes back)
+    or an array of delays, integrated in one grid call (an array of its
+    shape comes back); the kernel ``one`` ignores τ and returns a float.
     """
     if weight_power not in (0, 1, 2, 3):
         raise ValueError(f"unsupported weight power {weight_power}")
@@ -208,5 +210,5 @@ def weighted_overlap(
             y = y * kern(np.multiply.outer(w, t))
         return y
 
-    delay = float(tau) if kern is not None else 0.0
+    delay = tau if kern is not None else 0.0
     return integrate_over_spectra(integrand, (f, g), delay, abs_tol=abs_tol, rel_tol=rel_tol).value

@@ -19,6 +19,7 @@ from mmi.quadrature import QuadratureError
 from mmi.spectra import SpectralDistribution, weighted_overlap
 from mmi.states import Coherent, OnePhoton, Thermal, Vacuum, bose_weighted_integral
 from oracles import riemann_overlap
+from test_thermal_kernels import BLOCK_SIZES, unblocked_fringe_deviation
 
 F_S = SpectralDistribution(3.0, 1.0)
 F_LO = SpectralDistribution(3.15, 1.0)
@@ -245,9 +246,12 @@ def test_thermal_vacuum_dimension_gate():
 
 
 def test_equal_temperature_identity_exact():
-    taus = np.linspace(0.0, 10.0, 100)
-    ratios = np.asarray(thermal_thermal_ratio(1.3, 1.3, taus))
-    assert float(np.max(np.abs(ratios - 1.0))) == 0.0
+    from mmi.thermal_kernels import BLOCK
+
+    # and on an unsorted grid of both signs that spans three kernel blocks
+    for taus in (np.linspace(0.0, 10.0, 100), np.random.default_rng(4).uniform(-10.0, 10.0, 2 * BLOCK + 1)):
+        ratios = np.asarray(thermal_thermal_ratio(1.3, 1.3, taus))
+        assert float(np.max(np.abs(ratios - 1.0))) == 0.0
 
 
 def test_two_temperature_asymptote():
@@ -624,3 +628,67 @@ def test_thermal_grid_quadrature_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# closed forms on large grids, block by block
+
+
+def unblocked_thermal_ratio(theta_sig, theta_lo, tau, d):
+    """The thermal closed forms in whole-grid passes: ½(1 + K(a)) against
+    vacuum (theta_lo None), ½(1 + rᵈ⁺¹ + (K(a₁) - rᵈ⁺¹K(a₀))) against a thermal LO."""
+    t = np.abs(tau)
+    k1 = unblocked_fringe_deviation(t * theta_sig * math.pi, d)
+    if theta_lo is None:
+        return 0.5 * (1.0 + k1)
+    r = (theta_lo / theta_sig) ** (d + 1)
+    k0 = unblocked_fringe_deviation(t * theta_lo * math.pi, d)
+    return 0.5 * (1.0 + r + (k1 - r * k0))
+
+
+THERMAL_PORTS = [("thermal-vacuum", 1.3, None), ("thermal-thermal", 1.3, 0.9)]
+
+
+def _thermal_request(theta_sig, theta_lo, tau, d):
+    lo = Vacuum() if theta_lo is None else Thermal(theta_lo)
+    return IntensityRequest(Thermal(theta_sig), lo, tau, dimension=d)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("scenario, theta_sig, theta_lo", THERMAL_PORTS)
+def test_blocked_thermal_closed_forms_are_bit_identical(scenario, theta_sig, theta_lo, n):
+    from mmi.intensity import _DIMENSIONS
+
+    # unsorted, of both signs, none exactly 0 (pinned to 1 apart from the formula)
+    tau = np.random.default_rng(n).uniform(-6.0, 6.0, n)
+    for d in _DIMENSIONS[scenario]:
+        gram = compute_interferogram(_thermal_request(theta_sig, theta_lo, tau, d))
+        assert np.array_equal(gram.ratios, unblocked_thermal_ratio(theta_sig, theta_lo, tau, d)), d
+
+
+def test_blocked_thermal_closed_forms_keep_shape_and_scalars():
+    tau = np.random.default_rng(2).uniform(-4.0, 4.0, (300, 700))
+    assert np.array_equal(thermal_vacuum_ratio(0.8, tau, 1), unblocked_thermal_ratio(0.8, None, tau, 1))
+    assert np.array_equal(thermal_vacuum_ratio(0.8, tau, 3), unblocked_thermal_ratio(0.8, None, tau, 3))
+    assert np.array_equal(thermal_thermal_ratio(1.7, 0.8, tau), unblocked_thermal_ratio(0.8, 1.7, tau, 3))
+    for t in (0.3, -1.7):
+        got = (thermal_vacuum_ratio(1.0, t, 3), thermal_thermal_ratio(1.0, 1.4, t))
+        assert [type(v) for v in got] == [float, float]
+        assert got == (unblocked_thermal_ratio(1.0, None, t, 3), unblocked_thermal_ratio(1.4, 1.0, t, 3))
+
+
+@pytest.mark.parametrize("theta_lo, bound_mib", [(0.9, 32), (None, 24)])
+def test_thermal_closed_form_memory_is_bounded_by_blocks(theta_lo, bound_mib):
+    # the ratios and the interferogram's copy of the delays are 7.6 MiB each;
+    # whole-grid temporaries took the peak to 68.9 MiB (pair) and 61.8 MiB
+    import tracemalloc
+
+    request = _thermal_request(1.3, theta_lo, np.linspace(-8.0, 8.0, 1_000_000), None)
+    compute_interferogram(_thermal_request(1.3, theta_lo, [0.5], None))  # kernel tables
+    tracemalloc.start()
+    try:
+        compute_interferogram(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20

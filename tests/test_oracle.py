@@ -41,8 +41,9 @@ def test_build_one_photon_normalization_and_deficit():
     assert abs(np.sum(state.amplitudes**2) - 1.0) < 1e-12
     assert abs(state.norm_deficit) < 1e-3
     # photon number is conserved until detection: one photon per port never
-    # needs more than a single quantum per mode
-    assert state.photon_cap == 1
+    # needs more than a single quantum per mode, so the state stores exactly
+    # the single-photon sector, one amplitude per mode
+    assert state.amplitudes.shape == (grid.size,)
 
 
 def test_build_one_photon_single_mode_grid():

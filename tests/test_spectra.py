@@ -133,6 +133,18 @@ def test_overlap_matches_riemann_oracle_oscillatory():
     assert abs(got - ref) < 1e-9
 
 
+@pytest.mark.parametrize("power, kernel", [(1, "sin"), (1, "cos"), (0, "sin")])
+def test_overlap_grid_matches_one_delay_calls(power, kernel):
+    f, g = SpectralDistribution(3.0, 1.0), SpectralDistribution(3.15, 1.0)
+    # unsorted, with a repeat, τ = 0 and negative delays; then the verifier's grid
+    for taus in (np.array([[2.5, -0.7, 0.0, 6.0], [2.5, 0.05, -4.0, 1.3]]), np.linspace(0.0, 6.0, 61)):
+        grid = weighted_overlap(f, g, power, kernel, taus)
+        assert grid.shape == taus.shape
+        single = [weighted_overlap(f, g, power, kernel, t) for t in taus.ravel()]
+        assert all(type(v) is float for v in single)
+        assert np.max(np.abs(grid.ravel() - single)) <= 1e-13
+
+
 def test_overlap_rejects_bad_arguments():
     f = SpectralDistribution(3.0, 1.0)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmi.thermal_kernels import (
+    BLOCK,
     SERIES_SWITCH,
     bose_integral_constant,
     fringe_deviation,
@@ -141,3 +142,52 @@ def test_stated_error_past_the_bernoulli_table():
         fringe_deviation(1.0, 55)
     with pytest.raises(ValueError):
         fringe_deviation(1.0, 9)
+
+
+# ---------------------------------------------------------------------------
+# block-by-block evaluation
+
+BLOCK_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 1_000_000]
+
+
+def unblocked_fringe_deviation(x, d):
+    """K_d in one pass over the whole array: the same two branches, masked once."""
+    from mmi.thermal_kernels import _exponential_branch, _kernel, _series_branch
+
+    arr = np.asarray(x, dtype=float)
+    out = np.empty_like(arr)
+    small = arr < SERIES_SWITCH
+    for mask, branch in ((small, _series_branch), (~small, _exponential_branch)):
+        if mask.any():
+            out[mask] = branch(arr[mask], _kernel(d))
+    return out
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_kernel_is_bit_identical_to_one_pass(n):
+    # an unsorted grid on both branches, from the series into the far tail
+    x = np.random.default_rng(n).uniform(0.0, 30.0, n)
+    for d in (1, 3, 5, 7):
+        got = fringe_deviation(x, d)
+        assert got.shape == x.shape
+        assert np.array_equal(got, unblocked_fringe_deviation(x, d)), d
+
+
+def test_blocked_kernel_series_switch_on_a_block_boundary():
+    # the first element of the second block is the first one past the switch
+    x = SERIES_SWITCH + (np.arange(2 * BLOCK + 1) - BLOCK) * 1e-5
+    assert x[BLOCK - 1] < SERIES_SWITCH == x[BLOCK]
+    for d in (1, 3):
+        assert np.array_equal(fringe_deviation(x, d), unblocked_fringe_deviation(x, d)), d
+
+
+def test_blocked_kernel_keeps_shape_and_scalars():
+    x = np.random.default_rng(5).uniform(0.0, 8.0, (300, 700))
+    for grid in (x, x.T):  # C- and Fortran-ordered 2-D input
+        got = fringe_deviation(grid, 3)
+        assert got.shape == grid.shape
+        assert np.array_equal(got, unblocked_fringe_deviation(grid, 3))
+    for value in (0.0, 0.4, SERIES_SWITCH, 7.0):
+        got = fringe_deviation(value, 3)
+        assert type(got) is float
+        assert got == unblocked_fringe_deviation(value, 3)

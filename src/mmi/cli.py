@@ -1,4 +1,4 @@
-"""Command-line surface: simulate, verify, fit, coherence.
+"""Command-line surface: simulate, verify (whose checks live in :mod:`mmi.verify`), fit, coherence.
 
 Outputs are desk-scale, human-diffable files: a CSV with a one-line header
 (``tau,ratio`` or ``a,ratio``, with ``ratio_closed,ratio_quadrature`` under
@@ -27,39 +27,23 @@ import argparse
 import csv
 import json
 import sys
-import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .inference import (
     DEFAULT_COHERENCE_EPSILON,
     FitProblem,
     IdentifiabilityError,
     NonConvergenceError,
-    discriminate_state_class,
     estimate_coherence_time,
     fit,
 )
-from .intensity import (
-    IntensityRequest,
-    coherent_intensity,
-    compute_interferogram,
-    fock_intensity,
-    fock_intensity_closed,
-    thermal_thermal_ratio,
-    thermal_vacuum_ratio,
-)
-from .oracle import (
-    build_one_photon,
-    detect_intensity_bruteforce,
-    spectral_mode_grid,
-    thermal_intensity_montecarlo,
-)
+from .intensity import IntensityRequest, compute_interferogram
 from .quadrature import QuadratureError
-from .spectra import SpectralDistribution, weighted_overlap
+from .spectra import SpectralDistribution
 from .states import Coherent, OnePhoton, Thermal, Vacuum
 
 HBAR = 1.054571817e-34  # J s
@@ -243,137 +227,8 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-def _verify_fock(tols, exact_gaps):
-    wbar_s, sigma = 3.0, 1.0
-    f_s = SpectralDistribution(wbar_s, sigma)
-    taus = np.linspace(0.0, 6.0, 121)
-    worst_closed = 0.0
-    worst_oracle = 0.0
-    worst_plateau = 0.0
-    for wlo in (3.15, 2.85):
-        f_lo = SpectralDistribution(wlo, sigma)
-        ports = (OnePhoton(f_s), OnePhoton(f_lo), taus)
-        gram = compute_interferogram(IntensityRequest(*ports, method="quadrature"))
-        quad, norm = gram.ratios, gram.normalization
-        exact = compute_interferogram(IntensityRequest(*ports)).ratios
-        exact_gaps.append(float(np.max(np.abs(quad - exact))))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            closed = np.asarray(fock_intensity_closed(f_s, f_lo, taus))
-        # the closed form drops this Fourier term exactly (see mmi.intensity);
-        # what remains is the ω < 0 tail of the extended range
-        dropped = (
-            (sigma**2 * taus / (4.0 * wbar_s))
-            * np.exp(-((sigma * taus) ** 2) / 4.0)
-            * (np.sin(wlo * taus) - np.sin(wbar_s * taus))
-        )
-        worst_closed = max(worst_closed, float(np.max(np.abs(quad - closed - dropped))))
-        plateau = fock_intensity(f_s, f_lo, 20.0) / norm
-        worst_plateau = max(worst_plateau, abs(plateau - (1.0 + wlo / 3.0) / 2.0))
-
-        grid = spectral_mode_grid(f_s, f_lo)
-        sig = build_one_photon(f_s, grid)
-        lo = build_one_photon(f_lo, grid)
-        bnorm = detect_intensity_bruteforce(sig, lo, 0.0)
-        for i in range(0, taus.size, 4):
-            b = detect_intensity_bruteforce(sig, lo, taus[i]) / bnorm
-            worst_oracle = max(worst_oracle, abs(b - quad[i]))
-    checks = [
-        ("fock closed-vs-quadrature", worst_closed, tols["fock_closed"]),
-        ("fock oracle-vs-quadrature", worst_oracle, tols["fock_oracle"]),
-        ("fock plateau", worst_plateau, tols["fock_plateau"]),
-    ]
-    return checks
-
-
-def _verify_coherent(tols, exact_gaps):
-    f_s = SpectralDistribution(3.0, 1.0)
-    f_lo = SpectralDistribution(3.15, 1.0)
-    taus = np.linspace(0.0, 6.0, 61)
-    coh = coherent_intensity(f_s, f_lo, taus)
-    foc = fock_intensity(f_s, f_lo, taus)
-    cross = -2.0 * weighted_overlap(f_s, f_lo, 1, "sin", taus)
-    worst = float(np.max(np.abs((coh - foc) - cross)))
-    ports = (Coherent(f_s), Coherent(f_lo), taus)
-    ratios = compute_interferogram(IntensityRequest(*ports, method="quadrature")).ratios
-    exact = compute_interferogram(IntensityRequest(*ports)).ratios
-    exact_gaps.append(float(np.max(np.abs(ratios - exact))))
-    try:
-        label = discriminate_state_class(taus, ratios, f_lo).label
-        ok = 0.0 if label == "coherent-like" else 1.0
-    except Exception:  # a failed fit is a failed check, not a crashed verifier
-        ok = 1.0
-    return [
-        ("coherent cross-term additivity", worst, tols["cross"]),
-        ("coherent classified", ok, 0.5),
-    ]
-
-
-def _verify_thermal_vacuum(tols, quick, seed, samples):
-    a_grid = np.linspace(0.01, 10.0, 101)
-    checks = []
-    for d, name in ((3, "thermal-vacuum dual path"), (1, "thermal-vacuum d = 1 dual path")):
-        closed = np.asarray(thermal_vacuum_ratio(1.0, a_grid, d, "closed_form"))
-        quad = np.asarray(thermal_vacuum_ratio(1.0, a_grid, d, "quadrature"))
-        checks.append((name, float(np.max(np.abs(closed - quad))), tols["tv_dual"]))
-    if not quick:
-        mc = thermal_intensity_montecarlo(1.0, None, [0.5, 1.0, 2.0], samples=samples, seed=seed)
-        truth = np.asarray(thermal_vacuum_ratio(1.0, mc.delays, 3, "closed_form"))
-        sigmas = float(np.max(np.abs(mc.ratios - truth) / mc.stderrs))
-        checks.append(("thermal-vacuum monte-carlo (sigmas)", sigmas, tols["mc_sigmas"]))
-    return checks
-
-
-def _verify_thermal_thermal(tols):
-    taus = np.linspace(0.0, 5.0, 100)
-    ident = np.asarray(thermal_thermal_ratio(1.0, 1.0, taus))
-    worst_ident = float(np.max(np.abs(ident - 1.0)))
-    asym = thermal_thermal_ratio(1.0, 1.01, 5.0 / 1.01)
-    target = (1.0 + 1.01**-4) / 2.0
-    a_grid = np.linspace(0.05, 4.0, 40)
-    closed = np.asarray(thermal_thermal_ratio(1.0, 1.01, a_grid, "closed_form"))
-    quad = np.asarray(thermal_thermal_ratio(1.0, 1.01, a_grid, "quadrature"))
-    return [
-        ("thermal-thermal equal-temperature identity", worst_ident, tols["tt_ident"]),
-        ("thermal-thermal asymptote", abs(asym - target), tols["tt_asym"]),
-        ("thermal-thermal dual path", float(np.max(np.abs(closed - quad))), tols["tt_dual"]),
-    ]
-
-
-def run_verification(quick: bool = False, seed: int = 20260808, samples: int = 20000):
-    """Triangulate closed forms, quadrature, and oracles on the four scenarios."""
-    tols = {
-        "fock_closed": 1e-4,  # closed form plus its dropped term against quadrature
-        "fock_oracle": 1e-3,
-        "fock_plateau": 1e-4,
-        "cross": 1e-9,
-        "tv_dual": 1e-9,
-        "mc_sigmas": 3.0,
-        "tt_ident": 1e-12,
-        "tt_asym": 1e-6,
-        "tt_dual": 1e-9,
-        "spectral_exact": 1e-9,
-    }
-    checks = []
-    # max |quadrature - exact| over the spectral grids the groups integrate
-    exact_gaps = []
-    groups = [
-        ("fock", lambda: _verify_fock(tols, exact_gaps)),
-        ("coherent", lambda: _verify_coherent(tols, exact_gaps)),
-        ("thermal-vacuum", lambda: _verify_thermal_vacuum(tols, quick, seed, samples)),
-        ("thermal-thermal", lambda: _verify_thermal_thermal(tols)),
-    ]
-    for label, group in groups:
-        try:
-            checks += group()
-        except Exception as exc:  # a crashing scenario is a failing scenario
-            checks.append((f"{label} scenario raised {type(exc).__name__}", float("inf"), 0.0))
-    checks.append(("spectral exact-vs-quadrature", max(exact_gaps, default=float("inf")), tols["spectral_exact"]))
-    return checks
-
-
 def cmd_verify(args) -> int:
-    checks = run_verification(quick=args.quick, seed=args.seed, samples=args.samples)
+    checks = verify.run_verification(quick=args.quick, seed=args.seed, samples=args.samples)
     failed = []
     for name, value, tol in checks:
         status = "PASS" if value <= tol else "FAIL"

@@ -104,6 +104,13 @@ def _resolve(scenario: str, d: int | None, method: str):
     return d, method
 
 
+def _finite_delays(tau) -> np.ndarray:
+    tau = np.asarray(tau, dtype=float)
+    if not (np.isfinite(tau).all() if tau.ndim else math.isfinite(tau)):  # math is faster on a scalar
+        raise ValueError("delays must be finite")
+    return tau
+
+
 # ---------------------------------------------------------------------------
 # spectral-state scenarios
 
@@ -366,6 +373,7 @@ def thermal_vacuum_ratio(
     d, method = _resolve("thermal-vacuum", d, method)
     if not 0.0 < theta < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {theta}")
+    tau = _finite_delays(tau)
 
     out = np.asarray(_thermal_vacuum(theta, tau, d, method, abs_tol, rel_tol)[0])
     return out if out.ndim else float(out)
@@ -395,6 +403,7 @@ def thermal_thermal_ratio(
     _, method = _resolve("thermal-thermal", 3, method)
     if not (0.0 < theta0 < math.inf and 0.0 < theta1 < math.inf):
         raise ValueError("temperatures must be positive and finite")
+    tau = _finite_delays(tau)
 
     out = np.asarray(_thermal_pair(theta0, theta1, tau, method, abs_tol, rel_tol)[0])
     return out if out.ndim else float(out)
@@ -428,10 +437,7 @@ class IntensityRequest:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        delays = np.atleast_1d(np.asarray(self.delays, dtype=float))
-        if not np.all(np.isfinite(delays)):
-            raise ValueError("delays must be finite")
-        object.__setattr__(self, "delays", delays)
+        object.__setattr__(self, "delays", np.atleast_1d(_finite_delays(self.delays)))
 
 
 @dataclass(frozen=True)

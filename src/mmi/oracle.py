@@ -248,8 +248,8 @@ def _bruteforce_fock(signal, lo, tau, d, window, amplitude_cap):
     l = np.sqrt(_measure(lo.grid, d)) * lo_f * lo.amplitudes
     a_sig = np.outer(lo.amplitudes.astype(complex), s)
     a_lo = np.outer(signal.amplitudes.astype(complex), l)
-    intensity = np.einsum("km,mn,kn->", np.conj(a_sig), avg, a_sig)
-    intensity += np.einsum("km,mn,kn->", np.conj(a_lo), avg, a_lo)
+    intensity = np.einsum("km,mn,kn->", np.conj(a_sig), avg, a_sig, optimize=True)
+    intensity += np.einsum("km,mn,kn->", np.conj(a_lo), avg, a_lo, optimize=True)
     return float(np.real(intensity))
 
 

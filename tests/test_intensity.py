@@ -425,6 +425,17 @@ def test_thermal_ratios_reject_non_finite_temperatures():
         thermal_thermal_ratio(1.0, math.inf, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_thermal_ratios_reject_non_finite_delays(bad, shape, method):
+    tau = bad if shape == "scalar" else np.array([0.5, bad, 2.0])
+    with pytest.raises(ValueError, match="delays must be finite"):
+        thermal_vacuum_ratio(1.0, tau, method=method)
+    with pytest.raises(ValueError, match="delays must be finite"):
+        thermal_thermal_ratio(1.0, 1.1, tau, method=method)
+
+
 # ---------------------------------------------------------------------------
 # the exact spectral path
 

@@ -19,7 +19,9 @@ exercises (``test_finite_window_leakage_scales_inversely_with_window``).
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,7 +277,9 @@ class MonteCarloIntensity:
 
     ``ratios[i] ± stderrs[i]`` estimates ⟨I⟩(τ_i)/⟨I⟩(0); the cross-term
     fields report the phase-sensitive contribution alone, which must be
-    statistically compatible with zero for chaotic light.
+    statistically compatible with zero for chaotic light.  ``seed`` and
+    ``batch`` fix the random numbers drawn (see
+    :func:`thermal_intensity_montecarlo`).
     """
 
     delays: np.ndarray
@@ -285,6 +289,7 @@ class MonteCarloIntensity:
     cross_stderr: float
     samples: int
     seed: int
+    batch: int
 
 
 def thermal_intensity_montecarlo(
@@ -296,7 +301,7 @@ def thermal_intensity_montecarlo(
     d: int = 3,
     samples: int = 100_000,
     seed: int = 0,
-    batch: int = 4096,
+    batch: int = 512,
 ) -> MonteCarloIntensity:
     """Phase-space Monte-Carlo oracle for thermal scenarios.
 
@@ -316,6 +321,16 @@ def thermal_intensity_montecarlo(
     turned into cos Δφ as sin(π(U - ½)), which has the same arcsine law.
     Thermal/vacuum draws the signal exponentials only.  The occupations
     n̄_s, n̄_l and √(n̄_s n̄_l) are folded into the delay weights once.
+
+    Each chunk of ``batch`` samples (the last one holds the remainder)
+    draws from its own ``SeedSequence(seed)`` child stream and returns its
+    partial sums; the chunks run on one worker per CPU available to the
+    process, the calling thread among them, and the partial sums are added
+    in chunk order.  So the result depends on ``(seed, batch)``, not on the
+    CPU count.  The products with the delay weights are taken in row blocks
+    of at most 2¹⁹ multiply-adds: from about 10⁶ a gemm starts OpenBLAS
+    threads of its own, which would oversubscribe the CPUs the workers
+    already use.
     """
     if samples < 1000:
         raise ValueError("at least 1000 samples are required")
@@ -329,59 +344,77 @@ def thermal_intensity_montecarlo(
     omega = grid.frequencies
     measure = _measure(grid, d)
 
+    k = taus.size
     nbar_s = np.asarray(mean_occupation(omega, theta_signal))
     cos_m = np.cos(np.outer(omega, taus))  # (M, K)
-    sin_m = np.sin(np.outer(omega, taus))
-    w_zero = 2.0 * measure * nbar_s
-    w_plus = (measure * nbar_s)[:, None] * (1.0 + cos_m)
+    # signal weights at every delay, then at zero delay in the last column: one gemm gives x and y
+    w_signal = np.column_stack([(measure * nbar_s)[:, None] * (1.0 + cos_m), 2.0 * measure * nbar_s])
     if theta_lo is not None:
         nbar_l = np.asarray(mean_occupation(omega, theta_lo))
         w_minus = (measure * nbar_l)[:, None] * (1.0 - cos_m)
-        w_cross = (measure * np.sqrt(nbar_s * nbar_l))[:, None] * (-2.0 * sin_m)
-
-    rng = np.random.default_rng(seed)
-    k = taus.size
+        w_cross = (measure * np.sqrt(nbar_s * nbar_l))[:, None] * (-2.0 * np.sin(np.outer(omega, taus)))
     cross_idx = int(np.argmax(np.abs(taus)))  # report the cross term at the largest delay
-    sum_x = np.zeros(k)
-    sum_y = 0.0
-    sum_xx = np.zeros(k)
-    sum_yy = 0.0
-    sum_xy = np.zeros(k)
-    sum_c = 0.0
-    sum_cc = 0.0
+    gemm_rows = max(1, 2**19 // (omega.size * (k + 1)))  # product blocks below OpenBLAS's threading
 
-    done = 0
-    while done < samples:
-        n = min(batch, samples - done)
-        e_s = rng.standard_exponential((n, omega.size))
-        x = e_s @ w_plus
-        y = e_s @ w_zero
+    def product(e, w):
+        out = np.empty((e.shape[0], w.shape[1]))
+        for r in range(0, e.shape[0], gemm_rows):
+            np.matmul(e[r : r + gemm_rows], w, out=out[r : r + gemm_rows])
+        return out
+
+    def chunk(stream, e_s, e_l=None, cos_dphi=None):
+        rng = np.random.default_rng(stream)
+        rng.standard_exponential(out=e_s)
+        xy = product(e_s, w_signal)
+        x, y = xy[:, :k], xy[:, k]
         if theta_lo is not None:
-            e_l = rng.standard_exponential((n, omega.size))
+            rng.standard_exponential(out=e_l)
             # cos Δφ drawn as sin(π(U - ½)): numpy's sin is faster on [-π/2, π/2)
-            cos_dphi = rng.random((n, omega.size))
+            rng.random(out=cos_dphi)
             cos_dphi -= 0.5
             cos_dphi *= math.pi
             np.sin(cos_dphi, out=cos_dphi)
-            x += e_l @ w_minus
+            x += product(e_l, w_minus)
             # e_s becomes √(E_s E_l) cos Δφ in place
             e_s *= e_l
             np.sqrt(e_s, out=e_s)
             e_s *= cos_dphi
-            cross = e_s @ w_cross
+            cross = product(e_s, w_cross)
             x += cross
             c_term = cross[:, cross_idx]
         else:
-            c_term = np.zeros(n)
+            c_term = np.zeros(e_s.shape[0])
+        return (x.sum(axis=0), y.sum(), (x * x).sum(axis=0), (y * y).sum(),
+                (x * y[:, None]).sum(axis=0), c_term.sum(), (c_term * c_term).sum())
 
-        sum_x += x.sum(axis=0)
-        sum_y += y.sum()
-        sum_xx += (x * x).sum(axis=0)
-        sum_yy += (y * y).sum()
-        sum_xy += (x * y[:, None]).sum(axis=0)
-        sum_c += c_term.sum()
-        sum_cc += (c_term * c_term).sum()
-        done += n
+    # imported here: `verify --quick` imports this module but never samples
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = [min(batch, samples - start) for start in range(0, samples, batch)]
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(sizes))
+    # Every draw lands in a worker's buffers, allocated here by the calling
+    # thread: the memory a call takes is then the same whichever way its
+    # threads interleave.  The calling thread is a worker too, and every
+    # worker takes the next chunk as it comes free.
+    buffers = np.empty((workers, 1 if theta_lo is None else 3, sizes[0], omega.size))
+    tickets = itertools.count()
+    parts = [None] * len(sizes)
+
+    def work(own):
+        while (i := next(tickets)) < len(sizes):
+            parts[i] = chunk(streams[i], *own[:, : sizes[i]])
+
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(work, own) for own in buffers[1:]]
+        work(buffers[0])
+        for helper in helpers:
+            helper.result()
+    sum_x, sum_y, sum_xx, sum_yy, sum_xy, sum_c, sum_cc = (sum(col) for col in zip(*parts))
 
     m = float(samples)
     mean_x = sum_x / m
@@ -406,4 +439,5 @@ def thermal_intensity_montecarlo(
         cross_stderr=float(cross_stderr),
         samples=samples,
         seed=seed,
+        batch=batch,
     )

@@ -95,7 +95,10 @@ def bose_weighted_integral(
     """∫₀^∞ ω^d n̄(ω, θ) kernel(ωτ) dω for kernel in {one, cos}, by quadrature.
 
     With kernel = one this is θ^(d+1) Γ(1+d) ζ(1+d); with kernel = cos it
-    is the blackbody fringe integral evaluated at a = τθ.  d is 1 or 3.
+    is the blackbody fringe integral evaluated at a = τθ.  d is any odd
+    dimension :func:`~mmi.thermal_kernels.bose_integral_constant` accepts;
+    which d a scenario admits is decided by the scenario table in
+    :mod:`mmi.intensity`.
     ``tau`` may be an array: the Bose weight x^d/(eˣ - 1) is evaluated once
     per node for every delay, and each delay meets the tolerance.  Returns
     the :class:`~mmi.quadrature.QuadratureResult` with value and error in
@@ -105,14 +108,13 @@ def bose_weighted_integral(
         raise ValueError(f"temperature must be positive and finite, got {theta}")
     if kernel not in ("one", "cos"):
         raise ValueError(f"unknown kernel {kernel!r}; expected 'one' or 'cos'")
-    if d not in (1, 3):
-        raise ValueError(f"dimension {d} unsupported; expected 1 or 3")
+    j_const = bose_integral_constant(d)  # rejects a d it has no closed form for
 
     # cos(0 · x) = 1 exactly, so the constant kernel is the fringe at a = 0
     a = np.abs(np.asarray(tau, dtype=float)) * (theta if kernel == "cos" else 0.0)
     scale = theta ** (d + 1)
     if abs_tol is None:
-        abs_tol = 1e-13 * scale * bose_integral_constant(d)
+        abs_tol = 1e-13 * scale * j_const
     tol = abs_tol / scale
     cutoff = _bose_cutoff(d, tol)
 

@@ -373,12 +373,13 @@ def test_verify_out_writes_a_json_report(tmp_path):
 
 
 def test_verify_quick_imports_no_test_extras():
-    # scipy, mpmath and hypothesis back tests only; the package never loads them
+    # scipy, mpmath and hypothesis back tests only; the package never loads them.
+    # concurrent.futures serves the Monte-Carlo oracle alone, which --quick skips.
     code = (
         "import sys, mmi\n"
         "from mmi import cli\n"
         "assert cli.main(['verify', '--quick']) == 0\n"
-        "print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))\n"
+        "print(sorted({'scipy', 'mpmath', 'hypothesis', 'concurrent.futures'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr

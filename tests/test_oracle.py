@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -235,9 +238,58 @@ def test_montecarlo_cross_term_vanishes():
 
 
 def test_montecarlo_deterministic_per_seed():
-    a = thermal_intensity_montecarlo(1.0, None, [1.0], samples=2000, seed=42)
-    b = thermal_intensity_montecarlo(1.0, None, [1.0], samples=2000, seed=42)
-    assert np.array_equal(a.ratios, b.ratios)
+    for theta_lo in (None, 1.0):
+        a = thermal_intensity_montecarlo(1.1, theta_lo, [1.0], samples=2000, seed=42)
+        b = thermal_intensity_montecarlo(1.1, theta_lo, [1.0], samples=2000, seed=42)
+        assert np.array_equal(a.ratios, b.ratios)
+        assert np.array_equal(a.stderrs, b.stderrs)
+        assert a.cross_mean == b.cross_mean
+
+
+@pytest.mark.parametrize("cpus", [1, 5])
+@pytest.mark.parametrize("theta_lo", [None, 1.0], ids=["vacuum", "thermal"])
+def test_montecarlo_bitwise_independent_of_cpu_count(monkeypatch, theta_lo, cpus):
+    # each chunk owns its stream and the partial sums are added in chunk order,
+    # so one worker and more workers than cores reproduce the default run exactly
+    taus = [0.5, 1.0, 2.0]
+    ref = thermal_intensity_montecarlo(1.1, theta_lo, taus, samples=5000, seed=9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    got = thermal_intensity_montecarlo(1.1, theta_lo, taus, samples=5000, seed=9)
+    assert np.array_equal(got.ratios, ref.ratios)
+    assert np.array_equal(got.stderrs, ref.stderrs)
+    assert got.cross_mean == ref.cross_mean
+
+
+def test_montecarlo_counts_the_last_partial_chunk():
+    # 2000 = 3 × 512 + 464; the first three chunks are those of a 1536-sample run
+    mc = thermal_intensity_montecarlo(1.0, 1.0, [1.0], samples=2000, seed=1)
+    assert (mc.samples, mc.seed, mc.batch) == (2000, 1, 512)
+    whole_chunks = thermal_intensity_montecarlo(1.0, 1.0, [1.0], samples=1536, seed=1)
+    # the 464 extra draws move the estimate by far more than rounding
+    assert np.all(np.abs(mc.ratios - whole_chunks.ratios) > 1e-9)
+
+
+def test_montecarlo_on_one_cpu_starts_no_thread(monkeypatch):
+    # the calling thread is one of the workers, so one CPU needs no pool thread
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    mc = thermal_intensity_montecarlo(1.1, 1.0, [0.5, 1.0], samples=2000, seed=3)
+    assert mc.samples == 2000
+
+
+@pytest.mark.parametrize("theta_lo", [None, 1.0], ids=["vacuum", "thermal"])
+def test_montecarlo_many_delays_match_per_delay_runs(theta_lo):
+    # 12 delays split each chunk's products into row blocks; every delay's
+    # ratio must still be the one a run at that delay alone gives
+    taus = np.linspace(0.2, 3.0, 12)
+    many = thermal_intensity_montecarlo(1.1, theta_lo, taus, samples=2000, seed=5)
+    for i in (0, 5, 11):
+        alone = thermal_intensity_montecarlo(1.1, theta_lo, [taus[i]], samples=2000, seed=5)
+        assert many.ratios[i] == pytest.approx(alone.ratios[0], rel=1e-12)
+        assert many.stderrs[i] == pytest.approx(alone.stderrs[0], rel=1e-9)
 
 
 def test_montecarlo_pooling_two_seeds_halves_variance():

@@ -100,9 +100,14 @@ def test_bose_weighted_integral_scaling_in_theta():
 
 
 def test_bose_weighted_integral_general_dimension_gate():
-    for d in (2, 5, 0):
-        with pytest.raises(ValueError, match="expected 1 or 3"):
+    # any odd d with a closed-form constant; the scenario table decides which d a scenario admits
+    for d in (2, 0, -1, 1.5):
+        with pytest.raises(ValueError, match="positive odd integer"):
             bose_weighted_integral(1.0, d, "one")
+    # Γ(1+d) ζ(1+d) with ζ(6) = π⁶/945, ζ(8) = π⁸/9450
+    for d, zeta in ((5, math.pi**6 / 945.0), (7, math.pi**8 / 9450.0)):
+        got = bose_weighted_integral(1.0, d, "one").value
+        assert abs(got / (math.factorial(d) * zeta) - 1.0) < 1e-12
 
 
 def test_bose_weighted_integral_domain_errors():

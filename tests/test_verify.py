@@ -60,6 +60,14 @@ def test_dual_path_checks_follow_the_dimension_table(monkeypatch):
     assert "thermal-vacuum d = 1 dual path" not in names
 
 
+def test_a_new_thermal_dimension_needs_only_the_table(monkeypatch):
+    # the quadrature path accepts every odd d the closed form does, so the table is the one gate
+    monkeypatch.setitem(intensity._DIMENSIONS, "thermal-vacuum", (3, 1, 5))
+    checks = {name: (value, tol) for name, value, tol in verify.run_verification(quick=True)}
+    value, tol = checks["thermal-vacuum d = 5 dual path"]
+    assert tol == 1e-9 and value <= tol
+
+
 def test_dual_path_catches_a_wrong_exact_path_at_one_dimension(monkeypatch):
     # canary: a 1e-6 relative error in the spectral exact path at d = 3 only
     true_exact = intensity._spectral_exact

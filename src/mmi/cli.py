@@ -385,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         for dest in flags:
             options, kwargs = _SIMULATE_FLAGS[dest]
             scen.add_argument(*options, dest=dest, **kwargs)
-        scen.add_argument("--d", type=int, default=None, choices=[1, 3],
-                          help="space dimension (default 3 for thermal scenarios, 1 otherwise)")
+        scen.add_argument("--d", type=int, default=None,
+                          help="space dimension the scenario admits (default 3 for thermal scenarios, 1 otherwise)")
         scen.add_argument("--grid", default="0:6:600",
                           help="delay grid start:stop:count (tau*sigma, or a for thermal scenarios)")
         scen.add_argument("--method", default="auto",

@@ -348,25 +348,29 @@ class StateClassification:
 
 
 def _is_tau_symmetrized(tau: np.ndarray, ratios: np.ndarray) -> bool:
-    """True when the grid pairs ±τ and the odd part of the data vanishes."""
+    """True when the grid pairs ±τ and the odd part of the data vanishes.
+
+    A nonzero delay pairs with the first of its mirror's sorted neighbours
+    j - 1, j, j + 1 within 1e-9·max(|τ|, 1); at least 80 % must pair, and
+    the odd part must stay within 1e-6 of the data's range.
+    """
     order = np.argsort(tau)
     t, r = tau[order], ratios[order]
-    nonzero = np.abs(t) > 1e-15
-    if not nonzero.any():
+    i = np.flatnonzero(np.abs(t) > 1e-15)
+    if not i.size:
         return False
-    paired = 0
-    odd_max = 0.0
-    for i in np.nonzero(nonzero)[0]:
-        j = np.searchsorted(t, -t[i])
-        for k in (j - 1, j, j + 1):
-            if 0 <= k < t.size and abs(t[k] + t[i]) <= 1e-9 * max(abs(t[i]), 1.0):
-                paired += 1
-                odd_max = max(odd_max, 0.5 * abs(r[i] - r[k]))
-                break
-    if paired < 0.8 * int(nonzero.sum()):
+    ti = t[i]
+    j = np.searchsorted(t, -ti)
+    tol = 1e-9 * np.maximum(np.abs(ti), 1.0)
+    partner = np.full(i.size, -1)
+    for k in (j + 1, j, j - 1):  # the last match written is the first candidate
+        near = (k >= 0) & (k < t.size) & (np.abs(np.take(t, k, mode="clip") + ti) <= tol)
+        partner[near] = k[near]
+    paired = partner >= 0
+    if np.count_nonzero(paired) < 0.8 * i.size:
         return False
-    fringe_scale = float(np.ptp(r))
-    return odd_max <= 1e-6 * max(fringe_scale, 1e-12)
+    odd_max = np.max(0.5 * np.abs(r[i[paired]] - r[partner[paired]]), initial=0.0)
+    return odd_max <= 1e-6 * max(float(np.ptp(r)), 1e-12)
 
 
 def discriminate_state_class(

@@ -21,14 +21,18 @@ M_n(τ) = ∫₀^∞ ωⁿ e^{-(ω-μ)²/σ²} e^{iωτ} dω of
 grid; the coherent cross term f_s f_lo is a single product Gaussian.  It
 agrees with the quadrature path to its 1e-12 tolerance and keeps working at
 optical ω̄/σ, where the rounding of cos ωτ stops quadrature short of it.
-The thermal closed forms are exact at every dimension a thermal scenario
-admits, so ``auto`` never integrates; ``method="quadrature"`` is the check.
+Both thermal scenarios are one evaluator: against an LO at θ_lo the ratio
+is ½[1 + r^{d+1} + K_d(a_s) - r^{d+1} K_d(a_lo)], r = θ_lo/θ_s, a = |τ|θ,
+and a vacuum LO is r = 0.  Its closed forms are exact at every dimension a
+thermal scenario admits, so ``auto`` never integrates;
+``method="quadrature"`` is the check.
 
 A request without a dimension takes the scenario's default: d = 3 for the
 thermal scenarios (the blackbody; the thermal pair exists only there) and
 d = 1 for the spectral ones.  Every scenario but the thermal pair admits
 d ∈ {1, 3}.  These rules, and the path each method takes, are
-decided once, by :func:`_resolve`, for every entry point of this module.
+decided once, by :func:`_resolve`, for every entry point of this module
+and for the ``--d`` flag of ``mmi simulate``.
 
 The thermal closed forms are exact and stable down to τ = 0 thanks to the
 cancellation-free kernel in :mod:`mmi.thermal_kernels`, one generator for
@@ -55,7 +59,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -291,14 +295,6 @@ def one_photon_vacuum_ratio(f_s: SpectralDistribution, tau) -> float:
 # thermal scenarios
 
 
-def _bose_fringe(a, d: int, abs_tol: float, rel_tol: float) -> QuadratureResult:
-    """K_d(a) = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx over a grid of a ≥ 0 by
-    quadrature, in one call for the whole grid; value and error are in units of K."""
-    j_const = bose_integral_constant(d)
-    res = bose_weighted_integral(1.0, d, "cos", a, abs_tol=abs_tol * j_const, rel_tol=rel_tol)
-    return replace(res, value=res.value / j_const, error=res.error / j_const)
-
-
 def _counters(result: QuadratureResult, ratio_error) -> dict:
     """``metadata["quadrature"]``: panels and integrand evaluations summed over
     the calls, and the largest error estimate of a ratio."""
@@ -317,40 +313,46 @@ def _closed_fringe(a, d):
     return fringe_deviation(a, d)
 
 
-def _thermal_vacuum(theta, tau, d, method, abs_tol, rel_tol):
-    """Ratios of :func:`thermal_vacuum_ratio` and the quadrature counters (None for the closed form)."""
-    a = np.abs(np.asarray(tau, dtype=float)) * theta
+def _thermal(theta_s, theta_lo, tau, d, method, abs_tol, rel_tol):
+    """Ratios ½[1 + w + K_d(a_s) - w K_d(a_lo)], a = |τ|θ, with the LO's weight
+    w = (θ_lo/θ_s)^(d+1), and the quadrature counters (None for the closed form).
+
+    ``theta_lo`` None is a vacuum LO: w = 0 and no second a-grid.
+    """
+    t = np.abs(np.asarray(tau, dtype=float))
+    vacuum = theta_lo is None
+    w = 0.0 if vacuum else (theta_lo / theta_s) ** (d + 1)
+    quad = None
     if method == "closed_form":
-        k, quad = _closed_fringe(a, d), None
+        k_lo = None if vacuum else _closed_fringe(t * theta_lo, d)
+        t *= theta_s  # the last a-grid reuses |τ|
+        k = _closed_fringe(t, d)
     else:
-        res = _bose_fringe(a, d, abs_tol, rel_tol)
-        k, quad = res.value, _counters(res, 0.5 * res.error)
-    k += 1.0  # ½(1 + K) in place
+        # every a-grid in one call; K = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx
+        j_const = bose_integral_constant(d)
+        a = np.multiply.outer((theta_s,) if vacuum else (theta_s, theta_lo), t)
+        res = bose_weighted_integral(1.0, d, "cos", a, abs_tol=abs_tol * j_const, rel_tol=rel_tol)
+        ks, errors = res.value / j_const, res.error / j_const
+        k, k_lo = ks[0], None if vacuum else ks[1]
+        quad = _counters(res, 0.5 * (errors[0] if vacuum else errors[0] + w * errors[1]))
+    # ½(1 + w + (K_s - w K_lo)) in place; grouping the kernel difference keeps
+    # the equal-temperature cancellation exact in floating point
+    if not vacuum:
+        k_lo *= w
+        k -= k_lo
+    k += 1.0 + w
     k *= 0.5
     return k, quad
 
 
-def _thermal_pair(theta0, theta1, tau, method, abs_tol, rel_tol):
-    """Ratios of :func:`thermal_thermal_ratio` and the quadrature counters (None for the closed form)."""
-    t = np.abs(np.asarray(tau, dtype=float))
-    r4 = (theta0 / theta1) ** 4
-    quad = None
-    if method == "closed_form":
-        k1 = _closed_fringe(t * theta1, 3)
-        t *= theta0  # the last a-grid reuses |τ|
-        k0 = _closed_fringe(t, 3)
-    else:
-        # both a-grids in one call
-        k = _bose_fringe(np.stack([t * theta1, t * theta0]), 3, abs_tol, rel_tol)
-        k1, k0 = k.value
-        quad = _counters(k, 0.5 * (k.error[0] + r4 * k.error[1]))
-    # ½(1 + r⁴ + (K₁ - r⁴K₀)) in place; grouping the kernel difference keeps
-    # the equal-temperature cancellation exact in floating point
-    k0 *= r4
-    k1 -= k0
-    k1 += 1.0 + r4
-    k1 *= 0.5
-    return k1, quad
+def _thermal_ratio(scenario, theta_s, theta_lo, tau, d, method, abs_tol, rel_tol):
+    """:func:`_thermal` behind the checks of the public ratios; a float for a scalar delay."""
+    d, method = _resolve(scenario, d, method)
+    if not (0.0 < theta_s < math.inf and (theta_lo is None or 0.0 < theta_lo < math.inf)):
+        bad = theta_lo if 0.0 < theta_s < math.inf else theta_s
+        raise ValueError(f"temperature must be positive and finite, got {bad}")
+    out = np.asarray(_thermal(theta_s, theta_lo, _finite_delays(tau), d, method, abs_tol, rel_tol)[0])
+    return out if out.ndim else float(out)
 
 
 def thermal_vacuum_ratio(
@@ -369,14 +371,9 @@ def thermal_vacuum_ratio(
     K_3 = 15((2 + cosh 2aπ)/sinh⁴(aπ) - 3/(aπ)⁴), K_1 = 3(1/(aπ)² - 1/sinh²(aπ));
     it agrees with quadrature to quadrature tolerance.  Decays to 1/2 like
     a^{-(d+1)}.  A missing d takes the default, 3, as :class:`IntensityRequest` does.
+    It is :func:`thermal_thermal_ratio` with a zero-temperature reference.
     """
-    d, method = _resolve("thermal-vacuum", d, method)
-    if not 0.0 < theta < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {theta}")
-    tau = _finite_delays(tau)
-
-    out = np.asarray(_thermal_vacuum(theta, tau, d, method, abs_tol, rel_tol)[0])
-    return out if out.ndim else float(out)
+    return _thermal_ratio("thermal-vacuum", theta, None, tau, d, method, abs_tol, rel_tol)
 
 
 def thermal_thermal_ratio(
@@ -400,13 +397,7 @@ def thermal_thermal_ratio(
     thermometry signal.  The quadrature path integrates the two Bose
     fringe integrals directly.
     """
-    _, method = _resolve("thermal-thermal", 3, method)
-    if not (0.0 < theta0 < math.inf and 0.0 < theta1 < math.inf):
-        raise ValueError("temperatures must be positive and finite")
-    tau = _finite_delays(tau)
-
-    out = np.asarray(_thermal_pair(theta0, theta1, tau, method, abs_tol, rel_tol)[0])
-    return out if out.ndim else float(out)
+    return _thermal_ratio("thermal-thermal", theta1, theta0, tau, 3, method, abs_tol, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +498,8 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
     d, used = _resolve(scenario, request.dimension, request.method)
 
     norm = quad = None
-    if scenario == "thermal-vacuum":
-        ratios, quad = _thermal_vacuum(sig.theta, taus, d, used, **tols)
-    elif scenario == "thermal-thermal":
-        ratios, quad = _thermal_pair(lo.theta, sig.theta, taus, used, **tols)
+    if scenario != "spectral":
+        ratios, quad = _thermal(sig.theta, None if isinstance(lo, Vacuum) else lo.theta, taus, d, used, **tols)
     else:
         f_s = sig.spectrum
         f_lo = None if isinstance(lo, Vacuum) else lo.spectrum

@@ -175,6 +175,19 @@ def test_simulate_dimension_reaches_every_scenario(tmp_path, capsys):
     assert "dimension 1" in capsys.readouterr().err
 
 
+def test_simulate_dimension_gate_is_the_scenario_table(tmp_path, monkeypatch, capsys):
+    # --d passes any integer to the library, whose scenario table decides
+    from mmi import intensity
+
+    monkeypatch.setitem(intensity._DIMENSIONS, "thermal-vacuum", (3, 1, 5))
+    out = tmp_path / "tv5.csv"
+    assert cli.main(["simulate", "thermal-vacuum", "--d", "5", "--grid", "0:4:9", "-o", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["config"]["d"] == 5
+    capsys.readouterr()
+    assert cli.main(["simulate", "thermal-vacuum", "--d", "2", "-o", str(tmp_path / "tv2.csv")]) == 2
+    assert "dimension 2" in capsys.readouterr().err
+
+
 # what each scenario offers beyond --grid, --method, --d, --out and --help
 SCENARIO_FLAGS = {
     "fock": {"--wbar-s", "--wbar-lo", "--sigma", "--sigma-lo"},

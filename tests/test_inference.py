@@ -290,6 +290,71 @@ def test_symmetrized_data_indistinguishable():
     assert result.label == "indistinguishable"
 
 
+def test_symmetrized_grid_thresholds_hold_from_both_sides():
+    from mmi.inference import _is_tau_symmetrized
+
+    half = np.linspace(1.0, 5.0, 40)  # |τ| ≥ 1: the pairing tolerance is 1e-9 relative
+    even = np.cos(half)
+
+    def symmetric(mirror, extras=0, odd=0.0):
+        tau = np.concatenate([half, -mirror, 7.0 + np.arange(extras)])
+        ratios = np.concatenate([even + odd, even - odd, np.zeros(extras)])
+        return bool(_is_tau_symmetrized(tau, ratios))
+
+    assert symmetric(half)
+    # a mirror within 1e-9·|τ| pairs, one beyond it does not
+    assert symmetric(half * (1.0 + 5e-10))
+    assert not symmetric(half * (1.0 + 2e-9))
+    # 80 of 100 nonzero delays paired is enough, 80 of 101 is not
+    assert symmetric(half, extras=20)
+    assert not symmetric(half, extras=21)
+    # each delay pairs with the first of its mirror's sorted neighbours that
+    # lies within tolerance: here -1 with 1 - 5e-10, not with 1
+    tau = np.array([1.0, -1.0, 1.0 - 5e-10, -1.0 - 5e-10])
+    assert _is_tau_symmetrized(tau, np.array([1.0, 0.0, 0.0, 1.0]))
+    # the odd part may reach 1e-6 of the data's range, not beyond
+    span = float(np.ptp(even))
+    assert symmetric(half, odd=0.99e-6 * span)
+    assert not symmetric(half, odd=1.01e-6 * span)
+
+
+def _loop_is_tau_symmetrized(tau, ratios):
+    """Reference: one delay at a time, its mirror's sorted neighbours j - 1, j, j + 1 in turn."""
+    order = np.argsort(tau)
+    t, r = tau[order], ratios[order]
+    nonzero = np.abs(t) > 1e-15
+    if not nonzero.any():
+        return False
+    paired, odd_max = 0, 0.0
+    for i in np.nonzero(nonzero)[0]:
+        j = np.searchsorted(t, -t[i])
+        for k in (j - 1, j, j + 1):
+            if 0 <= k < t.size and abs(t[k] + t[i]) <= 1e-9 * max(abs(t[i]), 1.0):
+                paired += 1
+                odd_max = max(odd_max, 0.5 * abs(r[i] - r[k]))
+                break
+    if paired < 0.8 * int(nonzero.sum()):
+        return False
+    return odd_max <= 1e-6 * max(float(np.ptp(r)), 1e-12)
+
+
+def test_symmetrized_check_matches_the_per_delay_loop():
+    from mmi.inference import _is_tau_symmetrized
+
+    rng = np.random.default_rng(11)
+    decisions = set()
+    for trial in range(600):
+        half = rng.uniform(0.0, 5.0, int(rng.integers(1, 30))) * rng.choice([1e-10, 1.0, 1e3])
+        shift = rng.choice([0.0, 5e-10, 1.2e-9, 2e-9]) * np.maximum(half, 1.0)  # exact and near pairs
+        extras = rng.choice(np.arange(-4, 5) * 0.5, int(rng.integers(0, 8)))  # repeats, zeros, strays
+        tau = np.concatenate([half, -(half + shift)[: int(rng.integers(0, half.size + 1))], extras])
+        ratios = np.cos(tau) + rng.choice([0.0, 1e-9, 1e-3]) * np.sin(tau)
+        want = bool(_loop_is_tau_symmetrized(tau, ratios))
+        assert bool(_is_tau_symmetrized(tau, ratios)) == want, trial
+        decisions.add(want)
+    assert decisions == {True, False}
+
+
 def test_single_point_data_rejected():
     with pytest.raises(IdentifiabilityError):
         discriminate_state_class(np.array([0.0]), np.array([1.0]), F_LO)

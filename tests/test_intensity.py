@@ -306,6 +306,17 @@ def test_two_temperature_exponential_approach_vs_vacuum_power_law():
     assert abs(loglog_slope + 4.0) < 0.1
 
 
+@pytest.mark.parametrize("method, slack", [("auto", 0.0), ("quadrature", 1e-12)])
+@pytest.mark.parametrize("eps", [0.1, 0.01, 1e-3])
+def test_cold_reference_approaches_thermal_vacuum(eps, method, slack):
+    # the pair minus thermal/vacuum at θ₁ is ½r⁴(1 - K(a₀)), r = θ₀/θ₁, and |K| ≤ 1
+    theta1 = 1.3
+    taus = np.random.default_rng(5).uniform(-6.0, 6.0, 41)
+    pair = np.asarray(thermal_thermal_ratio(eps * theta1, theta1, taus, method))
+    vacuum = np.asarray(thermal_vacuum_ratio(theta1, taus, 3, method))
+    assert float(np.max(np.abs(pair - vacuum))) <= eps**4 + slack
+
+
 def test_two_temperature_rejects_nonpositive():
     with pytest.raises(ValueError):
         thermal_thermal_ratio(0.0, 1.0, 1.0)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, verify
+from . import __version__
 from .inference import (
     DEFAULT_COHERENCE_EPSILON,
     FitProblem,
@@ -228,19 +228,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # it loads the oracles, which no other command needs
+
     checks = verify.run_verification(quick=args.quick, seed=args.seed, samples=args.samples)
-    failed = []
-    for name, value, tol in checks:
+    failed, report = [], []
+    for check in checks:
+        name, value, tol = check
         status = "PASS" if value <= tol else "FAIL"
         if status == "FAIL":
             failed.append(name)
         print(f"[{status}] {name}: max deviation {value:.3e} (tolerance {tol:.3e})")
+        report.append({"name": name, "max_deviation": float(value), "tolerance": tol, "passed": bool(value <= tol),
+                       "seconds": check.seconds})
     if args.out:
         payload = {
-            "checks": [
-                {"name": n, "max_deviation": float(v), "tolerance": t, "passed": bool(v <= t)}
-                for n, v, t in checks
-            ],
+            "checks": report,
             "quick": args.quick,
             "seed": args.seed,
             "version": __version__,
@@ -388,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         scen.add_argument("--d", type=int, default=None,
                           help="space dimension the scenario admits (default 3 for thermal scenarios, 1 otherwise)")
         scen.add_argument("--grid", default="0:6:600",
-                          help="delay grid start:stop:count (tau*sigma, or a for thermal scenarios)")
+                          help="delay grid start:stop:count (tau*sigma, or a for thermal scenarios); "
+                               "write a negative start as --grid=-3:6:31")
         scen.add_argument("--method", default="auto",
                           choices=["auto", "closed_form", "quadrature", "both"])
         scen.add_argument("--out", "-o", default=None, help="output CSV path")

@@ -52,15 +52,22 @@ _SERIES_TERMS = 25
 
 
 def _bernoulli(n_max: int) -> list[Fraction]:
-    """B_0 .. B_n_max by the defining recurrence (exact rationals)."""
-    bern = [Fraction(0)] * (n_max + 1)
-    bern[0] = Fraction(1)
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += math.comb(n + 1, k) * bern[k]
-        bern[n] = -acc / (n + 1)
-    return bern
+    """B_0 .. B_n_max (exact rationals, B_1 = -1/2) from the integer tangent numbers T_k.
+
+    T_1 .. T_m by Knuth & Buckholtz (1967), then B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1));
+    the odd B_n past B_1 vanish.
+    """
+    m = n_max // 2
+    tangent = [0, 1] + [0] * (m - 1)  # tangent[k] = T_k
+    for k in range(2, m + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    bern = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n_max - 1)
+    for k in range(1, m + 1):
+        bern[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4**k * (4**k - 1))
+    return bern[:n_max + 1]
 
 
 _BERNOULLI = _bernoulli(2 * _SERIES_TERMS + 4)

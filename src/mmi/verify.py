@@ -1,6 +1,7 @@
 """``mmi verify``: triangulate closed forms, quadrature and oracles.
 
-A check is ``(name, max deviation, tolerance)`` and passes when the deviation is within the tolerance.
+A check is ``(name, max deviation, tolerance)`` and passes when the deviation is within the tolerance;
+its ``seconds`` is the wall time of the group that computed it, which the checks of one group share.
 Beside the named checks, each row of :data:`_PAIRS` compares ``method="auto"`` with ``"quadrature"``
 at every dimension that :data:`mmi.intensity._DIMENSIONS` admits for its scenario, so a dimension
 added there is verified with no edit here.
@@ -8,11 +9,12 @@ added there is verified with no edit here.
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import numpy as np
 
-from .inference import discriminate_state_class
+from .inference import FitProblem, discriminate_state_class, estimate_coherence_time, fit
 from .intensity import (
     _DIMENSIONS, IntensityRequest, _scenario, coherent_intensity, compute_interferogram, fock_intensity,
     fock_intensity_closed, thermal_thermal_ratio, thermal_vacuum_ratio,
@@ -102,17 +104,40 @@ def _verify_thermal_thermal():
     ]
 
 
+def _verify_coherence_horizon():
+    # the default threshold is calibrated to a_c = 1.5
+    return [("coherence horizon", abs(estimate_coherence_time().a_c - 1.5), 1e-8)]
+
+
+def _verify_thermometry():
+    a = np.linspace(0.0, 3.0, 200)
+    problem = FitProblem(tau=a, ratios=thermal_thermal_ratio(1.0, 1.01, a), model="thermal_thermal", fixed={"theta0": 1.0})
+    return [("thermal-thermal fit round trip", abs(fit(problem).estimates["theta_ratio"] / 1.01 - 1.0), 1e-9)]
+
+
 def _dual_path(name, signal, lo, delays, d):
     auto, quad = (compute_interferogram(IntensityRequest(signal, lo, delays, d, method)).ratios
                   for method in ("auto", "quadrature"))
     return [(name, float(np.max(np.abs(auto - quad))), _DUAL_TOL)]
 
 
+class Check(tuple):
+    """``(name, max deviation, tolerance)`` with the wall time of its group in ``seconds``."""
+
+    def __new__(cls, name, value, tol, seconds):
+        check = super().__new__(cls, (name, value, tol))
+        check.seconds = seconds
+        return check
+
+
 def _guarded(label, group, *args):
+    start = time.perf_counter()
     try:
-        return group(*args)
+        checks = group(*args)
     except Exception as exc:  # a crashing check is a failing check
-        return [(f"{label} raised {type(exc).__name__}", float("inf"), 0.0)]
+        checks = [(f"{label} raised {type(exc).__name__}", float("inf"), 0.0)]
+    seconds = time.perf_counter() - start
+    return [Check(*check, seconds) for check in checks]
 
 
 def run_verification(quick: bool = False, seed: int = 20260808, samples: int = 20000):
@@ -121,6 +146,8 @@ def run_verification(quick: bool = False, seed: int = 20260808, samples: int = 2
     if not quick:
         checks += _guarded("thermal-vacuum scenario", _verify_montecarlo, seed, samples)
     checks += _guarded("thermal-thermal scenario", _verify_thermal_thermal)
+    checks += _guarded("coherence horizon", _verify_coherence_horizon)
+    checks += _guarded("thermal-thermal fit", _verify_thermometry)
     spectral_gaps = []
     for pair, signal, lo, delays in _PAIRS:
         scenario = _scenario(signal, lo)
@@ -130,5 +157,6 @@ def run_verification(quick: bool = False, seed: int = 20260808, samples: int = 2
             checks += _guarded(name, _dual_path, name, signal, lo, delays, d)
             if scenario == "spectral":
                 spectral_gaps.append(checks[-1][1])
-    checks.append(("spectral exact-vs-quadrature", max(spectral_gaps, default=float("inf")), _DUAL_TOL))
+    # a maximum over the spectral rows above, computed in no time of its own
+    checks.append(Check("spectral exact-vs-quadrature", max(spectral_gaps, default=float("inf")), _DUAL_TOL, 0.0))
     return checks

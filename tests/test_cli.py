@@ -400,6 +400,37 @@ def test_verify_quick_imports_no_test_extras():
     assert "[PASS] thermal-vacuum d = 1 dual path" in proc.stdout
 
 
+def test_light_commands_do_not_import_the_verifier():
+    # the oracles serve verify alone; simulate, fit and coherence need not compile them
+    code = (
+        "import sys\n"
+        "from mmi import cli\n"
+        "assert cli.main(['coherence']) == 0\n"
+        "print(sorted({'mmi.oracle', 'mmi.verify'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_out_records_each_check_time(tmp_path):
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--quick", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 21
+    assert all(isinstance(check["seconds"], float) and check["seconds"] >= 0.0 for check in checks)
+    assert next(c for c in checks if c["name"] == "fock plateau")["seconds"] > 0.0
+
+
+def test_simulate_grid_with_a_negative_start(tmp_path):
+    out = tmp_path / "neg.csv"
+    proc = run_cli("simulate", "thermal-vacuum", "--grid=-3:6:31", "-o", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "a,ratio" and len(lines) == 32
+    assert lines[1].startswith("-3,")
+
+
 def test_coherence_reports_calibrated_value(tmp_path):
     out = tmp_path / "coh.json"
     proc = run_cli("coherence", "--out", str(out), cwd=tmp_path)

@@ -252,6 +252,53 @@ def test_coherence_bisection_stops_when_the_bracket_cannot_shrink(monkeypatch):
         assert a_c == 0.5 * (lo + hi), epsilon
 
 
+def _halving_loop(epsilon):
+    """The coherence horizon by one halving per closed-form call: the reference for the tree walk."""
+
+    def deviation(a):
+        return np.abs(np.asarray(thermal_vacuum_ratio(1.0, a, 3, "closed_form")) - 0.5)
+
+    a_max = max((45.0 / (2.0 * epsilon)) ** 0.25 / math.pi * 1.5, 2.0)
+    grid = np.linspace(1e-4, a_max, 4096)
+    i = np.nonzero(deviation(grid) >= epsilon)[0][-1]
+    lo, hi = grid[i], grid[i + 1]
+    a_c = 0.5 * (lo + hi)
+    while lo < a_c < hi:
+        if deviation(a_c) >= epsilon:
+            lo = a_c
+        else:
+            hi = a_c
+        a_c = 0.5 * (lo + hi)
+    return a_c
+
+
+def test_speculative_bisection_equals_the_halving_loop(monkeypatch):
+    rng = np.random.default_rng(2024)
+    epsilons = [DEFAULT_COHERENCE_EPSILON, *np.exp(rng.uniform(math.log(1e-6), math.log(0.49), 500))]
+    expected = [_halving_loop(epsilon) for epsilon in epsilons]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 10:  # a walk that never stops fails here instead of hanging
+            raise AssertionError("more than 10 closed-form calls for one estimate")
+        return thermal_vacuum_ratio(*args)
+
+    monkeypatch.setattr(mmi.inference, "thermal_vacuum_ratio", counted)
+    for theta in (1.0, 7.3):
+        for epsilon, a_c in zip(epsilons, expected):
+            calls.clear()
+            assert estimate_coherence_time(theta, epsilon).a_c == a_c, (theta, epsilon)
+
+
+def test_coherence_report_holds_python_floats():
+    for theta, epsilon in ((1.0, DEFAULT_COHERENCE_EPSILON), (np.float64(7.3), np.float64(0.01))):
+        report = estimate_coherence_time(theta, epsilon, speed_of_light=np.float64(3.0))
+        for value in (report.a_c, report.tau_c, report.coherence_length, report.epsilon):
+            assert type(value) is float
+    assert repr(estimate_coherence_time().a_c) == "1.4999999992873692"
+
+
 def test_threshold_domain():
     with pytest.raises(ValueError):
         estimate_coherence_time(epsilon=0.0)

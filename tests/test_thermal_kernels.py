@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mmi import thermal_kernels
 from mmi.thermal_kernels import (
     BLOCK,
     SERIES_SWITCH,
@@ -23,6 +25,19 @@ def test_zeta_even_rejects_odd_or_nonpositive():
     for bad in (0, -2, 3):
         with pytest.raises(ValueError):
             zeta_even(bad)
+
+
+def test_bernoulli_table_equals_the_defining_recurrence():
+    def recurrence(n_max):
+        bern = [Fraction(1)]
+        for n in range(1, n_max + 1):
+            bern.append(-sum(math.comb(n + 1, k) * bern[k] for k in range(n)) / (n + 1))
+        return bern
+
+    table = recurrence(54)
+    assert thermal_kernels._BERNOULLI == table
+    for n_max in (0, 1, 2, 3, 10, 11):
+        assert thermal_kernels._bernoulli(n_max) == table[:n_max + 1]
 
 
 def test_bose_constants():

@@ -45,11 +45,13 @@ def test_quick_keeps_every_named_check_and_skips_only_monte_carlo(quick_checks):
         "thermal-thermal equal-temperature identity": 1e-12,
         "thermal-thermal asymptote": 1e-6,
         "spectral exact-vs-quadrature": 1e-9,
+        "coherence horizon": 1e-8,
+        "thermal-thermal fit round trip": 1e-9,
     }
     for name, tol in named.items():
         value, got = quick_checks[name]
         assert got == tol and value <= tol, name
-    assert len(quick_checks) == 19
+    assert len(quick_checks) == 21
     assert not any("monte-carlo" in name for name in quick_checks)
 
 

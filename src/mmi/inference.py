@@ -178,15 +178,21 @@ class FitResult:
     converged: bool
 
 
-def fit(problem: FitProblem, *, max_iter: int = 200, step_tol: float = 1e-10, grad_tol: float = 1e-10) -> FitResult:
+# Iteration cap of the fit loop, and the step and gradient norms below which it stops.
+_MAX_ITER = 200
+_STEP_TOL = 1e-10
+_GRAD_TOL = 1e-10
+
+
+def fit(problem: FitProblem) -> FitResult:
     """Damped least-squares fit of a forward model to interferogram data.
 
     Minimizes Σ w_i (ratio_i - model(τ_i; p))² with Levenberg-Marquardt
     damping and forward-difference Jacobians; converges when the step norm
     or the gradient norm drops below 1e-10.  Deterministic for identical
     inputs.  Flat data raise :class:`IdentifiabilityError`; hitting the
-    iteration cap raises :class:`NonConvergenceError` carrying the best
-    iterate.
+    iteration cap (200) raises :class:`NonConvergenceError` carrying the
+    best iterate.
     """
     w = problem.weights()
     data = problem.ratios
@@ -208,7 +214,7 @@ def fit(problem: FitProblem, *, max_iter: int = 200, step_tol: float = 1e-10, gr
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         jac = np.empty((r.size, p.size))
         for i in range(p.size):
             h = 1e-7 * max(abs(p[i]), 1e-3)
@@ -220,7 +226,7 @@ def fit(problem: FitProblem, *, max_iter: int = 200, step_tol: float = 1e-10, gr
                 actual = -h
             jac[:, i] = (residual(stepped) - r) / actual
         grad = jac.T @ r
-        if float(np.linalg.norm(grad)) < grad_tol:
+        if float(np.linalg.norm(grad)) < _GRAD_TOL:
             converged = True
             break
         hess = jac.T @ jac
@@ -243,7 +249,7 @@ def fit(problem: FitProblem, *, max_iter: int = 200, step_tol: float = 1e-10, gr
                 lam = max(lam / 3.0, 1e-14)
                 break
             lam *= 5.0
-        if step is None or float(np.linalg.norm(step)) < step_tol:
+        if step is None or float(np.linalg.norm(step)) < _STEP_TOL:
             converged = True
             break
 
@@ -266,7 +272,7 @@ def fit(problem: FitProblem, *, max_iter: int = 200, step_tol: float = 1e-10, gr
     )
     if not converged:
         raise NonConvergenceError(
-            f"no convergence within {max_iter} iterations (residual {result.residual_norm:.3e})",
+            f"no convergence within {_MAX_ITER} iterations (residual {result.residual_norm:.3e})",
             result,
         )
     return result
@@ -400,18 +406,16 @@ def _is_tau_symmetrized(tau: np.ndarray, ratios: np.ndarray) -> bool:
     return odd_max <= 1e-6 * max(float(np.ptp(r)), 1e-12)
 
 
-def discriminate_state_class(
-    tau,
-    ratios,
-    f_lo: SpectralDistribution,
-    *,
-    tie_fraction: float = 0.01,
-) -> StateClassification:
+# Residual norms within this fraction of each other classify as indistinguishable.
+_TIE_FRACTION = 0.01
+
+
+def discriminate_state_class(tau, ratios, f_lo: SpectralDistribution) -> StateClassification:
     """Decide whether an interferogram came from Fock or coherent inputs.
 
     Fits both closed-form models (with and without the odd sin cross term)
     and reports the one with the smaller residual norm; residual norms
-    within ``tie_fraction`` of each other are declared indistinguishable.
+    within 1 % of each other are declared indistinguishable.
     The distinguishing information lives entirely in the odd-in-τ part of
     the interferogram, so data whose delay grid pairs ±τ and whose odd
     component vanishes (τ-symmetrized data) are reported indistinguishable
@@ -420,7 +424,7 @@ def discriminate_state_class(
     tau = np.asarray(tau, dtype=float).ravel()
     ratios = np.asarray(ratios, dtype=float).ravel()
     span = float(tau.max() - tau.min()) if tau.size else 0.0
-    if span < 2.0 * math.pi / f_lo.mean_freq:
+    if span * f_lo.mean_freq < 2.0 * math.pi:  # an LO at ω̄ = 0 has no fringe period
         raise IdentifiabilityError("data span less than one fringe period")
 
     fixed = {"lo_mean_freq": f_lo.mean_freq, "width_guess": f_lo.width}
@@ -441,7 +445,7 @@ def discriminate_state_class(
     r_fock = fits["fock_fock"].residual_norm
     r_coh = fits["coherent_coherent"].residual_norm
     best, other = (r_fock, r_coh) if r_fock <= r_coh else (r_coh, r_fock)
-    if other == 0.0 or (other - best) <= tie_fraction * other:
+    if other == 0.0 or (other - best) <= _TIE_FRACTION * other:
         label = "indistinguishable"
         score = 1.0 if other == 0.0 else best / other
     elif r_fock < r_coh:

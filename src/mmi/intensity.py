@@ -64,7 +64,7 @@ from typing import Any
 
 import numpy as np
 
-from .quadrature import QuadratureResult
+from .quadrature import TOL, QuadratureResult
 from .spectra import SpectralDistribution, gaussian_fourier_moments, integrate_over_spectra
 from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, bose_weighted_integral
 from .thermal_kernels import bose_integral_constant, fringe_deviation
@@ -119,7 +119,7 @@ def _finite_delays(tau) -> np.ndarray:
 # spectral-state scenarios
 
 
-def _spectral_integral(f_s, f_lo, tau, d, cross: bool, abs_tol, rel_tol):
+def _spectral_integral(f_s, f_lo, tau, d, cross: bool):
     """Quadrature of the full detection integrand at every delay of ``tau``.
 
     Each amplitude is evaluated once per node for the whole grid; returns the
@@ -139,7 +139,7 @@ def _spectral_integral(f_s, f_lo, tau, d, cross: bool, abs_tol, rel_tol):
         return (w**d)[:, None] * y
 
     spectra = (f_s,) if f_lo is None else (f_s, f_lo)
-    return integrate_over_spectra(integrand, spectra, tau, abs_tol=abs_tol, rel_tol=rel_tol)
+    return integrate_over_spectra(integrand, spectra, tau)
 
 
 def _product_gaussian(mean_s, width_s, mean_lo, width_lo):
@@ -176,15 +176,7 @@ def _spectral_exact(f_s, f_lo, taus, d, cross: bool):
     return (intensity[1:] / norm).reshape(taus.shape), norm
 
 
-def fock_intensity(
-    f_s: SpectralDistribution,
-    f_lo: SpectralDistribution,
-    tau: float,
-    d: int = 1,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-) -> float:
+def fock_intensity(f_s: SpectralDistribution, f_lo: SpectralDistribution, tau: float, d: int = 1) -> float:
     """Unnormalized detected intensity for one-photon states in both ports.
 
     ∫₀^∞ dω ω^d [f_s²(1 + cos ωτ) + f_lo²(1 - cos ωτ)], constant prefactors
@@ -192,18 +184,10 @@ def fock_intensity(
     the mean frequency under f_s².
     """
     d, _ = _resolve("spectral", d, "quadrature")
-    return _spectral_integral(f_s, f_lo, tau, d, cross=False, abs_tol=abs_tol, rel_tol=rel_tol).value
+    return _spectral_integral(f_s, f_lo, tau, d, cross=False).value
 
 
-def coherent_intensity(
-    f_s: SpectralDistribution,
-    f_lo: SpectralDistribution,
-    tau: float,
-    d: int = 1,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-) -> float:
+def coherent_intensity(f_s: SpectralDistribution, f_lo: SpectralDistribution, tau: float, d: int = 1) -> float:
     """Unnormalized intensity for coherent states in both ports.
 
     The one-photon integrand plus the cross term -2ω^d f_s f_lo sin ωτ,
@@ -212,7 +196,7 @@ def coherent_intensity(
     :func:`mmi.spectra.weighted_overlap`, not an identity).
     """
     d, _ = _resolve("spectral", d, "quadrature")
-    return _spectral_integral(f_s, f_lo, tau, d, cross=True, abs_tol=abs_tol, rel_tol=rel_tol).value
+    return _spectral_integral(f_s, f_lo, tau, d, cross=True).value
 
 
 def _check_closed_form_regime(spec: SpectralDistribution, label: str):
@@ -251,7 +235,7 @@ def _closed_pair_ratio(mean_s, width_s, mean_lo, width_lo, tau, cross: bool):
 def _closed_pair(f_s: SpectralDistribution, f_lo: SpectralDistribution, tau, cross: bool):
     _check_closed_form_regime(f_s, "signal")
     _check_closed_form_regime(f_lo, "local oscillator")
-    out = _closed_pair_ratio(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width, tau, cross)
+    out = _closed_pair_ratio(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width, _finite_delays(tau), cross)
     return out if out.ndim else float(out)
 
 
@@ -286,7 +270,7 @@ def one_photon_vacuum_ratio(f_s: SpectralDistribution, tau) -> float:
     The fringe envelope is Gaussian in τ (quadratic log-envelope), not the
     exponential decay a Lorentzian line would produce.
     """
-    t = np.asarray(tau, dtype=float)
+    t = _finite_delays(tau)
     out = 0.5 * (1.0 + np.exp(-((f_s.width * t) ** 2) / 4.0) * np.cos(t * f_s.mean_freq))
     return out if out.ndim else float(out)
 
@@ -313,7 +297,7 @@ def _closed_fringe(a, d):
     return fringe_deviation(a, d)
 
 
-def _thermal(theta_s, theta_lo, tau, d, method, abs_tol, rel_tol):
+def _thermal(theta_s, theta_lo, tau, d, method):
     """Ratios ½[1 + w + K_d(a_s) - w K_d(a_lo)], a = |τ|θ, with the LO's weight
     w = (θ_lo/θ_s)^(d+1), and the quadrature counters (None for the closed form).
 
@@ -331,7 +315,7 @@ def _thermal(theta_s, theta_lo, tau, d, method, abs_tol, rel_tol):
         # every a-grid in one call; K = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx
         j_const = bose_integral_constant(d)
         a = np.multiply.outer((theta_s,) if vacuum else (theta_s, theta_lo), t)
-        res = bose_weighted_integral(1.0, d, "cos", a, abs_tol=abs_tol * j_const, rel_tol=rel_tol)
+        res = bose_weighted_integral(1.0, d, "cos", a, abs_tol=TOL * j_const)
         ks, errors = res.value / j_const, res.error / j_const
         k, k_lo = ks[0], None if vacuum else ks[1]
         quad = _counters(res, 0.5 * (errors[0] if vacuum else errors[0] + w * errors[1]))
@@ -345,25 +329,17 @@ def _thermal(theta_s, theta_lo, tau, d, method, abs_tol, rel_tol):
     return k, quad
 
 
-def _thermal_ratio(scenario, theta_s, theta_lo, tau, d, method, abs_tol, rel_tol):
+def _thermal_ratio(scenario, theta_s, theta_lo, tau, d, method):
     """:func:`_thermal` behind the checks of the public ratios; a float for a scalar delay."""
     d, method = _resolve(scenario, d, method)
     if not (0.0 < theta_s < math.inf and (theta_lo is None or 0.0 < theta_lo < math.inf)):
         bad = theta_lo if 0.0 < theta_s < math.inf else theta_s
         raise ValueError(f"temperature must be positive and finite, got {bad}")
-    out = np.asarray(_thermal(theta_s, theta_lo, _finite_delays(tau), d, method, abs_tol, rel_tol)[0])
+    out = np.asarray(_thermal(theta_s, theta_lo, _finite_delays(tau), d, method)[0])
     return out if out.ndim else float(out)
 
 
-def thermal_vacuum_ratio(
-    theta: float,
-    tau,
-    d: int | None = None,
-    method: str = "auto",
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-):
+def thermal_vacuum_ratio(theta: float, tau, d: int | None = None, method: str = "auto"):
     """Normalized intensity for thermal signal against vacuum; even in τ.
 
     ½[1 + K_d(a)], a = τθ, K_d(a) = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx and
@@ -373,18 +349,10 @@ def thermal_vacuum_ratio(
     a^{-(d+1)}.  A missing d takes the default, 3, as :class:`IntensityRequest` does.
     It is :func:`thermal_thermal_ratio` with a zero-temperature reference.
     """
-    return _thermal_ratio("thermal-vacuum", theta, None, tau, d, method, abs_tol, rel_tol)
+    return _thermal_ratio("thermal-vacuum", theta, None, tau, d, method)
 
 
-def thermal_thermal_ratio(
-    theta0: float,
-    theta1: float,
-    tau,
-    method: str = "auto",
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-):
+def thermal_thermal_ratio(theta0: float, theta1: float, tau, method: str = "auto"):
     """Normalized intensity for thermal signal (θ₁) against thermal LO (θ₀).
 
     Exact closed form (three dimensions), through K = K_3 of :func:`thermal_vacuum_ratio`:
@@ -397,7 +365,7 @@ def thermal_thermal_ratio(
     thermometry signal.  The quadrature path integrates the two Bose
     fringe integrals directly.
     """
-    return _thermal_ratio("thermal-thermal", theta1, theta0, tau, 3, method, abs_tol, rel_tol)
+    return _thermal_ratio("thermal-thermal", theta1, theta0, tau, 3, method)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +382,9 @@ class IntensityRequest:
     scenarios at every dimension they admit and for the spectral
     approximations at d = 1.  ``dimension`` None takes the scenario's
     default: 3 for thermal signals, else 1.
-    Delays must be finite.
+    Delays must be finite.  Quadrature runs at the fixed absolute and
+    relative tolerance :data:`~mmi.quadrature.TOL` = 1e-12, which
+    ``metadata["abs_tol"]`` and ``metadata["rel_tol"]`` record.
     """
 
     signal: PortState
@@ -422,8 +392,6 @@ class IntensityRequest:
     delays: Any
     dimension: int | None = None
     method: str = "auto"
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -493,13 +461,12 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
     """
     sig, lo = request.signal, request.lo
     taus = request.delays
-    tols = {"abs_tol": request.abs_tol, "rel_tol": request.rel_tol}
     scenario = _scenario(sig, lo)
     d, used = _resolve(scenario, request.dimension, request.method)
 
     norm = quad = None
     if scenario != "spectral":
-        ratios, quad = _thermal(sig.theta, None if isinstance(lo, Vacuum) else lo.theta, taus, d, used, **tols)
+        ratios, quad = _thermal(sig.theta, None if isinstance(lo, Vacuum) else lo.theta, taus, d, used)
     else:
         f_s = sig.spectrum
         f_lo = None if isinstance(lo, Vacuum) else lo.spectrum
@@ -508,7 +475,7 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
             ratios, norm = _spectral_exact(f_s, f_lo, taus, d, cross)
         elif used == "quadrature":
             # [0, τ…] in one grid: the zero-delay intensity normalizes the rest
-            res = _spectral_integral(f_s, f_lo, np.concatenate([[0.0], taus.ravel()]), d, cross, **tols)
+            res = _spectral_integral(f_s, f_lo, np.concatenate([[0.0], taus.ravel()]), d, cross)
             norm = float(res.value[0])
             if norm <= 0.0:
                 raise ValueError("zero-delay intensity vanished; cannot normalize")
@@ -526,8 +493,8 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
         "lo": _describe_state(lo),
         "dimension": d,
         "method": used,
-        "abs_tol": request.abs_tol,
-        "rel_tol": request.rel_tol,
+        "abs_tol": TOL,
+        "rel_tol": TOL,
         "seed": None,
     }
     if quad is not None:

@@ -7,14 +7,10 @@ summed over final states directly (plain sums, no FFT, no shared code
 paths).  Its only job is to disagree with :mod:`mmi.intensity` when one of
 the two is wrong.
 
-Two averaging modes exist for the detector time window.  The default
-performs the window average analytically, which collapses the double
-frequency sum onto its diagonal (the infinite-window limit).  A finite
-window keeps the full double sum weighted by sinc((ω-ω')T/2) and exists as
-a diagnostic: its deviation from the analytic mode scales like
-1/(T · δω), the frequency-leakage of a finite measurement.  No library
-path uses it; it stays as the leakage diagnostic that the test suite
-exercises (``test_finite_window_leakage_scales_inversely_with_window``).
+The detector averages over an infinite time window: the average of
+e^{i(ω-ω')t} is the Kronecker delta, which collapses the double frequency
+sum onto its diagonal, so the detection probability is the plain sum of
+|amplitude|² over the final states.
 """
 
 from __future__ import annotations
@@ -86,8 +82,13 @@ class ModeGrid:
         return cls(frequencies=freqs, weights=w)
 
 
-def spectral_mode_grid(*spectra: SpectralDistribution, m: int = 101, span: float = 6.0) -> ModeGrid:
-    """Uniform grid covering ω̄ ± span·σ of every given spectrum.
+# Half-width, in widths, of the spectral coverage a one-photon mode grid needs.
+_COVERAGE_WIDTHS = 6.0
+
+
+def spectral_mode_grid(*spectra: SpectralDistribution, m: int = 101) -> ModeGrid:
+    """Uniform grid covering ω̄ ± 6σ of every given spectrum (what
+    :func:`build_one_photon` requires).
 
     The lower edge is clipped half a cell above ω = 0 when the nominal
     coverage would reach negative frequencies (which the states do not
@@ -95,16 +96,16 @@ def spectral_mode_grid(*spectra: SpectralDistribution, m: int = 101, span: float
     """
     if not spectra:
         raise ValueError("at least one spectrum is required")
-    hi = max(s.mean_freq + span * s.width for s in spectra)
-    lo = min(s.mean_freq - span * s.width for s in spectra)
+    hi = max(s.mean_freq + _COVERAGE_WIDTHS * s.width for s in spectra)
+    lo = min(s.mean_freq - _COVERAGE_WIDTHS * s.width for s in spectra)
     if lo <= 0.0:
         lo = hi / (2 * m)
     return ModeGrid.uniform(lo, hi, m)
 
 
-def thermal_mode_grid(theta: float, m: int = 256, lo: float = 1e-3, hi: float = 30.0) -> ModeGrid:
-    """Log-spaced grid over [lo, hi]·θ, resolving the occupation pole and tail."""
-    return ModeGrid.log_spaced(lo * theta, hi * theta, m)
+def thermal_mode_grid(theta: float) -> ModeGrid:
+    """256 log-spaced modes over [1e-3, 30]·θ, resolving the occupation pole and tail."""
+    return ModeGrid.log_spaced(1e-3 * theta, 30.0 * theta, 256)
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,8 @@ def build_one_photon(spectrum: SpectralDistribution, grid: ModeGrid) -> Truncate
     on that mode.
     """
     if grid.size > 1:
-        need_hi = spectrum.mean_freq + 6.0 * spectrum.width
-        need_lo = max(spectrum.mean_freq - 6.0 * spectrum.width, grid.weights[0])
+        need_hi = spectrum.mean_freq + _COVERAGE_WIDTHS * spectrum.width
+        need_lo = max(spectrum.mean_freq - _COVERAGE_WIDTHS * spectrum.width, grid.weights[0])
         if grid.frequencies[-1] < need_hi - 1e-9 or grid.frequencies[0] > need_lo + 1e-9:
             raise ValueError("mode grid does not cover six spectral widths around the mean")
     amps = np.sqrt(grid.weights) * spectrum.amplitude(grid.frequencies)
@@ -181,23 +182,12 @@ def _port_factors(omega: np.ndarray, tau: float):
     return signal, lo
 
 
-def _window_average(omega: np.ndarray, window: float | None) -> np.ndarray:
-    """Time-average matrix of e^{i(ω-ω')t}: Kronecker delta or finite-window sinc."""
-    if window is None:
-        return np.eye(omega.size)
-    delta = omega[:, None] - omega[None, :]
-    return np.sinc(delta * window / (2.0 * math.pi))
+def _probability(amplitudes: np.ndarray) -> float:
+    """Σ |amplitude|² over the final states."""
+    return float(np.vdot(amplitudes, amplitudes).real)
 
 
-def detect_intensity_bruteforce(
-    signal,
-    lo,
-    tau: float,
-    *,
-    d: int = 1,
-    window: float | None = None,
-    amplitude_cap: int = 1_000_000,
-) -> float:
+def detect_intensity_bruteforce(signal, lo, tau: float, *, d: int = 1, amplitude_cap: int = 1_000_000) -> float:
     """Unnormalized detected intensity from explicit discrete states.
 
     ``signal``/``lo`` are :class:`TruncatedState`, :class:`CoherentField`,
@@ -209,15 +199,15 @@ def detect_intensity_bruteforce(
     if signal is None and lo is None:
         return 0.0
     if isinstance(signal, TruncatedState) or isinstance(lo, TruncatedState):
-        return _bruteforce_fock(signal, lo, tau, d, window, amplitude_cap)
-    return _bruteforce_coherent(signal, lo, tau, d, window)
+        return _bruteforce_fock(signal, lo, tau, d, amplitude_cap)
+    return _bruteforce_coherent(signal, lo, tau, d)
 
 
 def _measure(grid: ModeGrid, d: int) -> np.ndarray:
     return grid.weights * grid.frequencies**d
 
 
-def _bruteforce_fock(signal, lo, tau, d, window, amplitude_cap):
+def _bruteforce_fock(signal, lo, tau, d, amplitude_cap):
     if signal is None:
         raise ValueError("vacuum is only supported in the LO port")
     if not isinstance(signal, TruncatedState) or not (lo is None or isinstance(lo, TruncatedState)):
@@ -234,28 +224,25 @@ def _bruteforce_fock(signal, lo, tau, d, window, amplitude_cap):
 
     sig_f, lo_f = _port_factors(omega, tau)
     root_measure = np.sqrt(_measure(grid, d))
-    avg = _window_average(omega, window)
     # Detector field applied to |1_s> x |1_lo>: annihilating the signal
     # photon from mode m leaves final state |0, 1_k>, amplitude
     # a_sig[k, m] = d_k * s_m; annihilating the LO photon leaves |1_j, 0>,
     # amplitude a_lo[j, m] = c_j * l_m.  The two sectors are orthogonal, so
-    # the detection probability sums their window-averaged squares.
+    # the detection probability sums their squares.
     s = root_measure * sig_f * signal.amplitudes
     if lo is None:
         # single final state |0, 0>
-        return float(np.real(np.conj(s) @ avg @ s))
+        return _probability(s)
 
     if not np.array_equal(lo.grid.frequencies, omega):
         raise ValueError("both ports must share one mode grid")
     l = np.sqrt(_measure(lo.grid, d)) * lo_f * lo.amplitudes
-    a_sig = np.outer(lo.amplitudes.astype(complex), s)
-    a_lo = np.outer(signal.amplitudes.astype(complex), l)
-    intensity = np.einsum("km,mn,kn->", np.conj(a_sig), avg, a_sig, optimize=True)
-    intensity += np.einsum("km,mn,kn->", np.conj(a_lo), avg, a_lo, optimize=True)
-    return float(np.real(intensity))
+    a_sig = np.outer(lo.amplitudes, s)
+    a_lo = np.outer(signal.amplitudes, l)
+    return _probability(a_sig) + _probability(a_lo)
 
 
-def _bruteforce_coherent(signal, lo, tau, d, window):
+def _bruteforce_coherent(signal, lo, tau, d):
     grid = signal.grid if signal is not None else lo.grid
     omega = grid.frequencies
     beta_s = signal.values if signal is not None else np.zeros(grid.size, complex)
@@ -266,9 +253,7 @@ def _bruteforce_coherent(signal, lo, tau, d, window):
 
     sig_f, lo_f = _port_factors(omega, tau)
     root_measure = np.sqrt(_measure(grid, d))
-    w = root_measure * (beta_s * sig_f + beta_l * lo_f)
-    avg = _window_average(omega, window)
-    return float(np.real(np.conj(w) @ avg @ w))
+    return _probability(root_measure * (beta_s * sig_f + beta_l * lo_f))
 
 
 @dataclass(frozen=True)
@@ -297,7 +282,6 @@ def thermal_intensity_montecarlo(
     theta_lo: float | None,
     tau,
     *,
-    grid: ModeGrid | None = None,
     d: int = 3,
     samples: int = 100_000,
     seed: int = 0,
@@ -339,8 +323,7 @@ def thermal_intensity_montecarlo(
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if not np.all(np.isfinite(taus)):
         raise ValueError("delays must be finite")
-    if grid is None:
-        grid = thermal_mode_grid(max(theta_signal, theta_lo or 0.0))
+    grid = thermal_mode_grid(max(theta_signal, theta_lo or 0.0))
     omega = grid.frequencies
     measure = _measure(grid, d)
 

@@ -89,6 +89,9 @@ _RULES = np.stack([KRONROD_WEIGHTS, GAUSS_WEIGHTS])
 
 # Default panel budget of one integration.
 MAX_PANELS = 8192
+# Absolute and relative tolerance of every scenario integral (the spectral
+# ones, the thermal fringes in units of J(d), and their metadata).
+TOL = 1e-12
 # Most node × delay values the first pass of one chunk of integrate_grid
 # evaluates: 512 KiB per float64 array, so memory stays flat on any grid.
 CHUNK_ELEMENTS = 65536

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import QuadratureResult, integrate, integrate_grid
+from .quadrature import TOL, QuadratureResult, integrate, integrate_grid
 
 __all__ = [
     "SpectralDistribution",
@@ -135,7 +135,7 @@ def gaussian_fourier_moments(mean: float, width: float, tau, order: int) -> list
     return moments
 
 
-def integrate_over_spectra(integrand, spectra, delays, *, abs_tol: float, rel_tol: float) -> QuadratureResult:
+def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:
     """∫₀^∞ integrand(ω, τ_k) dω at each delay, for an integrand negligible
     outside every spectrum's peak.
 
@@ -143,7 +143,8 @@ def integrate_over_spectra(integrand, spectra, delays, *, abs_tol: float, rel_to
     ``t`` of one chunk of :func:`mmi.quadrature.integrate_grid`.  The domain
     is the union of the windows [ω̄ ± 9σ] of ``spectra``, clipped at 0 and
     merged where they overlap; each window gets its own adaptive quadrature
-    and an equal share of ``abs_tol``.  Starting from the peaks, not from
+    and an equal share of the absolute tolerance
+    :data:`~mmi.quadrature.TOL`.  Starting from the peaks, not from
     [0, ∞), keeps a narrow line at large ω̄/σ from slipping between the
     first panels' nodes.  Returns the value and error in the shape of
     ``delays``, summed over the windows.
@@ -158,11 +159,11 @@ def integrate_over_spectra(integrand, spectra, delays, *, abs_tol: float, rel_to
             windows[-1][1] = max(windows[-1][1], hi)
         else:
             windows.append([lo, hi])
-    share = abs_tol / len(windows)
+    share = TOL / len(windows)
 
     def integrate_chunk(t, osc_scale):
         parts = [
-            integrate(lambda w: integrand(w, t), lo, hi, abs_tol=share, rel_tol=rel_tol, osc_scale=osc_scale)
+            integrate(lambda w: integrand(w, t), lo, hi, abs_tol=share, rel_tol=TOL, osc_scale=osc_scale)
             for lo, hi in windows
         ]
         return QuadratureResult(
@@ -175,16 +176,7 @@ def integrate_over_spectra(integrand, spectra, delays, *, abs_tol: float, rel_to
     return integrate_grid(delays, sum(hi - lo for lo, hi in windows), integrate_chunk)
 
 
-def weighted_overlap(
-    f: SpectralDistribution,
-    g: SpectralDistribution,
-    weight_power: int = 0,
-    kernel: str = "one",
-    tau=0.0,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-):
+def weighted_overlap(f: SpectralDistribution, g: SpectralDistribution, weight_power: int = 0, kernel: str = "one", tau=0.0):
     """∫₀^∞ ω^p f(ω) g(ω) kernel(ωτ) dω for kernel in {one, cos, sin}.
 
     This is the shared integral behind every spectral-state interferogram:
@@ -211,4 +203,4 @@ def weighted_overlap(
         return y
 
     delay = tau if kern is not None else 0.0
-    return integrate_over_spectra(integrand, (f, g), delay, abs_tol=abs_tol, rel_tol=rel_tol).value
+    return integrate_over_spectra(integrand, (f, g), delay).value

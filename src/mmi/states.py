@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import QuadratureResult, integrate_grid, integrate_half_line, tail_cutoff
+from .quadrature import TOL, QuadratureResult, integrate_grid, integrate_half_line, tail_cutoff
 from .spectra import SpectralDistribution
 from .thermal_kernels import bose_integral_constant
 
@@ -84,13 +84,7 @@ def mean_occupation(omega, theta: float):
 
 
 def bose_weighted_integral(
-    theta: float,
-    d: int,
-    kernel: str = "one",
-    tau=0.0,
-    *,
-    abs_tol: float | None = None,
-    rel_tol: float = 1e-12,
+    theta: float, d: int, kernel: str = "one", tau=0.0, *, abs_tol: float | None = None
 ) -> QuadratureResult:
     """∫₀^∞ ω^d n̄(ω, θ) kernel(ωτ) dω for kernel in {one, cos}, by quadrature.
 
@@ -100,7 +94,9 @@ def bose_weighted_integral(
     which d a scenario admits is decided by the scenario table in
     :mod:`mmi.intensity`.
     ``tau`` may be an array: the Bose weight x^d/(eˣ - 1) is evaluated once
-    per node for every delay, and each delay meets the tolerance.  Returns
+    per node for every delay, and each delay meets max(``abs_tol``,
+    TOL·|value|), TOL = :data:`~mmi.quadrature.TOL`; ``abs_tol`` defaults
+    to 1e-13 θ^(d+1) J(d).  Returns
     the :class:`~mmi.quadrature.QuadratureResult` with value and error in
     the shape of ``tau`` (floats for a scalar).
     """
@@ -131,7 +127,7 @@ def bose_weighted_integral(
             lambda x: weight(x)[:, None] * np.cos(np.multiply.outer(x, rates)),
             envelope=_bose_envelope(d),
             abs_tol=tol,
-            rel_tol=rel_tol,
+            rel_tol=TOL,
             osc_scale=osc_scale,
             cutoff=cutoff,
         )

@@ -8,6 +8,7 @@ from mmi.inference import (
     DEFAULT_COHERENCE_EPSILON,
     FitProblem,
     IdentifiabilityError,
+    NonConvergenceError,
     discriminate_state_class,
     estimate_coherence_time,
     fit,
@@ -60,6 +61,20 @@ def test_no_better_minimum_at_truth():
     resid_est = np.linalg.norm(model_prediction("thermal_thermal", problem.tau, (est,), problem.fixed) - problem.ratios)
     resid_true = np.linalg.norm(model_prediction("thermal_thermal", problem.tau, (1.01,), problem.fixed) - problem.ratios)
     assert resid_est <= resid_true + 1e-12
+
+
+def test_iteration_cap_raises_non_convergence_with_the_last_iterate(monkeypatch, tmp_path, capsys):
+    from mmi import cli
+
+    monkeypatch.setattr(mmi.inference, "_MAX_ITER", 2)  # the fit needs 6
+    with pytest.raises(NonConvergenceError) as caught:
+        fit(_thermal_problem())
+    assert caught.value.result.iterations == 2
+    assert caught.value.result.converged is False
+    data = tmp_path / "tt.csv"
+    assert cli.main(["simulate", "thermal-thermal", "--t1/t0", "1.01", "--grid", "0:3:200", "-o", str(data)]) == 0
+    assert cli.main(["fit", str(data), "--model", "thermal-thermal", "--theta0", "1.0"]) == 3
+    assert "no convergence within 2 iterations" in capsys.readouterr().err
 
 
 def test_flat_data_raises_identifiability():
@@ -405,6 +420,13 @@ def test_symmetrized_check_matches_the_per_delay_loop():
 def test_single_point_data_rejected():
     with pytest.raises(IdentifiabilityError):
         discriminate_state_class(np.array([0.0]), np.array([1.0]), F_LO)
+
+
+def test_zero_frequency_lo_is_not_identifiable():
+    # an LO at ω̄ = 0 has no fringe period: the span test must not divide by ω̄
+    taus = np.linspace(0.0, 6.0, 121)
+    with pytest.raises(IdentifiabilityError, match="fringe period"):
+        discriminate_state_class(taus, _ratio_curve("fock", taus), SpectralDistribution(0.0, 1.0))
 
 
 def test_short_span_rejected():

@@ -173,7 +173,7 @@ def test_one_photon_vacuum_tracks_quadrature():
     from mmi.intensity import _spectral_integral
 
     def vac_quad(tau):
-        return _spectral_integral(F_S, None, tau, 1, False, 1e-12, 1e-12).value
+        return _spectral_integral(F_S, None, tau, 1, False).value
 
     norm = vac_quad(0.0)
     worst = 0.0
@@ -447,6 +447,22 @@ def test_thermal_ratios_reject_non_finite_delays(bad, shape, method):
         thermal_thermal_ratio(1.0, 1.1, tau, method=method)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, [0.0, math.nan]], ids=["nan", "inf", "array-nan"])
+@pytest.mark.parametrize(
+    "closed",
+    [
+        lambda tau: one_photon_vacuum_ratio(F_S, tau),
+        lambda tau: fock_intensity_closed(F_S, F_LO, tau),
+        lambda tau: coherent_intensity_closed(F_S, F_LO, tau),
+    ],
+    ids=["one_photon_vacuum_ratio", "fock_intensity_closed", "coherent_intensity_closed"],
+)
+def test_spectral_closed_forms_reject_non_finite_delays(closed, tau):
+    # unguarded, the closed forms turn a NaN or infinite delay into a NaN ratio
+    with pytest.raises(ValueError, match="delays must be finite"):
+        closed(tau)
+
+
 # ---------------------------------------------------------------------------
 # the exact spectral path
 
@@ -583,14 +599,14 @@ def test_spectral_grid_quadrature_matches_one_delay_calls(kind):
     )
 
     def one(t):
-        return _spectral_integral(F_S, f_lo, t, 1, cross, 1e-12, 1e-12)
+        return _spectral_integral(F_S, f_lo, t, 1, cross)
 
     norm = one(0.0).value
     assert abs(gram.normalization - norm) <= 1e-13 * norm
     single = np.array([one(t).value / norm for t in MIXED_DELAYS])
     assert np.max(np.abs(gram.ratios - single)) <= 1e-13
     # the two windows merge into one, so each delay meets max(abs_tol, rel_tol |I|)
-    res = _spectral_integral(F_S, f_lo, MIXED_DELAYS, 1, cross, 1e-12, 1e-12)
+    res = _spectral_integral(F_S, f_lo, MIXED_DELAYS, 1, cross)
     assert np.all(res.error <= np.maximum(1e-12, 1e-12 * np.abs(res.value)))
 
 

@@ -20,6 +20,7 @@ from .inference import (
     fit,
 )
 from .intensity import (
+    ClosedFormError,
     IntensityRequest,
     Interferogram,
     coherent_intensity,
@@ -47,6 +48,7 @@ from .thermal_kernels import bose_integral_constant, fringe_deviation
 __version__ = "0.1.0"
 
 __all__ = [
+    "ClosedFormError",
     "Coherent",
     "CoherenceReport",
     "DEFAULT_COHERENCE_EPSILON",

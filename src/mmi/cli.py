@@ -10,7 +10,8 @@ deterministic for identical configuration and seed; the timestamp lives
 only in the sidecar.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-failure, 4 identifiability error.  A flag that the chosen simulate
+failure (a quadrature or fit that fails, or a spectral closed form that
+goes negative), 4 identifiability error.  A flag that the chosen simulate
 scenario, fit model or coherence unit system does not read is a usage
 error, not silently ignored.
 
@@ -41,7 +42,7 @@ from .inference import (
     estimate_coherence_time,
     fit,
 )
-from .intensity import IntensityRequest, compute_interferogram
+from .intensity import ClosedFormError, IntensityRequest, compute_interferogram
 from .quadrature import QuadratureError
 from .spectra import SpectralDistribution
 from .states import Coherent, OnePhoton, Thermal, Vacuum
@@ -444,7 +445,7 @@ def main(argv=None) -> int:
     except IdentifiabilityError as exc:
         print(f"identifiability error: {exc}", file=sys.stderr)
         return _EXIT_IDENTIFIABILITY
-    except (QuadratureError, NonConvergenceError) as exc:
+    except (QuadratureError, NonConvergenceError, ClosedFormError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except (ValueError, OSError) as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .intensity import _closed_pair_ratio, one_photon_vacuum_ratio, thermal_thermal_ratio, thermal_vacuum_ratio
+from .intensity import _closed_pair_ratio, thermal_thermal_ratio, thermal_vacuum_ratio
 from .spectra import SpectralDistribution
 
 __all__ = [
@@ -75,7 +75,7 @@ def _spectral_pair_start(problem) -> tuple:
 
 # Each fit model: its parameter names, the `fixed` keys it reads, its
 # prediction (tau, params, fixed) -> ratios and its default start point.  The
-# spectral pairs use the unguarded closed form: the optimizer may step through
+# spectral models use the unguarded closed form: the optimizer may step through
 # parameter regions where the public closed forms refuse the approximation.
 _MODELS = {
     "thermal_thermal": (
@@ -85,7 +85,7 @@ _MODELS = {
     ),
     "one_photon_vacuum": (
         ("mean_freq", "width"), (),
-        lambda tau, p, fixed: one_photon_vacuum_ratio(SpectralDistribution(p[0], p[1]), tau),
+        lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], None, None, tau, False),
         lambda problem: (3.0, 1.0),
     ),
     "fock_fock": (
@@ -375,9 +375,9 @@ def _bisect_crossing(lo: float, hi: float, epsilon: float) -> float:
 @dataclass(frozen=True)
 class StateClassification:
     label: str  # 'fock-like' | 'coherent-like' | 'indistinguishable'
-    score: float  # residual-norm ratio, preferred/other
-    fock_fit: FitResult
-    coherent_fit: FitResult
+    score: float  # residual-norm ratio, preferred/other; 0.0 when the other fit failed
+    fock_fit: FitResult | None  # None when the fit failed
+    coherent_fit: FitResult | None
 
 
 def _is_tau_symmetrized(tau: np.ndarray, ratios: np.ndarray) -> bool:
@@ -415,7 +415,10 @@ def discriminate_state_class(tau, ratios, f_lo: SpectralDistribution) -> StateCl
 
     Fits both closed-form models (with and without the odd sin cross term)
     and reports the one with the smaller residual norm; residual norms
-    within 1 % of each other are declared indistinguishable.
+    within 1 % of each other are declared indistinguishable.  A model whose
+    fit raises :class:`IdentifiabilityError` or :class:`NonConvergenceError`
+    drops out (its fit is None) and the other wins with score 0.0; only when
+    both fail does the first failure propagate.
     The distinguishing information lives entirely in the odd-in-τ part of
     the interferogram, so data whose delay grid pairs ±τ and whose odd
     component vanishes (τ-symmetrized data) are reported indistinguishable
@@ -428,30 +431,29 @@ def discriminate_state_class(tau, ratios, f_lo: SpectralDistribution) -> StateCl
         raise IdentifiabilityError("data span less than one fringe period")
 
     fixed = {"lo_mean_freq": f_lo.mean_freq, "width_guess": f_lo.width}
-    fits = {}
+    fits, failures = [], []
     for model in ("fock_fock", "coherent_coherent"):
-        problem = FitProblem(tau=tau, ratios=ratios, model=model, fixed=fixed)
-        fits[model] = fit(problem)
+        try:
+            fits.append(fit(FitProblem(tau=tau, ratios=ratios, model=model, fixed=fixed)))
+        except (IdentifiabilityError, NonConvergenceError) as exc:  # the wrong model may drift flat
+            fits.append(None)
+            failures.append(exc)
+    if len(failures) == 2:
+        raise failures[0]
+    fock, coherent = fits
 
-    symmetric = _is_tau_symmetrized(tau, ratios)
-    if symmetric:
-        return StateClassification(
-            label="indistinguishable",
-            score=1.0,
-            fock_fit=fits["fock_fock"],
-            coherent_fit=fits["coherent_coherent"],
-        )
-
-    r_fock = fits["fock_fock"].residual_norm
-    r_coh = fits["coherent_coherent"].residual_norm
-    best, other = (r_fock, r_coh) if r_fock <= r_coh else (r_coh, r_fock)
-    if other == 0.0 or (other - best) <= _TIE_FRACTION * other:
-        label = "indistinguishable"
-        score = 1.0 if other == 0.0 else best / other
-    elif r_fock < r_coh:
-        label, score = "fock-like", r_fock / r_coh
+    if _is_tau_symmetrized(tau, ratios):
+        label, score = "indistinguishable", 1.0
+    elif failures:  # the model whose fit failed drops out
+        label, score = ("coherent-like" if fock is None else "fock-like"), 0.0
     else:
-        label, score = "coherent-like", r_coh / r_fock
-    return StateClassification(
-        label=label, score=score, fock_fit=fits["fock_fock"], coherent_fit=fits["coherent_coherent"]
-    )
+        r_fock, r_coh = fock.residual_norm, coherent.residual_norm
+        best, other = (r_fock, r_coh) if r_fock <= r_coh else (r_coh, r_fock)
+        if other == 0.0 or (other - best) <= _TIE_FRACTION * other:
+            label = "indistinguishable"
+            score = 1.0 if other == 0.0 else best / other
+        elif r_fock < r_coh:
+            label, score = "fock-like", r_fock / r_coh
+        else:
+            label, score = "coherent-like", r_coh / r_fock
+    return StateClassification(label=label, score=score, fock_fit=fock, coherent_fit=coherent)

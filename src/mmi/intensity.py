@@ -11,7 +11,7 @@ one-photon pair       ω[f_s²(1+cos ωτ) + f_lo²(1-cos ωτ)]        Gaussian
 coherent pair         same + cross term -2ω f_s f_lo sin ωτ      Gaussian-Fourier      same + approximate sin term
 one-photon / vacuum   ω f_s²(1+cos ωτ)                           Gaussian-Fourier      ½(1 + e^{-(στ)²/4} cos ω̄τ)
 thermal / vacuum      ω^d n̄(ω,θ)(1+cos ωτ)                       closed form           exact hyperbolic form (d=1, 3)
-thermal pair          ω³[n̄₁(1+cos ωτ) + n̄₀(1-cos ωτ)]           closed form           exact hyperbolic form (d=3)
+thermal pair          ω^d[n̄₁(1+cos ωτ) + n̄₀(1-cos ωτ)]          closed form           exact hyperbolic form (d=1, 3)
 ====================  =========================================  ====================  ==========
 
 The spectral exact path ("exact" in the metadata) evaluates every term of
@@ -28,9 +28,8 @@ thermal scenario admits, so ``auto`` never integrates;
 ``method="quadrature"`` is the check.
 
 A request without a dimension takes the scenario's default: d = 3 for the
-thermal scenarios (the blackbody; the thermal pair exists only there) and
-d = 1 for the spectral ones.  Every scenario but the thermal pair admits
-d ∈ {1, 3}.  These rules, and the path each method takes, are
+thermal scenarios (the blackbody) and d = 1 for the spectral ones.  Every
+scenario admits d ∈ {1, 3}.  These rules, and the path each method takes, are
 decided once, by :func:`_resolve`, for every entry point of this module
 and for the ``--d`` flag of ``mmi simulate``.
 
@@ -50,6 +49,9 @@ detuning, not by σ/ω̄ (at 5 % detuning max |D| is 1.83e-2, 1.80e-2 and
 1.75e-2 at ω̄_s = 3σ, 5σ and 10σ).  Against vacuum the dropped term is
 -(σ²τ/4ω̄) e^{-(στ)²/4} sin ω̄τ, bounded by σ/(ω̄√(8e)), 7.1e-2 at ω̄ = 3σ.
 The ω < 0 tail the extended range adds is below 2e-5 at ω̄ ≥ 2.85σ.
+Every spectral closed form is one formula behind one gate: each occupied
+port needs ω̄ ≥ 2σ (a warning below 3σ); a negative ratio raises
+:class:`ClosedFormError` rather than being clipped.
 
 Unnormalized intensities carry an arbitrary but consistent internal scale
 (constant prefactors are dropped); only ratios are part of the contract.
@@ -70,6 +72,7 @@ from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, bose_weight
 from .thermal_kernels import bose_integral_constant, fringe_deviation
 
 __all__ = [
+    "ClosedFormError",
     "Interferogram",
     "IntensityRequest",
     "coherent_intensity",
@@ -84,7 +87,7 @@ __all__ = [
 
 _METHODS = ("auto", "closed_form", "quadrature")
 # the dimensions each scenario admits, default first; thermal closed forms exist at each
-_DIMENSIONS = {"spectral": (1, 3), "thermal-vacuum": (3, 1), "thermal-thermal": (3,)}
+_DIMENSIONS = {"spectral": (1, 3), "thermal-vacuum": (3, 1), "thermal-thermal": (3, 1)}
 
 
 def _resolve(scenario: str, d: int | None, method: str):
@@ -106,6 +109,10 @@ def _resolve(scenario: str, d: int | None, method: str):
     if method == "closed_form" and scenario == "spectral" and d != 1:
         raise ValueError(f"the {scenario} closed form is only available in dimension 1")
     return d, method
+
+
+class ClosedFormError(ValueError):
+    """A spectral closed form, an approximation, left the range [0, ∞) of a ratio."""
 
 
 def _finite_delays(tau) -> np.ndarray:
@@ -214,15 +221,15 @@ def _check_closed_form_regime(spec: SpectralDistribution, label: str):
 
 
 def _closed_pair_ratio(mean_s, width_s, mean_lo, width_lo, tau, cross: bool):
-    # extended-range, ω -> ω̄ form, less its product-Gaussian cross term when
-    # `cross` (the coherent pair); unguarded so optimizers may roam
+    # extended-range, ω -> ω̄ form: ½(1 + fringe) against vacuum (mean_lo None), else plus the LO
+    # term, less its product-Gaussian cross term when `cross`; unguarded so optimizers may roam
     t = np.asarray(tau, dtype=float)
+    fringe = np.exp(-((width_s * t) ** 2) / 4.0) * np.cos(t * mean_s)
+    if mean_lo is None:
+        return 0.5 * (1.0 + fringe)
     ratio = mean_lo / mean_s
-    env_s = np.exp(-((width_s * t) ** 2) / 4.0)
     env_lo = np.exp(-((width_lo * t) ** 2) / 4.0)
-    out = 0.5 * (
-        1.0 + ratio + env_s * np.cos(t * mean_s) - ratio * env_lo * np.cos(t * mean_lo)
-    )
+    out = 0.5 * (1.0 + ratio + fringe - ratio * env_lo * np.cos(t * mean_lo))
     if cross:
         var_sum = width_s**2 + width_lo**2
         mu, _, detune = _product_gaussian(mean_s, width_s, mean_lo, width_lo)
@@ -232,10 +239,18 @@ def _closed_pair_ratio(mean_s, width_s, mean_lo, width_lo, tau, cross: bool):
     return out
 
 
-def _closed_pair(f_s: SpectralDistribution, f_lo: SpectralDistribution, tau, cross: bool):
+def _closed_pair(f_s: SpectralDistribution, f_lo: SpectralDistribution | None, tau, cross: bool):
+    """The one guarded entry of every spectral closed form; ``f_lo`` None is a vacuum LO."""
     _check_closed_form_regime(f_s, "signal")
-    _check_closed_form_regime(f_lo, "local oscillator")
-    out = _closed_pair_ratio(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width, _finite_delays(tau), cross)
+    if f_lo is not None:
+        _check_closed_form_regime(f_lo, "local oscillator")
+    lo = (None, None) if f_lo is None else (f_lo.mean_freq, f_lo.width)
+    out = _closed_pair_ratio(f_s.mean_freq, f_s.width, *lo, _finite_delays(tau), cross)
+    if np.any(out < 0.0):
+        raise ClosedFormError(
+            f"the spectral closed form, a wide-pulse approximation, gives a negative ratio "
+            f"(minimum {float(np.min(out)):.3e}); method 'auto' (--method auto) evaluates the exact ratio"
+        )
     return out if out.ndim else float(out)
 
 
@@ -267,12 +282,10 @@ def coherent_intensity_closed(f_s: SpectralDistribution, f_lo: SpectralDistribut
 def one_photon_vacuum_ratio(f_s: SpectralDistribution, tau) -> float:
     """½(1 + e^{-(στ)²/4} cos τω̄), for vacuum in the LO port.
 
-    The fringe envelope is Gaussian in τ (quadratic log-envelope), not the
-    exponential decay a Lorentzian line would produce.
+    Under the pairs' regime rule; the fringe envelope is Gaussian in τ
+    (quadratic log-envelope), not the exponential decay of a Lorentzian line.
     """
-    t = _finite_delays(tau)
-    out = 0.5 * (1.0 + np.exp(-((f_s.width * t) ** 2) / 4.0) * np.cos(t * f_s.mean_freq))
-    return out if out.ndim else float(out)
+    return _closed_pair(f_s, None, tau, cross=False)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +494,6 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
                 raise ValueError("zero-delay intensity vanished; cannot normalize")
             ratios = res.value[1:] / norm
             quad = _counters(res, (res.error[1:] + np.abs(ratios) * res.error[0]) / norm)
-        elif f_lo is None:
-            ratios = one_photon_vacuum_ratio(f_s, taus)
         else:
             ratios = _closed_pair(f_s, f_lo, taus, cross)
 

@@ -12,7 +12,7 @@ from conftest import subprocess_env
 from mmi import cli
 from mmi.intensity import IntensityRequest, compute_interferogram, thermal_thermal_ratio
 from mmi.spectra import SpectralDistribution
-from mmi.states import Coherent, OnePhoton, Vacuum
+from mmi.states import Coherent, OnePhoton, Thermal, Vacuum
 
 ENV = subprocess_env()
 
@@ -142,7 +142,7 @@ def test_simulate_rejects_bad_combination(tmp_path):
     assert "closed form" in proc.stderr
 
 
-def test_simulate_dimension_reaches_every_scenario(tmp_path, capsys):
+def test_simulate_dimension_reaches_every_scenario(tmp_path):
     # --d sets the dimension of every scenario; the sidecar records the one used
     def simulate(scenario, *extra):
         out = tmp_path / f"{scenario}{len(extra)}.csv"
@@ -170,9 +170,29 @@ def test_simulate_dimension_reaches_every_scenario(tmp_path, capsys):
     assert json.loads(default.with_suffix(".json").read_text())["config"]["d"] == 3
     code, out = simulate("thermal-thermal")
     assert code == 0 and json.loads(out.with_suffix(".json").read_text())["config"]["d"] == 3
+    # the thermal pair admits d = 1 too (a = τθ₀, θ₀ = 1 and --t1/t0 1.01 by default)
+    code1, out1 = simulate("thermal-thermal", "--d", "1")
+    assert code1 == 0 and json.loads(out1.with_suffix(".json").read_text())["config"]["d"] == 1
+    ratios = np.loadtxt(out1, delimiter=",", skiprows=1)[:, 1]
+    want = compute_interferogram(IntensityRequest(Thermal(1.01), Thermal(1.0), np.linspace(0.0, 4.0, 9), 1)).ratios
+    assert np.allclose(ratios, want, rtol=1e-11, atol=0.0)
+    assert out1.read_bytes() != out.read_bytes()
+
+
+def test_spectral_closed_form_exit_codes(tmp_path, capsys):
+    # a closed form that goes negative is a numeric failure (3) that points to
+    # --method auto; a port outside the closed form's regime is a usage error (2)
+    out = tmp_path / "coh.csv"
+    negative = ["simulate", "coherent", "--wbar-s", "6.011", "--wbar-lo", "5.735", "--sigma", "1",
+                "--grid", "0:12:400", "-o", str(out)]
     capsys.readouterr()
-    assert simulate("thermal-thermal", "--d", "1")[0] == 2
-    assert "dimension 1" in capsys.readouterr().err
+    assert cli.main([*negative, "--method", "closed_form"]) == 3
+    assert "--method auto" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main([*negative, "--method", "auto"]) == 0
+    narrow = ["simulate", "one-photon-vacuum", "--wbar-s", "1.5", "--method", "closed_form", "-o", str(out)]
+    assert cli.main(narrow) == 2
+    assert "2 widths" in capsys.readouterr().err
 
 
 def test_simulate_dimension_gate_is_the_scenario_table(tmp_path, monkeypatch, capsys):
@@ -417,7 +437,7 @@ def test_verify_out_records_each_check_time(tmp_path):
     out = tmp_path / "verify.json"
     assert cli.main(["verify", "--quick", "--out", str(out)]) == 0
     checks = json.loads(out.read_text())["checks"]
-    assert len(checks) == 21
+    assert len(checks) == 22
     assert all(isinstance(check["seconds"], float) and check["seconds"] >= 0.0 for check in checks)
     assert next(c for c in checks if c["name"] == "fock plateau")["seconds"] > 0.0
 

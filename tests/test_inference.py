@@ -14,7 +14,9 @@ from mmi.inference import (
     fit,
     model_prediction,
 )
-from mmi.intensity import coherent_intensity, fock_intensity, thermal_thermal_ratio, thermal_vacuum_ratio
+from mmi.intensity import (
+    coherent_intensity, fock_intensity, fock_intensity_closed, thermal_thermal_ratio, thermal_vacuum_ratio,
+)
 from mmi.spectra import SpectralDistribution
 
 F_S = SpectralDistribution(3.0, 1.0)
@@ -336,6 +338,45 @@ def test_discriminates_coherent_data():
     result = discriminate_state_class(taus, _ratio_curve("coherent", taus), F_LO)
     assert result.label == "coherent-like"
     assert result.score < 1.0
+
+
+@pytest.mark.parametrize("signal_mean", [3.15, 3.3, 3.45])
+def test_a_failing_competitor_drops_out(signal_mean):
+    # the coherent model drifts flat on this Fock data and its fit raises; the Fock fit decides
+    taus = np.linspace(0.0, 6.0, 121)
+    f_lo = SpectralDistribution(3.0, 1.0)
+    data = fock_intensity_closed(SpectralDistribution(signal_mean, 1.0), f_lo, taus)
+    result = discriminate_state_class(taus, data, f_lo)
+    assert result.label == "fock-like" and result.score == 0.0
+    assert result.coherent_fit is None
+    assert abs(result.fock_fit.estimates["mean_freq"] / signal_mean - 1.0) < 1e-9
+
+
+def test_singular_normal_equations_raise_identifiability():
+    taus = np.linspace(0.0, 6.0, 121)
+    data = fock_intensity_closed(SpectralDistribution(3.3, 1.0), SpectralDistribution(3.0, 1.0), taus)
+    problem = FitProblem(tau=taus, ratios=data, model="coherent_coherent",
+                         fixed={"lo_mean_freq": 3.0, "width_guess": 1.0})
+    with pytest.raises(IdentifiabilityError, match="singular"):
+        fit(problem)
+
+
+def test_residual_norms_within_one_percent_are_indistinguishable():
+    # equal means: the Fock curve is flat, so both models fit the noise about equally
+    taus = np.linspace(0.0, 6.0, 121)
+    f = SpectralDistribution(3.0, 1.0)
+    data = fock_intensity_closed(f, f, taus) + np.random.default_rng(0).normal(0.0, 1e-3, taus.size)
+    result = discriminate_state_class(taus, data, f)
+    assert result.label == "indistinguishable"
+    assert round(result.score, 3) == 0.996
+
+
+def test_fit_started_on_an_upper_bound_steps_backward():
+    # the forward Jacobian step is clipped to zero at the bound, so the fit differences backward
+    a = np.linspace(0.0, 3.0, 200)
+    problem = FitProblem(tau=a, ratios=thermal_thermal_ratio(1.0, 1.05, a), model="thermal_thermal",
+                         fixed={"theta0": 1.0}, initial=(1.1,), bounds=((0.5, 1.1),))
+    assert abs(fit(problem).estimates["theta_ratio"] / 1.05 - 1.0) < 1e-9
 
 
 def test_discriminates_fock_data():

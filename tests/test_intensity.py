@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmi.intensity import (
+    ClosedFormError,
     IntensityRequest,
     Interferogram,
     coherent_intensity,
@@ -182,6 +183,32 @@ def test_one_photon_vacuum_tracks_quadrature():
     assert worst < 0.08
 
 
+def test_one_photon_vacuum_closed_form_keeps_the_pairs_regime_rule():
+    # below 2 widths the closed form is refused, below 3 it warns, as for the pairs
+    narrow = SpectralDistribution(1.5, 1.0)
+    with pytest.raises(ValueError, match="2 widths for the signal port"):
+        one_photon_vacuum_ratio(narrow, 1.0)
+    with pytest.raises(ValueError, match="2 widths"):
+        compute_interferogram(IntensityRequest(OnePhoton(narrow), Vacuum(), [0.0, 1.0], method="closed_form"))
+    with pytest.warns(UserWarning, match="below 3 widths"):
+        got = one_photon_vacuum_ratio(SpectralDistribution(2.5, 1.0), 2.0)
+    assert abs(got - 0.5 * (1.0 + math.exp(-1.0) * math.cos(5.0))) < 1e-15
+
+
+def test_a_negative_closed_form_ratio_raises_closed_form_error():
+    # the coherent closed form dips below 0 here while the exact ratio stays positive
+    f_s, f_lo = SpectralDistribution(6.011, 1.0), SpectralDistribution(5.735, 1.0)
+    taus = np.linspace(0.0, 12.0, 400)
+    with pytest.raises(ClosedFormError, match="method 'auto'"):
+        coherent_intensity_closed(f_s, f_lo, taus)
+    request = IntensityRequest(Coherent(f_s), Coherent(f_lo), taus, method="closed_form")
+    with pytest.raises(ClosedFormError):
+        compute_interferogram(request)
+    assert issubclass(ClosedFormError, ValueError)
+    exact = compute_interferogram(IntensityRequest(Coherent(f_s), Coherent(f_lo), taus)).ratios
+    assert exact.min() > 0.0
+
+
 # ---------------------------------------------------------------------------
 # thermal against vacuum
 
@@ -276,6 +303,24 @@ def test_two_temperature_dual_path():
     assert float(np.max(np.abs(closed - quad))) < 1e-9
 
 
+@pytest.mark.parametrize("ratio", [1.01, 1.3, 0.64])
+def test_two_temperature_single_mode(ratio):
+    # d = 1: ½[1 + r² + K₁(a₁) - r² K₁(a₀)], r = θ₀/θ₁, K₁(a) = 3(1/(aπ)² - 1/sinh²(aπ))
+    def k1(a):
+        x = np.pi * a
+        return 3.0 * (1.0 / x**2 - 1.0 / np.sinh(x) ** 2)
+
+    a0 = np.linspace(0.05, 4.0, 40)
+    want = 0.5 * (1.0 + ratio**-2 + k1(ratio * a0) - ratio**-2 * k1(a0))
+    grams = [compute_interferogram(IntensityRequest(Thermal(ratio), Thermal(1.0), a0, 1, method))
+             for method in ("auto", "quadrature")]
+    for gram in grams:
+        assert gram.metadata["dimension"] == 1
+        assert np.max(np.abs(gram.ratios - want)) < 1e-12
+    same = compute_interferogram(IntensityRequest(Thermal(1.0), Thermal(1.0), a0, 1))
+    assert np.all(same.ratios == 1.0)
+
+
 def test_two_temperature_even_and_bounded():
     taus = np.linspace(0.05, 6.0, 40)
     up = np.asarray(thermal_thermal_ratio(1.0, 1.05, taus))
@@ -363,7 +408,7 @@ def test_compute_interferogram_thermal_closed():
 
 
 def test_default_dimension_is_the_scenarios_own():
-    # the thermal pair exists only in three dimensions, so that is its default
+    # the thermal pair admits d = 1 and 3; the blackbody, d = 3, is its default
     taus = np.linspace(0.0, 4.0, 9)
     pair = (Thermal(1.1), Thermal(1.0), taus)
     implicit = compute_interferogram(IntensityRequest(*pair))
@@ -371,8 +416,9 @@ def test_default_dimension_is_the_scenarios_own():
     assert implicit.metadata == explicit.metadata
     assert implicit.metadata["dimension"] == 3
     assert np.array_equal(implicit.ratios, explicit.ratios)
-    with pytest.raises(ValueError, match="dimension 1"):
-        compute_interferogram(IntensityRequest(*pair, dimension=1))
+    single_mode = compute_interferogram(IntensityRequest(*pair, dimension=1))
+    assert single_mode.metadata["dimension"] == 1
+    assert not np.array_equal(single_mode.ratios, implicit.ratios)
     # spectral pairs default to one dimension, thermal signals to three
     spectral = compute_interferogram(IntensityRequest(OnePhoton(F_S), Vacuum(), taus))
     assert spectral.metadata["dimension"] == 1

@@ -28,7 +28,7 @@ def quick_checks():
 
 def test_every_admitted_pair_and_dimension_has_a_passing_dual_path_check(quick_checks):
     expected = [name for pair, ports in PAIRS.items() for name in dual_path_names(pair, *ports)]
-    assert len(expected) == 11
+    assert len(expected) == 12
     for name in expected:
         value, tol = quick_checks[name]
         assert tol == 1e-9 and value <= tol, name
@@ -51,7 +51,7 @@ def test_quick_keeps_every_named_check_and_skips_only_monte_carlo(quick_checks):
     for name, tol in named.items():
         value, got = quick_checks[name]
         assert got == tol and value <= tol, name
-    assert len(quick_checks) == 21
+    assert len(quick_checks) == 22
     assert not any("monte-carlo" in name for name in quick_checks)
 
 

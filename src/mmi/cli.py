@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 failure (a quadrature or fit that fails, or a spectral closed form that
 goes negative), 4 identifiability error.  A flag that the chosen simulate
 scenario, fit model or coherence unit system does not read is a usage
-error, not silently ignored.
+error, not silently ignored.  A library warning prints as one
+``warning: <message>`` line on stderr.
 
 Units are dimensionless by default (frequencies in units of the spectral
 width, temperatures as k_B T/ħ, delays as the matching reciprocal).  With
@@ -25,9 +26,9 @@ c = 299792458 m/s (exact).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -73,49 +74,46 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    arrays = [np.asarray(columns[n]).ravel() for n in names]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    with open(path, "w", newline="") as fh:  # LF line endings on every platform
+        np.savetxt(fh, np.column_stack([np.ravel(c) for c in columns.values()]), fmt="%.12g", delimiter=",",
+                   header=",".join(columns), comments="")
 
 
-def write_sidecar(csv_path: Path, config: dict, method: str, seed, quadrature: dict | None = None) -> Path:
-    """The JSON next to a CSV; ``quadrature`` holds the counters of an integrated run."""
-    sidecar = csv_path.with_suffix(".json")
-    payload = {
-        "config": config,
-        "method": method,
-        "seed": seed,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    if quadrature is not None:
-        payload["quadrature"] = quadrature
-    sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return sidecar
+def _write_json(path, payload: dict, *, echo: bool = False) -> None:
+    """Write ``payload`` and the library version as sorted, indented JSON to ``path`` (if any).
+
+    With ``echo`` the document is a command's result and is printed too; it
+    carries no timestamp, so equal inputs print equal bytes.  A document only
+    written to a file records the UTC time it was written.
+    """
+    payload = {**payload, "version": __version__}
+    if not echo:
+        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path:
+        Path(path).write_text(text)
+    if echo:
+        print(text, end="")
 
 
 def read_interferogram_csv(path: Path):
-    """Read (x, ratio[, noise]) columns; returns (x_name, x, ratio, noise|None)."""
+    """Read (x, ratio[, noise]) columns; returns (x_name, x, ratio, noise|None).
+
+    The body is numpy's CSV: LF or CRLF line ends, optionally quoted cells,
+    blank lines skipped, and no comment character.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
-    header = [h.strip() for h in header]
-    rows = [row for row in rows if row]
+        cells = [cell.strip() for cell in fh.readline().split(",")]
+        lines = fh.readlines()
+    header = [c[1:-1].strip() if len(c) > 1 and c[0] == c[-1] == '"' else c for c in cells]  # unquote a name
     if len(header) < 2 or header[0] not in ("tau", "a") or header[1] != "ratio":
         raise ValueError(f"{path}: expected header 'tau,ratio' or 'a,ratio', got {header}")
     if len(header) > 3 or (len(header) == 3 and header[2] != "noise"):
         raise ValueError(f"{path}: unsupported columns {header[2:]}")
-    if not rows:
+    if not any(line.strip() for line in lines):  # numpy only warns on an empty body
         raise ValueError(f"{path}: no data rows")
     try:
-        data = np.array([[float(v) for v in row] for row in rows])
+        data = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed numeric row ({exc})") from None
     if data.shape[1] != len(header):
@@ -131,7 +129,7 @@ def read_interferogram_csv(path: Path):
 def _spectral_ports(port):
     def ports(args):
         f_s = SpectralDistribution(args.wbar_s, args.sigma)
-        f_lo = SpectralDistribution(args.wbar_lo, args.sigma_lo if args.sigma_lo else args.sigma)
+        f_lo = SpectralDistribution(args.wbar_lo, args.sigma if args.sigma_lo is None else args.sigma_lo)
         return port(f_s), port(f_lo)
 
     return ports
@@ -218,8 +216,10 @@ def cmd_simulate(args) -> int:
     config.update(scenario=args.scenario, grid=args.grid, method=args.method, d=gram.metadata["dimension"])
     out = Path(args.out) if args.out else Path(f"mmi_{args.scenario.replace('-', '_')}.csv")
     write_csv(out, columns)
+    sidecar = out.with_suffix(".json")
     # under --method both the last run is the quadrature one
-    sidecar = write_sidecar(out, config, method_used, None, gram.metadata.get("quadrature"))
+    counters = {"quadrature": gram.metadata["quadrature"]} if "quadrature" in gram.metadata else {}
+    _write_json(sidecar, {"config": config, "method": method_used, "seed": None, **counters})
     print(f"wrote {out} and {sidecar}")
     return _EXIT_OK
 
@@ -242,14 +242,7 @@ def cmd_verify(args) -> int:
         report.append({"name": name, "max_deviation": float(value), "tolerance": tol, "passed": bool(value <= tol),
                        "seconds": check.seconds})
     if args.out:
-        payload = {
-            "checks": report,
-            "quick": args.quick,
-            "seed": args.seed,
-            "version": __version__,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, {"checks": report, "quick": args.quick, "seed": args.seed})
     if failed:
         print(f"verification FAILED for: {', '.join(failed)}", file=sys.stderr)
         return _EXIT_VERIFY_FAIL
@@ -318,7 +311,7 @@ def cmd_fit(args) -> int:
     fixed = fixed_from(args)
     taus = x / fixed["theta0"] if expected == "a" else x  # a = τθ₀
     result = fit(FitProblem(tau=taus, ratios=ratios, model=model, fixed=fixed, initial=initial, noise=noise))
-    payload = {
+    _write_json(args.out, {
         "model": args.model,
         "estimates": result.estimates,
         "uncertainties": result.uncertainties,
@@ -327,12 +320,7 @@ def cmd_fit(args) -> int:
         "converged": result.converged,
         "weighted": noise is not None,
         "data": str(args.data),
-        "version": __version__,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    }, echo=True)
     return _EXIT_OK
 
 
@@ -354,18 +342,8 @@ def cmd_coherence(args) -> int:
     else:
         report = estimate_coherence_time(args.theta, args.epsilon)
         extra = {"theta": args.theta}
-    payload = {
-        "a_c": report.a_c,
-        "tau_c": report.tau_c,
-        "coherence_length": report.coherence_length,
-        "epsilon": report.epsilon,
-        "version": __version__,
-        **extra,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    _write_json(args.out, {"a_c": report.a_c, "tau_c": report.tau_c, "coherence_length": report.coherence_length,
+                           "epsilon": report.epsilon, **extra}, echo=True)
     return _EXIT_OK
 
 
@@ -433,6 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Run the command; print each warning it raised as one line, before any error message."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -441,7 +429,7 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except IdentifiabilityError as exc:
         print(f"identifiability error: {exc}", file=sys.stderr)
         return _EXIT_IDENTIFIABILITY

@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,34 @@ def test_spectral_closed_form_exit_codes(tmp_path, capsys):
     narrow = ["simulate", "one-photon-vacuum", "--wbar-s", "1.5", "--method", "closed_form", "-o", str(out)]
     assert cli.main(narrow) == 2
     assert "2 widths" in capsys.readouterr().err
+
+
+def test_library_warnings_print_as_one_line_each(tmp_path, capsys):
+    # a library warning reaches the user as its message, not as a source line of the package
+    out = str(tmp_path / "w.csv")
+    capsys.readouterr()
+    assert cli.main(["simulate", "one-photon-vacuum", "--wbar-s", "2.5", "--method", "closed_form", "-o", out]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: closed form is a wide-pulse approximation; accuracy degrades for signal mean frequency "
+        "below 3 widths"
+    ]
+    assert "UserWarning" not in err and "cli.py" not in err
+    fock = ["simulate", "fock", "--wbar-s", "2.5", "--method", "closed_form", "-o", out]
+    assert cli.main([*fock, "--wbar-lo", "2.5"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("warning: closed form") for line in err)
+    # a command that then fails still prints its warnings, before its error
+    assert cli.main([*fock, "--wbar-lo", "1.5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("warning: closed form") and err[1].startswith("error: closed form requires")
+
+
+def test_simulate_rejects_a_zero_lo_width(tmp_path, capsys):
+    out = tmp_path / "fock.csv"
+    assert cli.main(["simulate", "fock", "--sigma-lo", "0", "-o", str(out)]) == 2
+    assert "spectral width must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_dimension_gate_is_the_scenario_table(tmp_path, monkeypatch, capsys):
@@ -388,6 +417,15 @@ def test_fit_honors_noise_column_as_weights(tmp_path):
     assert res_plain["estimates"]["theta_ratio"] != res_weighted["estimates"]["theta_ratio"]
 
 
+def test_fit_zero_noise_exits_usage(tmp_path, capsys):
+    data = tmp_path / "noise.csv"
+    a0 = np.linspace(0.0, 3.0, 40)
+    noise = np.where(a0 < 1.0, 1e-3, 0.0)
+    cli.write_csv(data, {"a": a0, "ratio": thermal_thermal_ratio(1.0, 1.01, a0), "noise": noise})
+    assert cli.main(["fit", str(data), "--model", "thermal-thermal"]) == 2
+    assert "noise levels must be positive" in capsys.readouterr().err
+
+
 def test_verify_quick_passes():
     proc = run_cli("verify", "--quick")
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -403,6 +441,19 @@ def test_verify_out_writes_a_json_report(tmp_path):
     report = json.loads(out.read_text())
     assert report["quick"] is True
     assert report["checks"] and all(check["passed"] is True for check in report["checks"])
+
+
+def test_verify_failure_exits_one_and_names_the_check(tmp_path, monkeypatch, capsys):
+    from mmi import verify
+
+    checks = [verify.Check("a passing check", 1e-14, 1e-12, 0.01), verify.Check("a failing check", 2e-3, 1e-6, 0.02)]
+    monkeypatch.setattr(verify, "run_verification", lambda **kwargs: checks)
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--quick", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] a failing check" in captured.out and "all scenarios PASS" not in captured.out
+    assert "verification FAILED for: a failing check" in captured.err
+    assert [check["passed"] for check in json.loads(out.read_text())["checks"]] == [True, False]
 
 
 def test_verify_quick_imports_no_test_extras():
@@ -488,3 +539,59 @@ def test_csv_values_carry_twelve_significant_digits(tmp_path):
     row = out.read_text().strip().splitlines()[1]
     a_str, ratio_str = row.split(",")
     assert len(ratio_str.replace(".", "").replace("-", "").lstrip("0")) >= 11
+
+
+# What `mmi fit` reads: a file and the columns its reader returns, each cell as
+# Python's float parses it, or None where the reader must refuse the file.
+READER_CORPUS = {
+    "plain": ("tau,ratio\n0,1\n0.5,0.9\n", ("tau", ["0", "0.5"], ["1", "0.9"], None)),
+    "a column": ("a,ratio\n0,1\n1.5,0.95\n", ("a", ["0", "1.5"], ["1", "0.95"], None)),
+    "crlf": ("tau,ratio\r\n0,1\r\n0.5,0.9\r\n", ("tau", ["0", "0.5"], ["1", "0.9"], None)),
+    "quoted cells": ('tau,ratio\n"0","1"\n"0.5","0.9"\n', ("tau", ["0", "0.5"], ["1", "0.9"], None)),
+    "quoted header": ('"tau","ratio"\n0,1\n0.5,0.9\n', ("tau", ["0", "0.5"], ["1", "0.9"], None)),
+    "blank lines": ("tau,ratio\n\n0,1\n\n0.5,0.9\n\n", ("tau", ["0", "0.5"], ["1", "0.9"], None)),
+    "spaces around cells": (" tau , ratio \n 0 , 1 \n0.5,\t0.9\n", ("tau", ["0", "0.5"], ["1", "0.9"], None)),
+    "noise column": ("a,ratio,noise\n0,1,1e-3\n1,0.9,2e-3\n", ("a", ["0", "1"], ["1", "0.9"], ["1e-3", "2e-3"])),
+    "nan and inf": ("tau,ratio\n0,nan\n1,inf\n2,-inf\n", ("tau", ["0", "1", "2"], ["nan", "inf", "-inf"], None)),
+    "no final newline": ("tau,ratio\n0,1\n0.5,0.9", ("tau", ["0", "0.5"], ["1", "0.9"], None)),
+    "number forms": ("tau,ratio\n1e-3,+1.5E0\n.5,-0\n", ("tau", ["1e-3", ".5"], ["+1.5E0", "-0"], None)),
+    "digit separator": ("tau,ratio\n1_0,1\n", None),  # Python's float reads 10; numpy's parser refuses it
+    "whitespace-only line": ("tau,ratio\n0,1\n   \n0.5,0.9\n", None),
+    "hash line": ("tau,ratio\n# comment\n0,1\n", None),
+    "hash after a cell": ("tau,ratio\n0,1 # note\n", None),
+    "trailing comma": ("tau,ratio\n0,1,\n", None),
+    "empty cell": ("tau,ratio\n0,\n", None),
+    "ragged rows": ("tau,ratio\n0,1\n0.5\n", None),
+    "more cells than header": ("tau,ratio\n0,1,2\n0.5,0.9,3\n", None),
+    "header only": ("tau,ratio\n", None),
+    "blank body": ("tau,ratio\n\n\r\n", None),
+    "empty file": ("", None),
+    "comma inside a quoted name": ('"tau,ratio"\n0,1\n', None),
+    "semicolons": ("tau;ratio\n0;1\n", None),
+    "byte order mark": ("\ufefftau,ratio\n0,1\n", None),
+    "hex": ("tau,ratio\n0x1,1\n", None),
+    "foreign header": ("time,value\n1,2\n", None),
+    "unsupported column": ("tau,ratio,weight\n0,1,1\n", None),
+}
+
+
+@pytest.mark.parametrize("name", list(READER_CORPUS))
+def test_read_interferogram_csv_corpus(tmp_path, name):
+    text, want = READER_CORPUS[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    # no warning either: an empty body must be refused before numpy sees it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                cli.read_interferogram_csv(path)
+            return
+        x_name, x, ratio, noise = cli.read_interferogram_csv(path)
+    assert x_name == want[0]
+    np.testing.assert_array_equal(x, [float(v) for v in want[1]])
+    np.testing.assert_array_equal(ratio, [float(v) for v in want[2]])
+    if want[3] is None:
+        assert noise is None
+    else:
+        np.testing.assert_array_equal(noise, [float(v) for v in want[3]])

@@ -171,6 +171,22 @@ def test_model_prediction_rejects_a_wrong_parameter_count():
         model_prediction("fock_fock", [0.0, 1.0], (3.0,), {"lo_mean_freq": 3.15})
 
 
+def test_unknown_models_and_mismatched_inputs_are_rejected():
+    taus = np.linspace(0.0, 3.0, 20)
+    data = np.asarray(thermal_thermal_ratio(1.0, 1.01, taus))
+    with pytest.raises(ValueError, match="unknown model 'thermal_vacuum'"):
+        model_prediction("thermal_vacuum", taus, (1.0,), {})
+    with pytest.raises(ValueError, match="unknown model 'thermal_vacuum'"):
+        FitProblem(tau=taus, ratios=data, model="thermal_vacuum")
+    thermal = {"model": "thermal_thermal", "fixed": {"theta0": 1.0}}
+    with pytest.raises(ValueError, match="takes parameters"):
+        FitProblem(tau=taus, ratios=data, initial=(1.01, 1.0), **thermal)
+    with pytest.raises(ValueError, match="one \\(lo, hi\\) bound pair per parameter"):
+        FitProblem(tau=taus, ratios=data, bounds=((0.5, 2.0), (0.5, 2.0)), **thermal)
+    with pytest.raises(ValueError, match="differ in length"):
+        FitProblem(tau=taus, ratios=data[:-1], **thermal)
+
+
 def test_weighting_changes_heteroscedastic_fit():
     rng = np.random.default_rng(3)
     taus = np.linspace(0.0, 3.0, 200) / 1.01

@@ -462,11 +462,15 @@ def test_interferogram_invariants_enforced():
             ratios=np.array([math.nan]),
             normalization=None,
         )
+    with pytest.raises(ValueError, match="differ in shape"):
+        Interferogram(delays=np.array([0.0, 1.0]), ratios=np.array([1.0]), normalization=None)
 
 
 def test_request_validates_method():
     with pytest.raises(ValueError):
         IntensityRequest(signal=OnePhoton(F_S), lo=Vacuum(), delays=[0.0], method="fft")
+    with pytest.raises(ValueError, match="unknown method 'exact'"):
+        thermal_vacuum_ratio(1.0, 0.5, method="exact")  # a path metadata records, not a method to ask for
 
 
 def test_request_rejects_non_finite_delays():

@@ -231,18 +231,13 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify  # it loads the oracles, which no other command needs
 
-    checks = verify.run_verification(quick=args.quick, seed=args.seed, samples=args.samples)
-    failed, report = [], []
+    checks = verify.run_verification(quick=args.quick)
     for check in checks:
-        name, value, tol = check
-        status = "PASS" if value <= tol else "FAIL"
-        if status == "FAIL":
-            failed.append(name)
-        print(f"[{status}] {name}: max deviation {value:.3e} (tolerance {tol:.3e})")
-        report.append({"name": name, "max_deviation": float(value), "tolerance": tol, "passed": bool(value <= tol),
-                       "seconds": check.seconds})
+        print(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}: max deviation "
+              f"{check['max_deviation']:.3e} (tolerance {check['tolerance']:.3e})")
     if args.out:
-        _write_json(args.out, {"checks": report, "quick": args.quick, "seed": args.seed})
+        _write_json(args.out, {"checks": checks, "quick": args.quick, "seed": verify.MC_SEED})
+    failed = [check["name"] for check in checks if not check["passed"]]
     if failed:
         print(f"verification FAILED for: {', '.join(failed)}", file=sys.stderr)
         return _EXIT_VERIFY_FAIL
@@ -378,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="triangulate closed forms, quadrature, and oracles")
     ver.add_argument("--quick", action="store_true", help="skip Monte-Carlo checks")
-    ver.add_argument("--seed", type=int, default=20260808)
-    ver.add_argument("--samples", type=int, default=20000, help="Monte-Carlo draws")
     ver.add_argument("--out", default=None, help="optional JSON report path")
     ver.set_defaults(func=cmd_verify)
 

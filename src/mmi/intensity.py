@@ -111,6 +111,10 @@ def _resolve(scenario: str, d: int | None, method: str):
     return d, method
 
 
+# σ|τ| at which e^{-(στ)²/4}, and the cross term's narrower envelope, are e^{-900} = 0 in floating point.
+_ENVELOPE_REACH = 60.0
+
+
 class ClosedFormError(ValueError):
     """A spectral closed form, an approximation, left the range [0, ∞) of a ratio."""
 
@@ -240,12 +244,19 @@ def _closed_pair_ratio(mean_s, width_s, mean_lo, width_lo, tau, cross: bool):
 
 
 def _closed_pair(f_s: SpectralDistribution, f_lo: SpectralDistribution | None, tau, cross: bool):
-    """The one guarded entry of every spectral closed form; ``f_lo`` None is a vacuum LO."""
+    """The one guarded entry of every spectral closed form; ``f_lo`` None is a vacuum LO.
+
+    Past σ|τ| = :data:`_ENVELOPE_REACH` (σ the narrower width) every envelope of the
+    closed form is exactly 0 and the ratio its plateau, so the delays are clipped there:
+    the squares and phases of larger delays would overflow.
+    """
     _check_closed_form_regime(f_s, "signal")
+    lo, width = (None, None), f_s.width
     if f_lo is not None:
         _check_closed_form_regime(f_lo, "local oscillator")
-    lo = (None, None) if f_lo is None else (f_lo.mean_freq, f_lo.width)
-    out = _closed_pair_ratio(f_s.mean_freq, f_s.width, *lo, _finite_delays(tau), cross)
+        lo, width = (f_lo.mean_freq, f_lo.width), min(width, f_lo.width)
+    reach = _ENVELOPE_REACH / width
+    out = _closed_pair_ratio(f_s.mean_freq, f_s.width, *lo, np.clip(_finite_delays(tau), -reach, reach), cross)
     if np.any(out < 0.0):
         raise ClosedFormError(
             f"the spectral closed form, a wide-pulse approximation, gives a negative ratio "
@@ -321,9 +332,11 @@ def _thermal(theta_s, theta_lo, tau, d, method):
     w = 0.0 if vacuum else (theta_lo / theta_s) ** (d + 1)
     quad = None
     if method == "closed_form":
-        k_lo = None if vacuum else _closed_fringe(t * theta_lo, d)
-        t *= theta_s  # the last a-grid reuses |τ|
-        k = _closed_fringe(t, d)
+        # an a-grid, aπ or x^(d+1) that overflows to inf gives K_d its limit 0 at a = inf
+        with np.errstate(over="ignore"):
+            k_lo = None if vacuum else _closed_fringe(t * theta_lo, d)
+            t *= theta_s  # the last a-grid reuses |τ|
+            k = _closed_fringe(t, d)
     else:
         # every a-grid in one call; K = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx
         j_const = bose_integral_constant(d)

@@ -44,6 +44,12 @@ class ResourceLimitError(RuntimeError):
     """Raised when a brute-force evaluation would exceed its amplitude cap."""
 
 
+# Most final-state amplitudes one brute-force Fock evaluation may hold.
+_AMPLITUDE_CAP = 1_000_000
+# Samples per Monte-Carlo chunk, each drawn from its own child stream of the seed.
+_BATCH = 512
+
+
 @dataclass(frozen=True)
 class ModeGrid:
     """Discrete, strictly increasing, positive frequency grid with cell widths."""
@@ -187,7 +193,7 @@ def _probability(amplitudes: np.ndarray) -> float:
     return float(np.vdot(amplitudes, amplitudes).real)
 
 
-def detect_intensity_bruteforce(signal, lo, tau: float, *, d: int = 1, amplitude_cap: int = 1_000_000) -> float:
+def detect_intensity_bruteforce(signal, lo, tau: float, *, d: int = 1) -> float:
     """Unnormalized detected intensity from explicit discrete states.
 
     ``signal``/``lo`` are :class:`TruncatedState`, :class:`CoherentField`,
@@ -199,7 +205,7 @@ def detect_intensity_bruteforce(signal, lo, tau: float, *, d: int = 1, amplitude
     if signal is None and lo is None:
         return 0.0
     if isinstance(signal, TruncatedState) or isinstance(lo, TruncatedState):
-        return _bruteforce_fock(signal, lo, tau, d, amplitude_cap)
+        return _bruteforce_fock(signal, lo, tau, d)
     return _bruteforce_coherent(signal, lo, tau, d)
 
 
@@ -207,7 +213,7 @@ def _measure(grid: ModeGrid, d: int) -> np.ndarray:
     return grid.weights * grid.frequencies**d
 
 
-def _bruteforce_fock(signal, lo, tau, d, amplitude_cap):
+def _bruteforce_fock(signal, lo, tau, d):
     if signal is None:
         raise ValueError("vacuum is only supported in the LO port")
     if not isinstance(signal, TruncatedState) or not (lo is None or isinstance(lo, TruncatedState)):
@@ -217,9 +223,9 @@ def _bruteforce_fock(signal, lo, tau, d, amplitude_cap):
     omega = grid.frequencies
     m_sig = grid.size
     m_lo = lo.grid.size if lo is not None else 1
-    if m_sig * m_lo > amplitude_cap:
+    if m_sig * m_lo > _AMPLITUDE_CAP:
         raise ResourceLimitError(
-            f"final-state workspace {m_sig * m_lo} exceeds the cap {amplitude_cap}"
+            f"final-state workspace {m_sig * m_lo} exceeds the cap {_AMPLITUDE_CAP}"
         )
 
     sig_f, lo_f = _port_factors(omega, tau)
@@ -262,8 +268,8 @@ class MonteCarloIntensity:
 
     ``ratios[i] ± stderrs[i]`` estimates ⟨I⟩(τ_i)/⟨I⟩(0); the cross-term
     fields report the phase-sensitive contribution alone, which must be
-    statistically compatible with zero for chaotic light.  ``seed`` and
-    ``batch`` fix the random numbers drawn (see
+    statistically compatible with zero for chaotic light.  ``seed`` fixes
+    the random numbers drawn, in chunks of ``batch`` samples (see
     :func:`thermal_intensity_montecarlo`).
     """
 
@@ -285,7 +291,6 @@ def thermal_intensity_montecarlo(
     d: int = 3,
     samples: int = 100_000,
     seed: int = 0,
-    batch: int = 512,
 ) -> MonteCarloIntensity:
     """Phase-space Monte-Carlo oracle for thermal scenarios.
 
@@ -306,11 +311,11 @@ def thermal_intensity_montecarlo(
     Thermal/vacuum draws the signal exponentials only.  The occupations
     n̄_s, n̄_l and √(n̄_s n̄_l) are folded into the delay weights once.
 
-    Each chunk of ``batch`` samples (the last one holds the remainder)
+    Each chunk of 512 samples (the last one holds the remainder)
     draws from its own ``SeedSequence(seed)`` child stream and returns its
     partial sums; the chunks run on one worker per CPU available to the
     process, the calling thread among them, and the partial sums are added
-    in chunk order.  So the result depends on ``(seed, batch)``, not on the
+    in chunk order.  So the result depends on the seed alone, not on the
     CPU count.  The products with the delay weights are taken in row blocks
     of at most 2¹⁹ multiply-adds: from about 10⁶ a gemm starts OpenBLAS
     threads of its own, which would oversubscribe the CPUs the workers
@@ -318,8 +323,6 @@ def thermal_intensity_montecarlo(
     """
     if samples < 1000:
         raise ValueError("at least 1000 samples are required")
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if not np.all(np.isfinite(taus)):
         raise ValueError("delays must be finite")
@@ -373,7 +376,7 @@ def thermal_intensity_montecarlo(
     # imported here: `verify --quick` imports this module but never samples
     from concurrent.futures import ThreadPoolExecutor
 
-    sizes = [min(batch, samples - start) for start in range(0, samples, batch)]
+    sizes = [min(_BATCH, samples - start) for start in range(0, samples, _BATCH)]
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -422,5 +425,5 @@ def thermal_intensity_montecarlo(
         cross_stderr=float(cross_stderr),
         samples=samples,
         seed=seed,
-        batch=batch,
+        batch=_BATCH,
     )

@@ -87,7 +87,7 @@ GAUSS_WEIGHTS[[3, 11]] = _POS_GAUSS[2]
 GAUSS_WEIGHTS[[1, 13]] = _POS_GAUSS[3]
 _RULES = np.stack([KRONROD_WEIGHTS, GAUSS_WEIGHTS])
 
-# Default panel budget of one integration.
+# Panel budget of one integration.
 MAX_PANELS = 8192
 # Absolute and relative tolerance of every scenario integral (the spectral
 # ones, the thermal fringes in units of J(d), and their metadata).
@@ -133,8 +133,11 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.n
 
 
 def _initial_panels(width: float, osc_scale):
-    """First-pass panel count: eighths of the interval, each at most a quarter period."""
-    return np.maximum(8, np.ceil(2.0 * width * np.asarray(osc_scale) / math.pi)).astype(int)
+    """First-pass panel count: eighths of the interval, each at most a quarter period, and at
+    most :data:`MAX_PANELS`.  A rate is capped where its count reaches the budget, so that
+    neither the count nor the product forming it overflows."""
+    rate = np.minimum(osc_scale, MAX_PANELS * math.pi / (2.0 * width))
+    return np.minimum(np.maximum(8, np.ceil(2.0 * width * rate / math.pi)), MAX_PANELS).astype(int)
 
 
 def integrate(
@@ -145,7 +148,6 @@ def integrate(
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-12,
     osc_scale: float = 0.0,
-    max_panels: int = MAX_PANELS,
 ) -> QuadratureResult:
     """Adaptively integrate a vectorized, possibly vector-valued integrand over [lo, hi].
 
@@ -163,12 +165,11 @@ def integrate(
         Effective angular rate of the fastest oscillation of the integrand
         (ωτ kernels: the largest delay τ).  Initial panel widths are capped
         at ``pi / (2 * osc_scale)``, a quarter period.
-    max_panels:
-        Panel budget; exceeding it raises :class:`QuadratureError` carrying
-        the achieved estimate of the worst member.
 
     The value and error are floats for a scalar integrand and arrays of
-    shape ``(K,)`` for a vector-valued one.
+    shape ``(K,)`` for a vector-valued one.  Exhausting the budget of
+    :data:`MAX_PANELS` panels raises :class:`QuadratureError` carrying the
+    achieved estimate of the worst member.
     """
     lo = float(lo)
     hi = float(hi)
@@ -176,7 +177,10 @@ def integrate(
         raise ValueError(f"non-finite interval [{lo}, {hi}] or oscillation rate {osc_scale}")
     if not hi > lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
-    edges = np.linspace(lo, hi, min(int(_initial_panels(hi - lo, osc_scale)), max_panels) + 1)
+    if not math.isfinite(max(-lo, hi) * osc_scale):
+        # no phase ωτ of the integrand is representable, let alone resolvable
+        raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, abs_tol)
+    edges = np.linspace(lo, hi, int(_initial_panels(hi - lo, osc_scale)) + 1)
     p_lo, p_hi = edges[:-1], edges[1:]
     vals, errs, shape = _eval_panels(f, p_lo, p_hi)
     evaluations = vals.shape[0] * NODES.size
@@ -192,7 +196,7 @@ def integrate(
                 value, error = float(value), float(error)
             return QuadratureResult(value, error, len(vals), evaluations)
         floor = np.maximum(tol, np.finfo(float).tiny)  # abs_tol = 0 may leave tol = 0
-        if len(vals) >= max_panels:
+        if len(vals) >= MAX_PANELS:
             worst = int(np.argmax(np.where(unmet, err / floor, 0.0)))
             raise QuadratureError("quadrature panel budget exhausted", float(err[worst]), float(tol[worst]))
         # Bisect every panel carrying more than its share of the budget of
@@ -218,7 +222,7 @@ def _chunk_ends(rates: np.ndarray, width: float) -> list[int]:
     """End indices of the chunks of ascending ``rates`` whose first pass over
     [0, width] stays within ``CHUNK_ELEMENTS`` node × delay values (at least
     one delay each)."""
-    nodes = NODES.size * np.minimum(_initial_panels(width, rates), MAX_PANELS)
+    nodes = NODES.size * _initial_panels(width, rates)
     most = max(1, CHUNK_ELEMENTS // (NODES.size * 8))  # no chunk holds more delays
     ends = [0]
     while ends[-1] < rates.size:

@@ -39,6 +39,10 @@ _KERNELS = ("one", "cos", "sin")
 # Half-width, in widths, of the window around each spectral peak that
 # quadrature integrates over; e^{-9²} = 6.6e-36 of the peak lies outside.
 _WINDOW_WIDTHS = 9.0
+# σ|τ| from which gaussian_fourier_moments drops the Gaussian term and sums
+# 12 terms of the asymptotic series of w, whose coefficients are (2m-1)!!/2^m.
+_FAR = 40.0
+_W_SERIES = tuple(math.prod(j - 0.5 for j in range(1, m + 1)) for m in range(12))
 
 
 def _weideman_coefficients(n: int):
@@ -118,13 +122,31 @@ def gaussian_fourier_moments(mean: float, width: float, tau, order: int) -> list
         M_{k+1} = c M_k + (kσ²/2) M_{k-1} + δ_{k0} (σ²/2) e^{-(μ/σ)²},
 
     the recurrence coming from integrating (ω - c) ωᵏ e^{…} by parts.  The
-    phase and τ-Gaussian of the erfc term cancel against the prefactor, so
-    nothing overflows at large στ, and Im(ic/σ) = μ/σ >= 0 keeps w in the
-    upper half-plane.  Vectorised over τ (complex arrays, shape of τ).
+    phase and τ-Gaussian of the erfc term cancel against the prefactor, and
+    Im(ic/σ) = μ/σ >= 0 keeps w in the upper half-plane.  From σ|τ| =
+    :data:`_FAR` on, the Gaussian term, below 1e-160 of M_n(0), is dropped
+    and each M_n is the erfc term alone, differentiated n times in τ (see
+    :func:`_far_moments`): there the recurrence would multiply the rounding
+    of M_0 by |c| per step.  Vectorised over τ (complex arrays, shape of τ);
+    nothing overflows at any finite τ.
     """
     t = np.asarray(tau, dtype=float)
-    c = mean + 0.5j * width * width * t
     edge = math.exp(-(mean / width) * (mean / width))
+    far = np.abs(t) >= _FAR / width
+    if not far.any():
+        return _near_moments(mean, width, t, order, edge)
+    near = ~far
+    moments = [np.empty(t.shape, complex) for _ in range(order + 1)]
+    for out, part in zip(moments, _near_moments(mean, width, t[near], order, edge)):
+        out[near] = part
+    for out, part in zip(moments, _far_moments(mean, width, t[far], order, edge)):
+        out[far] = part
+    return moments
+
+
+def _near_moments(mean, width, t, order, edge):
+    """The moments of :func:`gaussian_fourier_moments` by M_0 and the recurrence."""
+    c = mean + 0.5j * width * width * t
     moments = [
         width * _SQRT_PI * np.exp(1j * mean * t - 0.25 * (width * t) ** 2)
         - 0.5 * width * _SQRT_PI * edge * _faddeeva(1j * c / width)
@@ -132,6 +154,29 @@ def gaussian_fourier_moments(mean: float, width: float, tau, order: int) -> list
     for k in range(order):
         step = 0.5 * k * width * width * moments[k - 1] if k else 0.5 * width * width * edge
         moments.append(c * moments[k] + step)
+    return moments
+
+
+def _far_moments(mean, width, t, order, edge):
+    """The moments of :func:`gaussian_fourier_moments` at σ|τ| >= :data:`_FAR`.
+
+    With z = ic/σ = iμ/σ - στ/2, u = 1/z and dz/dτ = -σ/2, the erfc term
+    differentiated n times is M_n = -(σ√π/2) e^{-(μ/σ)²} (iσ/2)ⁿ w⁽ⁿ⁾(z).
+    w⁽ⁿ⁾ comes from the asymptotic series (Abramowitz & Stegun 7.1.23)
+    w(z) ~ (i/√π) Σₘ (2m-1)!!/2ᵐ u^(2m+1), differentiated term by term;
+    at |z| >= 20 its first omitted term is below 1e-18 of the sum for n <= 3.
+    u is formed without z, so that no |τ| up to the float maximum overflows.
+    """
+    u = (-2.0 / width) / (t - 2j * mean / (width * width))
+    u2 = u * u
+    moments = []
+    factor = (-0.5j * width * edge) * u  # -(σ/2) e^{-(μ/σ)²} i (-iσ/2)ⁿ u^(n+1) at n = 0
+    for n in range(order + 1):
+        acc = 0.0
+        for m in reversed(range(len(_W_SERIES))):
+            acc = acc * u2 + _W_SERIES[m] * math.perm(2 * m + n, n)
+        moments.append(factor * acc)
+        factor = factor * (-0.5j * width) * u
     return moments
 
 

@@ -1,7 +1,8 @@
 """``mmi verify``: triangulate closed forms, quadrature and oracles.
 
-A check is ``(name, max deviation, tolerance)`` and passes when the deviation is within the tolerance;
-its ``seconds`` is the wall time of the group that computed it, which the checks of one group share.
+A check is a JSON-ready record ``{name, max_deviation, tolerance, passed, seconds}``; it passes when the
+deviation is within the tolerance, and its ``seconds`` is the wall time of the group that computed it,
+which the checks of one group share.
 Beside the named checks, each row of :data:`_PAIRS` compares ``method="auto"`` with ``"quadrature"``
 at every dimension that :data:`mmi.intensity._DIMENSIONS` admits for its scenario, so a dimension
 added there is verified with no edit here.
@@ -26,6 +27,9 @@ from .states import Coherent, OnePhoton, Thermal, Vacuum
 _SIGNAL = SpectralDistribution(3.0, 1.0)
 _TAUS = np.linspace(0.0, 6.0, 121)
 _DUAL_TOL = 1e-9
+# The Monte-Carlo check's seed (the ``--out`` report records it) and sample count.
+MC_SEED = 20260808
+_MC_SAMPLES = 20000
 
 # One row per port pair compute_interferogram accepts: (name, signal, LO, delays).
 _PAIRS = (
@@ -89,8 +93,8 @@ def _verify_coherent():
     ]
 
 
-def _verify_montecarlo(seed, samples):
-    mc = thermal_intensity_montecarlo(1.0, None, [0.5, 1.0, 2.0], samples=samples, seed=seed)
+def _verify_montecarlo():
+    mc = thermal_intensity_montecarlo(1.0, None, [0.5, 1.0, 2.0], samples=_MC_SAMPLES, seed=MC_SEED)
     truth = np.asarray(thermal_vacuum_ratio(1.0, mc.delays, 3, "closed_form"))
     return [("thermal-vacuum monte-carlo (sigmas)", float(np.max(np.abs(mc.ratios - truth) / mc.stderrs)), 3.0)]
 
@@ -121,13 +125,9 @@ def _dual_path(name, signal, lo, delays, d):
     return [(name, float(np.max(np.abs(auto - quad))), _DUAL_TOL)]
 
 
-class Check(tuple):
-    """``(name, max deviation, tolerance)`` with the wall time of its group in ``seconds``."""
-
-    def __new__(cls, name, value, tol, seconds):
-        check = super().__new__(cls, (name, value, tol))
-        check.seconds = seconds
-        return check
+def _record(name, value, tol, seconds):
+    return {"name": name, "max_deviation": float(value), "tolerance": tol, "passed": bool(value <= tol),
+            "seconds": seconds}
 
 
 def _guarded(label, group, *args):
@@ -137,14 +137,14 @@ def _guarded(label, group, *args):
     except Exception as exc:  # a crashing check is a failing check
         checks = [(f"{label} raised {type(exc).__name__}", float("inf"), 0.0)]
     seconds = time.perf_counter() - start
-    return [Check(*check, seconds) for check in checks]
+    return [_record(*check, seconds) for check in checks]
 
 
-def run_verification(quick: bool = False, seed: int = 20260808, samples: int = 20000):
-    """Every check as ``(name, max deviation, tolerance)``; ``quick`` skips the Monte-Carlo one."""
+def run_verification(quick: bool = False) -> list[dict]:
+    """Every check's record; ``quick`` skips the Monte-Carlo one."""
     checks = _guarded("fock scenario", _verify_fock) + _guarded("coherent scenario", _verify_coherent)
     if not quick:
-        checks += _guarded("thermal-vacuum scenario", _verify_montecarlo, seed, samples)
+        checks += _guarded("thermal-vacuum scenario", _verify_montecarlo)
     checks += _guarded("thermal-thermal scenario", _verify_thermal_thermal)
     checks += _guarded("coherence horizon", _verify_coherence_horizon)
     checks += _guarded("thermal-thermal fit", _verify_thermometry)
@@ -156,7 +156,7 @@ def run_verification(quick: bool = False, seed: int = 20260808, samples: int = 2
             name = f"{pair} dual path" if d == dims[0] else f"{pair} d = {d} dual path"
             checks += _guarded(name, _dual_path, name, signal, lo, delays, d)
             if scenario == "spectral":
-                spectral_gaps.append(checks[-1][1])
+                spectral_gaps.append(checks[-1]["max_deviation"])
     # a maximum over the spectral rows above, computed in no time of its own
-    checks.append(Check("spectral exact-vs-quadrature", max(spectral_gaps, default=float("inf")), _DUAL_TOL, 0.0))
+    checks.append(_record("spectral exact-vs-quadrature", max(spectral_gaps, default=float("inf")), _DUAL_TOL, 0.0))
     return checks

@@ -446,7 +446,8 @@ def test_verify_out_writes_a_json_report(tmp_path):
 def test_verify_failure_exits_one_and_names_the_check(tmp_path, monkeypatch, capsys):
     from mmi import verify
 
-    checks = [verify.Check("a passing check", 1e-14, 1e-12, 0.01), verify.Check("a failing check", 2e-3, 1e-6, 0.02)]
+    checks = [verify._record("a passing check", 1e-14, 1e-12, 0.01),
+              verify._record("a failing check", 2e-3, 1e-6, 0.02)]
     monkeypatch.setattr(verify, "run_verification", lambda **kwargs: checks)
     out = tmp_path / "verify.json"
     assert cli.main(["verify", "--quick", "--out", str(out)]) == 1
@@ -454,6 +455,12 @@ def test_verify_failure_exits_one_and_names_the_check(tmp_path, monkeypatch, cap
     assert "[FAIL] a failing check" in captured.out and "all scenarios PASS" not in captured.out
     assert "verification FAILED for: a failing check" in captured.err
     assert [check["passed"] for check in json.loads(out.read_text())["checks"]] == [True, False]
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--samples"])
+def test_verify_takes_no_seed_or_sample_count(flag, capsys):
+    assert cli.main(["verify", flag, "0"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_quick_imports_no_test_extras():
@@ -491,6 +498,20 @@ def test_verify_out_records_each_check_time(tmp_path):
     assert len(checks) == 22
     assert all(isinstance(check["seconds"], float) and check["seconds"] >= 0.0 for check in checks)
     assert next(c for c in checks if c["name"] == "fock plateau")["seconds"] > 0.0
+
+
+def test_simulate_at_extreme_delays(tmp_path, capsys):
+    # the exact path and the closed forms reach their plateau quietly; quadrature cannot reach
+    # such delays, which is a numeric failure
+    out = str(tmp_path / "far.csv")
+    assert cli.main(["simulate", "fock", "--grid", "0:1.7e308:3", "-o", out]) == 0
+    assert cli.main(["simulate", "thermal-thermal", "--method", "closed_form", "--grid=-1.7e308:0:3", "-o", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(["simulate", "one-photon-vacuum", "--d", "3", "--grid", "0:1e8:2", "-o", out]) == 0
+    assert abs(np.loadtxt(out, delimiter=",", skiprows=1)[-1, 1] - 0.5) <= 1e-12
+    for scenario in ("thermal-vacuum", "fock"):
+        assert cli.main(["simulate", scenario, "--method", "quadrature", "--grid", "0:1e20:3", "-o", out]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: quadrature panel budget exhausted")
 
 
 def test_simulate_grid_with_a_negative_start(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mmi.intensity import (
     thermal_vacuum_ratio,
 )
 from mmi.quadrature import QuadratureError
-from mmi.spectra import SpectralDistribution, weighted_overlap
+from mmi.spectra import SpectralDistribution, gaussian_fourier_moments, weighted_overlap
 from mmi.states import Coherent, OnePhoton, Thermal, Vacuum, bose_weighted_integral
 from oracles import riemann_overlap
 from test_thermal_kernels import BLOCK_SIZES, unblocked_fringe_deviation
@@ -577,6 +578,121 @@ def test_exact_path_plateau_at_very_large_delay():
     gram = compute_interferogram(IntensityRequest(OnePhoton(F_S), OnePhoton(F_LO), taus))
     plateau = 0.5 * (1.0 + fock_intensity(F_LO, F_S, 0.0) / fock_intensity(F_S, F_LO, 0.0))
     assert np.all(np.abs(gram.ratios[1:] - plateau) < 1e-12)
+
+
+def _mp_moment(mp, spec, tau, d):
+    """M_d(τ) of a spectrum's Gaussian, e^{-(ω-ω̄)²/σ²}, by M_0 and the recurrence at mpmath's precision."""
+    mean, width, tau = mp.mpf(spec.mean_freq), mp.mpf(spec.width), mp.mpf(tau)
+    c = mean + 1j * width**2 * tau / 2
+    z = 1j * c / width
+    edge = mp.exp(-((mean / width) ** 2))
+    gauss = mp.exp(1j * mean * tau - (width * tau) ** 2 / 4)
+    moments = [width * mp.sqrt(mp.pi) * (gauss - edge * mp.exp(-z * z) * mp.erfc(-1j * z) / 2)]
+    for k in range(d):
+        moments.append(c * moments[k] + (k * width**2 / 2 * moments[k - 1] if k else width**2 / 2 * edge))
+    return moments[d]
+
+
+def _mp_ratio(mp, kind, f_s, f_lo, tau, d):
+    """The exact ratio of a spectral pair with a common width, term by term; ``tau`` None is τ -> ∞."""
+
+    def intensity(t):
+        def port(spec, sign):
+            m_t = 0 if t is None else _mp_moment(mp, spec, t, d).real
+            return (_mp_moment(mp, spec, 0, d).real + sign * m_t) / _mp_moment(mp, spec, 0, 0).real
+
+        total = port(f_s, 1)
+        if kind != "vacuum":
+            total += port(f_lo, -1)
+        if kind == "coherent" and t is not None:
+            # f_s f_lo = e^{-(ω̄_s-ω̄_lo)²/4σ²} e^{-(ω-ω̄₊)²/σ²}/(N_s N_lo), ω̄₊ the mean of the two
+            plus = SpectralDistribution((f_s.mean_freq + f_lo.mean_freq) / 2, f_s.width)
+            detune = mp.exp(-((mp.mpf(f_s.mean_freq) - f_lo.mean_freq) ** 2) / (4 * mp.mpf(f_s.width) ** 2))
+            norms = mp.sqrt(_mp_moment(mp, f_s, 0, 0).real * _mp_moment(mp, f_lo, 0, 0).real)
+            total -= 2 * detune / norms * _mp_moment(mp, plus, t, d).imag
+        return total
+
+    return intensity(tau) / intensity(0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("mean_over_width", [0.0, 2.0, 3.0])
+def test_exact_path_matches_a_60_digit_reference_at_large_delays(mean_over_width, d):
+    # past σ|τ| = 40 the moments are the erfc term alone: there the recurrence would multiply
+    # the rounding of M_0 by |c| per step, up to 0.12 of the ratio at d = 3 and σ|τ| = 1e8
+    mp = pytest.importorskip("mpmath")
+    f_s = SpectralDistribution(mean_over_width, 1.0)
+    f_lo = SpectralDistribution(mean_over_width + 0.15, 1.0)
+    taus = np.array([10.0, 40.0, 1e3, 1e4, 1e6, 1e8])
+    taus = np.concatenate([taus, -taus])
+    with mp.workdps(60):
+        for kind in ("vacuum", "fock", "coherent"):
+            got = compute_interferogram(IntensityRequest(*_spectral_ports(kind, f_s, f_lo), taus, d)).ratios
+            for tau, ratio in zip(taus, got):
+                assert abs(ratio - float(_mp_ratio(mp, kind, f_s, f_lo, tau, d))) <= 1e-12, (kind, tau)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_exact_path_reaches_its_plateau_at_extreme_delays_without_warnings(d):
+    mp = pytest.importorskip("mpmath")
+    taus = np.array([1e12, 1e155, 1e300, 1.7e308])
+    taus = np.concatenate([taus, -taus])
+    with mp.workdps(60), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mean_over_width in (0.0, 2.0, 3.0):
+            f_s = SpectralDistribution(mean_over_width, 1.0)
+            f_lo = SpectralDistribution(mean_over_width + 0.15, 1.0)
+            for kind in ("vacuum", "fock", "coherent"):
+                got = compute_interferogram(IntensityRequest(*_spectral_ports(kind, f_s, f_lo), taus, d)).ratios
+                limit = float(_mp_ratio(mp, kind, f_s, f_lo, None, d))
+                assert np.all(np.abs(got - limit) <= 1e-12), (kind, mean_over_width)
+
+
+def test_moments_of_near_delays_do_not_depend_on_far_ones_in_the_grid():
+    near = np.array([-39.0, -20.0, 0.0, 0.5, 20.0, 39.9]) / 1.3
+    far = np.array([40.0, -41.0, 1e300]) / 1.3
+    alone = gaussian_fourier_moments(3.0, 1.3, near, 3)
+    mixed = gaussian_fourier_moments(3.0, 1.3, np.concatenate([near, far]), 3)
+    for a, m in zip(alone, mixed):
+        assert np.array_equal(a, m[: near.size])
+
+
+_CLOSED_FORM_PORTS = {
+    "fock": (OnePhoton(F_S), OnePhoton(F_LO)),
+    "coherent": (Coherent(F_S), Coherent(F_LO)),
+    "one-photon-vacuum": (OnePhoton(F_S), Vacuum()),
+    "thermal-vacuum": (Thermal(1.0), Vacuum()),
+    "thermal-thermal": (Thermal(1.01), Thermal(1.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario,d", [(s, 1) for s in _CLOSED_FORM_PORTS] + [(s, 3) for s in ("thermal-vacuum", "thermal-thermal")]
+)
+def test_closed_forms_give_their_plateau_at_extreme_delays_without_warnings(scenario, d):
+    signal, lo = _CLOSED_FORM_PORTS[scenario]
+    taus = np.array([1e100, 1e155, 1e300, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram = compute_interferogram(IntensityRequest(signal, lo, np.concatenate([taus, -taus]), d, "closed_form"))
+    # ½(1 + w), w the LO's weight: what each closed form's arithmetic already gives at |τ| = 1e100
+    if isinstance(lo, Vacuum):
+        w = 0.0
+    elif isinstance(lo, Thermal):
+        w = (lo.theta / signal.theta) ** (d + 1)
+    else:
+        w = lo.spectrum.mean_freq / signal.spectrum.mean_freq
+    assert np.all(gram.ratios == 0.5 * (1.0 + w))
+
+
+@pytest.mark.parametrize("tau", [1e20, 1e300, 1.7e308])
+@pytest.mark.parametrize("scenario", ["thermal-vacuum", "fock"])
+def test_quadrature_past_its_reach_raises_quadrature_error_without_warnings(scenario, tau):
+    # a first-pass panel count past 2^63 would wrap negative as an int64; a phase ωτ past the float range is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError):
+            compute_interferogram(IntensityRequest(*_CLOSED_FORM_PORTS[scenario], [-tau, 0.0, tau], 3, "quadrature"))
 
 
 def test_fock_quadrature_resolves_optical_line_at_zero_delay():

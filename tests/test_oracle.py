@@ -4,7 +4,11 @@ import threading
 import numpy as np
 import pytest
 
-from mmi.intensity import coherent_intensity, fock_intensity, thermal_thermal_ratio, thermal_vacuum_ratio
+from mmi import oracle
+from mmi.intensity import (
+    IntensityRequest, coherent_intensity, compute_interferogram, fock_intensity, thermal_thermal_ratio,
+    thermal_vacuum_ratio,
+)
 from mmi.oracle import (
     CoherentField,
     ModeGrid,
@@ -17,6 +21,7 @@ from mmi.oracle import (
     thermal_mode_grid,
 )
 from mmi.spectra import SpectralDistribution
+from mmi.states import OnePhoton, Thermal, Vacuum
 
 F_S = SpectralDistribution(3.0, 1.0)
 F_LO = SpectralDistribution(3.15, 1.0)
@@ -91,12 +96,13 @@ def test_vacuum_signal_port_rejected_for_fock():
         detect_intensity_bruteforce(None, state, 1.0)
 
 
-def test_amplitude_cap_enforced():
+def test_amplitude_cap_enforced(monkeypatch):
     grid = spectral_mode_grid(F_S, F_LO)
     sig = build_one_photon(F_S, grid)
     lo = build_one_photon(F_LO, grid)
+    monkeypatch.setattr(oracle, "_AMPLITUDE_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        detect_intensity_bruteforce(sig, lo, 0.5, amplitude_cap=100)
+        detect_intensity_bruteforce(sig, lo, 0.5)
 
 
 def test_two_photon_bruteforce_matches_quadrature():
@@ -129,6 +135,19 @@ def test_bruteforce_refinement_convergence():
         errors.append(float(np.max(np.abs(brute - quad))))
     assert errors == sorted(errors, reverse=True)
     assert errors[-1] < 1e-6
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_two_photon_bruteforce_matches_the_exact_path_in_each_dimension(d):
+    # the exact path is the only other route at d = 3 that does not share the quadrature integrand
+    grid = spectral_mode_grid(F_S, F_LO)
+    sig = build_one_photon(F_S, grid)
+    lo = build_one_photon(F_LO, grid)
+    taus = np.linspace(0.0, 6.0, 25)
+    exact = compute_interferogram(IntensityRequest(OnePhoton(F_S), OnePhoton(F_LO), taus, d)).ratios
+    norm_b = detect_intensity_bruteforce(sig, lo, 0.0, d=d)
+    brute = np.array([detect_intensity_bruteforce(sig, lo, t, d=d) / norm_b for t in taus])
+    assert float(np.max(np.abs(brute - exact))) < 1e-6
 
 
 def test_coherent_bruteforce_matches_quadrature():
@@ -170,6 +189,17 @@ def test_montecarlo_matches_closed_form_unequal_temperatures():
     assert np.all(np.abs(mc.ratios - truth) < 3.0 * mc.stderrs)
     # and the test can tell the pair from equal temperatures
     assert np.all(np.abs(truth - 1.0) > 10.0 * mc.stderrs)
+
+
+@pytest.mark.parametrize("theta_lo", [None, 1.0], ids=["vacuum", "thermal"])
+def test_montecarlo_matches_the_closed_forms_at_d1(theta_lo):
+    # the one check of the d = 1 thermal closed forms that shares nothing with their quadrature
+    taus = np.array([0.3, 0.7, 1.5, 3.0])
+    theta_s = 1.0 if theta_lo is None else 1.1
+    mc = thermal_intensity_montecarlo(theta_s, theta_lo, taus, d=1, samples=20000, seed=7)
+    lo = Vacuum() if theta_lo is None else Thermal(theta_lo)
+    truth = compute_interferogram(IntensityRequest(Thermal(theta_s), lo, taus, 1)).ratios
+    assert np.all(np.abs(mc.ratios - truth) < 3.0 * mc.stderrs)
 
 
 @pytest.mark.parametrize("theta_lo", [None, 1.0], ids=["vacuum", "thermal"])
@@ -275,15 +305,13 @@ def test_montecarlo_many_delays_match_per_delay_runs(theta_lo):
         assert many.stderrs[i] == pytest.approx(alone.stderrs[0], rel=1e-9)
 
 
-def test_montecarlo_pooling_two_seeds_halves_variance():
+def test_montecarlo_pooling_two_seeds_halves_variance(monkeypatch):
     # unbiasedness: variance of the mean of two independent estimates is
     # half the single-estimate variance (checked across many repetitions)
     taus = [1.0]
+    monkeypatch.setattr(oracle, "_BATCH", 1000)
     singles = np.array(
-        [
-            thermal_intensity_montecarlo(1.0, None, taus, samples=1000, seed=s, batch=1000).ratios[0]
-            for s in range(120)
-        ]
+        [thermal_intensity_montecarlo(1.0, None, taus, samples=1000, seed=s).ratios[0] for s in range(120)]
     )
     pooled = 0.5 * (singles[0::2] + singles[1::2])
     var_single = singles.var(ddof=1)
@@ -295,13 +323,6 @@ def test_montecarlo_pooling_two_seeds_halves_variance():
 def test_montecarlo_requires_sample_budget():
     with pytest.raises(ValueError):
         thermal_intensity_montecarlo(1.0, None, [1.0], samples=10, seed=0)
-
-
-@pytest.mark.parametrize("batch", [0, -1])
-def test_montecarlo_rejects_empty_batch(batch):
-    # a zero batch would never advance the draw count
-    with pytest.raises(ValueError, match="batch must be at least 1"):
-        thermal_intensity_montecarlo(1.0, None, [1.0], samples=2000, batch=batch)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mmi import quadrature
 from mmi.quadrature import (
     CHUNK_ELEMENTS,
     GAUSS_WEIGHTS,
@@ -73,17 +74,11 @@ def test_error_estimate_bounds_true_error():
     assert abs(res.value - exact) <= max(res.error, 1e-13)
 
 
-def test_panel_budget_exhaustion_reports_achieved_tolerance():
+def test_panel_budget_exhaustion_reports_achieved_tolerance(monkeypatch):
     # |x|^0.1 has a derivative singularity; a 4-panel budget cannot resolve it
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 4)
     with pytest.raises(QuadratureError) as err:
-        integrate(
-            lambda x: np.abs(x - 0.5) ** 0.1,
-            0.0,
-            1.0,
-            abs_tol=1e-15,
-            rel_tol=1e-15,
-            max_panels=4,
-        )
+        integrate(lambda x: np.abs(x - 0.5) ** 0.1, 0.0, 1.0, abs_tol=1e-15, rel_tol=1e-15)
     assert err.value.achieved > err.value.requested
     assert err.value.requested > 0.0
 
@@ -147,12 +142,13 @@ def test_evaluations_count_nodes_once_per_pass():
     assert (refined.panels, refined.evaluations) == (10, 12 * NODES.size)
 
 
-def test_vector_budget_exhaustion_reports_worst_member():
+def test_vector_budget_exhaustion_reports_worst_member(monkeypatch):
     # two rough members and a smooth one; the budget is the first pass
     def rough(x):
         return np.stack([np.exp(-x), np.abs(x - 0.5) ** 0.1, 3.0 * np.abs(x - 0.31) ** 0.3], axis=1)
 
-    kw = {"abs_tol": 1e-15, "rel_tol": 1e-15, "max_panels": 4}
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 4)
+    kw = {"abs_tol": 1e-15, "rel_tol": 1e-15}
     with pytest.raises(QuadratureError) as err:
         integrate(rough, 0.0, 1.0, **kw)
     assert integrate(lambda x: np.exp(-x), 0.0, 1.0, **kw).error <= 1e-15

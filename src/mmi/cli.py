@@ -67,6 +67,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     start, stop = float(parts[0]), float(parts[1])
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise ValueError(f"grid bounds must be finite, got {spec!r}")
+    if not np.isfinite(stop - start):
+        raise ValueError(f"grid span overflows the floating-point range, got {spec!r}")
     count = int(parts[2])
     if count < 1:
         raise ValueError("grid count must be at least 1")

@@ -66,10 +66,10 @@ from typing import Any
 
 import numpy as np
 
-from .quadrature import TOL, QuadratureResult
+from .quadrature import TOL, QuadratureError, QuadratureResult
 from .spectra import SpectralDistribution, gaussian_fourier_moments, integrate_over_spectra
 from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, bose_weighted_integral
-from .thermal_kernels import bose_integral_constant, fringe_deviation
+from .thermal_kernels import BLOCK, bose_integral_constant, fringe_deviation
 
 __all__ = [
     "ClosedFormError",
@@ -161,15 +161,15 @@ def _product_gaussian(mean_s, width_s, mean_lo, width_lo):
     return centre, width_s * width_lo * math.sqrt(2.0 / var_sum), detune
 
 
-def _spectral_exact(f_s, f_lo, taus, d, cross: bool):
-    """Exact ratios over a delay grid, and the τ = 0 intensity.
+def _spectral_intensity(f_s, f_lo, grid, d, cross: bool):
+    """Unnormalized intensities at the delays of ``grid``.
 
     The integrand of :func:`_spectral_integral` term by term: with
     f² = e^{-(ω-ω̄)²/σ²}/N², ∫ω^d f²(1 ± cos ωτ) = (M_d(0) ± Re M_d(τ))/N²,
     and the coherent cross term ∫ω^d f_s f_lo sin ωτ is Im M_d(τ) of the
     product Gaussian (:func:`mmi.spectra.gaussian_fourier_moments`).
+    ``grid[0]`` must be τ = 0, which supplies M_d(0).
     """
-    grid = np.concatenate([[0.0], taus.ravel()])
 
     def moment(mean, width):
         return gaussian_fourier_moments(mean, width, grid, d)[d]
@@ -183,8 +183,25 @@ def _spectral_exact(f_s, f_lo, taus, d, cross: bool):
             centre, width, detune = _product_gaussian(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width)
             height = detune / (f_s.normalization * f_lo.normalization)
             intensity -= 2.0 * height * moment(centre, width).imag
-    norm = float(intensity[0])
-    return (intensity[1:] / norm).reshape(taus.shape), norm
+    return intensity
+
+
+def _spectral_exact(f_s, f_lo, taus, d, cross: bool):
+    """Exact ratios over a delay grid, and the τ = 0 intensity.
+
+    The grid is walked in blocks of :data:`~mmi.thermal_kernels.BLOCK` delays,
+    each evaluated as [0, τ…] by :func:`_spectral_intensity` and divided by
+    its own τ = 0 intensity, so only one block's moments are alive at a time.
+    Each delay takes the same operations as in one pass over the whole grid,
+    so the ratios are bit-identical to it.
+    """
+    flat = taus.ravel()
+    ratios = np.empty(flat.size)
+    for start in range(0, max(flat.size, 1), BLOCK):
+        intensity = _spectral_intensity(f_s, f_lo, np.concatenate([[0.0], flat[start : start + BLOCK]]), d, cross)
+        norm = float(intensity[0])
+        ratios[start : start + BLOCK] = intensity[1:] / norm
+    return ratios.reshape(taus.shape), norm
 
 
 def fock_intensity(f_s: SpectralDistribution, f_lo: SpectralDistribution, tau: float, d: int = 1) -> float:
@@ -340,7 +357,11 @@ def _thermal(theta_s, theta_lo, tau, d, method):
     else:
         # every a-grid in one call; K = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx
         j_const = bose_integral_constant(d)
-        a = np.multiply.outer((theta_s,) if vacuum else (theta_s, theta_lo), t)
+        with np.errstate(over="ignore"):
+            a = np.multiply.outer((theta_s,) if vacuum else (theta_s, theta_lo), t)
+        if not np.isfinite(a).all():
+            # as integrate refuses a phase ωτ it cannot represent, before any evaluation
+            raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, TOL * j_const)
         res = bose_weighted_integral(1.0, d, "cos", a, abs_tol=TOL * j_const)
         ks, errors = res.value / j_const, res.error / j_const
         k, k_lo = ks[0], None if vacuum else ks[1]

@@ -70,8 +70,9 @@ def _faddeeva(z):
     den = _W_SCALE - 1j * z
     big_z = (_W_SCALE + 1j * z) / den
     p = np.zeros_like(big_z)
-    for a in _W_COEFFS:
-        p = p * big_z + a
+    for a in _W_COEFFS:  # Horner in place: no temporary per coefficient
+        p *= big_z
+        p += a
     return 2.0 * p / (den * den) + (1.0 / _SQRT_PI) / den
 
 
@@ -145,12 +146,16 @@ def gaussian_fourier_moments(mean: float, width: float, tau, order: int) -> list
 
 
 def _near_moments(mean, width, t, order, edge):
-    """The moments of :func:`gaussian_fourier_moments` by M_0 and the recurrence."""
+    """The moments of :func:`gaussian_fourier_moments` by M_0 and the recurrence.
+
+    Where the weight e^{-(μ/σ)²} of the w term underflows to 0 (μ/σ > 27.3)
+    the term is exactly 0, and w is not evaluated.
+    """
     c = mean + 0.5j * width * width * t
-    moments = [
-        width * _SQRT_PI * np.exp(1j * mean * t - 0.25 * (width * t) ** 2)
-        - 0.5 * width * _SQRT_PI * edge * _faddeeva(1j * c / width)
-    ]
+    m_0 = width * _SQRT_PI * np.exp(1j * mean * t - 0.25 * (width * t) ** 2)
+    if edge != 0.0:
+        m_0 -= 0.5 * width * _SQRT_PI * edge * _faddeeva(1j * c / width)
+    moments = [m_0]
     for k in range(order):
         step = 0.5 * k * width * width * moments[k - 1] if k else 0.5 * width * width * edge
         moments.append(c * moments[k] + step)

@@ -514,6 +514,26 @@ def test_simulate_at_extreme_delays(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("numeric failure: quadrature panel budget exhausted")
 
 
+def test_simulate_rejects_a_grid_whose_span_overflows(tmp_path, capsys):
+    # finite bounds 3.4e308 apart: np.linspace would warn twice and hand on non-finite delays
+    out = str(tmp_path / "span.csv")
+    capsys.readouterr()
+    assert cli.main(["simulate", "fock", "--grid=-1.7e308:1.7e308:3", "-o", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: grid span overflows the floating-point range, got '-1.7e308:1.7e308:3'"
+    ]
+    assert not list(tmp_path.iterdir())
+
+
+def test_thermal_quadrature_past_the_float_range_is_a_numeric_failure(tmp_path, capsys):
+    out = str(tmp_path / "far_quad.csv")
+    capsys.readouterr()
+    argv = ["simulate", "thermal-vacuum", "--si", "--method", "quadrature", "--grid", "0:1e300:3", "-o", out]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: oscillation phase beyond the floating-point range")
+
+
 def test_simulate_grid_with_a_negative_start(tmp_path):
     out = tmp_path / "neg.csv"
     proc = run_cli("simulate", "thermal-vacuum", "--grid=-3:6:31", "-o", str(out), cwd=tmp_path)

@@ -633,6 +633,38 @@ def test_exact_path_matches_a_60_digit_reference_at_large_delays(mean_over_width
 
 
 @pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("mean_over_width", [27.3, 28.0, 300.0])
+def test_exact_path_matches_a_60_digit_reference_where_the_w_term_weight_underflows(mean_over_width, d):
+    # e^{-(ω̄/σ)²} is exactly 0 in floating point here, so the exact path leaves w out
+    mp = pytest.importorskip("mpmath")
+    assert math.exp(-mean_over_width * mean_over_width) == 0.0
+    f_s = SpectralDistribution(mean_over_width, 1.0)
+    f_lo = SpectralDistribution(mean_over_width + 0.15, 1.0)
+    taus = np.array([0.05, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0])
+    taus = np.concatenate([taus, -taus])
+    with mp.workdps(60):
+        for kind in ("vacuum", "fock", "coherent"):
+            got = compute_interferogram(IntensityRequest(*_spectral_ports(kind, f_s, f_lo), taus, d)).ratios
+            for tau, ratio in zip(taus, got):
+                assert abs(ratio - float(_mp_ratio(mp, kind, f_s, f_lo, tau, d))) <= 1e-12, (kind, tau)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("mean_over_width", [28.0, 300.0])
+def test_exact_path_without_the_w_term_matches_quadrature(mean_over_width, d):
+    from mmi.verify import _DUAL_TOL
+
+    f_s = SpectralDistribution(mean_over_width, 1.0)
+    f_lo = SpectralDistribution(1.03 * mean_over_width, 1.0)
+    taus = np.linspace(-6.0, 6.0, 41)
+    for kind in ("vacuum", "fock", "coherent"):
+        sig, lo = _spectral_ports(kind, f_s, f_lo)
+        auto, quad = (compute_interferogram(IntensityRequest(sig, lo, taus, d, method)).ratios
+                      for method in ("auto", "quadrature"))
+        assert float(np.max(np.abs(auto - quad))) <= _DUAL_TOL, kind
+
+
+@pytest.mark.parametrize("d", [1, 3])
 def test_exact_path_reaches_its_plateau_at_extreme_delays_without_warnings(d):
     mp = pytest.importorskip("mpmath")
     taus = np.array([1e12, 1e155, 1e300, 1.7e308])
@@ -693,6 +725,18 @@ def test_quadrature_past_its_reach_raises_quadrature_error_without_warnings(scen
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError):
             compute_interferogram(IntensityRequest(*_CLOSED_FORM_PORTS[scenario], [-tau, 0.0, tau], 3, "quadrature"))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("lo", [Vacuum(), Thermal(1.0)])
+def test_thermal_quadrature_past_the_float_range_raises_quadrature_error_without_warnings(lo, d):
+    # a = |τ|θ overflows for θ > 1 at the largest float; the closed form reads it as K = 0
+    taus = [-1.7e308, 0.0, 1e300, 1.7e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="oscillation phase beyond the floating-point range"):
+            compute_interferogram(IntensityRequest(Thermal(2.0), lo, taus, d, "quadrature"))
+        compute_interferogram(IntensityRequest(Thermal(2.0), lo, taus, d, "closed_form"))
 
 
 def test_fock_quadrature_resolves_optical_line_at_zero_delay():
@@ -879,6 +923,101 @@ def test_blocked_thermal_closed_forms_keep_shape_and_scalars():
         got = (thermal_vacuum_ratio(1.0, t, 3), thermal_thermal_ratio(1.0, 1.4, t))
         assert [type(v) for v in got] == [float, float]
         assert got == (unblocked_thermal_ratio(1.0, None, t, 3), unblocked_thermal_ratio(1.4, 1.0, t, 3))
+
+
+def _unskipped_faddeeva(z):
+    """Weideman's w(z) with a new temporary per Horner step."""
+    from mmi.spectra import _W_COEFFS, _W_SCALE
+
+    den = _W_SCALE - 1j * z
+    big_z = (_W_SCALE + 1j * z) / den
+    p = np.zeros_like(big_z)
+    for a in _W_COEFFS:
+        p = p * big_z + a
+    return 2.0 * p / (den * den) + (1.0 / math.sqrt(math.pi)) / den
+
+
+def unblocked_moments(mean, width, t, order):
+    """Gaussian-Fourier moments M_0..M_order in one pass over the grid, the w term
+    evaluated at every near delay however small its weight e^{-(μ/σ)²}."""
+    from mmi.spectra import _FAR, _far_moments
+
+    edge = math.exp(-(mean / width) * (mean / width))
+    far = np.abs(t) >= _FAR / width
+    tn = t[~far]
+    c = mean + 0.5j * width * width * tn
+    near = [
+        width * math.sqrt(math.pi) * np.exp(1j * mean * tn - 0.25 * (width * tn) ** 2)
+        - 0.5 * width * math.sqrt(math.pi) * edge * _unskipped_faddeeva(1j * c / width)
+    ]
+    for k in range(order):
+        step = 0.5 * k * width * width * near[k - 1] if k else 0.5 * width * width * edge
+        near.append(c * near[k] + step)
+    moments = [np.empty(t.shape, complex) for _ in range(order + 1)]
+    for out, n_part, f_part in zip(moments, near, _far_moments(mean, width, t[far], order, edge)):
+        out[~far], out[far] = n_part, f_part
+    return moments
+
+
+def unblocked_spectral_ratios(kind, f_s, f_lo, d, moments):
+    """The exact path's ratios and τ = 0 intensity in one pass over [0, τ…];
+    ``moments(mean, width)`` gives [M_0..M_3] on that grid."""
+    from mmi.intensity import _product_gaussian
+
+    m_s = moments(f_s.mean_freq, f_s.width)[d].real / f_s.normalization**2
+    intensity = m_s[0] + m_s
+    if kind != "vacuum":
+        m_lo = moments(f_lo.mean_freq, f_lo.width)[d].real / f_lo.normalization**2
+        intensity += m_lo[0] - m_lo
+        if kind == "coherent":
+            centre, width, detune = _product_gaussian(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width)
+            height = detune / (f_s.normalization * f_lo.normalization)
+            intensity -= 2.0 * height * moments(centre, width)[d].imag
+    norm = float(intensity[0])
+    return intensity[1:] / norm, norm
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("mean_over_width", [2.85, 3.0, 6.0, 27.0, 27.3, 28.0, 300.0, 1e4])
+def test_blocked_spectral_exact_path_is_bit_identical(mean_over_width, n):
+    # the w term is left out once e^{-(ω̄/σ)²} is exactly 0 (from 27.3); unsorted delays
+    # of both signs, a third of them at σ|τ| >= 40, none exactly 0 (pinned to 1 apart from the formula)
+    width = 1.3
+    f_s = SpectralDistribution(mean_over_width * width, width)
+    f_lo = SpectralDistribution(1.01 * mean_over_width * width, width)
+    tau = np.random.default_rng(n).uniform(-60.0, 60.0, n) / width
+    grid = np.concatenate([[0.0], tau])
+    cache = {}
+
+    def moments(mean, w):
+        if (mean, w) not in cache:
+            cache[mean, w] = unblocked_moments(mean, w, grid, 3)
+        return cache[mean, w]
+
+    for d in (1, 3):
+        for kind in ("vacuum", "fock", "coherent"):
+            gram = compute_interferogram(IntensityRequest(*_spectral_ports(kind, f_s, f_lo), tau, d))
+            ratios, norm = unblocked_spectral_ratios(kind, f_s, f_lo, d, moments)
+            assert np.array_equal(gram.ratios, ratios), (kind, d)
+            assert gram.normalization == norm, (kind, d)
+
+
+@pytest.mark.parametrize("kind, d", [("fock", 1), ("coherent", 3), ("vacuum", 1)])
+def test_spectral_exact_path_memory_is_bounded_by_blocks(kind, d):
+    # the ratios and the interferogram's copy of the delays are 7.6 MiB each; whole-grid
+    # moments took the peak to 145.9 MiB (Fock), 153.5 MiB (coherent) and 130.7 MiB (vacuum)
+    import tracemalloc
+
+    ports = _spectral_ports(kind, F_S, F_LO)
+    request = IntensityRequest(*ports, np.linspace(-8.0, 8.0, 1_000_000), d)
+    compute_interferogram(IntensityRequest(*ports, [0.5], d))
+    tracemalloc.start()
+    try:
+        compute_interferogram(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
 
 
 @pytest.mark.parametrize("theta_lo, bound_mib", [(0.9, 32), (None, 24)])

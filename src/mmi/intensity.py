@@ -67,7 +67,7 @@ from typing import Any
 import numpy as np
 
 from .quadrature import TOL, QuadratureError, QuadratureResult
-from .spectra import SpectralDistribution, gaussian_fourier_moments, integrate_over_spectra
+from .spectra import SpectralDistribution, _line_moments, integrate_over_spectra
 from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, bose_weighted_integral
 from .thermal_kernels import BLOCK, bose_integral_constant, fringe_deviation
 
@@ -167,40 +167,47 @@ def _spectral_intensity(f_s, f_lo, grid, d, cross: bool):
     The integrand of :func:`_spectral_integral` term by term: with
     f² = e^{-(ω-ω̄)²/σ²}/N², ∫ω^d f²(1 ± cos ωτ) = (M_d(0) ± Re M_d(τ))/N²,
     and the coherent cross term ∫ω^d f_s f_lo sin ωτ is Im M_d(τ) of the
-    product Gaussian (:func:`mmi.spectra.gaussian_fourier_moments`).
+    product Gaussian (:func:`mmi.spectra.gaussian_fourier_moments`).  The
+    moments of all these lines come from one pass, with one w(z) call.
     ``grid[0]`` must be τ = 0, which supplies M_d(0).
     """
-
-    def moment(mean, width):
-        return gaussian_fourier_moments(mean, width, grid, d)[d]
-
-    m_s = moment(f_s.mean_freq, f_s.width).real / f_s.normalization**2
+    lines = [(f_s.mean_freq, f_s.width)]
+    if f_lo is not None:
+        lines.append((f_lo.mean_freq, f_lo.width))
+    if cross:
+        centre, width, detune = _product_gaussian(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width)
+        lines.append((centre, width))
+    moments = [line[d] for line in _line_moments(lines, grid, d)]
+    m_s = moments[0].real / f_s.normalization**2
     intensity = m_s[0] + m_s
     if f_lo is not None:
-        m_lo = moment(f_lo.mean_freq, f_lo.width).real / f_lo.normalization**2
+        m_lo = moments[1].real / f_lo.normalization**2
         intensity += m_lo[0] - m_lo
         if cross:
-            centre, width, detune = _product_gaussian(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width)
             height = detune / (f_s.normalization * f_lo.normalization)
-            intensity -= 2.0 * height * moment(centre, width).imag
+            intensity -= 2.0 * height * moments[2].imag
     return intensity
 
 
 def _spectral_exact(f_s, f_lo, taus, d, cross: bool):
     """Exact ratios over a delay grid, and the τ = 0 intensity.
 
-    The grid is walked in blocks of :data:`~mmi.thermal_kernels.BLOCK` delays,
-    each evaluated as [0, τ…] by :func:`_spectral_intensity` and divided by
-    its own τ = 0 intensity, so only one block's moments are alive at a time.
+    The grid is walked in blocks of :data:`~mmi.thermal_kernels.BLOCK` delays
+    shared out among the spectral lines (signal, LO, product Gaussian), so
+    the one w(z) call of a block takes about ``BLOCK`` arguments whatever
+    the number of lines.  Each block is evaluated as [0, τ…] by
+    :func:`_spectral_intensity` and divided by its own τ = 0 intensity, so
+    only one block's moments are alive at a time.
     Each delay takes the same operations as in one pass over the whole grid,
     so the ratios are bit-identical to it.
     """
     flat = taus.ravel()
     ratios = np.empty(flat.size)
-    for start in range(0, max(flat.size, 1), BLOCK):
-        intensity = _spectral_intensity(f_s, f_lo, np.concatenate([[0.0], flat[start : start + BLOCK]]), d, cross)
+    step = BLOCK // (1 + (f_lo is not None) + cross)  # delays per block: BLOCK // lines
+    for start in range(0, max(flat.size, 1), step):
+        intensity = _spectral_intensity(f_s, f_lo, np.concatenate([[0.0], flat[start : start + step]]), d, cross)
         norm = float(intensity[0])
-        ratios[start : start + BLOCK] = intensity[1:] / norm
+        ratios[start : start + step] = intensity[1:] / norm
     return ratios.reshape(taus.shape), norm
 
 
@@ -468,12 +475,12 @@ class Interferogram:
     def __post_init__(self):
         if self.delays.shape != self.ratios.shape:
             raise ValueError("delay and ratio arrays differ in shape")
-        if not np.all(np.isfinite(self.ratios)):
+        if not np.isfinite(self.ratios).all():
             raise ValueError("interferogram contains non-finite ratios")
-        if np.any(self.ratios < 0.0):
+        if (self.ratios < 0.0).any():
             raise ValueError("interferogram contains negative ratios")
         at_zero = self.delays == 0.0
-        if at_zero.any() and not np.all(self.ratios[at_zero] == 1.0):
+        if at_zero.any() and not (self.ratios[at_zero] == 1.0).all():
             raise ValueError("ratio at zero delay must be exactly 1")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -129,32 +130,62 @@ def gaussian_fourier_moments(mean: float, width: float, tau, order: int) -> list
     and each M_n is the erfc term alone, differentiated n times in τ (see
     :func:`_far_moments`): there the recurrence would multiply the rounding
     of M_0 by |c| per step.  Vectorised over τ (complex arrays, shape of τ);
-    nothing overflows at any finite τ.
+    nothing overflows at any finite τ.  The one-line case of
+    :func:`_line_moments`.
+    """
+    return _line_moments([(mean, width)], tau, order)[0]
+
+
+def _line_moments(lines, tau, order: int) -> list:
+    """:func:`gaussian_fourier_moments` of each (μ, σ) of ``lines`` on one grid τ.
+
+    w is evaluated in one :func:`_faddeeva` call over the arguments of every
+    line whose weight e^{-(μ/σ)²} is not 0; where it underflows to 0
+    (μ/σ > 27.3) the term is exactly 0 and the line needs no w.  Each line
+    is split into near and far delays only if the largest |τ| reaches its
+    σ|τ| = :data:`_FAR`.  Elementwise the arithmetic is the same for every
+    line however many are gathered, so the bits are too.
     """
     t = np.asarray(tau, dtype=float)
-    edge = math.exp(-(mean / width) * (mean / width))
-    far = np.abs(t) >= _FAR / width
-    if not far.any():
-        return _near_moments(mean, width, t, order, edge)
-    near = ~far
-    moments = [np.empty(t.shape, complex) for _ in range(order + 1)]
-    for out, part in zip(moments, _near_moments(mean, width, t[near], order, edge)):
-        out[near] = part
-    for out, part in zip(moments, _far_moments(mean, width, t[far], order, edge)):
-        out[far] = part
-    return moments
+    mag = np.abs(t)
+    reach = mag.max(initial=0.0)
+    splits, args = [], []
+    for mean, width in lines:
+        edge = math.exp(-(mean / width) * (mean / width))
+        far = None if reach < _FAR / width else mag >= _FAR / width  # a NaN reach splits too
+        near_t = t if far is None else t[~far]
+        c = mean + 0.5j * width * width * near_t
+        if edge != 0.0:
+            args.append(1j * c / width)
+        splits.append((edge, far, near_t, c))
+    if len(args) > 1:
+        w = _faddeeva(np.concatenate([z.ravel() for z in args]))
+        bounds = list(accumulate((z.size for z in args), initial=0))
+        args = [w[lo:hi].reshape(z.shape) for lo, hi, z in zip(bounds, bounds[1:], args)]
+    elif args:  # one live line: no copy, and a 0-d τ stays a scalar
+        args = [_faddeeva(args[0])]
+    live = iter(args)
+    result = []
+    for (mean, width), (edge, far, near_t, c) in zip(lines, splits):
+        near = _near_moments(mean, width, near_t, c, order, edge, next(live) if edge != 0.0 else None)
+        if far is None:
+            result.append(near)
+            continue
+        moments = [np.empty(t.shape, complex) for _ in range(order + 1)]
+        for out, part in zip(moments, near):
+            out[~far] = part
+        for out, part in zip(moments, _far_moments(mean, width, t[far], order, edge)):
+            out[far] = part
+        result.append(moments)
+    return result
 
 
-def _near_moments(mean, width, t, order, edge):
-    """The moments of :func:`gaussian_fourier_moments` by M_0 and the recurrence.
-
-    Where the weight e^{-(μ/σ)²} of the w term underflows to 0 (μ/σ > 27.3)
-    the term is exactly 0, and w is not evaluated.
-    """
-    c = mean + 0.5j * width * width * t
+def _near_moments(mean, width, t, c, order, edge, w):
+    """The moments of :func:`gaussian_fourier_moments` by M_0 and the recurrence,
+    with w = w(ic/σ), or None where the weight e^{-(μ/σ)²} of the w term is 0."""
     m_0 = width * _SQRT_PI * np.exp(1j * mean * t - 0.25 * (width * t) ** 2)
-    if edge != 0.0:
-        m_0 -= 0.5 * width * _SQRT_PI * edge * _faddeeva(1j * c / width)
+    if w is not None:
+        m_0 -= 0.5 * width * _SQRT_PI * edge * w
     moments = [m_0]
     for k in range(order):
         step = 0.5 * k * width * width * moments[k - 1] if k else 0.5 * width * width * edge

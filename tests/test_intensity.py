@@ -977,14 +977,23 @@ def unblocked_spectral_ratios(kind, f_s, f_lo, d, moments):
     return intensity[1:] / norm, norm
 
 
-@pytest.mark.parametrize("n", BLOCK_SIZES)
-@pytest.mark.parametrize("mean_over_width", [2.85, 3.0, 6.0, 27.0, 27.3, 28.0, 300.0, 1e4])
-def test_blocked_spectral_exact_path_is_bit_identical(mean_over_width, n):
+# (ω̄_s/σ, ω̄_lo/σ, σ_lo/σ, n): an LO detuned by 1 % at the common width σ at every grid size,
+# and at the sizes below 1e6 a live signal line beside a skipped LO line (weight e^{-992} = 0)
+# and a live product line, so that the w values of one gathered call are split unevenly
+SPECTRAL_EXACT_CASES = [
+    pytest.param(r, 1.01 * r, 1.0, n, id=f"{r}-{n}")
+    for r in (2.85, 3.0, 6.0, 27.0, 27.3, 28.0, 300.0, 1e4)
+    for n in BLOCK_SIZES
+] + [pytest.param(3.0, 3.15, 0.1, n, id=f"mixed-{n}") for n in BLOCK_SIZES if n < 1_000_000]
+
+
+@pytest.mark.parametrize("mean_over_width, lo_mean_over_width, lo_width, n", SPECTRAL_EXACT_CASES)
+def test_blocked_spectral_exact_path_is_bit_identical(mean_over_width, lo_mean_over_width, lo_width, n):
     # the w term is left out once e^{-(ω̄/σ)²} is exactly 0 (from 27.3); unsorted delays
     # of both signs, a third of them at σ|τ| >= 40, none exactly 0 (pinned to 1 apart from the formula)
     width = 1.3
     f_s = SpectralDistribution(mean_over_width * width, width)
-    f_lo = SpectralDistribution(1.01 * mean_over_width * width, width)
+    f_lo = SpectralDistribution(lo_mean_over_width * width, lo_width * width)
     tau = np.random.default_rng(n).uniform(-60.0, 60.0, n) / width
     grid = np.concatenate([[0.0], tau])
     cache = {}
@@ -1000,6 +1009,34 @@ def test_blocked_spectral_exact_path_is_bit_identical(mean_over_width, n):
             ratios, norm = unblocked_spectral_ratios(kind, f_s, f_lo, d, moments)
             assert np.array_equal(gram.ratios, ratios), (kind, d)
             assert gram.normalization == norm, (kind, d)
+
+
+@pytest.mark.parametrize("kind, lines", [("fock", 2), ("coherent", 3)])
+def test_spectral_exact_path_calls_w_once_per_block_for_all_lines(kind, lines, monkeypatch):
+    import mmi.spectra
+    from mmi.thermal_kernels import BLOCK
+
+    sizes = []
+    faddeeva = mmi.spectra._faddeeva
+
+    def counting(z):
+        sizes.append(z.size)
+        return faddeeva(z)
+
+    monkeypatch.setattr(mmi.spectra, "_faddeeva", counting)
+    ports = _spectral_ports(kind, F_S, F_LO)
+    compute_interferogram(IntensityRequest(*ports, np.linspace(0.0, 6.0, 121)))
+    assert sizes == [lines * 122]
+    sizes.clear()
+    n = 2 * BLOCK + 1
+    compute_interferogram(IntensityRequest(*ports, np.linspace(0.0, 6.0, n)))
+    step = BLOCK // lines  # delays per block, each block evaluated as [0, τ…]
+    assert len(sizes) == -(-n // step)
+    assert max(sizes) == lines * (step + 1)
+    sizes.clear()
+    far_ports = _spectral_ports(kind, SpectralDistribution(300.0, 1.0), SpectralDistribution(309.0, 1.0))
+    compute_interferogram(IntensityRequest(*far_ports, np.linspace(0.0, 6.0, 121)))
+    assert sizes == []
 
 
 @pytest.mark.parametrize("kind, d", [("fock", 1), ("coherent", 3), ("vacuum", 1)])

@@ -66,6 +66,7 @@ from typing import Any
 
 import numpy as np
 
+from . import _workers
 from .quadrature import TOL, QuadratureError, QuadratureResult
 from .spectra import SpectralDistribution, _line_moments, integrate_over_spectra
 from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, bose_weighted_integral
@@ -345,42 +346,69 @@ def _closed_fringe(a, d):
     return fringe_deviation(a, d)
 
 
-def _thermal(theta_s, theta_lo, tau, d, method):
-    """Ratios ½[1 + w + K_d(a_s) - w K_d(a_lo)], a = |τ|θ, with the LO's weight
-    w = (θ_lo/θ_s)^(d+1), and the quadrature counters (None for the closed form).
-
-    ``theta_lo`` None is a vacuum LO: w = 0 and no second a-grid.
-    """
-    t = np.abs(np.asarray(tau, dtype=float))
-    vacuum = theta_lo is None
-    w = 0.0 if vacuum else (theta_lo / theta_s) ** (d + 1)
-    quad = None
-    if method == "closed_form":
-        # an a-grid, aπ or x^(d+1) that overflows to inf gives K_d its limit 0 at a = inf
-        with np.errstate(over="ignore"):
-            k_lo = None if vacuum else _closed_fringe(t * theta_lo, d)
-            t *= theta_s  # the last a-grid reuses |τ|
-            k = _closed_fringe(t, d)
-    else:
-        # every a-grid in one call; K = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx
-        j_const = bose_integral_constant(d)
-        with np.errstate(over="ignore"):
-            a = np.multiply.outer((theta_s,) if vacuum else (theta_s, theta_lo), t)
-        if not np.isfinite(a).all():
-            # as integrate refuses a phase ωτ it cannot represent, before any evaluation
-            raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, TOL * j_const)
-        res = bose_weighted_integral(1.0, d, "cos", a, abs_tol=TOL * j_const)
-        ks, errors = res.value / j_const, res.error / j_const
-        k, k_lo = ks[0], None if vacuum else ks[1]
-        quad = _counters(res, 0.5 * (errors[0] if vacuum else errors[0] + w * errors[1]))
-    # ½(1 + w + (K_s - w K_lo)) in place; grouping the kernel difference keeps
-    # the equal-temperature cancellation exact in floating point
-    if not vacuum:
+def _finish(k, k_lo, w):
+    """½(1 + w + (K_s - w K_lo)) in place (``k_lo`` None: a vacuum LO); grouping
+    the kernel difference keeps the equal-temperature cancellation exact in
+    floating point."""
+    if k_lo is not None:
         k_lo *= w
         k -= k_lo
     k += 1.0 + w
     k *= 0.5
-    return k, quad
+    return k
+
+
+def _closed_thermal(t, theta_s, theta_lo, w, d):
+    """Closed-form ratios at the delays |τ| = ``t``, whose a_s-grid is formed in place on t."""
+    # an a-grid, aπ or x^(d+1) that overflows to inf gives K_d its limit 0 at a = inf
+    with np.errstate(over="ignore"):
+        k_lo = None if theta_lo is None else _closed_fringe(t * theta_lo, d)
+        t *= theta_s  # the last a-grid reuses |τ|
+        k = _closed_fringe(t, d)
+    return _finish(k, k_lo, w)
+
+
+def _thermal(theta_s, theta_lo, tau, d, method):
+    """Ratios ½[1 + w + K_d(a_s) - w K_d(a_lo)], a = |τ|θ, with the LO's weight
+    w = (θ_lo/θ_s)^(d+1), and the quadrature counters (None for the closed form).
+
+    ``theta_lo`` None is a vacuum LO: w = 0 and no second a-grid.  The closed
+    form walks the flattened grid in blocks of ``BLOCK // CPUs`` delays, run
+    as jobs on one worker per CPU (the calling thread among them), each
+    writing its finished ratios into one output; so at most ``BLOCK`` delays
+    are in flight whatever the CPU count.  A grid of one block is finished in
+    place, with no output array.  The arithmetic is elementwise, so the bits
+    do not depend on the blocks.  The quadrature path runs its chunks on the
+    same workers (:func:`~mmi.quadrature.integrate_grid`).
+    """
+    tau = np.asarray(tau, dtype=float)
+    vacuum = theta_lo is None
+    w = 0.0 if vacuum else (theta_lo / theta_s) ** (d + 1)
+    if method == "closed_form":
+        workers = _workers.cpu_count()
+        step = max(1, BLOCK // workers)
+        if tau.size <= step:
+            return _closed_thermal(np.abs(tau), theta_s, theta_lo, w, d), None
+        flat = tau.reshape(-1)
+        out = np.empty(flat.size)
+
+        def job(i, _):
+            block = slice(i * step, (i + 1) * step)
+            out[block] = _closed_thermal(np.abs(flat[block]), theta_s, theta_lo, w, d)
+
+        _workers.run(job, -(-flat.size // step), workers)
+        return out.reshape(tau.shape), None
+    # every a-grid in one call; K = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx
+    j_const = bose_integral_constant(d)
+    with np.errstate(over="ignore"):
+        a = np.multiply.outer((theta_s,) if vacuum else (theta_s, theta_lo), np.abs(tau))
+    if not np.isfinite(a).all():
+        # as integrate refuses a phase ωτ it cannot represent, before any evaluation
+        raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, TOL * j_const)
+    res = bose_weighted_integral(1.0, d, "cos", a, abs_tol=TOL * j_const)
+    ks, errors = res.value / j_const, res.error / j_const
+    k, k_lo = ks[0], None if vacuum else ks[1]
+    return _finish(k, k_lo, w), _counters(res, 0.5 * (errors[0] if vacuum else errors[0] + w * errors[1]))
 
 
 def _thermal_ratio(scenario, theta_s, theta_lo, tau, d, method):

@@ -15,13 +15,12 @@ sum onto its diagonal, so the detection probability is the plain sum of
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _workers
 from .spectra import SpectralDistribution
 from .states import mean_occupation
 
@@ -189,8 +188,10 @@ def _port_factors(omega: np.ndarray, tau: float):
 
 
 def _probability(amplitudes: np.ndarray) -> float:
-    """Σ |amplitude|² over the final states."""
-    return float(np.vdot(amplitudes, amplitudes).real)
+    """Σ |amplitude|² over the final states, by numpy's pairwise sum: a BLAS
+    dot splits a long sum among its threads, so its rounding would depend
+    on the CPU count."""
+    return float(np.sum(amplitudes.real**2 + amplitudes.imag**2))
 
 
 def detect_intensity_bruteforce(signal, lo, tau: float, *, d: int = 1) -> float:
@@ -373,33 +374,19 @@ def thermal_intensity_montecarlo(
         return (x.sum(axis=0), y.sum(), (x * x).sum(axis=0), (y * y).sum(),
                 (x * y[:, None]).sum(axis=0), c_term.sum(), (c_term * c_term).sum())
 
-    # imported here: `verify --quick` imports this module but never samples
-    from concurrent.futures import ThreadPoolExecutor
-
     sizes = [min(_BATCH, samples - start) for start in range(0, samples, _BATCH)]
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(sizes))
-    # Every draw lands in a worker's buffers, allocated here by the calling
+    workers = min(_workers.cpu_count(), len(sizes))
+    # Every draw lands in its worker's buffers, allocated here by the calling
     # thread: the memory a call takes is then the same whichever way its
-    # threads interleave.  The calling thread is a worker too, and every
-    # worker takes the next chunk as it comes free.
+    # threads interleave.
     buffers = np.empty((workers, 1 if theta_lo is None else 3, sizes[0], omega.size))
-    tickets = itertools.count()
     parts = [None] * len(sizes)
 
-    def work(own):
-        while (i := next(tickets)) < len(sizes):
-            parts[i] = chunk(streams[i], *own[:, : sizes[i]])
+    def job(i, worker):
+        parts[i] = chunk(streams[i], *buffers[worker][:, : sizes[i]])
 
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work, own) for own in buffers[1:]]
-        work(buffers[0])
-        for helper in helpers:
-            helper.result()
+    _workers.run(job, len(sizes), workers)
     sum_x, sum_y, sum_xx, sum_yy, sum_xy, sum_c, sum_cc = (sum(col) for col in zip(*parts))
 
     m = float(samples)

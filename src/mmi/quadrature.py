@@ -18,7 +18,9 @@ bisected, and the call returns only once each member k meets
 ``max(abs_tol, rel_tol·|I_k|)``.  :func:`integrate_grid` splits a delay grid
 into chunks of ascending |τ|, each with its own oscillation rate, so that
 the first pass of a chunk evaluates at most ``CHUNK_ELEMENTS`` node × delay
-values; the budget bounds memory, it is not a tuning knob.
+values; the budget bounds memory, it is not a tuning knob.  The chunks run
+on one worker per CPU, so the budget holds per worker: a grid keeps at most
+one chunk in flight on each.
 
 Nodes and weights were generated from the exact Stieltjes-polynomial
 construction in rational arithmetic and verified to integrate monomials
@@ -32,6 +34,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from . import _workers
 
 __all__ = [
     "QuadratureError",
@@ -244,6 +248,13 @@ def integrate_grid(
     and returns its :class:`QuadratureResult`.  The value and error come
     back in the shape of ``delays`` (floats for a scalar); panels and
     evaluations are summed over the chunks.
+
+    The chunks are independent jobs, run on one worker per CPU (the calling
+    thread among them) in ascending order, each writing its own delays of the
+    output.  The chunk boundaries, and so each chunk's ``osc_scale`` and
+    every bit of the result, do not depend on the number of workers; the
+    first chunk to fail raises its error, as a serial loop would.  So
+    ``integrate_chunk`` must be safe to call from several threads at once.
     """
     t = np.asarray(delays, dtype=float)
     flat = t.ravel()
@@ -252,15 +263,19 @@ def integrate_grid(
     order = np.argsort(np.abs(flat), kind="stable")
     value = np.empty(flat.size)
     error = np.empty(flat.size)
-    panels = evaluations = start = 0
-    for end in _chunk_ends(np.abs(flat[order]), width):
-        idx = order[start:end]
-        res = integrate_chunk(flat[idx], float(abs(flat[idx[-1]])))
+    ends = _chunk_ends(np.abs(flat[order]), width)
+    starts = [0, *ends[:-1]]
+    results = [None] * len(ends)
+
+    def job(i, _):
+        idx = order[starts[i] : ends[i]]
+        results[i] = res = integrate_chunk(flat[idx], float(abs(flat[idx[-1]])))
         value[idx] = res.value
         error[idx] = res.error
-        panels += res.panels
-        evaluations += res.evaluations
-        start = end
+
+    _workers.run(job, len(ends))
+    panels = sum(res.panels for res in results)
+    evaluations = sum(res.evaluations for res in results)
     if not t.ndim:
         return QuadratureResult(float(value[0]), float(error[0]), panels, evaluations)
     return QuadratureResult(value.reshape(t.shape), error.reshape(t.shape), panels, evaluations)

@@ -465,7 +465,7 @@ def test_verify_takes_no_seed_or_sample_count(flag, capsys):
 
 def test_verify_quick_imports_no_test_extras():
     # scipy, mpmath and hypothesis back tests only; the package never loads them.
-    # concurrent.futures serves the Monte-Carlo oracle alone, which --quick skips.
+    # concurrent.futures is imported nowhere: the workers are plain threads.
     code = (
         "import sys, mmi\n"
         "from mmi import cli\n"

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from mmi.intensity import (
 from mmi.quadrature import QuadratureError
 from mmi.spectra import SpectralDistribution, gaussian_fourier_moments, weighted_overlap
 from mmi.states import Coherent, OnePhoton, Thermal, Vacuum, bose_weighted_integral
+from mmi.thermal_kernels import BLOCK
 from oracles import riemann_overlap
 from test_thermal_kernels import BLOCK_SIZES, unblocked_fringe_deviation
 
@@ -863,8 +866,7 @@ def test_quadrature_integrates_each_grid_in_one_call(monkeypatch):
     assert calls == ["bose_weighted_integral", "bose_weighted_integral", "_spectral_integral"]
 
 
-def test_thermal_grid_quadrature_memory_stays_flat():
-    # an unchunked node × delay matrix on this grid would take about 60 MB
+def _thermal_grid_quadrature_peak():
     import tracemalloc
 
     a = np.linspace(0.01, 10.0, 2000)
@@ -872,10 +874,20 @@ def test_thermal_grid_quadrature_memory_stays_flat():
     tracemalloc.start()
     try:
         thermal_vacuum_ratio(1.0, a, 3, "quadrature")
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+
+def test_thermal_grid_quadrature_memory_stays_flat():
+    # an unchunked node × delay matrix on this grid would take about 60 MB
+    assert _thermal_grid_quadrature_peak() < 8 * 2**20
+
+
+def test_thermal_grid_quadrature_memory_stays_flat_on_four_workers(monkeypatch):
+    # the chunk budget holds per worker: 1.2-1.3 MiB in flight on one, 3.8-4.9 MiB on four
+    _on_cpus(monkeypatch, 4)
+    assert _thermal_grid_quadrature_peak() < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -897,9 +909,9 @@ def unblocked_thermal_ratio(theta_sig, theta_lo, tau, d):
 THERMAL_PORTS = [("thermal-vacuum", 1.3, None), ("thermal-thermal", 1.3, 0.9)]
 
 
-def _thermal_request(theta_sig, theta_lo, tau, d):
+def _thermal_request(theta_sig, theta_lo, tau, d, method="auto"):
     lo = Vacuum() if theta_lo is None else Thermal(theta_lo)
-    return IntensityRequest(Thermal(theta_sig), lo, tau, dimension=d)
+    return IntensityRequest(Thermal(theta_sig), lo, tau, dimension=d, method=method)
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -1057,10 +1069,7 @@ def test_spectral_exact_path_memory_is_bounded_by_blocks(kind, d):
     assert peak <= 24 * 2**20
 
 
-@pytest.mark.parametrize("theta_lo, bound_mib", [(0.9, 32), (None, 24)])
-def test_thermal_closed_form_memory_is_bounded_by_blocks(theta_lo, bound_mib):
-    # the ratios and the interferogram's copy of the delays are 7.6 MiB each;
-    # whole-grid temporaries took the peak to 68.9 MiB (pair) and 61.8 MiB
+def _thermal_closed_form_peak(theta_lo):
     import tracemalloc
 
     request = _thermal_request(1.3, theta_lo, np.linspace(-8.0, 8.0, 1_000_000), None)
@@ -1068,7 +1077,116 @@ def test_thermal_closed_form_memory_is_bounded_by_blocks(theta_lo, bound_mib):
     tracemalloc.start()
     try:
         compute_interferogram(request)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound_mib * 2**20
+
+
+@pytest.mark.parametrize("theta_lo, bound_mib", [(0.9, 32), (None, 24)])
+def test_thermal_closed_form_memory_is_bounded_by_blocks(theta_lo, bound_mib):
+    # the ratios and the interferogram's copy of the delays are 7.6 MiB each;
+    # whole-grid temporaries took the peak to 68.9 MiB (pair) and 61.8 MiB
+    assert _thermal_closed_form_peak(theta_lo) <= bound_mib * 2**20
+
+
+@pytest.mark.parametrize("cpus", [1, 5])
+@pytest.mark.parametrize("theta_lo", [0.9, None], ids=["pair", "vacuum"])
+def test_thermal_closed_form_memory_is_bounded_on_any_cpu_count(monkeypatch, theta_lo, cpus):
+    # at most BLOCK delays in flight on all workers together; a whole-grid |τ|
+    # and LO a-grid took the pair to 25.5 MiB
+    _on_cpus(monkeypatch, cpus)
+    assert _thermal_closed_form_peak(theta_lo) <= 18 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# quadrature chunks and closed-form blocks on every CPU
+
+
+def _on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("theta_lo, d", [(None, 1), (None, 3), (0.9, 3), (0.9, 1)])
+def test_thermal_quadrature_is_bitwise_independent_of_cpu_count(monkeypatch, theta_lo, d):
+    # the chunk boundaries, and with them each chunk's oscillation rate, do not
+    # depend on the number of workers, and each chunk writes its own delays
+    from mmi import states
+
+    chunks = []
+    integrate_half_line = states.integrate_half_line
+    monkeypatch.setattr(states, "integrate_half_line", lambda *a, **k: chunks.append(1) or integrate_half_line(*a, **k))
+    tau = np.random.default_rng(d).uniform(-6.0, 6.0, 300)  # unsorted, of both signs
+    request = _thermal_request(1.1, theta_lo, tau, d, "quadrature")
+    _on_cpus(monkeypatch, 1)
+    ref = compute_interferogram(request)
+    assert len(chunks) >= 5
+    _on_cpus(monkeypatch, 5)
+    got = compute_interferogram(request)
+    assert np.array_equal(got.ratios, ref.ratios)
+    assert got.metadata["quadrature"] == ref.metadata["quadrature"]
+
+
+@pytest.mark.parametrize("cpus", [1, 5])
+@pytest.mark.parametrize("scenario, theta_sig, theta_lo", THERMAL_PORTS)
+def test_thermal_closed_forms_are_bitwise_independent_of_cpu_count(monkeypatch, scenario, theta_sig, theta_lo, cpus):
+    from mmi.intensity import _DIMENSIONS
+
+    _on_cpus(monkeypatch, cpus)
+    tau = np.random.default_rng(cpus).uniform(-6.0, 6.0, 2 * BLOCK + 1)
+    for d in _DIMENSIONS[scenario]:
+        gram = compute_interferogram(_thermal_request(theta_sig, theta_lo, tau, d))
+        assert np.array_equal(gram.ratios, unblocked_thermal_ratio(theta_sig, theta_lo, tau, d)), d
+
+
+def test_thermal_quadrature_raises_the_first_failing_chunk_on_any_cpu_count(monkeypatch):
+    # a budget of 32 panels fails the second chunk and, on five workers,
+    # most of the chunks that run beside it, each with its own estimate
+    from mmi import quadrature
+
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 32)
+    messages = []
+    for cpus in (1, 5):
+        _on_cpus(monkeypatch, cpus)
+        with pytest.raises(QuadratureError) as err:
+            thermal_thermal_ratio(1.0, 1.1, np.linspace(0.01, 6.0, 300), "quadrature")
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+THERMAL_PATHS = {
+    "quadrature": lambda: thermal_thermal_ratio(1.0, 1.1, np.linspace(0.01, 6.0, 300), "quadrature"),
+    "closed_form": lambda: thermal_vacuum_ratio(1.0, np.linspace(-6.0, 6.0, 2 * BLOCK + 1), 3),
+}
+
+
+@pytest.mark.parametrize("path", THERMAL_PATHS)
+def test_thermal_paths_on_one_cpu_start_no_thread(monkeypatch, path):
+    # the calling thread is one of the workers: one CPU needs no other, two do
+    start = threading.Thread.start
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+    _on_cpus(monkeypatch, 2)
+    THERMAL_PATHS[path]()
+    assert started
+
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    _on_cpus(monkeypatch, 1)
+    THERMAL_PATHS[path]()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("theta_lo", [0.9, None], ids=["pair", "vacuum"])
+def test_thermal_closed_forms_warn_from_no_worker_thread(monkeypatch, theta_lo, d):
+    # np.errstate does not reach a new thread, so each block enters its own:
+    # a-grids past the float range are K = 0, the plateau, with no warning
+    _on_cpus(monkeypatch, 5)
+    tau = np.linspace(0.0, 1.7e308, 2 * BLOCK + 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratios = compute_interferogram(_thermal_request(1.3, theta_lo, tau, d)).ratios
+    w = 0.0 if theta_lo is None else (theta_lo / 1.3) ** (d + 1)
+    assert ratios[0] == 1.0
+    assert np.all(ratios[1:] == 0.5 * (1.0 + w))

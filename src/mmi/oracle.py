@@ -314,8 +314,8 @@ def thermal_intensity_montecarlo(
 
     Each chunk of 512 samples (the last one holds the remainder)
     draws from its own ``SeedSequence(seed)`` child stream and returns its
-    partial sums; the chunks run on one worker per CPU available to the
-    process, the calling thread among them, and the partial sums are added
+    partial sums; the chunks run on one worker thread per CPU available to
+    the process (none on one CPU), and the partial sums are added
     in chunk order.  So the result depends on the seed alone, not on the
     CPU count.  The products with the delay weights are taken in row blocks
     of at most 2¹⁹ multiply-adds: from about 10⁶ a gemm starts OpenBLAS

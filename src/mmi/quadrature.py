@@ -249,8 +249,8 @@ def integrate_grid(
     back in the shape of ``delays`` (floats for a scalar); panels and
     evaluations are summed over the chunks.
 
-    The chunks are independent jobs, run on one worker per CPU (the calling
-    thread among them) in ascending order, each writing its own delays of the
+    The chunks are independent jobs, run on one worker thread per CPU (none
+    on one CPU) in ascending order, each writing its own delays of the
     output.  The chunk boundaries, and so each chunk's ``osc_scale`` and
     every bit of the result, do not depend on the number of workers; the
     first chunk to fail raises its error, as a serial loop would.  So

@@ -283,7 +283,7 @@ def test_montecarlo_counts_the_last_partial_chunk():
 
 
 def test_montecarlo_on_one_cpu_starts_no_thread(monkeypatch):
-    # the calling thread is one of the workers, so one CPU needs no pool thread
+    # one worker runs its jobs on the calling thread
     def refuse(thread):
         raise AssertionError("a thread was started")
 

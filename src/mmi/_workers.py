@@ -1,8 +1,11 @@
 """Independent jobs on every CPU available to the process.
 
-numpy releases the GIL inside its ufuncs, so the chunks of a quadrature grid,
-the blocks of a thermal closed form and the Monte-Carlo draws run side by side
-on plain threads, while the calling thread waits for them.
+numpy releases the GIL inside its ufuncs, so the blocks of a thermal closed
+form and the Monte-Carlo draws run side by side on plain threads, while the
+calling thread waits for them.  The chunks of a quadrature grid do not: with
+the factored fringe kernel of :mod:`mmi.quadrature` a chunk is a few dozen
+small numpy calls, and on two threads they lost more to the GIL than they
+gained, so :func:`mmi.quadrature.integrate_grid` runs them in one loop.
 
 The threads are started on first use and kept, idle, for later calls, and
 the calling thread runs no job.  glibc gives each thread a malloc arena of

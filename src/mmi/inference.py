@@ -193,6 +193,13 @@ def fit(problem: FitProblem) -> FitResult:
     inputs.  Flat data raise :class:`IdentifiabilityError`; hitting the
     iteration cap (200) raises :class:`NonConvergenceError` carrying the
     best iterate.
+
+    ``uncertainties`` are sqrt(diag(s²(JᵀWJ)⁻¹)), with J the model's
+    Jacobian from the last iteration, W = diag(1/noise²) (the identity
+    without noise) and s² = cost/dof the reduced χ² of the weighted
+    residuals.  They are rescaled by s² also when ``noise`` is given
+    (scipy's ``absolute_sigma=False``): ``noise`` sets the weights, and a
+    misstated noise level does not misstate the error bars.
     """
     w = problem.weights()
     data = problem.ratios

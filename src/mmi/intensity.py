@@ -139,17 +139,16 @@ def _spectral_integral(f_s, f_lo, tau, d, cross: bool):
     :class:`~mmi.quadrature.QuadratureResult`, value and error shaped like ``tau``.
     """
 
-    def integrand(w, t):
-        wt = np.multiply.outer(w, t)
-        c = np.cos(wt)
+    def integrand(w):
+        # ω^d [s²(1 + cos) + l²(1 - cos) - 2 s l sin], as the coefficients of 1, cos ωτ and sin ωτ
+        w_d = w**d
         amp_s = f_s.amplitude(w)
-        y = (amp_s**2)[:, None] * (1.0 + c)
-        if f_lo is not None:
-            amp_lo = f_lo.amplitude(w)
-            y += (amp_lo**2)[:, None] * (1.0 - c)
-            if cross:
-                y -= (2.0 * amp_s * amp_lo)[:, None] * np.sin(wt)
-        return (w**d)[:, None] * y
+        signal = w_d * amp_s**2
+        if f_lo is None:
+            return signal, signal, None
+        amp_lo = f_lo.amplitude(w)
+        lo = w_d * amp_lo**2
+        return signal + lo, signal - lo, -2.0 * w_d * amp_s * amp_lo if cross else None
 
     spectra = (f_s,) if f_lo is None else (f_s, f_lo)
     return integrate_over_spectra(integrand, spectra, tau)
@@ -379,8 +378,8 @@ def _thermal(theta_s, theta_lo, tau, d, method):
     into one output mapped from the OS; so at most ``BLOCK`` delays are in
     flight whatever the CPU count.  A grid of one block is finished in place, with no output
     array.  The arithmetic is elementwise, so the bits do not depend on the
-    blocks.  The quadrature path runs its chunks on the same workers
-    (:func:`~mmi.quadrature.integrate_grid`).
+    blocks.  The quadrature path runs its chunks in one loop on the calling
+    thread (:func:`~mmi.quadrature.integrate_grid`).
     """
     tau = np.asarray(tau, dtype=float)
     vacuum = theta_lo is None

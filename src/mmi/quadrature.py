@@ -9,18 +9,32 @@ regime the initial panel width is capped at a quarter period so the local
 polynomial degree stays far above the phase variation per panel.
 
 Integrands may be vector-valued: ``f(x)`` of shape ``(nodes,)`` or
-``(nodes, K)``, one column per member of a family such as the cos(ωτ_k)
-fringe integrals of a delay grid.  Both rules then act on every panel as
-one (2 × 15) matrix product, and refinement is global, as in the
-vector-valued QUADPACK qag scheme (Piessens et al. 1983): every panel that
-carries more than its share of the tolerance of any unconverged member is
-bisected, and the call returns only once each member k meets
-``max(abs_tol, rel_tol·|I_k|)``.  :func:`integrate_grid` splits a delay grid
-into chunks of ascending |τ|, each with its own oscillation rate, so that
-the first pass of a chunk evaluates at most ``CHUNK_ELEMENTS`` node × delay
-values; the budget bounds memory, it is not a tuning knob.  The chunks run
-on one worker per CPU, so the budget holds per worker: a grid keeps at most
-one chunk in flight on each.
+``(nodes, K)``, one column per member of a family.  Both rules then act on
+every panel as one (2 × 15) matrix product, and refinement is global, as in
+the vector-valued QUADPACK qag scheme (Piessens et al. 1983): every panel
+that carries more than its share of the tolerance of any unconverged member
+is bisected, and the call returns only once each member k meets
+``max(abs_tol, rel_tol·|I_k|)``.
+
+The fringe integrals of a delay grid, a₀(x) + a_c(x) cos xτ_k + a_s(x) sin xτ_k,
+reach the engine factored: the integrand returns the coefficients a₀, a_c,
+a_s per node and the rates τ_k (a :class:`_Fringes`), not the node × delay
+values.  A panel is stored as its midpoint m and half-width h, so a
+bisection halves a width exactly and a pass holds only a few widths.  With
+cos (m + hξ_j)τ = cos mτ cos hξ_jτ - sin mτ sin hξ_jτ (and sin likewise) a
+panel needs two trigonometric values per delay instead of fifteen, plus one
+table of cos and sin hξ_jτ per width, and the node sums of both rules
+become one product of the panels' weighted coefficients with that table.
+A plain ``f`` is the a₀ term alone, through the same refinement loop.
+
+:func:`integrate_grid` splits a delay grid into chunks of ascending |τ|,
+each with its own oscillation rate, so that the first pass of a chunk
+evaluates at most ``CHUNK_ELEMENTS`` node × delay values; the budget bounds
+the memory of one call, it is not a tuning knob.  The chunks run one after
+another in one loop on the calling thread: with the factored kernel a chunk
+is a few dozen small numpy calls, and on two threads they lost more to the
+interpreter lock than they gained (on 2 vCPUs, Bose grids of 200-6000
+delays ran at most 2 % faster in wall time, and took 35-50 % more CPU time).
 
 Nodes and weights were generated from the exact Stieltjes-polynomial
 construction in rational arithmetic and verified to integrate monomials
@@ -31,11 +45,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-from . import _workers
 
 __all__ = [
     "QuadratureError",
@@ -123,17 +135,82 @@ class QuadratureResult:
     evaluations: int  # integrand nodes, each counted once whatever the number of members
 
 
-def _eval_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
-    """Kronrod values and |K15-G7| errors, (panels, members), for a batch of panels,
-    and the shape of one member set of the integrand."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+class _Fringes(NamedTuple):
+    """An integrand a₀(x) + a_c(x) cos xτ_k + a_s(x) sin xτ_k, one member per rate τ_k.
+
+    Returned by an integrand in place of its values: each coefficient is
+    None (absent) or one value per node, shared by every member.  Without a
+    cos or sin term the family has one member.
+    """
+
+    rates: np.ndarray
+    const: np.ndarray | None
+    cos: np.ndarray | None
+    sin: np.ndarray | None
+
+
+def _fringe_table(half: float, rates: np.ndarray, has_cos: bool, has_sin: bool) -> np.ndarray:
+    """The rows [C, -S] (a cos term) and [S, C] (a sin term), C and S being
+    cos and sin hξ_jτ_k at the panel half-width h: (15 per term) × 2K."""
+    phase = np.multiply.outer(half * _POS_NODES[1:], rates)  # the nodes are symmetric about 0
+    c, s = np.cos(phase), np.sin(phase)
+    one = np.ones((1, rates.size))
+    cos = np.concatenate([c[::-1], one, c])
+    sin = np.concatenate([-s[::-1], 0.0 * one, s])
+    rows = []
+    if has_cos:
+        rows.append(np.concatenate([cos, -sin], axis=1))
+    if has_sin:
+        rows.append(np.concatenate([sin, cos], axis=1))
+    return np.concatenate(rows)
+
+
+def _fringe_sums(mid, half, rates, cos, sin, tables: dict) -> np.ndarray:
+    """Both rules' node sums of a_c cos xτ_k + a_s sin xτ_k, (panels, 2, K).
+
+    At the nodes x = m + hξ_j of a panel the sum is cos mτ·P + sin mτ·Q, with
+    P = Σ_j w_j (a_c C_j + a_s S_j) and Q = Σ_j w_j (a_s C_j - a_c S_j): two
+    trigonometric values per panel and member, and for the panels of each
+    half-width one product of their weighted coefficients with its table
+    (:func:`_fringe_table`, kept in ``tables`` for later passes).
+    """
+    n = mid.size
+    coef = np.concatenate(
+        [_RULES * a.reshape(n, 1, NODES.size) for a in (cos, sin) if a is not None], axis=2
+    ).reshape(2 * n, -1)
+    uniform = (half == half[0]).all()  # a first pass, and most bisection passes
+    pq = np.empty((2 * n, 2 * rates.size))
+    for h in (half[0],) if uniform else np.unique(half):
+        table = tables.get(h)
+        if table is None:
+            table = tables[h] = _fringe_table(h, rates, cos is not None, sin is not None)
+        rows = slice(None) if uniform else np.repeat(half == h, 2)
+        pq[rows] = coef[rows] @ table
+    pq = pq.reshape(n, 2, 2, rates.size)
+    phase = np.multiply.outer(mid, rates)[:, None]
+    return np.cos(phase) * pq[:, :, 0] + np.sin(phase) * pq[:, :, 1]
+
+
+def _eval_panels(f: Callable[[np.ndarray], np.ndarray], mid: np.ndarray, half: np.ndarray, tables: dict):
+    """Kronrod values and |K15-G7| errors, (panels, members), for the panels
+    [mid - half, mid + half], and the shape of one member set of the integrand.
+
+    A plain ``f`` returns its values, the a₀ term alone of a :class:`_Fringes`."""
     x = mid[:, None] + half[:, None] * NODES[None, :]
-    y = np.asarray(f(x.reshape(-1)), dtype=float)
-    if not np.all(np.isfinite(y)):
+    y = f(x.reshape(-1))
+    if not isinstance(y, _Fringes):
+        y = _Fringes(None, y, None, None)
+    const, cos, sin = (None if a is None else np.asarray(a, dtype=float) for a in y[1:])
+    if not all(np.all(np.isfinite(a)) for a in (const, cos, sin) if a is not None):
         raise ValueError("integrand returned a non-finite value")
-    sums = (_RULES @ y.reshape(len(lo), NODES.size, -1)) * half[:, None, None]
-    return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1]), y.shape[1:]
+    sums = 0.0
+    if const is not None:
+        sums = _RULES @ const.reshape(mid.size, NODES.size, -1)
+    if cos is not None or sin is not None:
+        sums = sums + _fringe_sums(mid, half, y.rates, cos, sin, tables)
+    sums = sums * half[:, None, None]
+    shape = const.shape[1:] if y.rates is None else y.rates.shape
+    return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1]), shape
 
 
 def _initial_panels(width: float, osc_scale):
@@ -159,8 +236,9 @@ def integrate(
     ----------
     f:
         Vectorized callable, ``f(x: ndarray) -> ndarray`` of shape
-        ``(x.size,)`` or ``(x.size, K)``.  Must be finite on the open
-        interval; panel nodes never touch the endpoints, so removable
+        ``(x.size,)`` or ``(x.size, K)``; a fringe integrand returns its
+        coefficients instead, as a :class:`_Fringes`.  Must be finite on the
+        open interval; panel nodes never touch the endpoints, so removable
         endpoint singularities (e.g. x^d/(e^x - 1) at 0) are fine.
     abs_tol, rel_tol:
         Convergence requires each member's summed panel error estimate to
@@ -184,9 +262,14 @@ def integrate(
     if not math.isfinite(max(-lo, hi) * osc_scale):
         # no phase ωτ of the integrand is representable, let alone resolvable
         raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, abs_tol)
-    edges = np.linspace(lo, hi, int(_initial_panels(hi - lo, osc_scale)) + 1)
-    p_lo, p_hi = edges[:-1], edges[1:]
-    vals, errs, shape = _eval_panels(f, p_lo, p_hi)
+    # panels are (midpoint, half-width): a bisection halves a width exactly,
+    # so a pass holds few widths, each with one table of node phases
+    count = int(_initial_panels(hi - lo, osc_scale))
+    h = 0.5 * (hi - lo) / count
+    mid = lo + h * np.arange(1.0, 2.0 * count, 2.0)
+    half = np.full(count, h)
+    tables: dict = {}
+    vals, errs, shape = _eval_panels(f, mid, half, tables)
     evaluations = vals.shape[0] * NODES.size
 
     while True:
@@ -209,15 +292,14 @@ def integrate(
         split = (share > 1.0).any(axis=1)
         if not split.any():
             split[np.argmax(share.max(axis=1))] = True
-        s_lo, s_hi = p_lo[split], p_hi[split]
-        mid = 0.5 * (s_lo + s_hi)
-        n_lo = np.concatenate([s_lo, mid])
-        n_hi = np.concatenate([mid, s_hi])
-        n_vals, n_errs, _ = _eval_panels(f, n_lo, n_hi)
+        s_half = 0.5 * half[split]
+        n_mid = np.concatenate([mid[split] - s_half, mid[split] + s_half])
+        n_half = np.concatenate([s_half, s_half])
+        n_vals, n_errs, _ = _eval_panels(f, n_mid, n_half, tables)
         evaluations += n_vals.shape[0] * NODES.size
         keep = ~split
-        p_lo = np.concatenate([p_lo[keep], n_lo])
-        p_hi = np.concatenate([p_hi[keep], n_hi])
+        mid = np.concatenate([mid[keep], n_mid])
+        half = np.concatenate([half[keep], n_half])
         vals = np.concatenate([vals[keep], n_vals])
         errs = np.concatenate([errs[keep], n_errs])
 
@@ -249,12 +331,11 @@ def integrate_grid(
     back in the shape of ``delays`` (floats for a scalar); panels and
     evaluations are summed over the chunks.
 
-    The chunks are independent jobs, run on one worker thread per CPU (none
-    on one CPU) in ascending order, each writing its own delays of the
-    output.  The chunk boundaries, and so each chunk's ``osc_scale`` and
-    every bit of the result, do not depend on the number of workers; the
-    first chunk to fail raises its error, as a serial loop would.  So
-    ``integrate_chunk`` must be safe to call from several threads at once.
+    The chunks run in ascending order in one loop on the calling thread,
+    each writing its own delays of the output, and the first chunk to fail
+    raises its error.  ``CHUNK_ELEMENTS`` bounds the first pass of each
+    call of ``integrate_chunk``; the chunk boundaries, and so each chunk's
+    ``osc_scale``, depend on the delays and ``width`` alone.
     """
     t = np.asarray(delays, dtype=float)
     flat = t.ravel()
@@ -265,17 +346,14 @@ def integrate_grid(
     error = np.empty(flat.size)
     ends = _chunk_ends(np.abs(flat[order]), width)
     starts = [0, *ends[:-1]]
-    results = [None] * len(ends)
-
-    def job(i, _):
-        idx = order[starts[i] : ends[i]]
-        results[i] = res = integrate_chunk(flat[idx], float(abs(flat[idx[-1]])))
+    panels = evaluations = 0
+    for start, end in zip(starts, ends):
+        idx = order[start:end]
+        res = integrate_chunk(flat[idx], float(abs(flat[idx[-1]])))
         value[idx] = res.value
         error[idx] = res.error
-
-    _workers.run(job, len(ends))
-    panels = sum(res.panels for res in results)
-    evaluations = sum(res.evaluations for res in results)
+        panels += res.panels
+        evaluations += res.evaluations
     if not t.ndim:
         return QuadratureResult(float(value[0]), float(error[0]), panels, evaluations)
     return QuadratureResult(value.reshape(t.shape), error.reshape(t.shape), panels, evaluations)

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .quadrature import TOL, QuadratureResult, integrate, integrate_grid
+from .quadrature import TOL, QuadratureResult, _Fringes, integrate, integrate_grid
 
 __all__ = [
     "SpectralDistribution",
@@ -217,11 +217,12 @@ def _far_moments(mean, width, t, order, edge):
 
 
 def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:
-    """∫₀^∞ integrand(ω, τ_k) dω at each delay, for an integrand negligible
-    outside every spectrum's peak.
+    """∫₀^∞ [a₀(ω) + a_c(ω) cos ωτ_k + a_s(ω) sin ωτ_k] dω at each delay, for
+    coefficients negligible outside every spectrum's peak.
 
-    ``integrand(w, t)`` returns the ``(w.size, t.size)`` values at the delays
-    ``t`` of one chunk of :func:`mmi.quadrature.integrate_grid`.  The domain
+    ``integrand(w)`` returns the coefficients (a₀, a_c, a_s) at the nodes
+    ``w``, each None where the term is absent; the delays of each chunk of
+    :func:`mmi.quadrature.integrate_grid` reach the engine with them.  The domain
     is the union of the windows [ω̄ ± 9σ] of ``spectra``, clipped at 0 and
     merged where they overlap; each window gets its own adaptive quadrature
     and an equal share of the absolute tolerance
@@ -244,7 +245,7 @@ def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:
 
     def integrate_chunk(t, osc_scale):
         parts = [
-            integrate(lambda w: integrand(w, t), lo, hi, abs_tol=share, rel_tol=TOL, osc_scale=osc_scale)
+            integrate(lambda w: _Fringes(t, *integrand(w)), lo, hi, abs_tol=share, rel_tol=TOL, osc_scale=osc_scale)
             for lo, hi in windows
         ]
         return QuadratureResult(
@@ -272,16 +273,13 @@ def weighted_overlap(f: SpectralDistribution, g: SpectralDistribution, weight_po
         raise ValueError(f"unsupported weight power {weight_power}")
     if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
-    kern = {"cos": np.cos, "sin": np.sin}.get(kernel)
+    term = _KERNELS.index(kernel)
 
-    def integrand(w, t):
+    def integrand(w):
         y = f.amplitude(w) * g.amplitude(w)
         if weight_power:
             y = y * w**weight_power
-        y = y[:, None]
-        if kern is not None:
-            y = y * kern(np.multiply.outer(w, t))
-        return y
+        return tuple(y if k == term else None for k in range(3))  # the kernel's coefficient
 
-    delay = tau if kern is not None else 0.0
+    delay = tau if term else 0.0
     return integrate_over_spectra(integrand, (f, g), delay).value

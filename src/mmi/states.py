@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import TOL, QuadratureResult, integrate_grid, integrate_half_line, tail_cutoff
+from .quadrature import TOL, QuadratureResult, _Fringes, integrate_grid, integrate_half_line, tail_cutoff
 from .spectra import SpectralDistribution
 from .thermal_kernels import bose_integral_constant
 
@@ -124,7 +124,7 @@ def bose_weighted_integral(
 
     def integrate_chunk(rates, osc_scale):
         return integrate_half_line(
-            lambda x: weight(x)[:, None] * np.cos(np.multiply.outer(x, rates)),
+            lambda x: _Fringes(rates, None, weight(x), None),  # the Bose weight is the cos coefficient
             envelope=_bose_envelope(d),
             abs_tol=tol,
             rel_tol=TOL,

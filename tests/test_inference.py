@@ -490,3 +490,23 @@ def test_short_span_rejected():
     taus = np.linspace(0.0, 0.5, 40)  # less than one fringe period (2 pi / 3.15)
     with pytest.raises(IdentifiabilityError):
         discriminate_state_class(taus, np.ones(40), F_LO)
+
+
+def test_thermal_fit_uncertainties_cover_the_truth():
+    # z = (estimate - truth)/uncertainty over 400 noisy fits at fixed seeds: |z| < 1
+    # should hold in 0.683 of them, within ± 4 binomial sigmas (0.0233 at n = 400);
+    # half the fits pass the noise level, which fit rescales by s² = cost/dof anyway
+    truth, n = 1.05, 400
+    a = np.linspace(0.05, 3.0, 120)
+    taus = a / truth  # θ₀ = 1, so a₁ = τθ₁ spans [0.05, 3]
+    clean = np.asarray(thermal_thermal_ratio(1.0, truth, taus))
+    rng = np.random.default_rng(20261019)
+    z = np.empty(n)
+    for i in range(n):
+        sigma = (1e-2, 3e-2)[i % 2]
+        data = clean + rng.normal(0.0, sigma, size=taus.size)
+        noise = sigma if i % 4 < 2 else None
+        result = fit(FitProblem(tau=taus, ratios=data, model="thermal_thermal", fixed={"theta0": 1.0}, noise=noise))
+        z[i] = (result.estimates["theta_ratio"] - truth) / result.uncertainties["theta_ratio"]
+    band = 4.0 * math.sqrt(0.683 * 0.317 / n)
+    assert abs(np.mean(np.abs(z) < 1.0) - 0.683) <= band

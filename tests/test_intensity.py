@@ -1167,14 +1167,16 @@ THERMAL_PATHS = {
 
 @pytest.mark.parametrize("path", THERMAL_PATHS)
 def test_thermal_paths_on_one_cpu_start_no_thread(monkeypatch, path):
-    # one CPU runs its jobs on the calling thread; two start workers in an empty pool
+    # one CPU runs its jobs on the calling thread; on two the closed form starts
+    # workers in an empty pool, while the quadrature chunks run in one loop on
+    # the calling thread (on two threads they lost more to the GIL than they gained)
     monkeypatch.setattr(_workers, "_inboxes", [])
     start = threading.Thread.start
     started = []
     monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
     _on_cpus(monkeypatch, 2)
     THERMAL_PATHS[path]()
-    assert started
+    assert bool(started) == (path == "closed_form")
 
     def refuse(thread):
         raise AssertionError("a thread was started")

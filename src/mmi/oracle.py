@@ -312,15 +312,27 @@ def thermal_intensity_montecarlo(
     Thermal/vacuum draws the signal exponentials only.  The occupations
     n̄_s, n̄_l and √(n̄_s n̄_l) are folded into the delay weights once.
 
+    U and its sine are float32: numpy's float64 sine makes one libm call
+    per value, its float32 sine runs in SIMD lanes, and the float64 sine
+    took about 40 % of a thermal-pair call.  Everything else is float64:
+    the exponentials, √(E_s E_l), the weights, the products and every sum.
+    The law is unchanged.  A float32 U lies on a 2⁻²⁴ lattice and the
+    float32 sine is good to a few ulp, so each draw's cross term moves by
+    at most about 1e-7 relative, against a standard error of the ratio
+    near 8e-4 at 20 000 samples.  The bits of a pair's result may differ
+    by an ulp between numpy builds or SIMD targets, as libm's sine already
+    may.
+
     Each chunk of 512 samples (the last one holds the remainder)
     draws from its own ``SeedSequence(seed)`` child stream and returns its
     partial sums; the chunks run on one worker thread per CPU available to
-    the process (none on one CPU), and the partial sums are added
-    in chunk order.  So the result depends on the seed alone, not on the
-    CPU count.  The products with the delay weights are taken in row blocks
-    of at most 2¹⁹ multiply-adds: from about 10⁶ a gemm starts OpenBLAS
-    threads of its own, which would oversubscribe the CPUs the workers
-    already use.
+    the process (none on one CPU), each into buffers the calling thread
+    allocated, and the partial sums are added in chunk order.  So the
+    result depends on the seed alone, not on the CPU count: every worker
+    runs the same SIMD loop.  The products with the delay weights are
+    taken in row blocks of at most 2¹⁹ multiply-adds: from about 10⁶ a
+    gemm starts OpenBLAS threads of its own, which would oversubscribe the
+    CPUs the workers already use.
     """
     if samples < 1000:
         raise ValueError("at least 1000 samples are required")
@@ -349,23 +361,23 @@ def thermal_intensity_montecarlo(
             np.matmul(e[r : r + gemm_rows], w, out=out[r : r + gemm_rows])
         return out
 
-    def chunk(stream, e_s, e_l=None, cos_dphi=None):
+    def chunk(stream, e_s, e_l=None, phase=None):
         rng = np.random.default_rng(stream)
         rng.standard_exponential(out=e_s)
         xy = product(e_s, w_signal)
         x, y = xy[:, :k], xy[:, k]
         if theta_lo is not None:
             rng.standard_exponential(out=e_l)
-            # cos Δφ drawn as sin(π(U - ½)): numpy's sin is faster on [-π/2, π/2)
-            rng.random(out=cos_dphi)
-            cos_dphi -= 0.5
-            cos_dphi *= math.pi
-            np.sin(cos_dphi, out=cos_dphi)
+            # cos Δφ drawn as sin(π(U - ½)) in float32, whose sine numpy vectorizes
+            rng.random(out=phase, dtype=np.float32)
+            phase -= 0.5
+            phase *= math.pi
+            np.sin(phase, out=phase)
             x += product(e_l, w_minus)
             # e_s becomes √(E_s E_l) cos Δφ in place
             e_s *= e_l
             np.sqrt(e_s, out=e_s)
-            e_s *= cos_dphi
+            e_s *= phase
             cross = product(e_s, w_cross)
             x += cross
             c_term = cross[:, cross_idx]
@@ -380,11 +392,12 @@ def thermal_intensity_montecarlo(
     # Every draw lands in its worker's buffers, allocated here by the calling
     # thread: the memory a call takes is then the same whichever way its
     # threads interleave.
-    buffers = np.empty((workers, 1 if theta_lo is None else 3, sizes[0], omega.size))
+    dtypes = (np.float64,) if theta_lo is None else (np.float64, np.float64, np.float32)
+    buffers = [[np.empty((sizes[0], omega.size), dtype) for dtype in dtypes] for _ in range(workers)]
     parts = [None] * len(sizes)
 
     def job(i, worker):
-        parts[i] = chunk(streams[i], *buffers[worker][:, : sizes[i]])
+        parts[i] = chunk(streams[i], *(buffer[: sizes[i]] for buffer in buffers[worker]))
 
     _workers.run(job, len(sizes), workers)
     sum_x, sum_y, sum_xx, sum_yy, sum_xy, sum_c, sum_cc = (sum(col) for col in zip(*parts))

@@ -115,11 +115,11 @@ def bose_weighted_integral(
     cutoff = _bose_cutoff(d, tol)
 
     def weight(x):
-        y = np.empty_like(x)
-        tiny = x < 1e-8
-        xt = x[~tiny]
-        y[~tiny] = xt**d / np.expm1(xt)
-        y[tiny] = x[tiny] ** (d - 1) * (1.0 - 0.5 * x[tiny])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = x**d / np.expm1(x)
+        tiny = x < 1e-8  # the series there, where the quotient may be 0/0; scenario grids have no such node
+        if tiny.any():
+            y[tiny] = x[tiny] ** (d - 1) * (1.0 - 0.5 * x[tiny])
         return y
 
     def integrate_chunk(rates, osc_scale):

@@ -27,9 +27,10 @@ from .states import Coherent, OnePhoton, Thermal, Vacuum
 _SIGNAL = SpectralDistribution(3.0, 1.0)
 _TAUS = np.linspace(0.0, 6.0, 121)
 _DUAL_TOL = 1e-9
-# The Monte-Carlo check's seed (the ``--out`` report records it) and sample count.
+# The Monte-Carlo checks' seed (the ``--out`` report records it), sample count and delays.
 MC_SEED = 20260808
 _MC_SAMPLES = 20000
+_MC_TAUS = np.array([0.5, 1.0, 2.0])
 
 # One row per port pair compute_interferogram accepts: (name, signal, LO, delays).
 _PAIRS = (
@@ -93,10 +94,20 @@ def _verify_coherent():
     ]
 
 
+def _mc_sigmas(theta_s, theta_lo, truth):
+    """The largest gap of the Monte-Carlo ratios from ``truth`` over :data:`_MC_TAUS`, in standard errors."""
+    mc = thermal_intensity_montecarlo(theta_s, theta_lo, _MC_TAUS, samples=_MC_SAMPLES, seed=MC_SEED)
+    return float(np.max(np.abs(mc.ratios - truth) / mc.stderrs))
+
+
 def _verify_montecarlo():
-    mc = thermal_intensity_montecarlo(1.0, None, [0.5, 1.0, 2.0], samples=_MC_SAMPLES, seed=MC_SEED)
-    truth = np.asarray(thermal_vacuum_ratio(1.0, mc.delays, 3, "closed_form"))
-    return [("thermal-vacuum monte-carlo (sigmas)", float(np.max(np.abs(mc.ratios - truth) / mc.stderrs)), 3.0)]
+    # thermal/vacuum, and the thermometry pair, whose draws also carry the relative phase
+    vacuum = thermal_vacuum_ratio(1.0, _MC_TAUS, 3, "closed_form")
+    pair = thermal_thermal_ratio(1.0, 1.1, _MC_TAUS, "closed_form")
+    return [
+        ("thermal-vacuum monte-carlo (sigmas)", _mc_sigmas(1.0, None, vacuum), 3.0),
+        ("thermal-thermal monte-carlo (sigmas)", _mc_sigmas(1.1, 1.0, pair), 3.0),
+    ]
 
 
 def _verify_thermal_thermal():
@@ -141,10 +152,10 @@ def _guarded(label, group, *args):
 
 
 def run_verification(quick: bool = False) -> list[dict]:
-    """Every check's record; ``quick`` skips the Monte-Carlo one."""
+    """Every check's record; ``quick`` skips the two Monte-Carlo ones."""
     checks = _guarded("fock scenario", _verify_fock) + _guarded("coherent scenario", _verify_coherent)
     if not quick:
-        checks += _guarded("thermal-vacuum scenario", _verify_montecarlo)
+        checks += _guarded("monte-carlo oracle", _verify_montecarlo)
     checks += _guarded("thermal-thermal scenario", _verify_thermal_thermal)
     checks += _guarded("coherence horizon", _verify_coherence_horizon)
     checks += _guarded("thermal-thermal fit", _verify_thermometry)

@@ -293,6 +293,24 @@ def test_montecarlo_on_one_cpu_starts_no_thread(monkeypatch):
     assert mc.samples == 2000
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_montecarlo_pair_memory_is_bounded_per_worker(monkeypatch, cpus):
+    # per worker, two float64 exponential buffers and one float32 phase buffer
+    # (2.5 MiB) plus a chunk's products: 2.58-2.65 MiB; a float64 phase took 3.05-3.13
+    import tracemalloc
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    taus = [0.5, 1.0, 2.0]
+    thermal_intensity_montecarlo(1.1, 1.0, taus, samples=2000, seed=0)  # starts the workers
+    tracemalloc.start()
+    try:
+        thermal_intensity_montecarlo(1.1, 1.0, taus, samples=20000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * 2**20 * cpus
+
+
 @pytest.mark.parametrize("theta_lo", [None, 1.0], ids=["vacuum", "thermal"])
 def test_montecarlo_many_delays_match_per_delay_runs(theta_lo):
     # 12 delays split each chunk's products into row blocks; every delay's

@@ -55,6 +55,16 @@ def test_quick_keeps_every_named_check_and_skips_only_monte_carlo(quick_checks):
     assert not any("monte-carlo" in name for name in quick_checks)
 
 
+def test_monte_carlo_checks_cover_both_thermal_scenarios():
+    checks = verify._verify_montecarlo()
+    assert [name for name, _, _ in checks] == [
+        "thermal-vacuum monte-carlo (sigmas)",
+        "thermal-thermal monte-carlo (sigmas)",
+    ]
+    for name, sigmas, tol in checks:
+        assert tol == 3.0 and sigmas <= tol, name
+
+
 def test_dual_path_checks_follow_the_dimension_table(monkeypatch):
     monkeypatch.setitem(intensity._DIMENSIONS, "thermal-vacuum", (3,))
     names = [check["name"] for check in verify.run_verification(quick=True)]

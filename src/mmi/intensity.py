@@ -71,7 +71,7 @@ from . import _workers
 from .quadrature import TOL, QuadratureError, QuadratureResult
 from .spectra import SpectralDistribution, _line_moments, integrate_over_spectra
 from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, bose_weighted_integral
-from .thermal_kernels import BLOCK, bose_integral_constant, fringe_deviation
+from .thermal_kernels import bose_integral_constant, fringe_deviation
 
 __all__ = [
     "ClosedFormError",
@@ -126,6 +126,34 @@ def _finite_delays(tau) -> np.ndarray:
     if not (np.isfinite(tau).all() if tau.ndim else math.isfinite(tau)):  # math is faster on a scalar
         raise ValueError("delays must be finite")
     return tau
+
+
+BLOCK = 65_536
+
+
+def _walk(tau, evaluate, lines=1):
+    """``evaluate``, elementwise, over the flattened delays of ``tau``, shaped like it.
+
+    Blocks of ``BLOCK // (lines × CPUs)`` delays, ``lines`` the values a delay
+    needs at once, keep about ``BLOCK`` values in flight on any CPU count.  One
+    block runs on the calling thread; more run on one worker per CPU into one
+    output mapped from the OS, not from malloc, whose heap a grid this size
+    would fragment (it moved the benchmark's thermal peak RSS by up to 8 MB
+    with the code layout).  The bits do not depend on the blocks.
+    """
+    workers = _workers.cpu_count()
+    step = max(1, BLOCK // (lines * workers))
+    flat = tau.reshape(-1)
+    if flat.size <= step:
+        return evaluate(flat).reshape(tau.shape)
+    out = np.frombuffer(mmap.mmap(-1, 8 * flat.size), dtype=float)
+
+    def job(i, _):
+        block = slice(i * step, (i + 1) * step)
+        out[block] = evaluate(flat[block])
+
+    _workers.run(job, -(-flat.size // step), workers)
+    return out.reshape(tau.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +221,20 @@ def _spectral_intensity(f_s, f_lo, grid, d, cross: bool):
 def _spectral_exact(f_s, f_lo, taus, d, cross: bool):
     """Exact ratios over a delay grid, and the τ = 0 intensity.
 
-    The grid is walked in blocks of :data:`~mmi.thermal_kernels.BLOCK` delays
-    shared out among the spectral lines (signal, LO, product Gaussian), so
-    the one w(z) call of a block takes about ``BLOCK`` arguments whatever
-    the number of lines.  Each block is evaluated as [0, τ…] by
-    :func:`_spectral_intensity` and divided by its own τ = 0 intensity, so
-    only one block's moments are alive at a time.
-    Each delay takes the same operations as in one pass over the whole grid,
-    so the ratios are bit-identical to it.
+    :func:`_walk` shares its blocks out among the spectral lines (signal, LO,
+    product Gaussian).  Each block is evaluated as [0, τ…] by
+    :func:`_spectral_intensity` and divided by its own τ = 0 intensity, the
+    same in every block.
     """
-    flat = taus.ravel()
-    ratios = np.empty(flat.size)
-    step = BLOCK // (1 + (f_lo is not None) + cross)  # delays per block: BLOCK // lines
-    for start in range(0, max(flat.size, 1), step):
-        intensity = _spectral_intensity(f_s, f_lo, np.concatenate([[0.0], flat[start : start + step]]), d, cross)
+    norm = None
+
+    def evaluate(block):
+        nonlocal norm
+        intensity = _spectral_intensity(f_s, f_lo, np.concatenate([[0.0], block]), d, cross)
         norm = float(intensity[0])
-        ratios[start : start + step] = intensity[1:] / norm
-    return ratios.reshape(taus.shape), norm
+        return intensity[1:] / norm
+
+    return _walk(taus, evaluate, 1 + (f_lo is not None) + cross), norm
 
 
 def fock_intensity(f_s: SpectralDistribution, f_lo: SpectralDistribution, tau: float, d: int = 1) -> float:
@@ -276,12 +301,12 @@ def _closed_pair(f_s: SpectralDistribution, f_lo: SpectralDistribution | None, t
     the squares and phases of larger delays would overflow.
     """
     _check_closed_form_regime(f_s, "signal")
-    lo, width = (None, None), f_s.width
+    params, width = (f_s.mean_freq, f_s.width, None, None), f_s.width
     if f_lo is not None:
         _check_closed_form_regime(f_lo, "local oscillator")
-        lo, width = (f_lo.mean_freq, f_lo.width), min(width, f_lo.width)
+        params, width = (*params[:2], f_lo.mean_freq, f_lo.width), min(width, f_lo.width)
     reach = _ENVELOPE_REACH / width
-    out = _closed_pair_ratio(f_s.mean_freq, f_s.width, *lo, np.clip(_finite_delays(tau), -reach, reach), cross)
+    out = _walk(_finite_delays(tau), lambda t: _closed_pair_ratio(*params, np.clip(t, -reach, reach), cross))
     if np.any(out < 0.0):
         raise ClosedFormError(
             f"the spectral closed form, a wide-pulse approximation, gives a negative ratio "
@@ -340,8 +365,7 @@ def _counters(result: QuadratureResult, ratio_error) -> dict:
 
 def _closed_fringe(a, d):
     """K_d at x = aπ by the closed form, forming aπ in place on the caller's
-    a-grid; a temporary a-grid is freed as this returns.  A float for a
-    scalar a, so the caller's in-place finish is plain float arithmetic."""
+    a-grid; a temporary a-grid is freed as this returns."""
     a *= math.pi
     return fringe_deviation(a, d)
 
@@ -373,35 +397,15 @@ def _thermal(theta_s, theta_lo, tau, d, method):
     w = (θ_lo/θ_s)^(d+1), and the quadrature counters (None for the closed form).
 
     ``theta_lo`` None is a vacuum LO: w = 0 and no second a-grid.  The closed
-    form walks the flattened grid in blocks of ``BLOCK // CPUs`` delays, run
-    as jobs on one worker thread per CPU, each writing its finished ratios
-    into one output mapped from the OS; so at most ``BLOCK`` delays are in
-    flight whatever the CPU count.  A grid of one block is finished in place, with no output
-    array.  The arithmetic is elementwise, so the bits do not depend on the
-    blocks.  The quadrature path runs its chunks in one loop on the calling
-    thread (:func:`~mmi.quadrature.integrate_grid`).
+    form finishes each block of :func:`_walk` whole, |τ| and both a-grids
+    included.  The quadrature path runs its chunks in one loop on the
+    calling thread (:func:`~mmi.quadrature.integrate_grid`).
     """
     tau = np.asarray(tau, dtype=float)
     vacuum = theta_lo is None
     w = 0.0 if vacuum else (theta_lo / theta_s) ** (d + 1)
     if method == "closed_form":
-        workers = _workers.cpu_count()
-        step = max(1, BLOCK // workers)
-        if tau.size <= step:
-            return _closed_thermal(np.abs(tau), theta_s, theta_lo, w, d), None
-        flat = tau.reshape(-1)
-        # mapped from the OS, not taken from malloc: once freed grids have
-        # raised glibc's mmap threshold, a grid this size would come from
-        # the caller's heap, and how that heap then fragmented moved the
-        # benchmark's thermal peak RSS by up to 8 MB with the code layout
-        out = np.frombuffer(mmap.mmap(-1, 8 * flat.size), dtype=float)
-
-        def job(i, _):
-            block = slice(i * step, (i + 1) * step)
-            out[block] = _closed_thermal(np.abs(flat[block]), theta_s, theta_lo, w, d)
-
-        _workers.run(job, -(-flat.size // step), workers)
-        return out.reshape(tau.shape), None
+        return _walk(tau, lambda t: _closed_thermal(np.abs(t), theta_s, theta_lo, w, d)), None
     # every a-grid in one call; K = (1/J(d)) ∫₀^∞ x^d cos(ax)/(e^x - 1) dx
     j_const = bose_integral_constant(d)
     with np.errstate(over="ignore"):

@@ -339,6 +339,8 @@ def thermal_intensity_montecarlo(
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if not np.all(np.isfinite(taus)):
         raise ValueError("delays must be finite")
+    if not taus.size:
+        raise ValueError("at least one delay is required")
     grid = thermal_mode_grid(max(theta_signal, theta_lo or 0.0))
     omega = grid.frequencies
     measure = _measure(grid, d)

@@ -21,13 +21,6 @@ overflows.  Both are generated per odd d ≤ 7 and agree to 1e-12 at the
 switch for d = 1 and 3 (2e-11 at d = 7).  The Bernoulli table ends at B_54,
 which the 25-term series needs at d = 3; d = 5 and 7 take the 24 and 23
 terms it holds.
-
-``fringe_deviation`` walks its flattened input in consecutive blocks of
-``BLOCK`` = 65 536 elements and writes each into the one output array, so
-its temporaries (branch masks, gathers, q and the powers) stay a few
-blocks in size however large the grid.  Each element takes the same
-operations as in one pass over the whole grid, so the values are
-bit-identical to it.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "BLOCK",
     "SERIES_SWITCH",
     "bose_integral_constant",
     "fringe_deviation",
@@ -47,7 +39,6 @@ __all__ = [
 ]
 
 SERIES_SWITCH = 1.0
-BLOCK = 65_536
 _SERIES_TERMS = 25
 
 
@@ -139,20 +130,17 @@ def fringe_deviation(x, d: int = 3):
 
     Tends to 1 as x -> 0+ (which pins the zero-delay normalization of the
     thermal interferograms) and to its pole term, -45/x⁴ at d = 3, as
-    x -> inf.  Accepts scalars or arrays; x must be >= 0.
+    x -> inf.  Accepts scalars or arrays, x >= 0; its temporaries scale with x.
     """
     kernel = _kernel(d)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("kernel argument must be non-negative")
     out = np.empty(arr.shape)
-    flat, flat_out = arr.reshape(-1), out.reshape(-1)
-    for start in range(0, flat.size, BLOCK):
-        block, block_out = flat[start:start + BLOCK], flat_out[start:start + BLOCK]
-        small = block < SERIES_SWITCH
-        for mask, branch in ((small, _series_branch), (~small, _exponential_branch)):
-            if mask.any():
-                block_out[mask] = branch(block[mask], kernel)
+    small = arr < SERIES_SWITCH
+    for mask, branch in ((small, _series_branch), (~small, _exponential_branch)):
+        if mask.any():
+            out[mask] = branch(arr[mask], kernel)
     return out if out.ndim else float(out)
 
 

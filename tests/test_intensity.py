@@ -1,3 +1,4 @@
+import functools
 import math
 import mmap
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from mmi import _workers
 from mmi.intensity import (
+    BLOCK,
     ClosedFormError,
     IntensityRequest,
     Interferogram,
@@ -24,7 +26,6 @@ from mmi.intensity import (
 from mmi.quadrature import QuadratureError
 from mmi.spectra import SpectralDistribution, gaussian_fourier_moments, weighted_overlap
 from mmi.states import Coherent, OnePhoton, Thermal, Vacuum, bose_weighted_integral
-from mmi.thermal_kernels import BLOCK
 from oracles import riemann_overlap
 from test_thermal_kernels import BLOCK_SIZES, unblocked_fringe_deviation
 
@@ -279,8 +280,6 @@ def test_thermal_vacuum_dimension_gate():
 
 
 def test_equal_temperature_identity_exact():
-    from mmi.thermal_kernels import BLOCK
-
     # and on an unsorted grid of both signs that spans three kernel blocks
     for taus in (np.linspace(0.0, 10.0, 100), np.random.default_rng(4).uniform(-10.0, 10.0, 2 * BLOCK + 1)):
         ratios = np.asarray(thermal_thermal_ratio(1.3, 1.3, taus))
@@ -887,7 +886,8 @@ def test_thermal_grid_quadrature_memory_stays_flat():
 
 
 def test_thermal_grid_quadrature_memory_stays_flat_on_four_workers(monkeypatch):
-    # the chunk budget holds per worker: 1.2-1.3 MiB in flight on one, 3.8-4.9 MiB on four
+    # the chunks run in one loop on the calling thread, so four CPUs hold no
+    # more than one: about 0.67 MiB in flight at any CPU count
     _on_cpus(monkeypatch, 4)
     assert _thermal_grid_quadrature_peak() < 8 * 2**20
 
@@ -1028,7 +1028,6 @@ def test_blocked_spectral_exact_path_is_bit_identical(mean_over_width, lo_mean_o
 @pytest.mark.parametrize("kind, lines", [("fock", 2), ("coherent", 3)])
 def test_spectral_exact_path_calls_w_once_per_block_for_all_lines(kind, lines, monkeypatch):
     import mmi.spectra
-    from mmi.thermal_kernels import BLOCK
 
     sizes = []
     faddeeva = mmi.spectra._faddeeva
@@ -1038,15 +1037,18 @@ def test_spectral_exact_path_calls_w_once_per_block_for_all_lines(kind, lines, m
         return faddeeva(z)
 
     monkeypatch.setattr(mmi.spectra, "_faddeeva", counting)
+    _on_cpus(monkeypatch, 1)
     ports = _spectral_ports(kind, F_S, F_LO)
     compute_interferogram(IntensityRequest(*ports, np.linspace(0.0, 6.0, 121)))
     assert sizes == [lines * 122]
-    sizes.clear()
     n = 2 * BLOCK + 1
-    compute_interferogram(IntensityRequest(*ports, np.linspace(0.0, 6.0, n)))
-    step = BLOCK // lines  # delays per block, each block evaluated as [0, τ…]
-    assert len(sizes) == -(-n // step)
-    assert max(sizes) == lines * (step + 1)
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        sizes.clear()
+        compute_interferogram(IntensityRequest(*ports, np.linspace(0.0, 6.0, n)))
+        step = BLOCK // (cpus * lines)  # delays per block, each block evaluated as [0, τ…]
+        assert len(sizes) == -(-n // step), cpus
+        assert max(sizes) == lines * (step + 1), cpus
     sizes.clear()
     far_ports = _spectral_ports(kind, SpectralDistribution(300.0, 1.0), SpectralDistribution(309.0, 1.0))
     compute_interferogram(IntensityRequest(*far_ports, np.linspace(0.0, 6.0, 121)))
@@ -1057,25 +1059,27 @@ def test_spectral_exact_path_calls_w_once_per_block_for_all_lines(kind, lines, m
 def test_spectral_exact_path_memory_is_bounded_by_blocks(kind, d):
     # the ratios and the interferogram's copy of the delays are 7.6 MiB each; whole-grid
     # moments took the peak to 145.9 MiB (Fock), 153.5 MiB (coherent) and 130.7 MiB (vacuum)
-    import tracemalloc
-
     ports = _spectral_ports(kind, F_S, F_LO)
-    request = IntensityRequest(*ports, np.linspace(-8.0, 8.0, 1_000_000), d)
-    compute_interferogram(IntensityRequest(*ports, [0.5], d))
-    tracemalloc.start()
-    try:
-        compute_interferogram(request)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert _grid_peak(lambda tau: IntensityRequest(*ports, tau, d)) <= 24 * 2**20
 
 
-def _thermal_closed_form_peak(theta_lo):
+@pytest.mark.parametrize("cpus", [1, 5])
+@pytest.mark.parametrize("kind", ["fock", "coherent", "vacuum"])
+def test_spectral_closed_forms_memory_is_bounded_on_any_cpu_count(monkeypatch, kind, cpus):
+    # whole-grid closed forms took the peak to 53.4 MiB (Fock), 61.0 MiB (coherent)
+    # and 30.5 MiB (vacuum); the walk holds them where the thermal closed forms are
+    _on_cpus(monkeypatch, cpus)
+    ports = _spectral_ports(kind, F_S, F_LO)
+    assert _grid_peak(lambda tau: IntensityRequest(*ports, tau, method="closed_form")) <= 18 * 2**20
+
+
+def _grid_peak(request_on):
+    """The tracemalloc peak of ``compute_interferogram(request_on(τ))`` on 1e6 delays,
+    plus its ratios where they are mapped from the OS, which tracemalloc does not see."""
     import tracemalloc
 
-    request = _thermal_request(1.3, theta_lo, np.linspace(-8.0, 8.0, 1_000_000), None)
-    compute_interferogram(_thermal_request(1.3, theta_lo, [0.5], None))  # kernel tables
+    request = request_on(np.linspace(-8.0, 8.0, 1_000_000))
+    compute_interferogram(request_on([0.5]))  # kernel tables
     tracemalloc.start()
     try:
         base = compute_interferogram(request).ratios
@@ -1084,8 +1088,11 @@ def _thermal_closed_form_peak(theta_lo):
         tracemalloc.stop()
     while isinstance(base, (np.ndarray, memoryview)):
         base = base.obj if isinstance(base, memoryview) else base.base
-    # ratios mapped from the OS are memory tracemalloc does not see
     return peak + (len(base) if isinstance(base, mmap.mmap) else 0)
+
+
+def _thermal_closed_form_peak(theta_lo):
+    return _grid_peak(lambda tau: _thermal_request(1.3, theta_lo, tau, None))
 
 
 @pytest.mark.parametrize("theta_lo, bound_mib", [(0.9, 32), (None, 24)])
@@ -1144,9 +1151,45 @@ def test_thermal_closed_forms_are_bitwise_independent_of_cpu_count(monkeypatch, 
         assert np.array_equal(gram.ratios, unblocked_thermal_ratio(theta_sig, theta_lo, tau, d)), d
 
 
+@pytest.mark.parametrize("cpus", [1, 5])
+@pytest.mark.parametrize("kind", ["fock", "coherent", "vacuum"])
+def test_spectral_paths_are_bitwise_independent_of_cpu_count(monkeypatch, kind, cpus):
+    from mmi.intensity import _ENVELOPE_REACH, _closed_pair_ratio
+
+    _on_cpus(monkeypatch, cpus)
+    ports = _spectral_ports(kind, F_S, F_LO)
+    # unsorted, of both signs, past σ|τ| = 40 and past the closed forms' clip, none exactly 0
+    tau = np.random.default_rng(cpus).uniform(-80.0, 80.0, 2 * BLOCK + 1)
+    grid = np.concatenate([[0.0], tau])
+    moments = functools.cache(lambda mean, width: unblocked_moments(mean, width, grid, 3))
+    for d in (1, 3):
+        gram = compute_interferogram(IntensityRequest(*ports, tau, d))
+        ratios, norm = unblocked_spectral_ratios(kind, F_S, F_LO, d, moments)
+        assert np.array_equal(gram.ratios, ratios), d
+        assert gram.normalization == norm, d
+    lo = (None, None) if kind == "vacuum" else (F_LO.mean_freq, F_LO.width)
+    clipped = np.clip(tau, -_ENVELOPE_REACH, _ENVELOPE_REACH)  # both widths are 1
+    closed = _closed_pair_ratio(F_S.mean_freq, F_S.width, *lo, clipped, kind == "coherent")
+    assert np.array_equal(compute_interferogram(IntensityRequest(*ports, tau, method="closed_form")).ratios, closed)
+
+
+@pytest.mark.parametrize("cpus", [1, 5])
+def test_the_kernel_is_handed_at_most_one_block(monkeypatch, cpus):
+    # fringe_deviation takes its input whole; the walk bounds what the library hands it
+    import mmi.intensity
+
+    sizes = []
+    kernel = mmi.intensity.fringe_deviation
+    monkeypatch.setattr(mmi.intensity, "fringe_deviation", lambda x, d: sizes.append(np.size(x)) or kernel(x, d))
+    _on_cpus(monkeypatch, cpus)
+    compute_interferogram(_thermal_request(1.3, 0.9, np.linspace(-8.0, 8.0, 1_000_000), None))
+    assert sum(sizes) == 2_000_000  # a signal and an LO a-grid per delay
+    assert max(sizes) <= BLOCK
+
+
 def test_thermal_quadrature_raises_the_first_failing_chunk_on_any_cpu_count(monkeypatch):
-    # a budget of 32 panels fails the second chunk and, on five workers,
-    # most of the chunks that run beside it, each with its own estimate
+    # a budget of 32 panels fails the second chunk; the chunks run in one loop
+    # on the calling thread, so five CPUs raise the same first failure as one
     from mmi import quadrature
 
     monkeypatch.setattr(quadrature, "MAX_PANELS", 32)

@@ -349,6 +349,12 @@ def test_montecarlo_rejects_non_finite_delays(bad):
         thermal_intensity_montecarlo(1.0, 1.0, [0.5, bad], samples=2000)
 
 
+@pytest.mark.parametrize("theta_lo", [None, 1.0])
+def test_montecarlo_rejects_an_empty_grid(theta_lo):
+    with pytest.raises(ValueError, match="at least one delay is required"):
+        thermal_intensity_montecarlo(1.0, theta_lo, [], samples=1000)
+
+
 def test_thermal_grid_spans_pole_and_tail():
     grid = thermal_mode_grid(2.0)
     assert grid.frequencies[0] == pytest.approx(2e-3)

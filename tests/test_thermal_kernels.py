@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mmi import thermal_kernels
+from mmi.intensity import BLOCK
 from mmi.thermal_kernels import (
-    BLOCK,
     SERIES_SWITCH,
     bose_integral_constant,
     fringe_deviation,
@@ -160,7 +160,7 @@ def test_stated_error_past_the_bernoulli_table():
 
 
 # ---------------------------------------------------------------------------
-# block-by-block evaluation
+# one pass over any grid: the sizes around the blocks of intensity's walk
 
 BLOCK_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 1_000_000]
 
@@ -189,7 +189,7 @@ def test_blocked_kernel_is_bit_identical_to_one_pass(n):
 
 
 def test_blocked_kernel_series_switch_on_a_block_boundary():
-    # the first element of the second block is the first one past the switch
+    # element BLOCK, the first of a walk's second block at one CPU, is the first past the switch
     x = SERIES_SWITCH + (np.arange(2 * BLOCK + 1) - BLOCK) * 1e-5
     assert x[BLOCK - 1] < SERIES_SWITCH == x[BLOCK]
     for d in (1, 3):

@@ -32,7 +32,7 @@ from .intensity import (
     thermal_thermal_ratio,
     thermal_vacuum_ratio,
 )
-from .quadrature import QuadratureError, QuadratureResult, integrate, integrate_half_line
+from .quadrature import QuadratureError, QuadratureResult, integrate
 from .spectra import SpectralDistribution, normalization_constant, weighted_overlap
 from .states import (
     Coherent,
@@ -78,7 +78,6 @@ __all__ = [
     "fock_intensity_closed",
     "fringe_deviation",
     "integrate",
-    "integrate_half_line",
     "mean_occupation",
     "normalization_constant",
     "one_photon_vacuum_ratio",

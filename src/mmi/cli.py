@@ -287,23 +287,19 @@ def cmd_fit(args) -> int:
     model, flags, fixed_from, start = _FIT[args.model]
     foreign = _own_flags(args, flags, (entry[1] for entry in _FIT.values()))
     if foreign:
-        print(f"the {args.model} model does not read {', '.join(foreign)}", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ValueError(f"the {args.model} model does not read {', '.join(foreign)}")
     initial = tuple(getattr(args, dest) for dest in start if getattr(args, dest) is not None)
     if initial and len(initial) != len(start):
         together = " and ".join("--" + dest for dest in start)
-        print(f"the {args.model} model takes {together} together", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ValueError(f"the {args.model} model takes {together} together")
     for dest in flags:
         if dest not in start and getattr(args, dest) is None:
-            print(f"--{dest.replace('_', '-')} is required for the {args.model} model", file=sys.stderr)
-            return _EXIT_USAGE
+            raise ValueError(f"--{dest.replace('_', '-')} is required for the {args.model} model")
     x_name, x, ratios, noise = read_interferogram_csv(Path(args.data))
     expected = _x_column(args, args.model == "thermal-thermal")
     if x_name != expected:
-        print(f"the {args.model} model{' with --si' if args.si else ''} reads the x column '{expected}', "
-              f"but {args.data} has '{x_name}'", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ValueError(f"the {args.model} model{' with --si' if args.si else ''} reads the x column "
+                         f"'{expected}', but {args.data} has '{x_name}'")
 
     fixed = fixed_from(args)
     taus = x / fixed["theta0"] if expected == "a" else x  # a = τθ₀
@@ -328,9 +324,7 @@ def cmd_fit(args) -> int:
 def cmd_coherence(args) -> int:
     foreign = _own_flags(args, _COHERENCE_FLAGS[args.si], _COHERENCE_FLAGS.values())
     if foreign:
-        print(f"coherence {'with' if args.si else 'without'} --si does not read {', '.join(foreign)}",
-              file=sys.stderr)
-        return _EXIT_USAGE
+        raise ValueError(f"coherence {'with' if args.si else 'without'} --si does not read {', '.join(foreign)}")
     if args.si:
         theta = _temperature(args, args.temperature)
         report = estimate_coherence_time(theta, args.epsilon, speed_of_light=C_LIGHT)

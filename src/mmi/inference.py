@@ -30,6 +30,7 @@ import numpy as np
 
 from .intensity import _closed_pair_ratio, thermal_thermal_ratio, thermal_vacuum_ratio
 from .spectra import SpectralDistribution
+from .states import _check_temperature
 
 __all__ = [
     "CoherenceReport",
@@ -113,23 +114,31 @@ def model_prediction(model: str, tau: np.ndarray, params, fixed: dict) -> np.nda
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Least-squares problem binding data, model, start point, and bounds."""
+    """Least-squares problem binding data, model and start point.
+
+    It keeps read-only flat copies of tau, ratios and noise (a scalar noise becomes
+    one level).  Every parameter, the start point too, lies in the box :data:`_BOUNDS`.
+    """
 
     tau: np.ndarray
     ratios: np.ndarray
     model: str
     fixed: dict = field(default_factory=dict)
     initial: tuple = ()
-    bounds: tuple = ()  # ((lo, hi), ...) per parameter
-    noise: np.ndarray | float | None = None  # per-point std for weighting
+    noise: np.ndarray | None = None  # per-point std for weighting, or one for all points
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float).ravel())
-        object.__setattr__(self, "ratios", np.asarray(self.ratios, dtype=float).ravel())
+        for name in ("tau", "ratios", "noise"):
+            if getattr(self, name) is not None:
+                value = np.array(getattr(self, name), dtype=float).ravel()  # a copy the caller cannot edit
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
         if not (np.isfinite(self.tau).all() and np.isfinite(self.ratios).all()):
             raise ValueError("delays and ratios must be finite")
         if self.noise is not None and not np.isfinite(self.noise).all():
             raise ValueError("noise levels must be finite")
+        if self.noise is not None and np.any(self.noise <= 0.0):
+            raise ValueError("noise levels must be positive")
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         names, needs, _, start = _MODELS[self.model]
@@ -140,13 +149,10 @@ class FitProblem:
         object.__setattr__(self, "initial", initial)
         if len(initial) != len(names):
             raise ValueError(f"model {self.model} takes parameters {names}")
-        bounds = tuple(self.bounds) if self.bounds else tuple((1e-6, 1e6) for _ in names)
-        if len(bounds) != len(names):
-            raise ValueError("one (lo, hi) bound pair per parameter required")
-        for p, (lo, hi) in zip(initial, bounds):
+        lo, hi = _BOUNDS
+        for p in initial:
             if not lo <= p <= hi:
                 raise ValueError(f"initial guess {p} outside bounds ({lo}, {hi})")
-        object.__setattr__(self, "bounds", bounds)
         if self.tau.shape != self.ratios.shape:
             raise ValueError("delay and ratio arrays differ in length")
         if self.tau.size < 2 * len(names):
@@ -162,10 +168,7 @@ class FitProblem:
     def weights(self) -> np.ndarray:
         if self.noise is None:
             return np.ones_like(self.ratios)
-        sigma = np.broadcast_to(np.asarray(self.noise, dtype=float), self.ratios.shape)
-        if np.any(sigma <= 0.0):
-            raise ValueError("noise levels must be positive")
-        return 1.0 / sigma
+        return 1.0 / np.broadcast_to(self.noise, self.ratios.shape)
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,8 @@ class FitResult:
 
 # Iteration cap of the fit loop, and the step and gradient norms below which it stops.
 _MAX_ITER = 200
+# The box (lo, hi) that holds every fit parameter.
+_BOUNDS = (1e-6, 1e6)
 _STEP_TOL = 1e-10
 _GRAD_TOL = 1e-10
 
@@ -212,8 +217,7 @@ def fit(problem: FitProblem) -> FitResult:
         return w * (model_prediction(problem.model, problem.tau, params, problem.fixed) - data)
 
     p = np.array(problem.initial, dtype=float)
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
+    lo, hi = _BOUNDS
     r = residual(p)
     cost = float(r @ r)
     initial_cost = cost
@@ -226,7 +230,7 @@ def fit(problem: FitProblem) -> FitResult:
         for i in range(p.size):
             h = 1e-7 * max(abs(p[i]), 1e-3)
             stepped = p.copy()
-            stepped[i] = min(p[i] + h, hi[i])
+            stepped[i] = min(p[i] + h, hi)
             actual = stepped[i] - p[i]
             if actual == 0.0:
                 stepped[i] = p[i] - h
@@ -322,17 +326,14 @@ def estimate_coherence_time(
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("threshold must lie strictly between 0 and 0.5")
-    if not 0.0 < theta < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {theta}")
+    _check_temperature(theta)
     epsilon = float(epsilon)
 
     # beyond a_max the power-law envelope 45/(2(aπ)^4) is already below ε
     a_max = max((45.0 / (2.0 * epsilon)) ** 0.25 / math.pi * 1.5, 2.0)
-    grid = np.linspace(1e-4, a_max, 4096)
-    above = np.nonzero(_coherence_deviation(grid) >= epsilon)[0]
-    if above.size == 0:
-        return CoherenceReport(0.0, 0.0, 0.0, epsilon)
-    i = above[-1]
+    # at a = 0 the deviation is exactly 1/2 >= ε, so the scan always finds a crossing
+    grid = np.linspace(0.0, a_max, 4096)
+    i = np.nonzero(_coherence_deviation(grid) >= epsilon)[0][-1]
     if i + 1 >= grid.size:
         raise RuntimeError("threshold crossing not bracketed; widen the scan")
     a_c = _bisect_crossing(float(grid[i]), float(grid[i + 1]), epsilon)

@@ -70,7 +70,7 @@ import numpy as np
 from . import _workers
 from .quadrature import TOL, QuadratureError, QuadratureResult
 from .spectra import SpectralDistribution, _line_moments, integrate_over_spectra
-from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, bose_weighted_integral
+from .states import Coherent, OnePhoton, PortState, Thermal, Vacuum, _check_temperature, bose_weighted_integral
 from .thermal_kernels import bose_integral_constant, fringe_deviation
 
 __all__ = [
@@ -413,7 +413,7 @@ def _thermal(theta_s, theta_lo, tau, d, method):
     if not np.isfinite(a).all():
         # as integrate refuses a phase ωτ it cannot represent, before any evaluation
         raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, TOL * j_const)
-    res = bose_weighted_integral(1.0, d, "cos", a, abs_tol=TOL * j_const)
+    res = bose_weighted_integral(1.0, d, a, abs_tol=TOL * j_const)
     ks, errors = res.value / j_const, res.error / j_const
     k, k_lo = ks[0], None if vacuum else ks[1]
     return _finish(k, k_lo, w), _counters(res, 0.5 * (errors[0] if vacuum else errors[0] + w * errors[1]))
@@ -422,9 +422,8 @@ def _thermal(theta_s, theta_lo, tau, d, method):
 def _thermal_ratio(scenario, theta_s, theta_lo, tau, d, method):
     """:func:`_thermal` behind the checks of the public ratios; a float for a scalar delay."""
     d, method = _resolve(scenario, d, method)
-    if not (0.0 < theta_s < math.inf and (theta_lo is None or 0.0 < theta_lo < math.inf)):
-        bad = theta_lo if 0.0 < theta_s < math.inf else theta_s
-        raise ValueError(f"temperature must be positive and finite, got {bad}")
+    for theta in (theta_s,) if theta_lo is None else (theta_s, theta_lo):
+        _check_temperature(theta)
     out = np.asarray(_thermal(theta_s, theta_lo, _finite_delays(tau), d, method)[0])
     return out if out.ndim else float(out)
 
@@ -472,7 +471,8 @@ class IntensityRequest:
     scenarios at every dimension they admit and for the spectral
     approximations at d = 1.  ``dimension`` None takes the scenario's
     default: 3 for thermal signals, else 1.
-    Delays must be finite.  Quadrature runs at the fixed absolute and
+    Delays must be finite; the request keeps a read-only copy of them.
+    Quadrature runs at the fixed absolute and
     relative tolerance :data:`~mmi.quadrature.TOL` = 1e-12, which
     ``metadata["abs_tol"]`` and ``metadata["rel_tol"]`` record.
     """
@@ -486,7 +486,9 @@ class IntensityRequest:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "delays", np.atleast_1d(_finite_delays(self.delays)))
+        delays = _finite_delays(np.array(self.delays, dtype=float, ndmin=1))  # a copy the caller cannot edit
+        delays.flags.writeable = False
+        object.__setattr__(self, "delays", delays)
 
 
 @dataclass(frozen=True)
@@ -500,7 +502,8 @@ class Interferogram:
     record None.  A quadrature run also records
     ``metadata["quadrature"] = {"panels", "evaluations", "max_error"}``: the
     panels and integrand nodes of every integration call summed, and the
-    largest a-posteriori error estimate of a ratio.
+    largest a-posteriori error estimate of a ratio.  The delays and ratios
+    of a computed interferogram are read-only.
     """
 
     delays: np.ndarray
@@ -576,6 +579,7 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
 
     ratios = np.asarray(ratios, dtype=float).reshape(taus.shape)
     ratios[taus == 0.0] = 1.0
+    ratios.flags.writeable = False
     meta = {
         "signal": _describe_state(sig),
         "lo": _describe_state(lo),
@@ -587,5 +591,5 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
     }
     if quad is not None:
         meta["quadrature"] = quad
-    return Interferogram(delays=taus.copy(), ratios=ratios, normalization=norm, metadata=meta)
+    return Interferogram(delays=taus, ratios=ratios, normalization=norm, metadata=meta)
 

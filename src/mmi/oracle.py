@@ -336,7 +336,8 @@ def thermal_intensity_montecarlo(
     """
     if samples < 1000:
         raise ValueError("at least 1000 samples are required")
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    taus = np.array(tau, dtype=float, ndmin=1)  # a copy the caller cannot edit; the result keeps it
+    taus.flags.writeable = False
     if not np.all(np.isfinite(taus)):
         raise ValueError("delays must be finite")
     if not taus.size:

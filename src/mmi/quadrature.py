@@ -226,8 +226,8 @@ def integrate(
     lo: float,
     hi: float,
     *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
+    abs_tol: float = TOL,
+    rel_tol: float = TOL,
     osc_scale: float = 0.0,
 ) -> QuadratureResult:
     """Adaptively integrate a vectorized, possibly vector-valued integrand over [lo, hi].
@@ -359,14 +359,15 @@ def integrate_grid(
     return QuadratureResult(value.reshape(t.shape), error.reshape(t.shape), panels, evaluations)
 
 
-def tail_cutoff(envelope: Callable[[float], float], abs_tol: float, start: float = 1.0) -> float:
+def tail_cutoff(envelope: Callable[[float], float], abs_tol: float) -> float:
     """Where :func:`integrate_half_line` truncates [0, inf) for this envelope.
 
     The smallest x (within 25 %) beyond which the envelope stays below a
-    tenth of ``abs_tol``, searched by doubling from ``start`` and bisecting.
+    tenth of ``abs_tol``, searched by doubling from 1 and bisecting; the
+    envelope must not increase on [1, inf), or the search can stop short.
     """
     threshold = abs_tol / 10.0
-    x = max(start, 1e-12)
+    x = 1.0
     for _ in range(80):
         if envelope(x) < threshold:
             break
@@ -387,15 +388,15 @@ def integrate_half_line(
     f: Callable[[np.ndarray], np.ndarray],
     *,
     envelope: Callable[[float], float],
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
+    abs_tol: float = TOL,
+    rel_tol: float = TOL,
     osc_scale: float = 0.0,
     cutoff: float | None = None,
 ) -> QuadratureResult:
     """Integrate over [0, inf) by truncating where the envelope is negligible.
 
-    ``envelope(x)`` must bound |f| (every member of a vector-valued f) and be
-    eventually decreasing; the domain
+    ``envelope(x)`` must bound |f| (every member of a vector-valued f) and not
+    increase on [1, inf), where the search starts; the domain
     is truncated where it drops below a tenth of the absolute tolerance
     (:func:`tail_cutoff`), then handed to :func:`integrate`.  Callers that
     integrate many functions under one envelope and tolerance may pass that

@@ -56,13 +56,17 @@ class Coherent:
     spectrum: SpectralDistribution
 
 
+def _check_temperature(theta) -> None:
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {theta}")
+
+
 @dataclass(frozen=True)
 class Thermal:
     theta: float  # dimensionless temperature, k_B T / hbar in frequency units
 
     def __post_init__(self):
-        if not 0.0 < self.theta < math.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.theta}")
+        _check_temperature(self.theta)
 
 
 PortState = Vacuum | OnePhoton | Coherent | Thermal
@@ -74,8 +78,7 @@ def mean_occupation(omega, theta: float):
     Strictly decreasing in ω, diverging like θ/ω as ω -> 0+.  The pole is
     outside the domain: ω must be positive.
     """
-    if not 0.0 < theta < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {theta}")
+    _check_temperature(theta)
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
         raise ValueError("mean occupation requires omega > 0")
@@ -83,16 +86,12 @@ def mean_occupation(omega, theta: float):
     return out if out.ndim else float(out)
 
 
-def bose_weighted_integral(
-    theta: float, d: int, kernel: str = "one", tau=0.0, *, abs_tol: float | None = None
-) -> QuadratureResult:
-    """∫₀^∞ ω^d n̄(ω, θ) kernel(ωτ) dω for kernel in {one, cos}, by quadrature.
+def bose_weighted_integral(theta: float, d: int, tau=0.0, *, abs_tol: float | None = None) -> QuadratureResult:
+    """∫₀^∞ ω^d n̄(ω, θ) cos(ωτ) dω, the blackbody fringe integral at a = τθ, by quadrature.
 
-    With kernel = one this is θ^(d+1) Γ(1+d) ζ(1+d); with kernel = cos it
-    is the blackbody fringe integral evaluated at a = τθ.  d is any odd
-    dimension :func:`~mmi.thermal_kernels.bose_integral_constant` accepts;
-    which d a scenario admits is decided by the scenario table in
-    :mod:`mmi.intensity`.
+    At τ = 0 it is θ^(d+1) Γ(1+d) ζ(1+d).  d is any odd dimension
+    :func:`~mmi.thermal_kernels.bose_integral_constant` accepts; which d a
+    scenario admits is decided by the scenario table in :mod:`mmi.intensity`.
     ``tau`` may be an array: the Bose weight x^d/(eˣ - 1) is evaluated once
     per node for every delay, and each delay meets max(``abs_tol``,
     TOL·|value|), TOL = :data:`~mmi.quadrature.TOL`; ``abs_tol`` defaults
@@ -100,14 +99,10 @@ def bose_weighted_integral(
     the :class:`~mmi.quadrature.QuadratureResult` with value and error in
     the shape of ``tau`` (floats for a scalar).
     """
-    if not 0.0 < theta < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {theta}")
-    if kernel not in ("one", "cos"):
-        raise ValueError(f"unknown kernel {kernel!r}; expected 'one' or 'cos'")
+    _check_temperature(theta)
     j_const = bose_integral_constant(d)  # rejects a d it has no closed form for
 
-    # cos(0 · x) = 1 exactly, so the constant kernel is the fringe at a = 0
-    a = np.abs(np.asarray(tau, dtype=float)) * (theta if kernel == "cos" else 0.0)
+    a = np.abs(np.asarray(tau, dtype=float)) * theta
     scale = theta ** (d + 1)
     if abs_tol is None:
         abs_tol = 1e-13 * scale * j_const
@@ -138,14 +133,16 @@ def bose_weighted_integral(
 
 def _bose_envelope(d):
     def envelope(x):
-        # 1/(e^x - 1) <= e^-x / (1 - e^-1) for x >= 1
-        return x**d * math.exp(-x) * 1.582 if x >= 1.0 else 2.0 * x ** (d - 1)
+        # 1/(e^x - 1) <= e^-x / (1 - e^-1) for x >= 1; x^d e^-x peaks at x = d, so taking
+        # y = max(x, d) keeps the bound non-increasing from 1, where tail_cutoff starts
+        y = max(x, d)
+        return y**d * math.exp(-y) * 1.582 if x >= 1.0 else 2.0 * x ** (d - 1)
 
     return envelope
 
 
 @functools.lru_cache(maxsize=64)
 def _bose_cutoff(d, abs_tol: float) -> float:
-    # the truncation point depends on d and the tolerance, not on τ or the
-    # kernel, so a delay grid searches for it once
-    return tail_cutoff(_bose_envelope(d), abs_tol, 8.0)
+    # the truncation point depends on d and the tolerance, not on τ, so a
+    # delay grid searches for it once
+    return tail_cutoff(_bose_envelope(d), abs_tol)

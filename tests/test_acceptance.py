@@ -65,8 +65,8 @@ def _report(number: int, label: str, passed: bool, detail: str):
 
 def test_criterion_1_bose_integral_constants():
     start = time.perf_counter()
-    j1 = bose_weighted_integral(1.0, 1, "one").value
-    j3 = bose_weighted_integral(1.0, 3, "one").value
+    j1 = bose_weighted_integral(1.0, 1).value
+    j3 = bose_weighted_integral(1.0, 3).value
     elapsed = time.perf_counter() - start
     err1 = abs(j1 - math.pi**2 / 6.0) / (math.pi**2 / 6.0)
     err3 = abs(j3 - math.pi**4 / 15.0) / (math.pi**4 / 15.0)

@@ -32,8 +32,8 @@ def _spectral(f_lo, cross, d):
 
 
 CASES = {
-    "bose-1": lambda tau: bose_weighted_integral(1.0, 1, "cos", tau),
-    "bose-3": lambda tau: bose_weighted_integral(1.0, 3, "cos", tau),
+    "bose-1": lambda tau: bose_weighted_integral(1.0, 1, tau),
+    "bose-3": lambda tau: bose_weighted_integral(1.0, 3, tau),
     **{f"fock-{d}": _spectral(F_LO, False, d) for d in (1, 3)},
     **{f"coherent-{d}": _spectral(F_LO, True, d) for d in (1, 3)},
     **{f"vacuum-{d}": _spectral(None, False, d) for d in (1, 3)},

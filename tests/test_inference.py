@@ -90,13 +90,14 @@ def test_too_few_samples_rejected():
         FitProblem(tau=[0.0], ratios=[1.0], model="thermal_thermal", fixed={"theta0": 1.0})
 
 
-def test_initial_guess_must_respect_bounds():
+def test_initial_guess_must_respect_bounds(monkeypatch):
     taus = np.linspace(0.0, 3.0, 50)
     data = np.asarray(thermal_thermal_ratio(1.0, 1.01, taus))
+    monkeypatch.setattr(mmi.inference, "_BOUNDS", (0.5, 1.5))
     with pytest.raises(ValueError):
         FitProblem(
             tau=taus, ratios=data, model="thermal_thermal", fixed={"theta0": 1.0},
-            initial=(2.0,), bounds=((0.5, 1.5),),
+            initial=(2.0,),
         )
 
 
@@ -181,8 +182,6 @@ def test_unknown_models_and_mismatched_inputs_are_rejected():
     thermal = {"model": "thermal_thermal", "fixed": {"theta0": 1.0}}
     with pytest.raises(ValueError, match="takes parameters"):
         FitProblem(tau=taus, ratios=data, initial=(1.01, 1.0), **thermal)
-    with pytest.raises(ValueError, match="one \\(lo, hi\\) bound pair per parameter"):
-        FitProblem(tau=taus, ratios=data, bounds=((0.5, 2.0), (0.5, 2.0)), **thermal)
     with pytest.raises(ValueError, match="differ in length"):
         FitProblem(tau=taus, ratios=data[:-1], **thermal)
 
@@ -256,6 +255,38 @@ def test_fit_problem_rejects_non_finite_data():
                        noise=np.where(taus == taus[5], bad, 1e-3))
 
 
+def test_fit_problem_keeps_read_only_copies():
+    taus = np.linspace(0.0, 3.0, 20)
+    data = np.asarray(thermal_thermal_ratio(1.0, 1.01, taus))
+    noise = np.full(20, 1e-3)
+    problem = FitProblem(tau=taus, ratios=data, model="thermal_thermal", fixed={"theta0": 1.0}, noise=noise)
+    taus[5] = data[5] = noise[5] = math.nan  # edits after validation do not reach the problem
+    assert np.isfinite(problem.tau).all() and np.isfinite(problem.ratios).all() and np.isfinite(problem.noise).all()
+    for array in (problem.tau, problem.ratios, problem.noise):
+        with pytest.raises(ValueError, match="read-only"):
+            array[5] = math.nan
+
+
+def test_fit_problem_rejects_non_positive_noise_when_built():
+    taus = np.linspace(0.0, 3.0, 20)
+    data = np.asarray(thermal_thermal_ratio(1.0, 1.01, taus))
+    for noise in (0.0, -1e-3, np.where(taus < 1.0, 1e-3, 0.0)):
+        with pytest.raises(ValueError, match="noise levels must be positive"):
+            FitProblem(tau=taus, ratios=data, model="thermal_thermal", fixed={"theta0": 1.0}, noise=noise)
+
+
+def test_coherence_horizon_near_one_half():
+    # the deviation falls from exactly 1/2 at a = 0; at ε = 0.49999999 it crosses near a = 4.61e-5
+    epsilon = 0.49999999
+    a_c = estimate_coherence_time(1.0, epsilon).a_c
+    assert 4.6e-5 < a_c < 4.62e-5
+
+    def deviation(a):
+        return abs(float(thermal_vacuum_ratio(1.0, a, 3, "closed_form")) - 0.5)
+
+    assert deviation(0.999 * a_c) >= epsilon > deviation(1.001 * a_c)
+
+
 def test_coherence_bisection_stops_when_the_bracket_cannot_shrink(monkeypatch):
     calls = []
 
@@ -273,7 +304,7 @@ def test_coherence_bisection_stops_when_the_bracket_cannot_shrink(monkeypatch):
         assert len(calls) <= 60, epsilon
         # the same bracket, bisected for a fixed 80 rounds
         a_max = max((45.0 / (2.0 * epsilon)) ** 0.25 / math.pi * 1.5, 2.0)
-        grid = np.linspace(1e-4, a_max, 4096)
+        grid = np.linspace(0.0, a_max, 4096)
         i = np.nonzero(deviation(grid) >= epsilon)[0][-1]
         lo, hi = grid[i], grid[i + 1]
         for _ in range(80):
@@ -292,7 +323,7 @@ def _halving_loop(epsilon):
         return np.abs(np.asarray(thermal_vacuum_ratio(1.0, a, 3, "closed_form")) - 0.5)
 
     a_max = max((45.0 / (2.0 * epsilon)) ** 0.25 / math.pi * 1.5, 2.0)
-    grid = np.linspace(1e-4, a_max, 4096)
+    grid = np.linspace(0.0, a_max, 4096)
     i = np.nonzero(deviation(grid) >= epsilon)[0][-1]
     lo, hi = grid[i], grid[i + 1]
     a_c = 0.5 * (lo + hi)
@@ -387,11 +418,12 @@ def test_residual_norms_within_one_percent_are_indistinguishable():
     assert round(result.score, 3) == 0.996
 
 
-def test_fit_started_on_an_upper_bound_steps_backward():
+def test_fit_started_on_an_upper_bound_steps_backward(monkeypatch):
     # the forward Jacobian step is clipped to zero at the bound, so the fit differences backward
     a = np.linspace(0.0, 3.0, 200)
+    monkeypatch.setattr(mmi.inference, "_BOUNDS", (0.5, 1.1))
     problem = FitProblem(tau=a, ratios=thermal_thermal_ratio(1.0, 1.05, a), model="thermal_thermal",
-                         fixed={"theta0": 1.0}, initial=(1.1,), bounds=((0.5, 1.1),))
+                         fixed={"theta0": 1.0}, initial=(1.1,))
     assert abs(fit(problem).estimates["theta_ratio"] / 1.05 - 1.0) < 1e-9
 
 
@@ -510,3 +542,24 @@ def test_thermal_fit_uncertainties_cover_the_truth():
         z[i] = (result.estimates["theta_ratio"] - truth) / result.uncertainties["theta_ratio"]
     band = 4.0 * math.sqrt(0.683 * 0.317 / n)
     assert abs(np.mean(np.abs(z) < 1.0) - 0.683) <= band
+
+
+@pytest.mark.parametrize("model, truth, fixed", [
+    ("one_photon_vacuum", (3.2, 0.9), {}),
+    ("fock_fock", (3.0, 1.0), {"lo_mean_freq": 3.15}),
+    ("coherent_coherent", (3.0, 1.0), {"lo_mean_freq": 3.15}),
+])
+def test_spectral_fit_uncertainties_cover_the_truth(model, truth, fixed):
+    # as for the thermal model: |z| < 1 in 0.683 of 300 noisy fits, within ± 4 binomial
+    # sigmas (0.107 at n = 300), for each parameter; half the fits pass the noise level
+    n = 300
+    taus = np.linspace(0.0, 6.0, 121)
+    clean = model_prediction(model, taus, truth, fixed)
+    rng = np.random.default_rng(20261019)
+    z = np.empty((n, 2))
+    for i in range(n):
+        data = clean + rng.normal(0.0, 1e-2, size=taus.size)
+        result = fit(FitProblem(tau=taus, ratios=data, model=model, fixed=fixed, noise=1e-2 if i % 2 else None))
+        z[i] = [(result.estimates[name] - t) / result.uncertainties[name] for name, t in zip(result.estimates, truth)]
+    band = 4.0 * math.sqrt(0.683 * 0.317 / n)
+    assert np.all(np.abs(np.mean(np.abs(z) < 1.0, axis=0) - 0.683) <= band)

@@ -484,6 +484,26 @@ def test_request_rejects_non_finite_delays():
             IntensityRequest(signal=OnePhoton(F_S), lo=OnePhoton(F_LO), delays=[0.0, bad])
 
 
+def test_request_keeps_its_own_read_only_delays():
+    delays = np.linspace(0.0, 3.0, 7)
+    request = IntensityRequest(Thermal(1.0), Vacuum(), delays)
+    delays[3] = -5.0  # the caller's later edit does not reach the request
+    assert request.delays[3] == 1.5
+    with pytest.raises(ValueError, match="read-only"):
+        request.delays[3] = 2.0
+
+
+@pytest.mark.parametrize("ports", [(Thermal(1.0), Vacuum()), (OnePhoton(F_S), Vacuum())])
+def test_computed_interferogram_arrays_are_read_only(ports):
+    request = IntensityRequest(*ports, np.linspace(0.0, 3.0, 7))
+    gram = compute_interferogram(request)
+    with pytest.raises(ValueError, match="read-only"):
+        gram.ratios[2] = -5.0  # a validated interferogram cannot come to hold a negative ratio
+    with pytest.raises(ValueError, match="read-only"):
+        gram.delays[2] = 0.0
+    assert gram.delays is request.delays  # the request's copy, not another one
+
+
 def test_thermal_ratios_reject_non_finite_temperatures():
     with pytest.raises(ValueError):
         thermal_vacuum_ratio(math.nan, 1.0)
@@ -793,12 +813,12 @@ def test_thermal_pair_grid_quadrature_matches_one_delay_calls():
 def test_bose_integral_grid_errors_meet_each_delay_tolerance(d):
     from mmi.thermal_kernels import bose_integral_constant
 
-    res = bose_weighted_integral(1.3, d, "cos", MIXED_DELAYS)
+    res = bose_weighted_integral(1.3, d, MIXED_DELAYS)
     assert res.value.shape == res.error.shape == MIXED_DELAYS.shape
     abs_tol = 1e-13 * 1.3 ** (d + 1) * bose_integral_constant(d)
     assert np.all(res.error <= np.maximum(abs_tol, 1e-12 * np.abs(res.value)))
     # τ = 0 is the constant kernel
-    constant = bose_weighted_integral(1.3, d, "one").value
+    constant = bose_weighted_integral(1.3, d).value
     assert abs(res.value[2] - constant) <= 1e-13 * constant
 
 

@@ -355,6 +355,16 @@ def test_montecarlo_rejects_an_empty_grid(theta_lo):
         thermal_intensity_montecarlo(1.0, theta_lo, [], samples=1000)
 
 
+def test_montecarlo_keeps_its_own_read_only_delays():
+    tau = np.array([0.5, 1.0, 2.0])
+    mc = thermal_intensity_montecarlo(1.0, None, tau, samples=1000, seed=3)
+    assert not np.shares_memory(mc.delays, tau)
+    tau[0] = 9.0
+    assert mc.delays[0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        mc.delays[0] = 9.0
+
+
 def test_thermal_grid_spans_pole_and_tail():
     grid = thermal_mode_grid(2.0)
     assert grid.frequencies[0] == pytest.approx(2e-3)

@@ -68,13 +68,13 @@ def test_bose_weighted_integral_constant_kernel(d):
     # theta^(d+1) Gamma(1+d) zeta(d+1)
     theta = 1.7
     expected = theta ** (d + 1) * math.gamma(1.0 + d) * (math.pi**2 / 6.0 if d == 1 else math.pi**4 / 90.0)
-    got = bose_weighted_integral(theta, d, "one").value
+    got = bose_weighted_integral(theta, d).value
     assert abs(got - expected) / expected < 1e-9
 
 
 def test_bose_weighted_integral_cos_matches_riemann_oracle():
     a = 1.3
-    got = bose_weighted_integral(1.0, 3, "cos", a).value
+    got = bose_weighted_integral(1.0, 3, a).value
     ref = riemann_bose_cos(3, a)
     assert abs(got - ref) < 1e-7  # limited by the oracle's step size
 
@@ -85,7 +85,7 @@ def test_bose_weighted_integral_cos_matches_hyperbolic_bracket():
     from mmi.thermal_kernels import bose_integral_constant, fringe_deviation
 
     theta = 1.0
-    got = bose_weighted_integral(theta, 3, "cos", 1.0).value
+    got = bose_weighted_integral(theta, 3, 1.0).value
     bracket = fringe_deviation(math.pi)
     assert abs(got - theta**4 * bose_integral_constant(3) * bracket) < 1e-10
 
@@ -94,8 +94,8 @@ def test_bose_weighted_integral_scaling_in_theta():
     # substitution x = omega/theta: value scales like theta^(d+1) with a = tau*theta fixed
     theta = 2.0
     a = 0.8
-    v1 = bose_weighted_integral(1.0, 3, "cos", a).value
-    v2 = bose_weighted_integral(theta, 3, "cos", a / theta).value
+    v1 = bose_weighted_integral(1.0, 3, a).value
+    v2 = bose_weighted_integral(theta, 3, a / theta).value
     assert abs(v2 - theta**4 * v1) < 1e-9 * theta**4
 
 
@@ -103,18 +103,25 @@ def test_bose_weighted_integral_general_dimension_gate():
     # any odd d with a closed-form constant; the scenario table decides which d a scenario admits
     for d in (2, 0, -1, 1.5):
         with pytest.raises(ValueError, match="positive odd integer"):
-            bose_weighted_integral(1.0, d, "one")
+            bose_weighted_integral(1.0, d)
     # Γ(1+d) ζ(1+d) with ζ(6) = π⁶/945, ζ(8) = π⁸/9450
     for d, zeta in ((5, math.pi**6 / 945.0), (7, math.pi**8 / 9450.0)):
-        got = bose_weighted_integral(1.0, d, "one").value
+        got = bose_weighted_integral(1.0, d).value
         assert abs(got / (math.factorial(d) * zeta) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d, abs_tol", [(5, 10.0), (5, 100.0), (7, 10.0), (7, 1000.0)])
+def test_bose_weighted_integral_loose_tolerance_keeps_the_peak(d, abs_tol):
+    # x^d e^-x rises from x = 1 to its peak at x = d; a tolerance above the
+    # envelope's value at 1 must still truncate past the peak, not before it
+    zeta = {5: math.pi**6 / 945.0, 7: math.pi**8 / 9450.0}[d]
+    got = bose_weighted_integral(1.0, d, abs_tol=abs_tol).value
+    assert abs(got - math.factorial(d) * zeta) < abs_tol
 
 
 def test_bose_weighted_integral_domain_errors():
     with pytest.raises(ValueError):
-        bose_weighted_integral(0.0, 3, "one")
-    with pytest.raises(ValueError):
-        bose_weighted_integral(1.0, 3, "sin")
+        bose_weighted_integral(0.0, 3)
 
 
 def test_non_finite_temperatures_rejected():

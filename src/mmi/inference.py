@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -117,13 +119,14 @@ class FitProblem:
     """Least-squares problem binding data, model and start point.
 
     It keeps read-only flat copies of tau, ratios and noise (a scalar noise becomes
-    one level).  Every parameter, the start point too, lies in the box :data:`_BOUNDS`.
+    one level), and a read-only copy of ``fixed``.  Every parameter, the start
+    point too, lies in the box :data:`_BOUNDS`.
     """
 
     tau: np.ndarray
     ratios: np.ndarray
     model: str
-    fixed: dict = field(default_factory=dict)
+    fixed: Mapping = field(default_factory=dict)
     initial: tuple = ()
     noise: np.ndarray | None = None  # per-point std for weighting, or one for all points
 
@@ -133,6 +136,7 @@ class FitProblem:
                 value = np.array(getattr(self, name), dtype=float).ravel()  # a copy the caller cannot edit
                 value.flags.writeable = False
                 object.__setattr__(self, name, value)
+        object.__setattr__(self, "fixed", MappingProxyType(dict(self.fixed)))  # a copy the caller cannot edit
         if not (np.isfinite(self.tau).all() and np.isfinite(self.ratios).all()):
             raise ValueError("delays and ratios must be finite")
         if self.noise is not None and not np.isfinite(self.noise).all():

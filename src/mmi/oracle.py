@@ -271,7 +271,7 @@ class MonteCarloIntensity:
     fields report the phase-sensitive contribution alone, which must be
     statistically compatible with zero for chaotic light.  ``seed`` fixes
     the random numbers drawn, in chunks of ``batch`` samples (see
-    :func:`thermal_intensity_montecarlo`).
+    :func:`thermal_intensity_montecarlo`).  The arrays are read-only.
     """
 
     delays: np.ndarray
@@ -414,6 +414,8 @@ def thermal_intensity_montecarlo(
     cov_xy = sum_xy / m - mean_x * mean_y
     var_ratio = np.maximum(var_x - 2.0 * ratios * cov_xy + ratios**2 * var_y, 0.0)
     stderrs = np.sqrt(var_ratio / m) / mean_y
+    ratios.flags.writeable = False
+    stderrs.flags.writeable = False
 
     # cross estimator normalized by the analytic-free sampled <I(0)>
     cross_mean = (sum_c / m) / mean_y

@@ -4,37 +4,61 @@ A single engine serves every integral in the package: Gaussian-weighted
 spectral overlaps (smooth, compactly concentrated), Bose-weighted thermal
 integrals (integrable x^(d-1) behaviour at 0, exponential tail), and the
 oscillatory cos/sin variants of both.  Panels are 15-point Kronrod rules
-with the embedded 7-point Gauss rule as error estimator; in the oscillatory
-regime the initial panel width is capped at a quarter period so the local
-polynomial degree stays far above the phase variation per panel.
+with the embedded 7-point Gauss rule as error estimator.
 
 Integrands may be vector-valued: ``f(x)`` of shape ``(nodes,)`` or
 ``(nodes, K)``, one column per member of a family.  Both rules then act on
-every panel as one (2 × 15) matrix product, and refinement is global, as in
-the vector-valued QUADPACK qag scheme (Piessens et al. 1983): every panel
+every panel as one matrix product, and refinement is global, as in the
+vector-valued QUADPACK qag scheme (Piessens et al. 1983): every panel
 that carries more than its share of the tolerance of any unconverged member
 is bisected, and the call returns only once each member k meets
-``max(abs_tol, rel_tol·|I_k|)``.
+``max(abs_tol, rel_tol·|I_k|)``.  A plain ``f`` that oscillates at a known
+rate passes it as ``osc_scale``, which caps the first panels at a quarter
+period.
 
 The fringe integrals of a delay grid, a₀(x) + a_c(x) cos xτ_k + a_s(x) sin xτ_k,
 reach the engine factored: the integrand returns the coefficients a₀, a_c,
 a_s per node and the rates τ_k (a :class:`_Fringes`), not the node × delay
-values.  A panel is stored as its midpoint m and half-width h, so a
-bisection halves a width exactly and a pass holds only a few widths.  With
-cos (m + hξ_j)τ = cos mτ cos hξ_jτ - sin mτ sin hξ_jτ (and sin likewise) a
-panel needs two trigonometric values per delay instead of fifteen, plus one
-table of cos and sin hξ_jτ per width, and the node sums of both rules
-become one product of the panels' weighted coefficients with that table.
+values, and the engine integrates the cos and sin exactly.  This is
+Filon's product rule (Proc. R. Soc. Edinburgh 49, 1928) in the
+Gauss-Kronrod form of QUADPACK's QAWO (Piessens & Branders, J. Comput.
+Appl. Math. 1, 1975): on a panel of midpoint m and half-width h, with
+x = m + hξ, cos xτ = cos mτ cos hτξ - sin mτ sin hτξ (and sin likewise),
+and each rule replaces a_c and a_s by their interpolants on its own nodes
+(15 Kronrod, 7 Gauss), whose products with cos hτξ and sin hτξ it
+integrates exactly.  The node weights become the product weights
+Wc_j(hτ) = ∫₋₁¹ ℓ_j(ξ) cos(hτξ) dξ and Ws_j(hτ) = ∫₋₁¹ ℓ_j(ξ) sin(hτξ) dξ
+(ℓ_j the rule's Lagrange basis), which at hτ = 0 are the rules' own
+weights; |K15 - G7| then measures how well the coefficients are
+interpolated, whatever the rate, so the panel count follows the smooth
+coefficient and not the oscillation.  A first-pass panel needs cos mτ and
+sin mτ per delay (a bisected one turns its parent's by hτ, four products),
+plus, per half-width, one table of product weights; the nodes are
+symmetric, so the node sums of both rules are two products of the even and
+odd parts of the panels' coefficients with that table
+(:mod:`mmi._product_weights`).
 A plain ``f`` is the a₀ term alone, through the same refinement loop.
 
+Rounding and reach.  The phase xτ of a fringe member carries a rounding
+of about ε·|xτ| (ε = 2⁻⁵²: the node, the product and the cosine each round
+once), which no rule removes and |K15 - G7| cannot see.  Each member's
+stated error therefore adds the floor ε·(1 + 2L + X·|τ_k|)·Σ_panels h Σ_j
+w_j (|a₀| + |a_c| + |a_s|)(x_j), summed over the first pass, X = max(|lo|,
+|hi|), w_j the Kronrod weights: the rounding of the terms summed, of the
+turns cos mτ and sin mτ carried through L bisections (each a rotation,
+which adds about 2ε), and of the phase; refinement does not chase it.  A member whose largest phase
+X·|τ_k| exceeds :data:`PHASE_REACH` = 2²⁶, where that rounding would take
+half of the digits, is refused with :class:`QuadratureError` on the first
+pass, before any fringe is summed.
+
 :func:`integrate_grid` splits a delay grid into chunks of ascending |τ|,
-each with its own oscillation rate, so that the first pass of a chunk
-evaluates at most ``CHUNK_ELEMENTS`` node × delay values; the budget bounds
-the memory of one call, it is not a tuning knob.  The chunks run one after
-another in one loop on the calling thread: with the factored kernel a chunk
-is a few dozen small numpy calls, and on two threads they lost more to the
-interpreter lock than they gained (on 2 vCPUs, Bose grids of 200-6000
-delays ran at most 2 % faster in wall time, and took 35-50 % more CPU time).
+so that the first pass of a chunk evaluates at most ``CHUNK_ELEMENTS``
+node × delay values; the budget bounds the memory of one call, it is not
+a tuning knob.  The chunks run one after another in one loop on the
+calling thread: with the factored kernel a chunk is a few dozen small
+numpy calls, and on two threads they lost more to the interpreter lock
+than they gained (on 2 vCPUs, Bose grids of 200-6000 delays ran at most
+2 % faster in wall time, and took 35-50 % more CPU time).
 
 Nodes and weights were generated from the exact Stieltjes-polynomial
 construction in rational arithmetic and verified to integrate monomials
@@ -111,10 +135,18 @@ TOL = 1e-12
 # Most node × delay values the first pass of one chunk of integrate_grid
 # evaluates: 512 KiB per float64 array, so memory stays flat on any grid.
 CHUNK_ELEMENTS = 65536
+# Panels of a first pass: eighths of the interval (a plain integrand's
+# quarter-period cap may ask for more).
+_FIRST_PANELS = 8
+# Largest phase x·τ of a fringe member, in radians: there its rounding ε·2²⁶ is 2⁻²⁶,
+# half of the digits.
+PHASE_REACH = 2.0**26
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the panel budget is exhausted above tolerance.
+    """Raised when the panel budget is exhausted above tolerance, or a fringe
+    member lies past :data:`PHASE_REACH`.
 
     Carries the achieved and requested error estimates (of the worst member,
     for a vector integrand) so callers can decide whether the partial result
@@ -129,10 +161,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """The value and error per member, floats or read-only arrays."""
+
     value: float | np.ndarray
-    error: float | np.ndarray  # a-posteriori estimate per member: sum over panels of |K15 - G7|
+    error: float | np.ndarray  # per member: sum over panels of |K15 - G7|, plus a fringe's rounding floor
     panels: int
     evaluations: int  # integrand nodes, each counted once whatever the number of members
+
+    def __post_init__(self):
+        for array in (self.value, self.error):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
 
 class _Fringes(NamedTuple):
@@ -149,51 +188,108 @@ class _Fringes(NamedTuple):
     sin: np.ndarray | None
 
 
-def _fringe_table(half: float, rates: np.ndarray, has_cos: bool, has_sin: bool) -> np.ndarray:
-    """The rows [C, -S] (a cos term) and [S, C] (a sin term), C and S being
-    cos and sin hξ_jτ_k at the panel half-width h: (15 per term) × 2K."""
-    phase = np.multiply.outer(half * _POS_NODES[1:], rates)  # the nodes are symmetric about 0
-    c, s = np.cos(phase), np.sin(phase)
-    one = np.ones((1, rates.size))
-    cos = np.concatenate([c[::-1], one, c])
-    sin = np.concatenate([-s[::-1], 0.0 * one, s])
-    rows = []
-    if has_cos:
-        rows.append(np.concatenate([cos, -sin], axis=1))
-    if has_sin:
-        rows.append(np.concatenate([sin, cos], axis=1))
-    return np.concatenate(rows)
+def _fold(a: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """A coefficient's sums a(ξ_j) + a(-ξ_j) at the nodes ξ_j ≥ 0 (a(0) alone at 0), (panels, 8),
+    and its differences a(ξ_j) - a(-ξ_j) at ξ_j > 0, (panels, 7)."""
+    a = a.reshape(panels, NODES.size)
+    middle = NODES.size // 2
+    even = a[:, middle:] + a[:, middle::-1]
+    even[:, 0] *= 0.5
+    return even, a[:, middle + 1 :] - a[:, middle - 1 :: -1]
 
 
-def _fringe_sums(mid, half, rates, cos, sin, tables: dict) -> np.ndarray:
-    """Both rules' node sums of a_c cos xτ_k + a_s sin xτ_k, (panels, 2, K).
+def _halve_turns(cos_m: np.ndarray, sin_m: np.ndarray, half: np.ndarray, rates: np.ndarray):
+    """cos and sin of (m ∓ h)τ_k, the midpoints of the halves of panels of midpoint m,
+    the left halves then the right, from cos mτ and sin mτ (``half`` the halves'
+    half-width h): four products per value in place of a cosine or a sine."""
+    widths = sorted(set(half.tolist()))  # np.unique would import numpy.ma
+    angle = np.multiply.outer(widths, rates)
+    c, s = np.cos(angle), np.sin(angle)
+    if len(widths) > 1:
+        index = np.searchsorted(widths, half)
+        c, s = c[index], s[index]
+    n = half.size
+    cos_h, sin_h = np.empty((2 * n, rates.size)), np.empty((2 * n, rates.size))
+    cc, ss = cos_m * c, sin_m * s
+    np.add(cc, ss, out=cos_h[:n])
+    np.subtract(cc, ss, out=cos_h[n:])
+    sc, cs = sin_m * c, cos_m * s
+    np.subtract(sc, cs, out=sin_h[:n])
+    np.add(sc, cs, out=sin_h[n:])
+    return cos_h, sin_h
 
-    At the nodes x = m + hξ_j of a panel the sum is cos mτ·P + sin mτ·Q, with
-    P = Σ_j w_j (a_c C_j + a_s S_j) and Q = Σ_j w_j (a_s C_j - a_c S_j): two
-    trigonometric values per panel and member, and for the panels of each
-    half-width one product of their weighted coefficients with its table
-    (:func:`_fringe_table`, kept in ``tables`` for later passes).
+
+def _fringe_sums(mid, half, rates, cos, sin, tables: dict, turns):
+    """Both rules' panel integrals of a_c cos xτ_k + a_s sin xτ_k over ξ ∈ [-1, 1], (panels, 2, K),
+    and the turns (cos mτ_k, sin mτ_k) of the panels, each (panels, K).
+
+    On a panel they are cos mτ·P + sin mτ·Q, with P = Σ_j (a_c Wc_j + a_s Ws_j)
+    and Q = Σ_j (a_s Wc_j - a_c Ws_j): two trigonometric values per panel and
+    member, evaluated here on a first pass and carried from the parent panel
+    on a bisection (``turns``, :func:`_halve_turns`).  The nodes are
+    symmetric, so each sum runs over the even and odd parts of a coefficient
+    (:func:`_fold`) against half of the weights, and for the panels of each
+    half-width it is one product of those parts with its table
+    (:func:`~mmi._product_weights.product_weights`, kept in ``tables`` for later passes).  A member
+    past :data:`PHASE_REACH` raises :class:`QuadratureError` on a first pass
+    (no ``turns`` handed in), before anything is summed.
     """
+    if turns is None:  # a first pass, which spans the interval
+        reach = float(np.max(np.abs(mid) + half)) * float(np.max(np.abs(rates), initial=0.0))
+        if not reach <= PHASE_REACH:
+            raise QuadratureError(
+                f"delay beyond the quadrature's reach: phase x·τ up to {reach:.3e}, past 2^26 = {PHASE_REACH:.3e}",
+                _EPS * reach,
+                _EPS * PHASE_REACH,
+            )
     n = mid.size
-    coef = np.concatenate(
-        [_RULES * a.reshape(n, 1, NODES.size) for a in (cos, sin) if a is not None], axis=2
-    ).reshape(2 * n, -1)
+    parts = [_fold(a, n) for a in (cos, sin) if a is not None]
+    even = np.concatenate([e for e, _ in parts]) if len(parts) > 1 else parts[0][0]  # the cos term's rows first
+    odd = np.concatenate([o for _, o in parts]) if len(parts) > 1 else parts[0][1]
     uniform = (half == half[0]).all()  # a first pass, and most bisection passes
-    pq = np.empty((2 * n, 2 * rates.size))
-    for h in (half[0],) if uniform else np.unique(half):
-        table = tables.get(h)
-        if table is None:
-            table = tables[h] = _fringe_table(h, rates, cos is not None, sin is not None)
-        rows = slice(None) if uniform else np.repeat(half == h, 2)
-        pq[rows] = coef[rows] @ table
-    pq = pq.reshape(n, 2, 2, rates.size)
-    phase = np.multiply.outer(mid, rates)[:, None]
-    return np.cos(phase) * pq[:, :, 0] + np.sin(phase) * pq[:, :, 1]
+    widths = (half[0],) if uniform else set(half.tolist())  # np.unique would import numpy.ma
+    for h in widths:
+        if h not in tables:
+            # imported on first use: only quadrature needs it, and its LAPACK call costs memory
+            from ._product_weights import product_weights
+
+            # this width and the next three a bisection makes, in one evaluation
+            halves = h * 0.5 ** np.arange(4)
+            tables.update(zip(halves.tolist(), product_weights(halves, rates)))
+    if uniform:
+        wc, ws = tables[half[0]]
+        by_cos, by_sin = even @ wc, odd @ ws
+    else:
+        by_cos, by_sin = np.empty((even.shape[0], 2 * rates.size)), np.empty((odd.shape[0], 2 * rates.size))
+        for h in widths:
+            rows = np.tile(half == h, len(parts))
+            by_cos[rows] = even[rows] @ tables[h][0]
+            by_sin[rows] = odd[rows] @ tables[h][1]
+    if len(parts) == 2:
+        p = by_cos[:n] + by_sin[n:]
+        q = by_cos[n:] - by_sin[:n]
+    elif cos is not None:
+        p, q = by_cos, np.negative(by_sin, out=by_sin)
+    else:
+        p, q = by_sin, by_cos
+    if turns is None:
+        phase = np.multiply.outer(mid, rates)
+        turns = np.cos(phase), np.sin(phase, out=phase)
+    # in place: a fresh large temporary can cost more in page faults than its arithmetic
+    p, q = p.reshape(n, 2, rates.size), q.reshape(n, 2, rates.size)
+    p *= turns[0][:, None]
+    q *= turns[1][:, None]
+    p += q
+    return p, turns
 
 
-def _eval_panels(f: Callable[[np.ndarray], np.ndarray], mid: np.ndarray, half: np.ndarray, tables: dict):
+def _eval_panels(f: Callable[[np.ndarray], np.ndarray], mid: np.ndarray, half: np.ndarray, tables: dict, turns=None):
     """Kronrod values and |K15-G7| errors, (panels, members), for the panels
-    [mid - half, mid + half], and the shape of one member set of the integrand.
+    [mid - half, mid + half], the shape of one member set of the integrand,
+    and for a fringe integrand its rates, the panels' turns of
+    :func:`_fringe_sums` and, on a first pass (no ``turns`` handed in), the
+    Kronrod sum Σ_panels h Σ_j w_j (|a₀| + |a_c| + |a_s|) that the rounding
+    floor scales with (None where they do not apply).
 
     A plain ``f`` returns its values, the a₀ term alone of a :class:`_Fringes`."""
     x = mid[:, None] + half[:, None] * NODES[None, :]
@@ -203,22 +299,28 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray], mid: np.ndarray, half: n
     const, cos, sin = (None if a is None else np.asarray(a, dtype=float) for a in y[1:])
     if not all(np.all(np.isfinite(a)) for a in (const, cos, sin) if a is not None):
         raise ValueError("integrand returned a non-finite value")
-    sums = 0.0
-    if const is not None:
+    size = None
+    if y.rates is not None and turns is None:
+        size = sum(np.abs(a) for a in (const, cos, sin) if a is not None).reshape(mid.size, NODES.size)
+        size = float(half @ (size @ KRONROD_WEIGHTS))
+    if cos is None and sin is None:
         sums = _RULES @ const.reshape(mid.size, NODES.size, -1)
-    if cos is not None or sin is not None:
-        sums = sums + _fringe_sums(mid, half, y.rates, cos, sin, tables)
-    sums = sums * half[:, None, None]
+    else:
+        sums, turns = _fringe_sums(mid, half, y.rates, cos, sin, tables, turns)
+        if const is not None:
+            sums += _RULES @ const.reshape(mid.size, NODES.size, 1)
+    sums *= half[:, None, None]
+    errs = sums[:, 0] - sums[:, 1]
     shape = const.shape[1:] if y.rates is None else y.rates.shape
-    return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1]), shape
+    return sums[:, 0], np.abs(errs, out=errs), shape, y.rates, turns, size
 
 
 def _initial_panels(width: float, osc_scale):
-    """First-pass panel count: eighths of the interval, each at most a quarter period, and at
-    most :data:`MAX_PANELS`.  A rate is capped where its count reaches the budget, so that
-    neither the count nor the product forming it overflows."""
-    rate = np.minimum(osc_scale, MAX_PANELS * math.pi / (2.0 * width))
-    return np.minimum(np.maximum(8, np.ceil(2.0 * width * rate / math.pi)), MAX_PANELS).astype(int)
+    """First-pass panel count of a plain integrand: eighths of the interval, each at most a
+    quarter period, and at most :data:`MAX_PANELS`.  A rate is capped where its count reaches
+    the budget, so that neither the count nor the product forming it overflows."""
+    rate = min(osc_scale, MAX_PANELS * math.pi / (2.0 * width))
+    return int(min(max(_FIRST_PANELS, math.ceil(2.0 * width * rate / math.pi)), MAX_PANELS))
 
 
 def integrate(
@@ -244,14 +346,17 @@ def integrate(
         Convergence requires each member's summed panel error estimate to
         fall below ``max(abs_tol, rel_tol * |integral|)``.
     osc_scale:
-        Effective angular rate of the fastest oscillation of the integrand
-        (ωτ kernels: the largest delay τ).  Initial panel widths are capped
-        at ``pi / (2 * osc_scale)``, a quarter period.
+        Effective angular rate of the fastest oscillation of a plain
+        integrand (ωτ kernels: the largest delay τ).  Initial panel widths
+        are capped at ``pi / (2 * osc_scale)``, a quarter period.  A fringe
+        integrand needs none: its cos and sin are integrated exactly.
 
-    The value and error are floats for a scalar integrand and arrays of
-    shape ``(K,)`` for a vector-valued one.  Exhausting the budget of
+    The value and error are floats for a scalar integrand and read-only
+    arrays of shape ``(K,)`` for a vector-valued one; a fringe member's
+    error includes its phase-rounding floor.  Exhausting the budget of
     :data:`MAX_PANELS` panels raises :class:`QuadratureError` carrying the
-    achieved estimate of the worst member.
+    achieved estimate of the worst member, and so does a fringe member past
+    :data:`PHASE_REACH`, on the first pass (see the module docstring).
     """
     lo = float(lo)
     hi = float(hi)
@@ -263,13 +368,13 @@ def integrate(
         # no phase ωτ of the integrand is representable, let alone resolvable
         raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, abs_tol)
     # panels are (midpoint, half-width): a bisection halves a width exactly,
-    # so a pass holds few widths, each with one table of node phases
-    count = int(_initial_panels(hi - lo, osc_scale))
+    # so a pass holds few widths, each with one table of product weights
+    count = _initial_panels(hi - lo, osc_scale)
     h = 0.5 * (hi - lo) / count
     mid = lo + h * np.arange(1.0, 2.0 * count, 2.0)
     half = np.full(count, h)
     tables: dict = {}
-    vals, errs, shape = _eval_panels(f, mid, half, tables)
+    vals, errs, shape, rates, turns, size = _eval_panels(f, mid, half, tables)
     evaluations = vals.shape[0] * NODES.size
 
     while True:
@@ -278,6 +383,9 @@ def integrate(
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         unmet = err > tol
         if not unmet.any():
+            if rates is not None:
+                depth = math.log2(h / half.min())  # bisections the turns of the finest panel went through
+                err = err + _EPS * (1.0 + 2.0 * depth + max(-lo, hi) * np.abs(rates)) * size
             value, error = total.reshape(shape), err.reshape(shape)
             if not shape:
                 value, error = float(value), float(error)
@@ -295,47 +403,32 @@ def integrate(
         s_half = 0.5 * half[split]
         n_mid = np.concatenate([mid[split] - s_half, mid[split] + s_half])
         n_half = np.concatenate([s_half, s_half])
-        n_vals, n_errs, _ = _eval_panels(f, n_mid, n_half, tables)
+        n_turns = None if turns is None else _halve_turns(*(t[split] for t in turns), s_half, rates)
+        n_vals, n_errs, _, _, n_turns, _ = _eval_panels(f, n_mid, n_half, tables, n_turns)
         evaluations += n_vals.shape[0] * NODES.size
         keep = ~split
         mid = np.concatenate([mid[keep], n_mid])
         half = np.concatenate([half[keep], n_half])
         vals = np.concatenate([vals[keep], n_vals])
         errs = np.concatenate([errs[keep], n_errs])
+        if turns is not None:
+            turns = tuple(np.concatenate([t[keep], n]) for t, n in zip(turns, n_turns))
 
 
-def _chunk_ends(rates: np.ndarray, width: float) -> list[int]:
-    """End indices of the chunks of ascending ``rates`` whose first pass over
-    [0, width] stays within ``CHUNK_ELEMENTS`` node × delay values (at least
-    one delay each)."""
-    nodes = NODES.size * _initial_panels(width, rates)
-    most = max(1, CHUNK_ELEMENTS // (NODES.size * 8))  # no chunk holds more delays
-    ends = [0]
-    while ends[-1] < rates.size:
-        start = ends[-1]
-        block = np.arange(1, most + 1)[: rates.size - start] * nodes[start : start + most]
-        ends.append(start + max(1, int(np.searchsorted(block, CHUNK_ELEMENTS, side="right"))))
-    return ends[1:]
+def integrate_grid(delays, integrate_chunk: Callable[[np.ndarray], QuadratureResult]) -> QuadratureResult:
+    """Integrate a family of fringe integrands, one per delay τ_k, chunk by chunk.
 
-
-def integrate_grid(
-    delays, width: float, integrate_chunk: Callable[[np.ndarray, float], QuadratureResult]
-) -> QuadratureResult:
-    """Integrate a family of integrands, one per delay τ_k, chunk by chunk.
-
-    The delays are sorted by |τ| and split into chunks whose first pass over
-    an interval of length ``width`` holds at most ``CHUNK_ELEMENTS`` node ×
-    delay values.  ``integrate_chunk(chunk_delays, osc_scale)`` integrates one
-    chunk as a vector-valued integrand, ``osc_scale`` being its largest |τ|,
-    and returns its :class:`QuadratureResult`.  The value and error come
-    back in the shape of ``delays`` (floats for a scalar); panels and
-    evaluations are summed over the chunks.
+    The delays are sorted by |τ| and split into equal chunks whose first
+    pass of eight panels holds at most ``CHUNK_ELEMENTS`` node × delay
+    values.  ``integrate_chunk(chunk_delays)`` integrates one chunk as a
+    vector-valued integrand and returns its :class:`QuadratureResult`.  The
+    value and error come back in the shape of ``delays`` (floats for a
+    scalar); panels and evaluations are summed over the chunks.
 
     The chunks run in ascending order in one loop on the calling thread,
     each writing its own delays of the output, and the first chunk to fail
-    raises its error.  ``CHUNK_ELEMENTS`` bounds the first pass of each
-    call of ``integrate_chunk``; the chunk boundaries, and so each chunk's
-    ``osc_scale``, depend on the delays and ``width`` alone.
+    raises its error.  The chunk boundaries depend on the number of delays
+    alone.
     """
     t = np.asarray(delays, dtype=float)
     flat = t.ravel()
@@ -344,12 +437,10 @@ def integrate_grid(
     order = np.argsort(np.abs(flat), kind="stable")
     value = np.empty(flat.size)
     error = np.empty(flat.size)
-    ends = _chunk_ends(np.abs(flat[order]), width)
-    starts = [0, *ends[:-1]]
+    chunks = -(-flat.size // max(1, CHUNK_ELEMENTS // (_FIRST_PANELS * NODES.size)))
     panels = evaluations = 0
-    for start, end in zip(starts, ends):
-        idx = order[start:end]
-        res = integrate_chunk(flat[idx], float(abs(flat[idx[-1]])))
+    for idx in np.array_split(order, chunks):
+        res = integrate_chunk(flat[idx])
         value[idx] = res.value
         error[idx] = res.error
         panels += res.panels
@@ -395,8 +486,8 @@ def integrate_half_line(
 ) -> QuadratureResult:
     """Integrate over [0, inf) by truncating where the envelope is negligible.
 
-    ``envelope(x)`` must bound |f| (every member of a vector-valued f) and not
-    increase on [1, inf), where the search starts; the domain
+    ``envelope(x)`` must bound |f| (every member of a vector-valued f, every
+    coefficient of a fringe integrand) and not increase on [1, inf), where the search starts; the domain
     is truncated where it drops below a tenth of the absolute tolerance
     (:func:`tail_cutoff`), then handed to :func:`integrate`.  Callers that
     integrate many functions under one envelope and tolerance may pass that

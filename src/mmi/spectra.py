@@ -243,10 +243,9 @@ def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:
             windows.append([lo, hi])
     share = TOL / len(windows)
 
-    def integrate_chunk(t, osc_scale):
+    def integrate_chunk(t):
         parts = [
-            integrate(lambda w: _Fringes(t, *integrand(w)), lo, hi, abs_tol=share, rel_tol=TOL, osc_scale=osc_scale)
-            for lo, hi in windows
+            integrate(lambda w: _Fringes(t, *integrand(w)), lo, hi, abs_tol=share, rel_tol=TOL) for lo, hi in windows
         ]
         return QuadratureResult(
             sum(p.value for p in parts),
@@ -255,7 +254,7 @@ def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:
             sum(p.evaluations for p in parts),
         )
 
-    return integrate_grid(delays, sum(hi - lo for lo, hi in windows), integrate_chunk)
+    return integrate_grid(delays, integrate_chunk)
 
 
 def weighted_overlap(f: SpectralDistribution, g: SpectralDistribution, weight_power: int = 0, kernel: str = "one", tau=0.0):

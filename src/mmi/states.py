@@ -95,7 +95,9 @@ def bose_weighted_integral(theta: float, d: int, tau=0.0, *, abs_tol: float | No
     ``tau`` may be an array: the Bose weight x^d/(eˣ - 1) is evaluated once
     per node for every delay, and each delay meets max(``abs_tol``,
     TOL·|value|), TOL = :data:`~mmi.quadrature.TOL`; ``abs_tol`` defaults
-    to 1e-13 θ^(d+1) J(d).  Returns
+    to 1e-13 θ^(d+1) J(d).  The stated error adds the rounding floor of the
+    phase, and a delay with |τ|θ past 2²⁶ over the Bose cutoff raises
+    :class:`~mmi.quadrature.QuadratureError` (see :mod:`mmi.quadrature`).  Returns
     the :class:`~mmi.quadrature.QuadratureResult` with value and error in
     the shape of ``tau`` (floats for a scalar).
     """
@@ -117,17 +119,16 @@ def bose_weighted_integral(theta: float, d: int, tau=0.0, *, abs_tol: float | No
             y[tiny] = x[tiny] ** (d - 1) * (1.0 - 0.5 * x[tiny])
         return y
 
-    def integrate_chunk(rates, osc_scale):
+    def integrate_chunk(rates):
         return integrate_half_line(
             lambda x: _Fringes(rates, None, weight(x), None),  # the Bose weight is the cos coefficient
             envelope=_bose_envelope(d),
             abs_tol=tol,
             rel_tol=TOL,
-            osc_scale=osc_scale,
             cutoff=cutoff,
         )
 
-    result = integrate_grid(a, cutoff, integrate_chunk)
+    result = integrate_grid(a, integrate_chunk)
     return replace(result, value=scale * result.value, error=scale * result.error)
 
 

@@ -501,8 +501,8 @@ def test_verify_out_records_each_check_time(tmp_path):
 
 
 def test_simulate_at_extreme_delays(tmp_path, capsys):
-    # the exact path and the closed forms reach their plateau quietly; quadrature cannot reach
-    # such delays, which is a numeric failure
+    # the exact path and the closed forms reach their plateau quietly; quadrature refuses
+    # a phase x·τ past its reach, which is a numeric failure
     out = str(tmp_path / "far.csv")
     assert cli.main(["simulate", "fock", "--grid", "0:1.7e308:3", "-o", out]) == 0
     assert cli.main(["simulate", "thermal-thermal", "--method", "closed_form", "--grid=-1.7e308:0:3", "-o", out]) == 0
@@ -511,7 +511,7 @@ def test_simulate_at_extreme_delays(tmp_path, capsys):
     assert abs(np.loadtxt(out, delimiter=",", skiprows=1)[-1, 1] - 0.5) <= 1e-12
     for scenario in ("thermal-vacuum", "fock"):
         assert cli.main(["simulate", scenario, "--method", "quadrature", "--grid", "0:1e20:3", "-o", out]) == 3
-        assert capsys.readouterr().err.startswith("numeric failure: quadrature panel budget exhausted")
+        assert capsys.readouterr().err.startswith("numeric failure: delay beyond the quadrature's reach")
 
 
 def test_simulate_rejects_a_grid_whose_span_overflows(tmp_path, capsys):

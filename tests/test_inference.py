@@ -267,6 +267,18 @@ def test_fit_problem_keeps_read_only_copies():
             array[5] = math.nan
 
 
+def test_fit_problem_keeps_its_own_fixed_quantities():
+    taus = np.linspace(0.0, 3.0, 20)
+    fixed = {"theta0": 1.0}
+    problem = FitProblem(tau=taus, ratios=thermal_thermal_ratio(1.0, 1.01, taus), model="thermal_thermal", fixed=fixed)
+    before = fit(problem)
+    del fixed["theta0"]  # a later edit of the caller's dict does not reach the problem
+    after = fit(problem)
+    assert after.estimates == before.estimates and after.uncertainties == before.uncertainties
+    with pytest.raises(TypeError):
+        problem.fixed["theta0"] = 2.0
+
+
 def test_fit_problem_rejects_non_positive_noise_when_built():
     taus = np.linspace(0.0, 3.0, 20)
     data = np.asarray(thermal_thermal_ratio(1.0, 1.01, taus))

@@ -23,9 +23,10 @@ from mmi.intensity import (
     thermal_thermal_ratio,
     thermal_vacuum_ratio,
 )
-from mmi.quadrature import QuadratureError
+from mmi.quadrature import PHASE_REACH, TOL, QuadratureError
 from mmi.spectra import SpectralDistribution, gaussian_fourier_moments, weighted_overlap
-from mmi.states import Coherent, OnePhoton, Thermal, Vacuum, bose_weighted_integral
+from mmi.states import Coherent, OnePhoton, Thermal, Vacuum, _bose_cutoff, bose_weighted_integral
+from mmi.thermal_kernels import bose_integral_constant
 from oracles import riemann_overlap
 from test_thermal_kernels import BLOCK_SIZES, unblocked_fringe_deviation
 
@@ -786,6 +787,61 @@ def test_optical_quadrature_agrees_with_exact_or_raises(mean_over_width):
             assert abs(got - ratio * exact.normalization) <= 1e-9 * exact.normalization, tau
 
 
+def test_quadrature_error_bounds_a_fock_pair_up_to_optical_frequencies():
+    # the stated error holds the phase-rounding floor ε(1 + X|τ|)∫|a|: against a 50-digit
+    # reference it bounds the error at every ω̄/σ, and at 1e5 states it within 100×
+    mp = pytest.importorskip("mpmath")
+    taus = np.linspace(0.0, 6.0, 61)
+    with mp.workdps(50):
+        for mean in (3.0, 30.0, 1e3, 1e4, 1e5):
+            f_s, f_lo = SpectralDistribution(mean, 1.0), SpectralDistribution(1.03 * mean, 1.0)
+            gram = compute_interferogram(IntensityRequest(OnePhoton(f_s), OnePhoton(f_lo), taus, 1, "quadrature"))
+            observed = max(abs(r - float(_mp_ratio(mp, "fock", f_s, f_lo, t, 1))) for t, r in zip(taus, gram.ratios))
+            stated = gram.metadata["quadrature"]["max_error"]
+            assert observed <= stated, mean
+    assert stated <= 100.0 * observed
+
+
+def _past_the_reach(scenario_ports, reach, d):
+    for far in (1.001 * reach, 1e20):
+        with pytest.raises(QuadratureError, match="reach"):
+            compute_interferogram(IntensityRequest(*scenario_ports, [0.0, far], d, "quadrature"))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_thermal_quadrature_matches_a_50_digit_reference_up_to_its_reach(d):
+    # the reach is a phase x·a of 2^26 at the Bose cutoff X; every delay past it is refused
+    mp = pytest.importorskip("mpmath")
+    reach = PHASE_REACH / _bose_cutoff(d, TOL * bose_integral_constant(d))
+    with mp.workdps(50):
+        for a in (0.01, 0.5, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 0.999 * reach):
+            gram = compute_interferogram(IntensityRequest(Thermal(1.0), Vacuum(), [a], d, "quadrature"))
+            x = mp.pi * a
+            if d == 1:
+                k = 3 * (1 / x**2 - 1 / mp.sinh(x) ** 2)
+            else:
+                k = 15 * ((2 + mp.cosh(2 * x)) / mp.sinh(x) ** 4 - 3 / x**4)
+            # the tail past the cutoff, where the Bose envelope is below a tenth of the
+            # tolerance, is not in the stated error
+            assert abs(gram.ratios[0] - float((1 + k) / 2)) <= gram.metadata["quadrature"]["max_error"] + TOL / 10, a
+    _past_the_reach((Thermal(1.0), Vacuum()), reach, d)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("kind", ["fock", "coherent", "vacuum"])
+def test_spectral_quadrature_matches_a_50_digit_reference_up_to_its_reach(kind, d):
+    # the reach is a phase ω·τ of 2^26 at the top of the highest window, ω̄ + 9σ
+    mp = pytest.importorskip("mpmath")
+    reach = PHASE_REACH / max(f.mean_freq + 9.0 * f.width for f in ((F_S,) if kind == "vacuum" else (F_S, F_LO)))
+    ports = _spectral_ports(kind, F_S, F_LO)
+    with mp.workdps(50):
+        for tau in (0.5, 3.0, 10.0, 100.0, 1e4, 1e6, 0.999 * reach):
+            gram = compute_interferogram(IntensityRequest(*ports, [tau], d, "quadrature"))
+            ref = float(_mp_ratio(mp, kind, F_S, F_LO, tau, d))
+            assert abs(gram.ratios[0] - ref) <= gram.metadata["quadrature"]["max_error"], tau
+    _past_the_reach(ports, reach, d)
+
+
 # ---------------------------------------------------------------------------
 # batched delay-grid quadrature
 
@@ -851,7 +907,7 @@ def test_grid_larger_than_one_chunk_matches_one_delay_calls(monkeypatch):
     integrate_half_line = states.integrate_half_line
 
     def counted(*args, **kwargs):
-        chunks.append(kwargs["osc_scale"])
+        chunks.append(1)
         return integrate_half_line(*args, **kwargs)
 
     monkeypatch.setattr(states, "integrate_half_line", counted)
@@ -1141,14 +1197,14 @@ def _on_cpus(monkeypatch, cpus):
 
 @pytest.mark.parametrize("theta_lo, d", [(None, 1), (None, 3), (0.9, 3), (0.9, 1)])
 def test_thermal_quadrature_is_bitwise_independent_of_cpu_count(monkeypatch, theta_lo, d):
-    # the chunk boundaries, and with them each chunk's oscillation rate, do not
-    # depend on the number of workers, and each chunk writes its own delays
+    # the chunk boundaries do not depend on the number of workers, and each
+    # chunk writes its own delays
     from mmi import states
 
     chunks = []
     integrate_half_line = states.integrate_half_line
     monkeypatch.setattr(states, "integrate_half_line", lambda *a, **k: chunks.append(1) or integrate_half_line(*a, **k))
-    tau = np.random.default_rng(d).uniform(-6.0, 6.0, 300)  # unsorted, of both signs
+    tau = np.random.default_rng(d).uniform(-6.0, 6.0, 3000)  # unsorted, of both signs
     request = _thermal_request(1.1, theta_lo, tau, d, "quadrature")
     _on_cpus(monkeypatch, 1)
     ref = compute_interferogram(request)
@@ -1208,16 +1264,16 @@ def test_the_kernel_is_handed_at_most_one_block(monkeypatch, cpus):
 
 
 def test_thermal_quadrature_raises_the_first_failing_chunk_on_any_cpu_count(monkeypatch):
-    # a budget of 32 panels fails the second chunk; the chunks run in one loop
-    # on the calling thread, so five CPUs raise the same first failure as one
+    # a budget of 24 panels fails the fifth of eleven chunks; the chunks run in one
+    # loop on the calling thread, so five CPUs raise the same first failure as one
     from mmi import quadrature
 
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 32)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 24)
     messages = []
     for cpus in (1, 5):
         _on_cpus(monkeypatch, cpus)
         with pytest.raises(QuadratureError) as err:
-            thermal_thermal_ratio(1.0, 1.1, np.linspace(0.01, 6.0, 300), "quadrature")
+            thermal_thermal_ratio(1.0, 1.1, np.linspace(0.01, 6.0, 3000), "quadrature")
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 

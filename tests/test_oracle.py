@@ -365,6 +365,14 @@ def test_montecarlo_keeps_its_own_read_only_delays():
         mc.delays[0] = 9.0
 
 
+@pytest.mark.parametrize("theta_lo", [None, 1.0])
+def test_montecarlo_ratios_and_stderrs_are_read_only(theta_lo):
+    mc = thermal_intensity_montecarlo(1.0, theta_lo, [0.5, 1.0], samples=1000, seed=3)
+    for array in (mc.ratios, mc.stderrs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = -1.0
+
+
 def test_thermal_grid_spans_pole_and_tail():
     grid = thermal_mode_grid(2.0)
     assert grid.frequencies[0] == pytest.approx(2e-3)

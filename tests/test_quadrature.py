@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from mmi import quadrature
+from mmi._product_weights import product_weights
 from mmi.quadrature import (
     CHUNK_ELEMENTS,
     GAUSS_WEIGHTS,
     KRONROD_WEIGHTS,
     NODES,
     QuadratureError,
+    _Fringes,
     integrate,
     integrate_grid,
     integrate_half_line,
@@ -174,14 +176,14 @@ def test_vector_integrand_non_finite_member_rejected():
 
 
 def _grid_result(delays, tol=1e-13):
-    # ∫₀^40 e^-x cos(τx) dx for every delay, chunk by chunk
+    # ∫₀^40 e^-x cos(τx) dx for every delay, chunk by chunk, as fringe integrands
     calls = []
 
-    def integrate_chunk(t, osc_scale):
-        calls.append((t.copy(), osc_scale))
-        return integrate(_damped_cosines(t), 0.0, 40.0, abs_tol=tol, rel_tol=tol, osc_scale=osc_scale)
+    def integrate_chunk(t):
+        calls.append(t.copy())
+        return integrate(lambda x: _Fringes(t, None, np.exp(-x), None), 0.0, 40.0, abs_tol=tol, rel_tol=tol)
 
-    return integrate_grid(delays, 40.0, integrate_chunk), calls
+    return integrate_grid(delays, integrate_chunk), calls
 
 
 def test_grid_matches_delays_one_at_a_time():
@@ -194,30 +196,83 @@ def test_grid_matches_delays_one_at_a_time():
         assert isinstance(one.value, float)
         assert abs(res.value[k] - one.value) <= 1e-13
         assert abs(res.value[k] - 1.0 / (1.0 + tau * tau)) <= 1e-13
-        assert res.error[k] <= 1e-13
-    # each chunk integrates at its own largest |τ|
-    for t, osc_scale in calls:
-        assert osc_scale == np.abs(t).max()
+        # the tolerance, plus the phase-rounding floor ε·40·|τ|·∫e^-x
+        assert res.error[k] <= 1e-13 + 1.001 * np.finfo(float).eps * 40.0 * abs(tau)
+    # one chunk holds every delay
+    assert len(calls) == 1 and sorted(np.abs(calls[0])) == sorted(np.abs(delays))
 
 
 def test_grid_larger_than_one_chunk_stays_within_the_chunk_budget():
-    delays = np.random.default_rng(7).uniform(-30.0, 30.0, 400).reshape(20, 20)
+    # the first pass of a fringe integrand is eight panels whatever the rate,
+    # so a chunk holds CHUNK_ELEMENTS // (8 × 15) delays
+    delays = np.random.default_rng(7).uniform(-30.0, 30.0, 2000).reshape(40, 50)
     res, calls = _grid_result(delays)
     assert len(calls) > 1
-    assert sorted(np.abs(np.concatenate([t for t, _ in calls]))) == sorted(np.abs(delays.ravel()))
-    scales = [osc_scale for _, osc_scale in calls]
-    assert scales == sorted(scales)  # chunks of ascending |τ|
-    for t, osc_scale in calls:
-        first_pass = NODES.size * max(8, math.ceil(2.0 * 40.0 * osc_scale / math.pi))
-        assert t.size == 1 or t.size * first_pass <= CHUNK_ELEMENTS
+    assert sorted(np.abs(np.concatenate(calls))) == sorted(np.abs(delays.ravel()))
+    largest = [np.abs(t).max() for t in calls]
+    assert largest == sorted(largest)  # chunks of ascending |τ|
+    for t in calls:
+        assert t.size * NODES.size * 8 <= CHUNK_ELEMENTS
+    first = []
+    integrate(lambda x: first.append(x.size) or _Fringes(calls[-1], None, np.exp(-x), None), 0.0, 40.0)
+    assert first[0] == NODES.size * 8
     assert res.value.shape == delays.shape
     assert np.max(np.abs(res.value - 1.0 / (1.0 + delays**2))) <= 1e-13
     assert res.panels == sum(
-        integrate(_damped_cosines(t), 0.0, 40.0, abs_tol=1e-13, rel_tol=1e-13, osc_scale=s).panels
-        for t, s in calls
+        integrate(lambda x, t=t: _Fringes(t, None, np.exp(-x), None), 0.0, 40.0, abs_tol=1e-13, rel_tol=1e-13).panels
+        for t in calls
     )
+
+
+def test_vector_results_are_read_only():
+    vec = integrate(_damped_cosines(RATES), 0.0, 40.0, osc_scale=RATES.max())
+    grid, _ = _grid_result(RATES)
+    for res in (vec, grid):
+        for array in (res.value, res.error):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = -1.0
 
 
 def test_grid_rejects_non_finite_delays():
     with pytest.raises(ValueError, match="finite"):
         _grid_result(np.array([0.0, math.nan]))
+
+
+# ---------------------------------------------------------------------------
+# product weights of the fringe kernel
+
+OMEGAS = np.array([0.0, 1e-9, 0.005, 0.7, 4.49, 11.99, 12.0, 30.0, 1e3, 1e5])
+
+
+def _lagrange(nodes, j):
+    others = np.delete(nodes, j)
+    return lambda x: float(np.prod((x - others) / (nodes[j] - others)))
+
+
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")  # QAWO at its tolerance floor
+def test_product_weights_match_oscillatory_quadrature_of_the_lagrange_basis():
+    # Wc_j(ω) = ∫₋₁¹ ℓ_j(ξ) cos(ωξ) dξ and Ws_j likewise, ℓ_j the Lagrange basis of the
+    # 15 Kronrod or the 7 Gauss nodes, against QUADPACK's QAWO on each basis polynomial
+    integrate_weighted = pytest.importorskip("scipy.integrate").quad
+    wc, ws = product_weights(np.array([1.0]), OMEGAS)[0]
+    k = OMEGAS.size
+    for rule, nodes in enumerate((NODES, NODES[1::2])):
+        middle = nodes.size // 2
+        for row, j in enumerate(range(middle, nodes.size)):  # the nodes ξ_j ≥ 0
+            ell = _lagrange(nodes, j)
+            full = 2 * row if rule else row  # a Gauss node's row among the Kronrod nodes
+            for i, omega in enumerate(OMEGAS):
+                kw = {"epsabs": 1e-15, "epsrel": 1e-14, "limit": 200}
+                if omega:
+                    cos = integrate_weighted(ell, -1.0, 1.0, weight="cos", wvar=omega, **kw)[0]
+                    sin = integrate_weighted(ell, -1.0, 1.0, weight="sin", wvar=omega, **kw)[0]
+                else:
+                    cos, sin = integrate_weighted(ell, -1.0, 1.0, **kw)[0], 0.0
+                assert abs(wc[full, rule * k + i] - cos) <= 1e-15, (rule, j, omega)
+                if full:
+                    assert abs(ws[full - 1, rule * k + i] - sin) <= 1e-15, (rule, j, omega)
+    # at hτ = 0 they are the rules' own weights, and for hτ < 0 the sine weights change sign
+    assert np.array_equal(wc[:, [0, k]], np.stack([KRONROD_WEIGHTS[7:], GAUSS_WEIGHTS[7:]], axis=1))
+    assert not ws[:, [0, k]].any()
+    flipped = product_weights(np.array([1.0]), -OMEGAS)[0]
+    assert np.array_equal(flipped[0], wc) and np.array_equal(flipped[1], -ws)

@@ -26,13 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .intensity import _closed_pair_ratio, thermal_thermal_ratio, thermal_vacuum_ratio
 from .spectra import SpectralDistribution
 from .states import _check_temperature
+from .thermal_kernels import _fringe_slope, fringe_deviation
 
 __all__ = [
     "CoherenceReport",
@@ -76,29 +77,82 @@ def _spectral_pair_start(problem) -> tuple:
     return (mean_guess, width)
 
 
-# Each fit model: its parameter names, the `fixed` keys it reads, its
-# prediction (tau, params, fixed) -> ratios and its default start point.  The
-# spectral models use the unguarded closed form: the optimizer may step through
+def _spectral_jacobian(t, p, mean_lo, cross: bool) -> np.ndarray:
+    """Columns ∂/∂ω̄_s and ∂/∂σ of :func:`~mmi.intensity._closed_pair_ratio` with the width σ
+    shared by both ports (``mean_lo`` None: against vacuum).
+
+    With one width the cross term is (μ/ω̄_s) G e^{-(στ)²/4} sin μτ, μ = (ω̄_s + ω̄_lo)/2 and
+    G = e^{-(ω̄_s - ω̄_lo)²/4σ²}: its amplitude is 1 and it shares the other terms' envelope.
+    """
+    mean, width = p
+    env = np.exp(-((width * t) ** 2) / 4.0)
+    d_env = -0.5 * width * t * t  # ∂ ln env/∂σ
+    jac = np.empty((t.size, 2))
+    if mean_lo is None:
+        jac[:, 0] = -0.5 * t * env * np.sin(t * mean)
+        jac[:, 1] = 0.5 * d_env * env * np.cos(t * mean)
+        return jac
+    ratio = mean_lo / mean
+    cos_lo = np.cos(t * mean_lo)
+    jac[:, 0] = 0.5 * (-(ratio / mean) * (1.0 - env * cos_lo) - t * env * np.sin(t * mean))
+    jac[:, 1] = 0.5 * d_env * env * (np.cos(t * mean) - ratio * cos_lo)
+    if cross:
+        mu, gap = 0.5 * (mean + mean_lo), mean - mean_lo
+        detune = math.exp(-gap * gap / (4.0 * width * width))
+        term = (detune / mean) * env
+        sin_mu = np.sin(mu * t)
+        jac[:, 0] -= term * ((-0.5 * ratio - mu * gap / (2.0 * width * width)) * sin_mu + 0.5 * mu * t * np.cos(mu * t))
+        jac[:, 1] -= term * mu * sin_mu * (gap * gap / (2.0 * width**3) + d_env)
+    return jac
+
+
+def _thermal_pair_jacobian(tau, p, fixed) -> np.ndarray:
+    """∂ratio/∂p of the thermal pair at d = 3, p = θ₁/θ₀:
+    ½[-(d+1)p^-(d+2)(1 - K(πa₀)) + π|τ|θ₀ K'(πa₁)], a₀ = |τ|θ₀, a₁ = |τ|pθ₀."""
+    d, theta0 = 3, fixed["theta0"]
+    with np.errstate(over="ignore"):  # an x that overflows reads K' = 0, as K = 0 in the ratio
+        x0 = np.abs(tau) * (math.pi * theta0)
+        slope = _fringe_slope(np.abs(tau) * (p[0] * theta0) * math.pi, d)
+        column = 0.5 * (-(d + 1) * p[0] ** -(d + 2) * (1.0 - fringe_deviation(x0, d)) + x0 * slope)
+    return column[:, None]
+
+
+class _Model(NamedTuple):
+    """A fit model: parameter names, the `fixed` keys it reads, its prediction and its
+    Jacobian (tau, params, fixed) -> ratios and ∂ratios/∂params, and its default start."""
+
+    names: tuple
+    needs: tuple
+    predict: Callable
+    jacobian: Callable
+    start: Callable
+
+
+# The spectral models use the unguarded closed form: the optimizer may step through
 # parameter regions where the public closed forms refuse the approximation.
 _MODELS = {
-    "thermal_thermal": (
+    "thermal_thermal": _Model(
         ("theta_ratio",), ("theta0",),
         lambda tau, p, fixed: thermal_thermal_ratio(fixed["theta0"], p[0] * fixed["theta0"], tau),
+        _thermal_pair_jacobian,
         lambda problem: (1.1,),
     ),
-    "one_photon_vacuum": (
+    "one_photon_vacuum": _Model(
         ("mean_freq", "width"), (),
         lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], None, None, tau, False),
+        lambda tau, p, fixed: _spectral_jacobian(tau, p, None, False),
         lambda problem: (3.0, 1.0),
     ),
-    "fock_fock": (
+    "fock_fock": _Model(
         ("mean_freq", "width"), ("lo_mean_freq",),
         lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], fixed["lo_mean_freq"], p[1], tau, False),
+        lambda tau, p, fixed: _spectral_jacobian(tau, p, fixed["lo_mean_freq"], False),
         _spectral_pair_start,
     ),
-    "coherent_coherent": (
+    "coherent_coherent": _Model(
         ("mean_freq", "width"), ("lo_mean_freq",),
         lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], fixed["lo_mean_freq"], p[1], tau, True),
+        lambda tau, p, fixed: _spectral_jacobian(tau, p, fixed["lo_mean_freq"], True),
         _spectral_pair_start,
     ),
 }
@@ -108,10 +162,10 @@ def model_prediction(model: str, tau: np.ndarray, params, fixed: dict) -> np.nda
     """Forward model ratios on a delay grid; `fixed` holds the known quantities."""
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {sorted(_MODELS)}")
-    names, _, predict, _ = _MODELS[model]
-    if len(params) != len(names):
-        raise ValueError(f"model {model} takes parameters {names}")
-    return np.asarray(predict(np.asarray(tau, dtype=float), params, fixed))
+    row = _MODELS[model]
+    if len(params) != len(row.names):
+        raise ValueError(f"model {model} takes parameters {row.names}")
+    return np.asarray(row.predict(np.asarray(tau, dtype=float), params, fixed))
 
 
 @dataclass(frozen=True)
@@ -145,7 +199,7 @@ class FitProblem:
             raise ValueError("noise levels must be positive")
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        names, needs, _, start = _MODELS[self.model]
+        names, needs, _, _, start = _MODELS[self.model]
         missing = [key for key in needs if self.fixed.get(key) is None]
         if missing:
             raise ValueError(f"model {self.model} needs fixed {missing}")
@@ -167,7 +221,7 @@ class FitProblem:
 
     @property
     def parameter_names(self) -> tuple:
-        return _MODELS[self.model][0]
+        return _MODELS[self.model].names
 
     def weights(self) -> np.ndarray:
         if self.noise is None:
@@ -196,15 +250,21 @@ _GRAD_TOL = 1e-10
 def fit(problem: FitProblem) -> FitResult:
     """Damped least-squares fit of a forward model to interferogram data.
 
-    Minimizes Σ w_i (ratio_i - model(τ_i; p))² with Levenberg-Marquardt
-    damping and forward-difference Jacobians; converges when the step norm
-    or the gradient norm drops below 1e-10.  Deterministic for identical
-    inputs.  Flat data raise :class:`IdentifiabilityError`; hitting the
-    iteration cap (200) raises :class:`NonConvergenceError` carrying the
-    best iterate.
+    Minimizes Σ w_i (ratio_i - model(τ_i; p))² by Levenberg-Marquardt steps
+    with the model's exact Jacobian, taken once at each accepted point, and
+    Marquardt's scaling D = diag(JᵀWJ).  One eigendecomposition of
+    D^-½ JᵀWJ D^-½ per iteration serves every damped trial step of it.  The
+    damping λ follows Nielsen's rule (Madsen, Nielsen & Tingleff 2004,
+    §3.2): an accepted step, ρ its actual over predicted cost reduction,
+    scales λ by max(1/3, 1 - (2ρ - 1)³) and resets ν to 2; a rejected one
+    scales λ by ν and doubles ν.  Converges when a proposed step's norm or
+    the gradient norm drops below 1e-10.  Deterministic for identical
+    inputs.  Flat data, or normal equations with cond₂(JᵀWJ) > 1e14, raise
+    :class:`IdentifiabilityError`; hitting the iteration cap (200) raises
+    :class:`NonConvergenceError` carrying the best iterate.
 
     ``uncertainties`` are sqrt(diag(s²(JᵀWJ)⁻¹)), with J the model's
-    Jacobian from the last iteration, W = diag(1/noise²) (the identity
+    Jacobian at the returned estimates, W = diag(1/noise²) (the identity
     without noise) and s² = cost/dof the reduced χ² of the weighted
     residuals.  They are rescaled by s² also when ``noise`` is given
     (scipy's ``absolute_sigma=False``): ``noise`` sets the weights, and a
@@ -216,55 +276,59 @@ def fit(problem: FitProblem) -> FitResult:
         raise IdentifiabilityError(
             "interferogram is constant; the scenario parameters are not identifiable"
         )
+    row = _MODELS[problem.model]
 
     def residual(params):
         return w * (model_prediction(problem.model, problem.tau, params, problem.fixed) - data)
+
+    def jacobian(params):
+        return w[:, None] * row.jacobian(problem.tau, params, problem.fixed)
 
     p = np.array(problem.initial, dtype=float)
     lo, hi = _BOUNDS
     r = residual(p)
     cost = float(r @ r)
     initial_cost = cost
-    lam = 1e-3
+    jac = jacobian(p)
+    lam, nu = 1e-3, 2.0
     converged = False
     iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
-        jac = np.empty((r.size, p.size))
-        for i in range(p.size):
-            h = 1e-7 * max(abs(p[i]), 1e-3)
-            stepped = p.copy()
-            stepped[i] = min(p[i] + h, hi)
-            actual = stepped[i] - p[i]
-            if actual == 0.0:
-                stepped[i] = p[i] - h
-                actual = -h
-            jac[:, i] = (residual(stepped) - r) / actual
         grad = jac.T @ r
         if float(np.linalg.norm(grad)) < _GRAD_TOL:
             converged = True
             break
         hess = jac.T @ jac
-        if not np.all(np.isfinite(hess)) or np.linalg.cond(hess + np.eye(p.size) * 1e-300) > 1e14:
+        if not np.all(np.isfinite(hess)):
             raise IdentifiabilityError("normal equations are singular; parameters degenerate")
-        step = None
+        extremes = np.linalg.eigvalsh(hess)[[0, -1]]
+        if extremes[0] <= 0.0 or extremes[1] > 1e14 * extremes[0]:
+            raise IdentifiabilityError("normal equations are singular; parameters degenerate")
+        # (H + λD)δ = -g as δ = -S V (Λ + λ)⁻¹ Vᵀ S g, with S = D^-½ and S H S = V Λ Vᵀ
+        scale = 1.0 / np.sqrt(np.maximum(np.diag(hess), 1e-30))
+        values, vectors = np.linalg.eigh(scale[:, None] * hess * scale)
+        basis = scale[:, None] * vectors
+        projected = basis.T @ grad
         for _ in range(40):
-            damped = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-30))
-            try:
-                candidate = np.linalg.solve(damped, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = np.clip(p + candidate, lo, hi)
+            trial = np.clip(p - basis @ (projected / (values + lam)), lo, hi)
+            step = trial - p
+            small = float(np.linalg.norm(step)) < _STEP_TOL
             r_trial = residual(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:
-                step = trial - p
+                predicted = -float(step @ (2.0 * grad + hess @ step))  # ‖r‖² - ‖r + Jδ‖²
+                rho = min((cost - cost_trial) / predicted, 1.0) if predicted > 0.0 else 1.0  # λ/3 from ρ = 1 up
+                lam, nu = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-14), 2.0
                 p, r, cost = trial, r_trial, cost_trial
-                lam = max(lam / 3.0, 1e-14)
+                jac = jacobian(p)
                 break
-            lam *= 5.0
-        if step is None or float(np.linalg.norm(step)) < _STEP_TOL:
+            if small:  # a larger λ only shortens the step
+                break
+            lam, nu = lam * nu, 2.0 * nu
+        else:  # forty rejections
+            small = True
+        if small:
             converged = True
             break
 

@@ -96,7 +96,8 @@ def bose_weighted_integral(theta: float, d: int, tau=0.0, *, abs_tol: float | No
     per node for every delay, and each delay meets max(``abs_tol``,
     TOL·|value|), TOL = :data:`~mmi.quadrature.TOL`; ``abs_tol`` defaults
     to 1e-13 θ^(d+1) J(d).  The stated error adds the rounding floor of the
-    phase, and a delay with |τ|θ past 2²⁶ over the Bose cutoff raises
+    phase and the envelope's tail past the Bose cutoff X, 1.582 θ^(d+1) Γ(d+1, X),
+    and a delay with |τ|θ past 2²⁶ over the Bose cutoff raises
     :class:`~mmi.quadrature.QuadratureError` (see :mod:`mmi.quadrature`).  Returns
     the :class:`~mmi.quadrature.QuadratureResult` with value and error in
     the shape of ``tau`` (floats for a scalar).
@@ -129,15 +130,21 @@ def bose_weighted_integral(theta: float, d: int, tau=0.0, *, abs_tol: float | No
         )
 
     result = integrate_grid(a, integrate_chunk)
-    return replace(result, value=scale * result.value, error=scale * result.error)
+    # the truncated tail: ∫_X^∞ of the envelope, 1.582 Γ(d+1, X) = 1.582 d! e^-X Σ_{k≤d} X^k/k!, bounds it
+    tail = _BOSE_BOUND * math.factorial(d) * math.exp(-cutoff) * sum(cutoff**k / math.factorial(k) for k in range(d + 1))
+    return replace(result, value=scale * result.value, error=scale * (result.error + tail))
+
+
+# 1/(e^x - 1) <= e^-x / (1 - e^-1) <= 1.582 e^-x for x >= 1
+_BOSE_BOUND = 1.582
 
 
 def _bose_envelope(d):
     def envelope(x):
-        # 1/(e^x - 1) <= e^-x / (1 - e^-1) for x >= 1; x^d e^-x peaks at x = d, so taking
-        # y = max(x, d) keeps the bound non-increasing from 1, where tail_cutoff starts
+        # x^d e^-x peaks at x = d, so taking y = max(x, d) keeps the bound
+        # non-increasing from 1, where tail_cutoff starts
         y = max(x, d)
-        return y**d * math.exp(-y) * 1.582 if x >= 1.0 else 2.0 * x ** (d - 1)
+        return y**d * math.exp(-y) * _BOSE_BOUND if x >= 1.0 else 2.0 * x ** (d - 1)
 
     return envelope
 

@@ -21,6 +21,16 @@ overflows.  Both are generated per odd d ≤ 7 and agree to 1e-12 at the
 switch for d = 1 and 3 (2e-11 at d = 7).  The Bernoulli table ends at B_54,
 which the 25-term series needs at d = 3; d = 5 and 7 take the 24 and 23
 terms it holds.
+
+The slope K_d'(x), which the thermal fit's Jacobian needs, comes from the
+same pieces (``_fringe_slope``): below the switch the series differentiated
+term by term; above it, as dq/dx = -2q,
+-2q d/dq[q A_d(q)/(1-q)^(d+1)] = -2q N(q)/(1-q)^(d+2), with the integer
+numerator N = (1 - q)(A_d + qA_d') + (d+1)qA_d (the Eulerian numbers of
+order d + 1, 1 + 11q + 11q² + q³ at d = 3), less (d+1) pole/x^(d+2).  Both
+powers are products.  It is within 1e-13 of the derivative of the closed
+form at d = 1 and 3 on (0, 40]; at the switch, where the exponential branch
+sums two terms of ≈ 180 at d = 3, the branches meet within 3e-14.
 """
 
 from __future__ import annotations
@@ -136,12 +146,57 @@ def fringe_deviation(x, d: int = 3):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("kernel argument must be non-negative")
+    out = _by_branch(arr, kernel, _series_branch, _exponential_branch)
+    return out if out.ndim else float(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _slope_kernel(d):
+    """(x^(2j) coefficients of K_d'(x)/x from the top term down, -2 scale·gain, the numerator
+    (1 - q)(A + qA') + (d + 1)qA upwards, -(d + 1)·pole, d + 2) from :func:`_kernel`."""
+    series, scale, gain, eulerian, pole, power = _kernel(d)
+    coeffs = series[::-1]  # upwards from x^0
+    slope = tuple(2 * j * coeffs[j] for j in range(len(coeffs) - 1, 0, -1))
+    padded = (0.0, *eulerian, 0.0)  # c_(m-1) and c_m for m = 0 .. d
+    numerator = tuple((m + 1) * padded[m + 1] + (power - m) * padded[m] for m in range(d + 1))
+    return slope, -2.0 * scale * gain, numerator, -power * pole, power + 1
+
+
+def _power(y: np.ndarray, n: int) -> np.ndarray:
+    """y^n by products: y**n takes a libm pow per value, ten times the cost."""
+    out = y
+    for _ in range(n - 1):
+        out = out * y
+    return out
+
+
+def _slope_series(x: np.ndarray, kernel) -> np.ndarray:
+    x2 = x * x
+    acc = np.zeros_like(x2)
+    for c in kernel[0]:
+        acc = acc * x2 + c
+    return acc * x
+
+
+def _slope_exponential(x: np.ndarray, kernel) -> np.ndarray:
+    _, gain, numerator, pole, power = kernel
+    q = np.exp(-2.0 * x)
+    return gain * q * _eulerian_sum(q, numerator) / _power(1.0 - q, power) + pole / _power(x, power)
+
+
+def _by_branch(arr: np.ndarray, kernel, series, exponential) -> np.ndarray:
     out = np.empty(arr.shape)
     small = arr < SERIES_SWITCH
-    for mask, branch in ((small, _series_branch), (~small, _exponential_branch)):
+    for mask, branch in ((small, series), (~small, exponential)):
         if mask.any():
             out[mask] = branch(arr[mask], kernel)
-    return out if out.ndim else float(out)
+    return out
+
+
+def _fringe_slope(x: np.ndarray, d: int = 3) -> np.ndarray:
+    """K_d'(x), the slope of :func:`fringe_deviation`, on an array x >= 0 (see the module
+    docstring); an x of inf gives 0."""
+    return _by_branch(x, _slope_kernel(d), _slope_series, _slope_exponential)
 
 
 @functools.lru_cache(maxsize=64)

@@ -3,7 +3,8 @@
 A check is a JSON-ready record ``{name, max_deviation, tolerance, passed, seconds}``; it passes when the
 deviation is within the tolerance, and its ``seconds`` is the wall time of the group that computed it,
 which the checks of one group share.
-Beside the named checks, each row of :data:`_PAIRS` compares ``method="auto"`` with ``"quadrature"``
+Beside the named checks, each fit model of :data:`mmi.inference._MODELS` is fit from its default start
+to its own noise-free prediction, and each row of :data:`_PAIRS` compares ``method="auto"`` with ``"quadrature"``
 at every dimension that :data:`mmi.intensity._DIMENSIONS` admits for its scenario, so a dimension
 added there is verified with no edit here.
 """
@@ -15,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .inference import FitProblem, discriminate_state_class, estimate_coherence_time, fit
+from .inference import _MODELS, FitProblem, discriminate_state_class, estimate_coherence_time, fit, model_prediction
 from .intensity import (
     _DIMENSIONS, IntensityRequest, _scenario, coherent_intensity, compute_interferogram, fock_intensity,
     fock_intensity_closed, thermal_thermal_ratio, thermal_vacuum_ratio,
@@ -124,10 +125,23 @@ def _verify_coherence_horizon():
     return [("coherence horizon", abs(estimate_coherence_time().a_c - 1.5), 1e-8)]
 
 
-def _verify_thermometry():
-    a = np.linspace(0.0, 3.0, 200)
-    problem = FitProblem(tau=a, ratios=thermal_thermal_ratio(1.0, 1.01, a), model="thermal_thermal", fixed={"theta0": 1.0})
-    return [("thermal-thermal fit round trip", abs(fit(problem).estimates["theta_ratio"] / 1.01 - 1.0), 1e-9)]
+# The truth, known quantities and delays of each fit model's round trip; every row of
+# inference._MODELS needs one.
+_FIT_TRUTHS = {
+    "thermal_thermal": ((1.01,), {"theta0": 1.0}, np.linspace(0.0, 3.0, 200)),
+    "one_photon_vacuum": ((3.2, 0.9), {}, _TAUS),
+    "fock_fock": ((3.0, 1.0), {"lo_mean_freq": 3.15, "width_guess": 1.0}, _TAUS),
+    "coherent_coherent": ((3.0, 1.0), {"lo_mean_freq": 3.15, "width_guess": 1.0}, _TAUS),
+}
+
+
+def _verify_fit(model):
+    """The largest relative error of a fit from the default start to the model's own noise-free data."""
+    truth, fixed, taus = _FIT_TRUTHS[model]
+    problem = FitProblem(tau=taus, ratios=model_prediction(model, taus, truth, fixed), model=model, fixed=fixed)
+    estimates = fit(problem).estimates.values()
+    name = model.replace("_", "-") + " fit round trip"
+    return [(name, max(abs(got / want - 1.0) for got, want in zip(estimates, truth)), 1e-9)]
 
 
 def _dual_path(name, signal, lo, delays, d):
@@ -158,7 +172,8 @@ def run_verification(quick: bool = False) -> list[dict]:
         checks += _guarded("monte-carlo oracle", _verify_montecarlo)
     checks += _guarded("thermal-thermal scenario", _verify_thermal_thermal)
     checks += _guarded("coherence horizon", _verify_coherence_horizon)
-    checks += _guarded("thermal-thermal fit", _verify_thermometry)
+    for model in _MODELS:
+        checks += _guarded(model.replace("_", "-") + " fit", _verify_fit, model)
     spectral_gaps = []
     for pair, signal, lo, delays in _PAIRS:
         scenario = _scenario(signal, lo)

@@ -495,7 +495,7 @@ def test_verify_out_records_each_check_time(tmp_path):
     out = tmp_path / "verify.json"
     assert cli.main(["verify", "--quick", "--out", str(out)]) == 0
     checks = json.loads(out.read_text())["checks"]
-    assert len(checks) == 22
+    assert len(checks) == 25
     assert all(isinstance(check["seconds"], float) and check["seconds"] >= 0.0 for check in checks)
     assert next(c for c in checks if c["name"] == "fock plateau")["seconds"] > 0.0
 

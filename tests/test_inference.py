@@ -68,7 +68,7 @@ def test_no_better_minimum_at_truth():
 def test_iteration_cap_raises_non_convergence_with_the_last_iterate(monkeypatch, tmp_path, capsys):
     from mmi import cli
 
-    monkeypatch.setattr(mmi.inference, "_MAX_ITER", 2)  # the fit needs 6
+    monkeypatch.setattr(mmi.inference, "_MAX_ITER", 2)  # the fit converges in 6 iterations
     with pytest.raises(NonConvergenceError) as caught:
         fit(_thermal_problem())
     assert caught.value.result.iterations == 2
@@ -134,15 +134,20 @@ def test_coherent_model_roundtrip():
     assert abs(result.estimates["width"] - 1.0) < 1e-6
 
 
+JACOBIAN_CASES = {
+    "thermal_thermal": ((1.02,), {"theta0": 1.0}, np.linspace(0.0, 2.5, 80)),
+    "one_photon_vacuum": ((3.1, 0.95), {}, np.linspace(0.0, 5.0, 80)),
+    "fock_fock": ((3.05, 1.02), {"lo_mean_freq": 3.15}, np.linspace(0.0, 5.0, 80)),
+    "coherent_coherent": ((3.05, 1.02), {"lo_mean_freq": 3.15}, np.linspace(0.0, 5.0, 80)),
+}
+
+
 def test_model_jacobians_match_central_differences():
-    cases = [
-        ("thermal_thermal", (1.02,), {"theta0": 1.0}, np.linspace(0.0, 2.5, 80)),
-        ("one_photon_vacuum", (3.1, 0.95), {}, np.linspace(0.0, 5.0, 80)),
-        ("fock_fock", (3.05, 1.02), {"lo_mean_freq": 3.15}, np.linspace(0.0, 5.0, 80)),
-        ("coherent_coherent", (3.05, 1.02), {"lo_mean_freq": 3.15}, np.linspace(0.0, 5.0, 80)),
-    ]
-    for model, params, fixed, taus in cases:
-        base = model_prediction(model, taus, params, fixed)
+    # each row's exact Jacobian against central differences of its prediction, relative 1e-6
+    assert set(JACOBIAN_CASES) == set(mmi.inference._MODELS)
+    for model, (params, fixed, taus) in JACOBIAN_CASES.items():
+        exact = mmi.inference._MODELS[model].jacobian(taus, np.array(params), fixed)
+        assert exact.shape == (taus.size, len(params)), model
         for i, p in enumerate(params):
             h = 1e-6 * max(abs(p), 1.0)
             up = list(params)
@@ -150,9 +155,81 @@ def test_model_jacobians_match_central_differences():
             up[i] = p + h
             dn[i] = p - h
             central = (model_prediction(model, taus, up, fixed) - model_prediction(model, taus, dn, fixed)) / (2 * h)
-            forward = (model_prediction(model, taus, up, fixed) - base) / h
             scale = float(np.max(np.abs(central))) or 1.0
-            assert float(np.max(np.abs(forward - central))) / scale < 1e-5, (model, i)
+            assert float(np.max(np.abs(exact[:, i] - central))) / scale < 1e-6, (model, i)
+
+
+@pytest.mark.parametrize("model", sorted(JACOBIAN_CASES))
+def test_uncertainties_come_from_the_jacobian_at_the_estimates(model):
+    # sqrt(diag(s²(JᵀWJ)⁻¹)) with the row's Jacobian at the returned estimates, with and without noise
+    params, fixed, taus = JACOBIAN_CASES[model]
+    clean = model_prediction(model, taus, params, fixed)
+    rng = np.random.default_rng(17)
+    for noise in (None, rng.uniform(5e-4, 2e-3, taus.size)):
+        data = clean + rng.normal(0.0, 1e-3, taus.size)
+        result = fit(FitProblem(tau=taus, ratios=data, model=model, fixed=fixed, noise=noise))
+        jac = mmi.inference._MODELS[model].jacobian(taus, np.array(list(result.estimates.values())), fixed)
+        weighted = jac if noise is None else jac / noise[:, None]
+        s_sq = result.residual_norm**2 / (taus.size - len(params))
+        expected = np.sqrt(np.diag(s_sq * np.linalg.inv(weighted.T @ weighted)))
+        got = np.array(list(result.uncertainties.values()))
+        assert np.all(np.abs(got / expected - 1.0) <= 1e-12), (model, got, expected)
+
+
+def _reference_trials(problem):
+    """Every point a Levenberg-Marquardt fit with Nielsen's damping evaluates (Madsen, Nielsen &
+    Tingleff 2004, Algorithm 3.16, with Marquardt's scaling D = diag(JᵀJ) and fit's stopping
+    rules), each damped step from np.linalg.solve of (JᵀJ + λD)δ = -Jᵀr."""
+    row = mmi.inference._MODELS[problem.model]
+    lo, hi = mmi.inference._BOUNDS
+
+    def residual(p):
+        return row.predict(problem.tau, p, problem.fixed) - problem.ratios
+
+    p = np.array(problem.initial, dtype=float)
+    r, trials = residual(p), [p]
+    lam, nu = 1e-3, 2.0
+    while True:
+        jac = row.jacobian(problem.tau, p, problem.fixed)
+        grad, hess = jac.T @ r, jac.T @ jac
+        if np.linalg.norm(grad) < 1e-10:
+            return trials
+        scaling = np.diag(np.maximum(np.diag(hess), 1e-30))
+        while True:
+            step = np.clip(p + np.linalg.solve(hess + lam * scaling, -grad), lo, hi) - p
+            trials.append(p + step)
+            r_trial = residual(p + step)
+            if r_trial @ r_trial < r @ r:
+                rho = (r @ r - r_trial @ r_trial) / (step @ (lam * scaling @ step - grad))
+                lam, nu = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3), 1e-14), 2.0
+                p, r = p + step, r_trial
+                break
+            if np.linalg.norm(step) < 1e-10:
+                return trials
+            lam, nu = lam * nu, 2.0 * nu
+        if np.linalg.norm(step) < 1e-10:
+            return trials
+
+
+def test_fit_evaluates_the_points_of_nielsens_damping(monkeypatch):
+    # rejected, accepted and again rejected trials (ν reset to 2 in between), from a start far
+    # off the truth: fit's eigen-solve of the scaled normal equations takes the reference's steps
+    taus = np.linspace(0.0, 6.0, 121)
+    fixed = {"lo_mean_freq": 3.0}
+    problem = FitProblem(tau=taus, ratios=model_prediction("fock_fock", taus, (3.5, 1.1), fixed), model="fock_fock",
+                         fixed=fixed, initial=(2.9, 0.6))
+    evaluated = []
+
+    def recorded(model, tau, params, fixed):
+        evaluated.append(np.array(params, dtype=float))
+        return model_prediction(model, tau, params, fixed)
+
+    monkeypatch.setattr(mmi.inference, "model_prediction", recorded)
+    result = fit(problem)
+    expected = _reference_trials(problem)
+    assert len(evaluated) == len(expected) == 18
+    assert np.allclose(evaluated, expected, rtol=1e-9, atol=0.0)
+    assert abs(result.estimates["mean_freq"] / 3.5 - 1.0) < 1e-12
 
 
 def test_fit_problem_names_missing_fixed_quantities():
@@ -431,7 +508,7 @@ def test_residual_norms_within_one_percent_are_indistinguishable():
 
 
 def test_fit_started_on_an_upper_bound_steps_backward(monkeypatch):
-    # the forward Jacobian step is clipped to zero at the bound, so the fit differences backward
+    # a start on the box's upper bound: the trial steps are clipped to the box, and the fit moves down
     a = np.linspace(0.0, 3.0, 200)
     monkeypatch.setattr(mmi.inference, "_BOUNDS", (0.5, 1.1))
     problem = FitProblem(tau=a, ratios=thermal_thermal_ratio(1.0, 1.05, a), model="thermal_thermal",

@@ -821,10 +821,29 @@ def test_thermal_quadrature_matches_a_50_digit_reference_up_to_its_reach(d):
                 k = 3 * (1 / x**2 - 1 / mp.sinh(x) ** 2)
             else:
                 k = 15 * ((2 + mp.cosh(2 * x)) / mp.sinh(x) ** 4 - 3 / x**4)
-            # the tail past the cutoff, where the Bose envelope is below a tenth of the
-            # tolerance, is not in the stated error
-            assert abs(gram.ratios[0] - float((1 + k) / 2)) <= gram.metadata["quadrature"]["max_error"] + TOL / 10, a
+            # the stated error holds the tail past the Bose cutoff
+            assert abs(gram.ratios[0] - float((1 + k) / 2)) <= gram.metadata["quadrature"]["max_error"], a
     _past_the_reach((Thermal(1.0), Vacuum()), reach, d)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_thermal_quadrature_error_holds_the_tail_past_the_cutoff(d):
+    # at small a the truncated tail, 1.582 Γ(d+1, X) past the Bose cutoff X (5.1e-14 of the
+    # ratio at d = 1, 5.4e-14 at d = 3), outweighs the quadrature's own error estimate
+    mp = pytest.importorskip("mpmath")
+    a = np.array([0.01, 0.1, 1.0])
+    j_const = bose_integral_constant(d)
+    res = bose_weighted_integral(1.0, d, a, abs_tol=TOL * j_const)
+    with mp.workdps(50):
+        for ai, value, error in zip(a, res.value / j_const, res.error / j_const):
+            x = mp.pi * mp.mpf(float(ai))
+            if d == 1:
+                k = 3 * (1 / x**2 - 1 / mp.sinh(x) ** 2)
+            else:
+                k = 15 * ((2 + mp.cosh(2 * x)) / mp.sinh(x) ** 4 - 3 / x**4)
+            assert abs(value - float(k)) <= error, ai
+    gram = compute_interferogram(IntensityRequest(Thermal(1.0), Vacuum(), a, d, "quadrature"))
+    assert gram.metadata["quadrature"]["max_error"] == pytest.approx(0.5 * float(np.max(res.error)) / j_const, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 3])

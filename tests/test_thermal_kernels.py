@@ -139,6 +139,35 @@ def test_fringe_identity_to_thirty_digits():
                 assert abs(fringe_deviation(float(mpmath.pi * a), d) - want) <= 1e-11 * abs(want), (d, a)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_fringe_slope_against_forty_digit_references(d):
+    # K_d' against the derivative of the closed form at 40 digits on (0, 40], both branches
+    from mmi.thermal_kernels import _fringe_slope, _slope_exponential, _slope_kernel, _slope_series
+
+    mpmath = pytest.importorskip("mpmath")
+
+    def closed(x):
+        if d == 1:
+            return 3 * (1 / x**2 - 1 / mpmath.sinh(x) ** 2)
+        return 15 * ((2 + mpmath.cosh(2 * x)) / mpmath.sinh(x) ** 4 - 3 / x**4)
+
+    x = np.concatenate([np.geomspace(1e-4, 0.99, 40), [np.nextafter(SERIES_SWITCH, 0.0), SERIES_SWITCH],
+                        np.linspace(1.01, 40.0, 80)])
+    got = _fringe_slope(x, d)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.diff(closed, mpmath.mpf(float(v)))) for v in x])
+    assert float(np.max(np.abs(got - want))) <= 1e-13
+    # at the switch the exponential branch sums two terms near its pole term, -(d + 1)·pole
+    # (180 at d = 3), so the branches meet within a few of that term's ulps, not the result's
+    kernel = _slope_kernel(d)
+    at_switch = np.array([SERIES_SWITCH])
+    gap = abs(_slope_series(at_switch, kernel) - _slope_exponential(at_switch, kernel))[0]
+    assert gap <= 4.0 * np.spacing(abs(kernel[3]))
+    assert _fringe_slope(np.array([0.0]), d)[0] == 0.0
+    with np.errstate(over="ignore"):
+        assert _fringe_slope(np.array([1e300, np.inf]), d).tolist() == [0.0, 0.0]
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         fringe_deviation(-0.5)

@@ -1,6 +1,6 @@
 import pytest
 
-from mmi import intensity, verify
+from mmi import inference, intensity, verify
 from mmi.spectra import SpectralDistribution
 from mmi.states import Coherent, OnePhoton, Thermal, Vacuum
 
@@ -47,11 +47,14 @@ def test_quick_keeps_every_named_check_and_skips_only_monte_carlo(quick_checks):
         "spectral exact-vs-quadrature": 1e-9,
         "coherence horizon": 1e-8,
         "thermal-thermal fit round trip": 1e-9,
+        "one-photon-vacuum fit round trip": 1e-9,
+        "fock-fock fit round trip": 1e-9,
+        "coherent-coherent fit round trip": 1e-9,
     }
     for name, tol in named.items():
         value, got = quick_checks[name]
         assert got == tol and value <= tol, name
-    assert len(quick_checks) == 22
+    assert len(quick_checks) == 25
     assert not any("monte-carlo" in name for name in quick_checks)
 
 
@@ -119,3 +122,11 @@ def test_a_crashing_group_is_a_failing_check(monkeypatch):
     checks = {check["name"]: check["passed"] for check in verify.run_verification(quick=True)}
     assert checks["thermal-thermal scenario raised RuntimeError"] is False
     assert checks["thermal-thermal dual path"]
+
+
+def test_every_fit_model_gets_a_round_trip_check(monkeypatch):
+    # the round trips follow inference._MODELS: a model without a truth in verify fails its check
+    monkeypatch.setitem(inference._MODELS, "thermal_copy", inference._MODELS["thermal_thermal"])
+    checks = {c["name"]: c["passed"] for c in verify.run_verification(quick=True)}
+    assert checks["thermal-copy fit raised KeyError"] is False
+    assert all(checks[model.replace("_", "-") + " fit round trip"] for model in verify._FIT_TRUTHS)

@@ -163,7 +163,7 @@ def _slope_kernel(d):
 
 
 def _power(y: np.ndarray, n: int) -> np.ndarray:
-    """y^n by products: y**n takes a libm pow per value, ten times the cost."""
+    """y^n by products, cheaper than y**n, which calls pow per value."""
     out = y
     for _ in range(n - 1):
         out = out * y

@@ -439,7 +439,7 @@ def integrate_grid(delays, integrate_chunk: Callable[[np.ndarray], QuadratureRes
     error = np.empty(flat.size)
     chunks = -(-flat.size // max(1, CHUNK_ELEMENTS // (_FIRST_PANELS * NODES.size)))
     panels = evaluations = 0
-    for idx in np.array_split(order, chunks):
+    for idx in np.array_split(order, chunks) if chunks else ():  # an empty grid integrates nothing
         res = integrate_chunk(flat[idx])
         value[idx] = res.value
         error[idx] = res.error

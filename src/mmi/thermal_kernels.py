@@ -3,34 +3,35 @@
 For odd d = 2k + 1, summing 1/(e^t - 1) = Σₙ e^{-nt} gives (Gradshteyn &
 Ryzhik 3.911.2) ∫₀^∞ sin(at)/(e^t - 1) dt = S(a) = (π/2) coth πa - 1/(2a),
 and d derivatives in a turn sin(at) into (-1)^k t^d cos(at).  So at x = πa,
-with J(d) = Γ(1+d)ζ(1+d) and coth^(d) = P_d(coth) (a polynomial, as
-coth' = 1 - coth²), the normalized fringe integral is
+with J(d) = Γ(1+d)ζ(1+d), the normalized fringe integral is
 
     K_d = (1/J(d)) ∫₀^∞ t^d cos(at)/(e^t - 1) dt
-        = (-1)^k (π^(d+1)/J(d)) [P_d(coth x)/2 + d!/(2x^(d+1))]:
+        = (-1)^k (π^(d+1)/J(d)) [coth^(d)(x)/2 + d!/(2x^(d+1))]:
 
 15((2 + cosh 2x)/sinh⁴x - 3/x⁴) at d = 3, 3(1/x² - 1/sinh²x) at d = 1.
 The pole cancels every digit near x = 0 and cosh overflows for large x, so
 ``fringe_deviation(x, d)`` takes, below x = 1, the even series with x^(2j)
 coefficient (-1)^j C(d+2j, d) ζ(d+1+2j)/(π^(2j) ζ(d+1)), exact rationals
-by ζ(2m)/π^(2m) = 2^(2m)|B_2m|/(2 (2m)!).  Above it, with q = e^(-2x),
-coth x = 1 + 2 Σₙ qⁿ gives P_d(coth x) = -2^(d+1) Σₙ n^d qⁿ =
--2^(d+1) q A_d(q)/(1-q)^(d+1), whose integer numerator A_d holds the
-Eulerian numbers (1 + 4q + q² at d = 3); it stays finite where cosh 2x
-overflows.  Both are generated per odd d ≤ 7 and agree to 1e-12 at the
-switch for d = 1 and 3 (2e-11 at d = 7).  The Bernoulli table ends at B_54,
-which the 25-term series needs at d = 3; d = 5 and 7 take the 24 and 23
-terms it holds.
+by ζ(2n)/π^(2n) = 2^(2n)|B_2n|/(2 (2n)!).  Above it, with q = e^(-2x),
+coth x = 1 + 2 Σₙ qⁿ gives, for m ≥ 1, coth^(m) x = 2(-2)^m Σₙ n^m qⁿ =
+2(-2)^m q A_m(q)/(1-q)^(m+1), whose integer numerator A_m holds the
+Eulerian numbers (1 + 4q + q² at m = 3); it stays finite where cosh 2x
+overflows.  K_d takes m = d.  Both branches are generated per odd d ≤ 7 and
+agree to 1e-12 at the switch for d = 1 and 3 (2e-11 at d = 7).  The
+Bernoulli table ends at B_54, which the 25-term series needs at d = 3; d = 5
+and 7 take the 24 and 23 terms it holds.
 
-The slope K_d'(x), which the thermal fit's Jacobian needs, comes from the
-same pieces (``_fringe_slope``): below the switch the series differentiated
-term by term; above it, as dq/dx = -2q,
--2q d/dq[q A_d(q)/(1-q)^(d+1)] = -2q N(q)/(1-q)^(d+2), with the integer
-numerator N = (1 - q)(A_d + qA_d') + (d+1)qA_d (the Eulerian numbers of
-order d + 1, 1 + 11q + 11q² + q³ at d = 3), less (d+1) pole/x^(d+2).  Both
-powers are products.  It is within 1e-13 of the derivative of the closed
-form at d = 1 and 3 on (0, 40]; at the switch, where the exponential branch
-sums two terms of ≈ 180 at d = 3, the branches meet within 3e-14.
+The slope K_d'(x), which the thermal fit's Jacobian needs
+(``_fringe_slope``), is the same form one order up,
+
+    K_d' = (-1)^k (π^(d+1)/J(d)) [coth^(d+1)(x)/2 - (d+1)!/(2x^(d+2))],
+
+so the same generator builds it at m = d + 1 (A_4 = 1 + 11q + 11q² + q³ at
+d = 3), its series K_d's differentiated term by term and held as x·H(x²),
+and the same two branches evaluate it.  It is within 1e-14 of the
+derivative of the closed form at d = 1 and 3 on (0, 40]; at the switch,
+where the exponential branch sums two terms of ≈ 180 at d = 3, the branches
+meet within 2e-15.
 """
 
 from __future__ import annotations
@@ -95,20 +96,25 @@ def _odd_dimension(d) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(d):
-    """(series from the top term down, π^(d+1)/J(d), -(-1)^k 2^d, A_d, pole, d + 1)
-    of K_d; see the module docstring.  Validates d once per value."""
+def _kernel(d, slope=False):
+    """(series from the top term down, slope, π^(d+1)/J(d), (-1)^k (-2)^m, A_m, pole, m + 1)
+    of K_d at m = d, or of its slope K_d' at m = d + 1; see the module docstring.  Validates
+    d once per value."""
     d = _odd_dimension(d)
     if d > 7:
         raise ValueError(f"the fringe kernel is built for odd d <= 7, got {d}")
+    m = d + slope
     base = _zeta_over_pi(d + 1)  # J(d)/(d! π^(d+1))
     terms = min(_SERIES_TERMS, (len(_BERNOULLI) - 2 - d) // 2)
     series = [(-1) ** j * math.comb(d + 2 * j, d) * _zeta_over_pi(d + 1 + 2 * j) / base for j in range(terms + 1)]
-    # the Eulerian numbers A(d, m) = Σᵢ (-1)^i C(d+1, i) (m+1-i)^d
-    eulerian = [sum((-1) ** i * math.comb(d + 1, i) * (m + 1 - i) ** d for i in range(m + 1)) for m in range(d)]
+    if slope:  # K_d' = x·H(x²), H's x^(2j-2) coefficient 2j times K_d's x^(2j) one
+        series = [2 * j * c for j, c in enumerate(series)][1:]
+    # the Eulerian numbers A(m, r) = Σᵢ (-1)^i C(m+1, i) (r+1-i)^m
+    eulerian = [sum((-1) ** i * math.comb(m + 1, i) * (r + 1 - i) ** m for i in range(r + 1)) for r in range(m)]
     sign = (-1) ** (d // 2)
-    return (tuple(float(c) for c in reversed(series)), float(1 / (math.factorial(d) * base)), float(-sign * 2**d),
-            tuple(map(float, eulerian)), float(sign / (2 * base)), d + 1)
+    pole = -(-1) ** m * sign * Fraction(math.factorial(m), 2 * math.factorial(d)) / base
+    return (tuple(float(c) for c in reversed(series)), slope, float(1 / (math.factorial(d) * base)),
+            float(sign * (-2) ** m), tuple(map(float, eulerian)), float(pole), m + 1)
 
 
 def _series_branch(x: np.ndarray, kernel) -> np.ndarray:
@@ -116,11 +122,11 @@ def _series_branch(x: np.ndarray, kernel) -> np.ndarray:
     acc = np.zeros_like(x2)
     for c in kernel[0]:
         acc = acc * x2 + c
-    return acc
+    return acc * x if kernel[1] else acc
 
 
 def _exponential_branch(x: np.ndarray, kernel) -> np.ndarray:
-    _, scale, gain, eulerian, pole, power = kernel
+    _, _, scale, gain, eulerian, pole, power = kernel
     q = np.exp(-2.0 * x)
     return scale * (_eulerian_sum(q, eulerian) * (gain * q) / (1.0 - q) ** power) + pole / x**power
 
@@ -146,48 +152,14 @@ def fringe_deviation(x, d: int = 3):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("kernel argument must be non-negative")
-    out = _by_branch(arr, kernel, _series_branch, _exponential_branch)
+    out = _by_branch(arr, kernel)
     return out if out.ndim else float(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _slope_kernel(d):
-    """(x^(2j) coefficients of K_d'(x)/x from the top term down, -2 scale·gain, the numerator
-    (1 - q)(A + qA') + (d + 1)qA upwards, -(d + 1)·pole, d + 2) from :func:`_kernel`."""
-    series, scale, gain, eulerian, pole, power = _kernel(d)
-    coeffs = series[::-1]  # upwards from x^0
-    slope = tuple(2 * j * coeffs[j] for j in range(len(coeffs) - 1, 0, -1))
-    padded = (0.0, *eulerian, 0.0)  # c_(m-1) and c_m for m = 0 .. d
-    numerator = tuple((m + 1) * padded[m + 1] + (power - m) * padded[m] for m in range(d + 1))
-    return slope, -2.0 * scale * gain, numerator, -power * pole, power + 1
-
-
-def _power(y: np.ndarray, n: int) -> np.ndarray:
-    """y^n by products, cheaper than y**n, which calls pow per value."""
-    out = y
-    for _ in range(n - 1):
-        out = out * y
-    return out
-
-
-def _slope_series(x: np.ndarray, kernel) -> np.ndarray:
-    x2 = x * x
-    acc = np.zeros_like(x2)
-    for c in kernel[0]:
-        acc = acc * x2 + c
-    return acc * x
-
-
-def _slope_exponential(x: np.ndarray, kernel) -> np.ndarray:
-    _, gain, numerator, pole, power = kernel
-    q = np.exp(-2.0 * x)
-    return gain * q * _eulerian_sum(q, numerator) / _power(1.0 - q, power) + pole / _power(x, power)
-
-
-def _by_branch(arr: np.ndarray, kernel, series, exponential) -> np.ndarray:
+def _by_branch(arr: np.ndarray, kernel) -> np.ndarray:
     out = np.empty(arr.shape)
     small = arr < SERIES_SWITCH
-    for mask, branch in ((small, series), (~small, exponential)):
+    for mask, branch in ((small, _series_branch), (~small, _exponential_branch)):
         if mask.any():
             out[mask] = branch(arr[mask], kernel)
     return out
@@ -196,7 +168,7 @@ def _by_branch(arr: np.ndarray, kernel, series, exponential) -> np.ndarray:
 def _fringe_slope(x: np.ndarray, d: int = 3) -> np.ndarray:
     """K_d'(x), the slope of :func:`fringe_deviation`, on an array x >= 0 (see the module
     docstring); an x of inf gives 0."""
-    return _by_branch(x, _slope_kernel(d), _slope_series, _slope_exponential)
+    return _by_branch(x, _kernel(d, True))
 
 
 @functools.lru_cache(maxsize=64)

@@ -142,19 +142,26 @@ JACOBIAN_CASES = {
 }
 
 
+def _central_differences(model, taus, params, fixed):
+    """∂prediction/∂params by central differences of model_prediction, one column per parameter."""
+    columns = []
+    for i, p in enumerate(params):
+        h = 1e-6 * max(abs(p), 1.0)
+        up = list(params)
+        dn = list(params)
+        up[i] = p + h
+        dn[i] = p - h
+        columns.append((model_prediction(model, taus, up, fixed) - model_prediction(model, taus, dn, fixed)) / (2 * h))
+    return np.column_stack(columns)
+
+
 def test_model_jacobians_match_central_differences():
     # each row's exact Jacobian against central differences of its prediction, relative 1e-6
     assert set(JACOBIAN_CASES) == set(mmi.inference._MODELS)
     for model, (params, fixed, taus) in JACOBIAN_CASES.items():
         exact = mmi.inference._MODELS[model].jacobian(taus, np.array(params), fixed)
         assert exact.shape == (taus.size, len(params)), model
-        for i, p in enumerate(params):
-            h = 1e-6 * max(abs(p), 1.0)
-            up = list(params)
-            dn = list(params)
-            up[i] = p + h
-            dn[i] = p - h
-            central = (model_prediction(model, taus, up, fixed) - model_prediction(model, taus, dn, fixed)) / (2 * h)
+        for i, central in enumerate(_central_differences(model, taus, params, fixed).T):
             scale = float(np.max(np.abs(central))) or 1.0
             assert float(np.max(np.abs(exact[:, i] - central))) / scale < 1e-6, (model, i)
 
@@ -613,24 +620,37 @@ def test_short_span_rejected():
         discriminate_state_class(taus, np.ones(40), F_LO)
 
 
+def _cramer_rao(model, taus, truth, fixed):
+    """sqrt(diag((JᵀJ)⁻¹)) at the truth, J from central differences of the prediction: the
+    Cramér–Rao standard deviations of the parameters under unit Gaussian noise."""
+    jac = _central_differences(model, taus, truth, fixed)
+    return np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
+
+
 def test_thermal_fit_uncertainties_cover_the_truth():
     # z = (estimate - truth)/uncertainty over 400 noisy fits at fixed seeds: |z| < 1
     # should hold in 0.683 of them, within ± 4 binomial sigmas (0.0233 at n = 400);
-    # half the fits pass the noise level, which fit rescales by s² = cost/dof anyway
+    # half the fits pass the noise level, which fit rescales by s² = cost/dof anyway.
+    # The estimates' spread in units of the Cramér–Rao bound has standard deviation 1,
+    # within ± 4 of its standard errors, 1/√(2n)
     truth, n = 1.05, 400
     a = np.linspace(0.05, 3.0, 120)
     taus = a / truth  # θ₀ = 1, so a₁ = τθ₁ spans [0.05, 3]
     clean = np.asarray(thermal_thermal_ratio(1.0, truth, taus))
+    bound = _cramer_rao("thermal_thermal", taus, (truth,), {"theta0": 1.0})[0]
     rng = np.random.default_rng(20261019)
     z = np.empty(n)
+    spread = np.empty(n)
     for i in range(n):
         sigma = (1e-2, 3e-2)[i % 2]
         data = clean + rng.normal(0.0, sigma, size=taus.size)
         noise = sigma if i % 4 < 2 else None
         result = fit(FitProblem(tau=taus, ratios=data, model="thermal_thermal", fixed={"theta0": 1.0}, noise=noise))
         z[i] = (result.estimates["theta_ratio"] - truth) / result.uncertainties["theta_ratio"]
+        spread[i] = (result.estimates["theta_ratio"] - truth) / (sigma * bound)
     band = 4.0 * math.sqrt(0.683 * 0.317 / n)
     assert abs(np.mean(np.abs(z) < 1.0) - 0.683) <= band
+    assert abs(np.std(spread) - 1.0) <= 4.0 / math.sqrt(2 * n)
 
 
 @pytest.mark.parametrize("model, truth, fixed", [
@@ -640,15 +660,22 @@ def test_thermal_fit_uncertainties_cover_the_truth():
 ])
 def test_spectral_fit_uncertainties_cover_the_truth(model, truth, fixed):
     # as for the thermal model: |z| < 1 in 0.683 of 300 noisy fits, within ± 4 binomial
-    # sigmas (0.107 at n = 300), for each parameter; half the fits pass the noise level
+    # sigmas (0.107 at n = 300), for each parameter; half the fits pass the noise level;
+    # and each parameter's spread in units of the Cramér–Rao bound has standard deviation
+    # 1 within ± 4/√(2n) (0.163)
     n = 300
     taus = np.linspace(0.0, 6.0, 121)
     clean = model_prediction(model, taus, truth, fixed)
+    bound = 1e-2 * _cramer_rao(model, taus, truth, fixed)
     rng = np.random.default_rng(20261019)
     z = np.empty((n, 2))
+    estimates = np.empty((n, 2))
     for i in range(n):
         data = clean + rng.normal(0.0, 1e-2, size=taus.size)
         result = fit(FitProblem(tau=taus, ratios=data, model=model, fixed=fixed, noise=1e-2 if i % 2 else None))
         z[i] = [(result.estimates[name] - t) / result.uncertainties[name] for name, t in zip(result.estimates, truth)]
+        estimates[i] = list(result.estimates.values())
     band = 4.0 * math.sqrt(0.683 * 0.317 / n)
     assert np.all(np.abs(np.mean(np.abs(z) < 1.0, axis=0) - 0.683) <= band)
+    spread = np.std((estimates - np.array(truth)) / bound, axis=0)
+    assert np.all(np.abs(spread - 1.0) <= 4.0 / math.sqrt(2 * n)), spread

@@ -539,6 +539,38 @@ def test_spectral_closed_forms_reject_non_finite_delays(closed, tau):
         closed(tau)
 
 
+EVERY_SCENARIO = {
+    "fock": (OnePhoton(F_S), OnePhoton(F_LO)),
+    "coherent": (Coherent(F_S), Coherent(F_LO)),
+    "one-photon-vacuum": (OnePhoton(F_S), Vacuum()),
+    "thermal-vacuum": (Thermal(1.0), Vacuum()),
+    "thermal-thermal": (Thermal(1.1), Thermal(1.0)),
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "closed_form", "quadrature"])
+@pytest.mark.parametrize("ports", list(EVERY_SCENARIO.values()), ids=list(EVERY_SCENARIO))
+def test_empty_delay_grids_give_empty_ratios(ports, method):
+    # the thermal quadrature once split an empty grid into zero chunks, which numpy refuses
+    for delays in ([], np.empty((0, 3))):
+        gram = compute_interferogram(IntensityRequest(*ports, delays, method=method))
+        assert gram.ratios.shape == np.shape(delays)
+        if method != "quadrature":
+            continue
+        quad = gram.metadata["quadrature"]
+        if isinstance(ports[0], Thermal):
+            assert quad == {"panels": 0, "evaluations": 0, "max_error": 0.0}
+        else:  # a spectral grid still integrates its zero-delay normalization, and only that
+            assert quad["max_error"] == 0.0 and gram.normalization > 0.0
+
+
+def test_empty_delay_grids_in_the_quadrature_entry_points():
+    assert np.shape(thermal_vacuum_ratio(1.0, [], method="quadrature")) == (0,)
+    res = bose_weighted_integral(1.0, 3, np.array([]))
+    assert (res.value.shape, res.error.shape, res.panels, res.evaluations) == ((0,), (0,), 0, 0)
+    assert np.shape(weighted_overlap(F_S, F_LO, 1, "cos", np.array([]))) == (0,)
+
+
 # ---------------------------------------------------------------------------
 # the exact spectral path
 

@@ -111,11 +111,15 @@ def test_series_and_direct_branches_agree_at_switch():
 
 def test_kernel_generator_matches_the_coth_derivatives():
     # K_3 in the e^{-2x} form is 15(8q(1+4q+q^2)/(1-q)^4) - 45/x^4, and K_1
-    # is 3/x^2 - 12q/(1-q)^2, q = e^{-2x}: the generated pieces reproduce both
+    # is 3/x^2 - 12q/(1-q)^2, q = e^{-2x}: the generated pieces reproduce both;
+    # one order up, K_3' = -240q(1+11q+11q^2+q^3)/(1-q)^5 + 180/x^5 and
+    # K_1' = 24q(1+q)/(1-q)^3 - 6/x^3
     from mmi.thermal_kernels import _kernel
 
-    assert _kernel(3)[1:] == (15.0, 8.0, (1.0, 4.0, 1.0), -45.0, 4)
-    assert _kernel(1)[1:] == (6.0, -2.0, (1.0,), 3.0, 2)
+    assert _kernel(3)[2:] == (15.0, 8.0, (1.0, 4.0, 1.0), -45.0, 4)
+    assert _kernel(1)[2:] == (6.0, -2.0, (1.0,), 3.0, 2)
+    assert _kernel(3, True)[2:] == (15.0, -16.0, (1.0, 11.0, 11.0, 1.0), 180.0, 5)
+    assert _kernel(1, True)[2:] == (6.0, 4.0, (1.0, 1.0), -6.0, 3)
 
 
 def test_fringe_identity_to_thirty_digits():
@@ -142,7 +146,7 @@ def test_fringe_identity_to_thirty_digits():
 @pytest.mark.parametrize("d", [1, 3])
 def test_fringe_slope_against_forty_digit_references(d):
     # K_d' against the derivative of the closed form at 40 digits on (0, 40], both branches
-    from mmi.thermal_kernels import _fringe_slope, _slope_exponential, _slope_kernel, _slope_series
+    from mmi.thermal_kernels import _exponential_branch, _fringe_slope, _kernel, _series_branch
 
     mpmath = pytest.importorskip("mpmath")
 
@@ -159,10 +163,10 @@ def test_fringe_slope_against_forty_digit_references(d):
     assert float(np.max(np.abs(got - want))) <= 1e-13
     # at the switch the exponential branch sums two terms near its pole term, -(d + 1)·pole
     # (180 at d = 3), so the branches meet within a few of that term's ulps, not the result's
-    kernel = _slope_kernel(d)
+    kernel = _kernel(d, True)
     at_switch = np.array([SERIES_SWITCH])
-    gap = abs(_slope_series(at_switch, kernel) - _slope_exponential(at_switch, kernel))[0]
-    assert gap <= 4.0 * np.spacing(abs(kernel[3]))
+    gap = abs(_series_branch(at_switch, kernel) - _exponential_branch(at_switch, kernel))[0]
+    assert gap <= 4.0 * np.spacing(abs(kernel[5]))
     assert _fringe_slope(np.array([0.0]), d)[0] == 0.0
     with np.errstate(over="ignore"):
         assert _fringe_slope(np.array([1e300, np.inf]), d).tolist() == [0.0, 0.0]

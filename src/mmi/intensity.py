@@ -218,6 +218,14 @@ def _spectral_intensity(f_s, f_lo, grid, d, cross: bool):
     return intensity
 
 
+def _normalized(intensity):
+    """Intensities at [0, τ…] over the first, and that τ = 0 intensity, refused where it vanished."""
+    norm = float(intensity[0])
+    if norm <= 0.0:
+        raise ValueError("zero-delay intensity vanished; cannot normalize")
+    return intensity[1:] / norm, norm
+
+
 def _spectral_exact(f_s, f_lo, taus, d, cross: bool):
     """Exact ratios over a delay grid, and the τ = 0 intensity.
 
@@ -230,9 +238,8 @@ def _spectral_exact(f_s, f_lo, taus, d, cross: bool):
 
     def evaluate(block):
         nonlocal norm
-        intensity = _spectral_intensity(f_s, f_lo, np.concatenate([[0.0], block]), d, cross)
-        norm = float(intensity[0])
-        return intensity[1:] / norm
+        ratios, norm = _normalized(_spectral_intensity(f_s, f_lo, np.concatenate([[0.0], block]), d, cross))
+        return ratios
 
     return _walk(taus, evaluate, 1 + (f_lo is not None) + cross), norm
 
@@ -569,10 +576,7 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
         elif used == "quadrature":
             # [0, τ…] in one grid: the zero-delay intensity normalizes the rest
             res = _spectral_integral(f_s, f_lo, np.concatenate([[0.0], taus.ravel()]), d, cross)
-            norm = float(res.value[0])
-            if norm <= 0.0:
-                raise ValueError("zero-delay intensity vanished; cannot normalize")
-            ratios = res.value[1:] / norm
+            ratios, norm = _normalized(res.value)
             quad = _counters(res, (res.error[1:] + np.abs(ratios) * res.error[0]) / norm)
         else:
             ratios = _closed_pair(f_s, f_lo, taus, cross)

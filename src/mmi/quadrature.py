@@ -17,9 +17,9 @@ rate passes it as ``osc_scale``, which caps the first panels at a quarter
 period.
 
 The fringe integrals of a delay grid, a₀(x) + a_c(x) cos xτ_k + a_s(x) sin xτ_k,
-reach the engine factored: the integrand returns the coefficients a₀, a_c,
-a_s per node and the rates τ_k (a :class:`_Fringes`), not the node × delay
-values, and the engine integrates the cos and sin exactly.  This is
+reach the engine factored: the call passes the rates τ_k as ``rates``, the
+integrand returns the coefficients a₀, a_c, a_s per node, not the node ×
+delay values, and the engine integrates the cos and sin exactly.  This is
 Filon's product rule (Proc. R. Soc. Edinburgh 49, 1928) in the
 Gauss-Kronrod form of QUADPACK's QAWO (Piessens & Branders, J. Comput.
 Appl. Math. 1, 1975): on a panel of midpoint m and half-width h, with
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -174,20 +174,6 @@ class QuadratureResult:
                 array.flags.writeable = False
 
 
-class _Fringes(NamedTuple):
-    """An integrand a₀(x) + a_c(x) cos xτ_k + a_s(x) sin xτ_k, one member per rate τ_k.
-
-    Returned by an integrand in place of its values: each coefficient is
-    None (absent) or one value per node, shared by every member.  Without a
-    cos or sin term the family has one member.
-    """
-
-    rates: np.ndarray
-    const: np.ndarray | None
-    cos: np.ndarray | None
-    sin: np.ndarray | None
-
-
 def _fold(a: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """A coefficient's sums a(ξ_j) + a(-ξ_j) at the nodes ξ_j ≥ 0 (a(0) alone at 0), (panels, 8),
     and its differences a(ξ_j) - a(-ξ_j) at ξ_j > 0, (panels, 7)."""
@@ -283,36 +269,36 @@ def _fringe_sums(mid, half, rates, cos, sin, tables: dict, turns):
     return p, turns
 
 
-def _eval_panels(f: Callable[[np.ndarray], np.ndarray], mid: np.ndarray, half: np.ndarray, tables: dict, turns=None):
+def _eval_panels(f: Callable[[np.ndarray], np.ndarray], mid: np.ndarray, half: np.ndarray, tables: dict, rates=None, turns=None):
     """Kronrod values and |K15-G7| errors, (panels, members), for the panels
     [mid - half, mid + half], the shape of one member set of the integrand,
-    and for a fringe integrand its rates, the panels' turns of
+    and for a fringe integrand (``rates`` handed in) the panels' turns of
     :func:`_fringe_sums` and, on a first pass (no ``turns`` handed in), the
     Kronrod sum Σ_panels h Σ_j w_j (|a₀| + |a_c| + |a_s|) that the rounding
     floor scales with (None where they do not apply).
 
-    A plain ``f`` returns its values, the a₀ term alone of a :class:`_Fringes`."""
+    With ``rates``, ``f`` returns (a₀, a_c, a_s); without, its values, the a₀ term alone."""
     x = mid[:, None] + half[:, None] * NODES[None, :]
     y = f(x.reshape(-1))
-    if not isinstance(y, _Fringes):
-        y = _Fringes(None, y, None, None)
-    const, cos, sin = (None if a is None else np.asarray(a, dtype=float) for a in y[1:])
+    if rates is None:
+        y = (y, None, None)
+    const, cos, sin = (None if a is None else np.asarray(a, dtype=float) for a in y)
     if not all(np.all(np.isfinite(a)) for a in (const, cos, sin) if a is not None):
         raise ValueError("integrand returned a non-finite value")
     size = None
-    if y.rates is not None and turns is None:
+    if rates is not None and turns is None:
         size = sum(np.abs(a) for a in (const, cos, sin) if a is not None).reshape(mid.size, NODES.size)
         size = float(half @ (size @ KRONROD_WEIGHTS))
     if cos is None and sin is None:
         sums = _RULES @ const.reshape(mid.size, NODES.size, -1)
     else:
-        sums, turns = _fringe_sums(mid, half, y.rates, cos, sin, tables, turns)
+        sums, turns = _fringe_sums(mid, half, rates, cos, sin, tables, turns)
         if const is not None:
             sums += _RULES @ const.reshape(mid.size, NODES.size, 1)
     sums *= half[:, None, None]
     errs = sums[:, 0] - sums[:, 1]
-    shape = const.shape[1:] if y.rates is None else y.rates.shape
-    return sums[:, 0], np.abs(errs, out=errs), shape, y.rates, turns, size
+    shape = const.shape[1:] if rates is None else rates.shape
+    return sums[:, 0], np.abs(errs, out=errs), shape, turns, size
 
 
 def _initial_panels(width: float, osc_scale):
@@ -331,6 +317,7 @@ def integrate(
     abs_tol: float = TOL,
     rel_tol: float = TOL,
     osc_scale: float = 0.0,
+    rates=None,
 ) -> QuadratureResult:
     """Adaptively integrate a vectorized, possibly vector-valued integrand over [lo, hi].
 
@@ -338,10 +325,10 @@ def integrate(
     ----------
     f:
         Vectorized callable, ``f(x: ndarray) -> ndarray`` of shape
-        ``(x.size,)`` or ``(x.size, K)``; a fringe integrand returns its
-        coefficients instead, as a :class:`_Fringes`.  Must be finite on the
-        open interval; panel nodes never touch the endpoints, so removable
-        endpoint singularities (e.g. x^d/(e^x - 1) at 0) are fine.
+        ``(x.size,)`` or ``(x.size, K)``; with ``rates``, the coefficients
+        ``(a₀, a_c, a_s)`` instead, each None or one value per node.  Must be
+        finite on the open interval; panel nodes never touch the endpoints, so
+        removable endpoint singularities (e.g. x^d/(e^x - 1) at 0) are fine.
     abs_tol, rel_tol:
         Convergence requires each member's summed panel error estimate to
         fall below ``max(abs_tol, rel_tol * |integral|)``.
@@ -350,6 +337,9 @@ def integrate(
         integrand (ωτ kernels: the largest delay τ).  Initial panel widths
         are capped at ``pi / (2 * osc_scale)``, a quarter period.  A fringe
         integrand needs none: its cos and sin are integrated exactly.
+    rates:
+        The finite rates τ_k of a fringe integrand a₀ + a_c cos xτ_k + a_s sin xτ_k:
+        one member per rate, in the shape of ``rates``, with or without a_c and a_s.
 
     The value and error are floats for a scalar integrand and read-only
     arrays of shape ``(K,)`` for a vector-valued one; a fringe member's
@@ -367,6 +357,10 @@ def integrate(
     if not math.isfinite(max(-lo, hi) * osc_scale):
         # no phase ωτ of the integrand is representable, let alone resolvable
         raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, abs_tol)
+    if rates is not None:
+        rates = np.asarray(rates, dtype=float)
+        if not np.all(np.isfinite(rates)):
+            raise ValueError("delays must be finite")
     # panels are (midpoint, half-width): a bisection halves a width exactly,
     # so a pass holds few widths, each with one table of product weights
     count = _initial_panels(hi - lo, osc_scale)
@@ -374,7 +368,7 @@ def integrate(
     mid = lo + h * np.arange(1.0, 2.0 * count, 2.0)
     half = np.full(count, h)
     tables: dict = {}
-    vals, errs, shape, rates, turns, size = _eval_panels(f, mid, half, tables)
+    vals, errs, shape, turns, size = _eval_panels(f, mid, half, tables, rates)
     evaluations = vals.shape[0] * NODES.size
 
     while True:
@@ -386,7 +380,7 @@ def integrate(
             if rates is not None:
                 depth = math.log2(h / half.min())  # bisections the turns of the finest panel went through
                 err = err + _EPS * (1.0 + 2.0 * depth + max(-lo, hi) * np.abs(rates)) * size
-            value, error = total.reshape(shape), err.reshape(shape)
+            value, error = np.broadcast_to(total, err.shape).reshape(shape), err.reshape(shape)  # a₀ alone: one column
             if not shape:
                 value, error = float(value), float(error)
             return QuadratureResult(value, error, len(vals), evaluations)
@@ -404,7 +398,7 @@ def integrate(
         n_mid = np.concatenate([mid[split] - s_half, mid[split] + s_half])
         n_half = np.concatenate([s_half, s_half])
         n_turns = None if turns is None else _halve_turns(*(t[split] for t in turns), s_half, rates)
-        n_vals, n_errs, _, _, n_turns, _ = _eval_panels(f, n_mid, n_half, tables, n_turns)
+        n_vals, n_errs, _, n_turns, _ = _eval_panels(f, n_mid, n_half, tables, rates, n_turns)
         evaluations += n_vals.shape[0] * NODES.size
         keep = ~split
         mid = np.concatenate([mid[keep], n_mid])
@@ -483,6 +477,7 @@ def integrate_half_line(
     rel_tol: float = TOL,
     osc_scale: float = 0.0,
     cutoff: float | None = None,
+    rates=None,
 ) -> QuadratureResult:
     """Integrate over [0, inf) by truncating where the envelope is negligible.
 
@@ -495,4 +490,4 @@ def integrate_half_line(
     """
     if cutoff is None:
         cutoff = tail_cutoff(envelope, abs_tol)
-    return integrate(f, 0.0, cutoff, abs_tol=abs_tol, rel_tol=rel_tol, osc_scale=osc_scale)
+    return integrate(f, 0.0, cutoff, abs_tol=abs_tol, rel_tol=rel_tol, osc_scale=osc_scale, rates=rates)

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .quadrature import TOL, QuadratureResult, _Fringes, integrate, integrate_grid
+from .quadrature import TOL, QuadratureResult, integrate, integrate_grid
 
 __all__ = [
     "SpectralDistribution",
@@ -86,6 +86,8 @@ def normalization_constant(mean_freq: float, width: float) -> float:
     """
     if not 0.0 < width < math.inf:
         raise ValueError(f"spectral width must be positive and finite, got {width}")
+    if not math.isfinite(mean_freq):
+        raise ValueError(f"mean frequency must be finite, got {mean_freq}")
     return 0.5 * width * _SQRT_PI * (1.0 + math.erf(mean_freq / width))
 
 
@@ -98,17 +100,15 @@ class SpectralDistribution:
     normalization: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.width < math.inf:
-            raise ValueError(f"spectral width must be positive and finite, got {self.width}")
-        if not 0.0 <= self.mean_freq < math.inf:
-            raise ValueError(f"mean frequency must be non-negative and finite, got {self.mean_freq}")
-        norm_sq = normalization_constant(self.mean_freq, self.width)
+        norm_sq = normalization_constant(self.mean_freq, self.width)  # rejects a bad width, or a non-finite mean
+        if not 0.0 <= self.mean_freq:
+            raise ValueError(f"mean frequency must be non-negative, got {self.mean_freq}")
         object.__setattr__(self, "normalization", math.sqrt(norm_sq))
 
     def amplitude(self, omega):
         """f(ω) = exp(-(ω-ω̄)²/2σ²)/N; only defined for ω >= 0."""
         w = np.asarray(omega, dtype=float)
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):  # NaN fails it too
             raise ValueError("angular frequency must be non-negative")
         u = (w - self.mean_freq) / self.width
         out = np.exp(-0.5 * u * u) / self.normalization
@@ -222,7 +222,7 @@ def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:
 
     ``integrand(w)`` returns the coefficients (a₀, a_c, a_s) at the nodes
     ``w``, each None where the term is absent; the delays of each chunk of
-    :func:`mmi.quadrature.integrate_grid` reach the engine with them.  The domain
+    :func:`mmi.quadrature.integrate_grid` reach the engine as its ``rates``.  The domain
     is the union of the windows [ω̄ ± 9σ] of ``spectra``, clipped at 0 and
     merged where they overlap; each window gets its own adaptive quadrature
     and an equal share of the absolute tolerance
@@ -244,9 +244,7 @@ def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:
     share = TOL / len(windows)
 
     def integrate_chunk(t):
-        parts = [
-            integrate(lambda w: _Fringes(t, *integrand(w)), lo, hi, abs_tol=share, rel_tol=TOL) for lo, hi in windows
-        ]
+        parts = [integrate(integrand, lo, hi, abs_tol=share, rel_tol=TOL, rates=t) for lo, hi in windows]
         return QuadratureResult(
             sum(p.value for p in parts),
             sum(p.error for p in parts),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import TOL, QuadratureResult, _Fringes, integrate_grid, integrate_half_line, tail_cutoff
+from .quadrature import TOL, QuadratureResult, integrate_grid, integrate_half_line, tail_cutoff
 from .spectra import SpectralDistribution
 from .thermal_kernels import bose_integral_constant
 
@@ -80,7 +80,7 @@ def mean_occupation(omega, theta: float):
     """
     _check_temperature(theta)
     w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):  # NaN fails it too
         raise ValueError("mean occupation requires omega > 0")
     out = 1.0 / np.expm1(w / theta)
     return out if out.ndim else float(out)
@@ -122,11 +122,12 @@ def bose_weighted_integral(theta: float, d: int, tau=0.0, *, abs_tol: float | No
 
     def integrate_chunk(rates):
         return integrate_half_line(
-            lambda x: _Fringes(rates, None, weight(x), None),  # the Bose weight is the cos coefficient
+            lambda x: (None, weight(x), None),  # the Bose weight is the cos coefficient
             envelope=_bose_envelope(d),
             abs_tol=tol,
             rel_tol=TOL,
             cutoff=cutoff,
+            rates=rates,
         )
 
     result = integrate_grid(a, integrate_chunk)

@@ -150,7 +150,7 @@ def fringe_deviation(x, d: int = 3):
     """
     kernel = _kernel(d)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # NaN fails it too
         raise ValueError("kernel argument must be non-negative")
     out = _by_branch(arr, kernel)
     return out if out.ndim else float(out)

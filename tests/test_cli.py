@@ -217,6 +217,15 @@ def test_library_warnings_print_as_one_line_each(tmp_path, capsys):
     assert err[0].startswith("warning: closed form") and err[1].startswith("error: closed form requires")
 
 
+def test_a_vanished_zero_delay_intensity_is_one_error_line(tmp_path):
+    # the exact path (auto) and quadrature refuse it alike, with no numpy warning before the error
+    for method in ("auto", "quadrature"):
+        args = ["one-photon-vacuum", "--wbar-s", "0", "--sigma", "1e-110", "--d", "3", "--grid", "0:1e110:3"]
+        proc = run_cli("simulate", *args, "--method", method, "-o", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: zero-delay intensity vanished; cannot normalize"]
+
+
 def test_simulate_rejects_a_zero_lo_width(tmp_path, capsys):
     out = tmp_path / "fock.csv"
     assert cli.main(["simulate", "fock", "--sigma-lo", "0", "-o", str(out)]) == 2
@@ -465,12 +474,14 @@ def test_verify_takes_no_seed_or_sample_count(flag, capsys):
 
 def test_verify_quick_imports_no_test_extras():
     # scipy, mpmath and hypothesis back tests only; the package never loads them.
-    # concurrent.futures is imported nowhere: the workers are plain threads.
+    # concurrent.futures is imported nowhere: the workers are plain threads.  numpy.ma,
+    # which np.unique imports, costs 12-35 ms in a fresh process: the quadrature's
+    # bisection passes build their width sets with set() instead.
     code = (
         "import sys, mmi\n"
         "from mmi import cli\n"
         "assert cli.main(['verify', '--quick']) == 0\n"
-        "print(sorted({'scipy', 'mpmath', 'hypothesis', 'concurrent.futures'} & set(sys.modules)))\n"
+        "print(sorted({'scipy', 'mpmath', 'hypothesis', 'concurrent.futures', 'numpy.ma'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
@@ -479,12 +490,13 @@ def test_verify_quick_imports_no_test_extras():
 
 
 def test_light_commands_do_not_import_the_verifier():
-    # the oracles serve verify alone; simulate, fit and coherence need not compile them
+    # the oracles serve verify alone; simulate, fit and coherence need not compile them.
+    # The product weights (and their LAPACK call) serve quadrature alone.
     code = (
         "import sys\n"
         "from mmi import cli\n"
         "assert cli.main(['coherence']) == 0\n"
-        "print(sorted({'mmi.oracle', 'mmi.verify'} & set(sys.modules)))\n"
+        "print(sorted({'mmi.oracle', 'mmi.verify', 'mmi._product_weights'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr

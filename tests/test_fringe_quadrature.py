@@ -1,8 +1,8 @@
 """The product-rule fringe kernel of the quadrature engine against the
 integrand it stands for, formed elementwise.
 
-An integrand that returns :class:`mmi.quadrature._Fringes` hands the engine
-the coefficients of 1, cos xτ and sin xτ; the engine sums cos mτ and sin mτ
+A fringe integrand hands the engine the coefficients of 1, cos xτ and
+sin xτ, the call its rates τ as ``rates``; the engine sums cos mτ and sin mτ
 per panel midpoint m against one table of product weights per half-width h.
 The reference is the same engine on the plain integrand
 a₀ + a_c cos(xτ) + a_s sin(xτ), evaluated node by node with its first panels
@@ -48,14 +48,13 @@ def _norm(case):
     return CASES[case](0.0).value
 
 
-def _elementwise(f):
-    """The plain integrand of ``f``'s fringes, node × delay."""
+def _elementwise(f, rates):
+    """The plain integrand of ``f``'s fringes at ``rates``, node × delay."""
 
     def plain(x):
-        y = f(x)
-        phase = np.multiply.outer(x, y.rates)
+        phase = np.multiply.outer(x, rates)
         out = np.zeros(phase.shape)
-        for coef, kernel in ((y.const, np.ones_like), (y.cos, np.cos), (y.sin, np.sin)):
+        for coef, kernel in zip(f(x), (np.ones_like, np.cos, np.sin)):
             if coef is not None:
                 out += coef[:, None] * kernel(phase)
         return out
@@ -63,19 +62,21 @@ def _elementwise(f):
     return plain
 
 
-def _swap_integrand(monkeypatch, swap, keywords=lambda f: {}):
-    """Hand every integration of the scenario integrals ``swap(f)`` in place of f,
-    with the keywords ``keywords(f)`` adds."""
+def _swap_integrand(monkeypatch, swap, keywords=lambda rates: {"rates": rates}):
+    """Hand every integration of the scenario integrals ``swap(f, rates)`` in place of f,
+    and the keywords ``keywords(rates)`` in place of the call's ``rates``."""
     for module, name in ((states, "integrate_half_line"), (spectra, "integrate")):
         original = getattr(module, name)
         monkeypatch.setattr(
-            module, name, lambda f, *a, _original=original, **k: _original(swap(f), *a, **k, **keywords(f))
+            module,
+            name,
+            lambda f, *a, rates, _original=original, **k: _original(swap(f, rates), *a, **k, **keywords(rates)),
         )
 
 
-def _quarter_period(f):
+def _quarter_period(rates):
     """The plain integrand's oscillation rate: the largest of the fringes' rates."""
-    return {"osc_scale": float(np.abs(f(np.ones(1)).rates).max())}
+    return {"osc_scale": float(np.abs(rates).max())}
 
 
 @pytest.mark.parametrize("grid", ["wide", "near"])
@@ -97,23 +98,23 @@ def test_factored_kernel_matches_elementwise_integrand_on_mixed_widths(monkeypat
     # the scenario's own integrand, on panels of three widths in one pass, after a
     # pass of one width has filled the table cache
     integrands = []
-    _swap_integrand(monkeypatch, lambda f: integrands.append(f) or f)
+    _swap_integrand(monkeypatch, lambda f, rates: integrands.append((f, rates)) or f)
     CASES[case](WIDE[:5])
-    f = integrands[0]
+    f, rates = integrands[0]
     h = 0.4
     half = h * np.array([1.0, 0.5, 0.25, 1.0, 0.25, 0.5, 1.0, 0.5])  # exact halvings
     mid = np.cumsum(2.0 * half) - half
     assert np.unique(half).size == 3
     tables = {}
-    _eval_panels(f, np.array([h, 3.0 * h]), np.array([h, h]), tables)
-    got = _eval_panels(f, mid, half, tables)
-    ref = _eval_panels(_elementwise(f), mid, half, {})
+    _eval_panels(f, np.array([h, 3.0 * h]), np.array([h, h]), tables, rates)
+    got = _eval_panels(f, mid, half, tables, rates)
+    ref = _eval_panels(_elementwise(f, rates), mid, half, {})
     assert got[2] == ref[2] == (5,)
     for g, r in zip(got[:2], ref[:2]):
         assert g.shape == r.shape == (mid.size, 5)
     # each width's panels as they come out of a pass of that width alone, with fresh tables
     for width in np.unique(half):
-        alone = _eval_panels(f, mid[half == width], half[half == width], {})
+        alone = _eval_panels(f, mid[half == width], half[half == width], {}, rates)
         for g, a in zip(got[:2], alone[:2]):
             assert np.max(np.abs(g[half == width] - a)) <= 1e-15 * _norm(case)
     # the Kronrod panel values against the elementwise integrand, to the tolerance

@@ -796,6 +796,16 @@ def test_thermal_quadrature_past_the_float_range_raises_quadrature_error_without
         compute_interferogram(IntensityRequest(Thermal(2.0), lo, taus, d, "closed_form"))
 
 
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_a_vanished_zero_delay_intensity_is_refused_on_both_spectral_paths_without_warnings(method):
+    # at ω̄ = 0 the τ = 0 intensity scales as σ^(d+1), which underflows to 0 at σ = 1e-110
+    request = IntensityRequest(OnePhoton(SpectralDistribution(0.0, 1e-110)), Vacuum(), [0.0, 5e109, 1e110], 3, method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="zero-delay intensity vanished; cannot normalize"):
+            compute_interferogram(request)
+
+
 def test_fock_quadrature_resolves_optical_line_at_zero_delay():
     # a width-1 line at 1e4 once slipped between the first panels' nodes
     # and integrated to 2.7e-53; the exact value is twice the first moment

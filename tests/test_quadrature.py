@@ -10,8 +10,8 @@ from mmi.quadrature import (
     GAUSS_WEIGHTS,
     KRONROD_WEIGHTS,
     NODES,
+    TOL,
     QuadratureError,
-    _Fringes,
     integrate,
     integrate_grid,
     integrate_half_line,
@@ -181,7 +181,7 @@ def _grid_result(delays, tol=1e-13):
 
     def integrate_chunk(t):
         calls.append(t.copy())
-        return integrate(lambda x: _Fringes(t, None, np.exp(-x), None), 0.0, 40.0, abs_tol=tol, rel_tol=tol)
+        return integrate(lambda x: (None, np.exp(-x), None), 0.0, 40.0, abs_tol=tol, rel_tol=tol, rates=t)
 
     return integrate_grid(delays, integrate_chunk), calls
 
@@ -214,12 +214,12 @@ def test_grid_larger_than_one_chunk_stays_within_the_chunk_budget():
     for t in calls:
         assert t.size * NODES.size * 8 <= CHUNK_ELEMENTS
     first = []
-    integrate(lambda x: first.append(x.size) or _Fringes(calls[-1], None, np.exp(-x), None), 0.0, 40.0)
+    integrate(lambda x: first.append(x.size) or (None, np.exp(-x), None), 0.0, 40.0, rates=calls[-1])
     assert first[0] == NODES.size * 8
     assert res.value.shape == delays.shape
     assert np.max(np.abs(res.value - 1.0 / (1.0 + delays**2))) <= 1e-13
     assert res.panels == sum(
-        integrate(lambda x, t=t: _Fringes(t, None, np.exp(-x), None), 0.0, 40.0, abs_tol=1e-13, rel_tol=1e-13).panels
+        integrate(lambda x: (None, np.exp(-x), None), 0.0, 40.0, abs_tol=1e-13, rel_tol=1e-13, rates=t).panels
         for t in calls
     )
 
@@ -236,6 +236,18 @@ def test_vector_results_are_read_only():
 def test_grid_rejects_non_finite_delays():
     with pytest.raises(ValueError, match="finite"):
         _grid_result(np.array([0.0, math.nan]))
+
+
+def test_fringe_family_of_only_a_constant_term_has_one_member_per_rate():
+    res = integrate(lambda x: (np.exp(-x), None, None), 0.0, 10.0, rates=[1.0, 2.0])
+    assert res.value.shape == res.error.shape == (2,)
+    assert np.all(np.abs(res.value - (1.0 - math.exp(-10.0))) <= TOL)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_fringe_rates_must_be_finite(rate):
+    with pytest.raises(ValueError, match="delays must be finite"):
+        integrate(lambda x: (None, np.exp(-x), None), 0.0, 10.0, rates=[1.0, rate])
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,10 @@ def test_domain_errors():
         f.amplitude(-0.1)
     with pytest.raises(ValueError):
         f.amplitude(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        f.amplitude(math.nan)
+    with pytest.raises(ValueError):
+        f.amplitude(np.array([1.0, math.nan]))
 
 
 def test_amplitude_peak_and_one_sigma_points():
@@ -161,6 +165,8 @@ def test_domain_errors_non_finite():
             SpectralDistribution(3.0, bad)
         with pytest.raises(ValueError):
             normalization_constant(3.0, bad)
+        with pytest.raises(ValueError):
+            normalization_constant(bad, 1.0)
 
 
 # ---------------------------------------------------------------------------

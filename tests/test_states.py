@@ -61,6 +61,11 @@ def test_mean_occupation_domain_errors():
         mean_occupation(-1.0, 1.0)
     with pytest.raises(ValueError):
         mean_occupation(1.0, 0.0)
+    with pytest.raises(ValueError):
+        mean_occupation(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        mean_occupation([1.0, math.nan], 1.0)
+    assert mean_occupation(math.inf, 1.0) == 0.0  # the far tail is in the domain
 
 
 @pytest.mark.parametrize("d", [1, 3])

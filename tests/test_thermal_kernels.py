@@ -175,6 +175,11 @@ def test_fringe_slope_against_forty_digit_references(d):
 def test_domain_errors():
     with pytest.raises(ValueError):
         fringe_deviation(-0.5)
+    with pytest.raises(ValueError):
+        fringe_deviation(math.nan)
+    with pytest.raises(ValueError):
+        fringe_deviation(np.array([0.5, math.nan]))
+    assert fringe_deviation(math.inf) == 0.0  # the far tail is in the domain
     for d in (2, 0, -1, 2.5):
         with pytest.raises(ValueError):
             fringe_deviation(1.0, d)

@@ -359,7 +359,7 @@ def integrate(
         raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, abs_tol)
     if rates is not None:
         rates = np.asarray(rates, dtype=float)
-        if not np.all(np.isfinite(rates)):
+        if not np.isfinite(rates).all():
             raise ValueError("delays must be finite")
     # panels are (midpoint, half-width): a bisection halves a width exactly,
     # so a pass holds few widths, each with one table of product weights
@@ -380,7 +380,8 @@ def integrate(
             if rates is not None:
                 depth = math.log2(h / half.min())  # bisections the turns of the finest panel went through
                 err = err + _EPS * (1.0 + 2.0 * depth + max(-lo, hi) * np.abs(rates)) * size
-            value, error = np.broadcast_to(total, err.shape).reshape(shape), err.reshape(shape)  # a₀ alone: one column
+            # an a₀-only family sums one column, the value of every member
+            value, error = (total if total.size == err.size else np.broadcast_to(total, err.shape)).reshape(shape), err.reshape(shape)
             if not shape:
                 value, error = float(value), float(error)
             return QuadratureResult(value, error, len(vals), evaluations)
@@ -482,7 +483,7 @@ def integrate_half_line(
     """Integrate over [0, inf) by truncating where the envelope is negligible.
 
     ``envelope(x)`` must bound |f| (every member of a vector-valued f, every
-    coefficient of a fringe integrand) and not increase on [1, inf), where the search starts; the domain
+    coefficient of a fringe integrand at ``rates``) and not increase on [1, inf), where the search starts; the domain
     is truncated where it drops below a tenth of the absolute tolerance
     (:func:`tail_cutoff`), then handed to :func:`integrate`.  Callers that
     integrate many functions under one envelope and tolerance may pass that

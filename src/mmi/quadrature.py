@@ -12,9 +12,8 @@ every panel as one matrix product, and refinement is global, as in the
 vector-valued QUADPACK qag scheme (Piessens et al. 1983): every panel
 that carries more than its share of the tolerance of any unconverged member
 is bisected, and the call returns only once each member k meets
-``max(abs_tol, rel_tol·|I_k|)``.  A plain ``f`` that oscillates at a known
-rate passes it as ``osc_scale``, which caps the first panels at a quarter
-period.
+``max(abs_tol, rel_tol·|I_k|)`` (a fringe member: or its rounding floor,
+below).  Every first pass is eighths of the interval.
 
 The fringe integrals of a delay grid, a₀(x) + a_c(x) cos xτ_k + a_s(x) sin xτ_k,
 reach the engine factored: the call passes the rates τ_k as ``rates``, the
@@ -46,7 +45,13 @@ stated error therefore adds the floor ε·(1 + 2L + X·|τ_k|)·Σ_panels h Σ_j
 w_j (|a₀| + |a_c| + |a_s|)(x_j), summed over the first pass, X = max(|lo|,
 |hi|), w_j the Kronrod weights: the rounding of the terms summed, of the
 turns cos mτ and sin mτ carried through L bisections (each a rotation,
-which adds about 2ε), and of the phase; refinement does not chase it.  A member whose largest phase
+which adds about 2ε), and of the phase.  Refinement does not chase it: a
+member whose error sum is below ε·(1 + X·|τ_k|)·Σ…, the part of its floor
+known after the first pass, stops there, as QUADPACK's QAG stops at roundoff
+(ier = 2).  The rounding of the coefficients keeps |K15 - G7| from falling
+much below ε·Σ…, and refining under the phase's rounding would not lower the
+stated error.  Where that part exceeds ``max(abs_tol, rel_tol·|I_k|)``, the
+member meets its floor, not the tolerance (:data:`TOL` for a scenario).  A member whose largest phase
 X·|τ_k| exceeds :data:`PHASE_REACH` = 2²⁶, where that rounding would take
 half of the digits, is refused with :class:`QuadratureError` on the first
 pass, before any fringe is summed.
@@ -135,8 +140,7 @@ TOL = 1e-12
 # Most node × delay values the first pass of one chunk of integrate_grid
 # evaluates: 512 KiB per float64 array, so memory stays flat on any grid.
 CHUNK_ELEMENTS = 65536
-# Panels of a first pass: eighths of the interval (a plain integrand's
-# quarter-period cap may ask for more).
+# Panels of a first pass: eighths of the interval.
 _FIRST_PANELS = 8
 # Largest phase x·τ of a fringe member, in radians: there its rounding ε·2²⁶ is 2⁻²⁶,
 # half of the digits.
@@ -301,14 +305,6 @@ def _eval_panels(f: Callable[[np.ndarray], np.ndarray], mid: np.ndarray, half: n
     return sums[:, 0], np.abs(errs, out=errs), shape, turns, size
 
 
-def _initial_panels(width: float, osc_scale):
-    """First-pass panel count of a plain integrand: eighths of the interval, each at most a
-    quarter period, and at most :data:`MAX_PANELS`.  A rate is capped where its count reaches
-    the budget, so that neither the count nor the product forming it overflows."""
-    rate = min(osc_scale, MAX_PANELS * math.pi / (2.0 * width))
-    return int(min(max(_FIRST_PANELS, math.ceil(2.0 * width * rate / math.pi)), MAX_PANELS))
-
-
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -316,7 +312,6 @@ def integrate(
     *,
     abs_tol: float = TOL,
     rel_tol: float = TOL,
-    osc_scale: float = 0.0,
     rates=None,
 ) -> QuadratureResult:
     """Adaptively integrate a vectorized, possibly vector-valued integrand over [lo, hi].
@@ -331,12 +326,9 @@ def integrate(
         removable endpoint singularities (e.g. x^d/(e^x - 1) at 0) are fine.
     abs_tol, rel_tol:
         Convergence requires each member's summed panel error estimate to
-        fall below ``max(abs_tol, rel_tol * |integral|)``.
-    osc_scale:
-        Effective angular rate of the fastest oscillation of a plain
-        integrand (ωτ kernels: the largest delay τ).  Initial panel widths
-        are capped at ``pi / (2 * osc_scale)``, a quarter period.  A fringe
-        integrand needs none: its cos and sin are integrated exactly.
+        fall below ``max(abs_tol, rel_tol * |integral|)``, or, for a fringe
+        member, below its rounding floor where that is larger (see the module
+        docstring): such a member meets its floor, not the tolerance.
     rates:
         The finite rates τ_k of a fringe integrand a₀ + a_c cos xτ_k + a_s sin xτ_k:
         one member per rate, in the shape of ``rates``, with or without a_c and a_s.
@@ -350,31 +342,33 @@ def integrate(
     """
     lo = float(lo)
     hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(osc_scale)):
-        raise ValueError(f"non-finite interval [{lo}, {hi}] or oscillation rate {osc_scale}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"non-finite interval [{lo}, {hi}]")
     if not hi > lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
-    if not math.isfinite(max(-lo, hi) * osc_scale):
-        # no phase ωτ of the integrand is representable, let alone resolvable
-        raise QuadratureError("oscillation phase beyond the floating-point range", math.inf, abs_tol)
     if rates is not None:
         rates = np.asarray(rates, dtype=float)
         if not np.isfinite(rates).all():
             raise ValueError("delays must be finite")
     # panels are (midpoint, half-width): a bisection halves a width exactly,
     # so a pass holds few widths, each with one table of product weights
-    count = _initial_panels(hi - lo, osc_scale)
-    h = 0.5 * (hi - lo) / count
-    mid = lo + h * np.arange(1.0, 2.0 * count, 2.0)
-    half = np.full(count, h)
+    h = 0.5 * (hi - lo) / _FIRST_PANELS
+    mid = lo + h * np.arange(1.0, 2.0 * _FIRST_PANELS, 2.0)
+    half = np.full(_FIRST_PANELS, h)
     tables: dict = {}
     vals, errs, shape, turns, size = _eval_panels(f, mid, half, tables, rates)
     evaluations = vals.shape[0] * NODES.size
+    # QUADPACK's roundoff stop: no fringe member refines below ε(1 + X|τ_k|)·S, the part of
+    # its stated rounding floor known after the first pass (an a₀-only family has no phase)
+    stop = 0.0
+    if rates is not None:
+        phase = max(-lo, hi) * np.abs(rates).reshape(-1) if vals.shape[1] == rates.size else 0.0
+        stop = _EPS * (1.0 + phase) * size
 
     while True:
         total = vals.sum(axis=0)
         err = errs.sum(axis=0)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        tol = np.maximum(np.maximum(abs_tol, rel_tol * np.abs(total)), stop)
         unmet = err > tol
         if not unmet.any():
             if rates is not None:
@@ -476,7 +470,6 @@ def integrate_half_line(
     envelope: Callable[[float], float],
     abs_tol: float = TOL,
     rel_tol: float = TOL,
-    osc_scale: float = 0.0,
     cutoff: float | None = None,
     rates=None,
 ) -> QuadratureResult:
@@ -491,4 +484,4 @@ def integrate_half_line(
     """
     if cutoff is None:
         cutoff = tail_cutoff(envelope, abs_tol)
-    return integrate(f, 0.0, cutoff, abs_tol=abs_tol, rel_tol=rel_tol, osc_scale=osc_scale, rates=rates)
+    return integrate(f, 0.0, cutoff, abs_tol=abs_tol, rel_tol=rel_tol, rates=rates)

@@ -5,16 +5,17 @@ A fringe integrand hands the engine the coefficients of 1, cos xτ and
 sin xτ, the call its rates τ as ``rates``; the engine sums cos mτ and sin mτ
 per panel midpoint m against one table of product weights per half-width h.
 The reference is the same engine on the plain integrand
-a₀ + a_c cos(xτ) + a_s sin(xτ), evaluated node by node with its first panels
-capped at a quarter period of the largest rate.
+a₀ + a_c cos(xτ) + a_s sin(xτ), evaluated node by node over pieces whose
+first panels span at most a quarter period of the largest rate.
 """
 
 import numpy as np
 import pytest
 
-from mmi import spectra, states
+from conftest import integrate_by_quarter_periods
+from mmi import quadrature, spectra
 from mmi.intensity import _spectral_integral
-from mmi.quadrature import NODES, TOL, _eval_panels
+from mmi.quadrature import NODES, TOL, _eval_panels, integrate
 from mmi.spectra import SpectralDistribution
 from mmi.states import bose_weighted_integral
 from mmi.thermal_kernels import bose_integral_constant
@@ -62,21 +63,16 @@ def _elementwise(f, rates):
     return plain
 
 
-def _swap_integrand(monkeypatch, swap, keywords=lambda rates: {"rates": rates}):
-    """Hand every integration of the scenario integrals ``swap(f, rates)`` in place of f,
-    and the keywords ``keywords(rates)`` in place of the call's ``rates``."""
-    for module, name in ((states, "integrate_half_line"), (spectra, "integrate")):
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module,
-            name,
-            lambda f, *a, rates, _original=original, **k: _original(swap(f, rates), *a, **k, **keywords(rates)),
-        )
+def _swap_integrate(monkeypatch, swap):
+    """Hand every integration of the scenario integrals, ``integrate(f, lo, hi, rates=…, **tolerances)``,
+    to ``swap`` with the same arguments (``integrate_half_line`` calls quadrature's ``integrate``)."""
+    for module in (quadrature, spectra):
+        monkeypatch.setattr(module, "integrate", swap)
 
 
-def _quarter_period(rates):
-    """The plain integrand's oscillation rate: the largest of the fringes' rates."""
-    return {"osc_scale": float(np.abs(rates).max())}
+def _elementwise_by_quarter_periods(f, lo, hi, *, rates, **tolerances):
+    """The reference route: the plain integrand, its first panels at most a quarter period of the largest rate."""
+    return integrate_by_quarter_periods(_elementwise(f, rates), lo, hi, float(np.abs(rates).max()), **tolerances)
 
 
 @pytest.mark.parametrize("grid", ["wide", "near"])
@@ -84,7 +80,7 @@ def _quarter_period(rates):
 def test_factored_kernel_matches_elementwise_integrand(monkeypatch, case, grid):
     tau = WIDE if grid == "wide" else NEAR
     got = CASES[case](tau)
-    _swap_integrand(monkeypatch, _elementwise, keywords=_quarter_period)
+    _swap_integrate(monkeypatch, _elementwise_by_quarter_periods)
     ref = CASES[case](tau)
     # both meet the tolerance; the product rule needs no more panels
     assert np.max(np.abs(got.value - ref.value)) <= TOL * _norm(case)
@@ -98,7 +94,7 @@ def test_factored_kernel_matches_elementwise_integrand_on_mixed_widths(monkeypat
     # the scenario's own integrand, on panels of three widths in one pass, after a
     # pass of one width has filled the table cache
     integrands = []
-    _swap_integrand(monkeypatch, lambda f, rates: integrands.append((f, rates)) or f)
+    _swap_integrate(monkeypatch, lambda f, *a, rates, **k: integrands.append((f, rates)) or integrate(f, *a, rates=rates, **k))
     CASES[case](WIDE[:5])
     f, rates = integrands[0]
     h = 0.4

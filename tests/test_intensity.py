@@ -831,17 +831,21 @@ def test_optical_quadrature_agrees_with_exact_or_raises(mean_over_width):
 
 def test_quadrature_error_bounds_a_fock_pair_up_to_optical_frequencies():
     # the stated error holds the phase-rounding floor ε(1 + X|τ|)∫|a|: against a 50-digit
-    # reference it bounds the error at every ω̄/σ, and at 1e5 states it within 100×
+    # reference it bounds the error at every ω̄/σ, and at 1e5 (d = 1) states it within 100×;
+    # at d = 3 from ω̄/σ ≈ 240 the members stop at that floor, above TOL, instead of
+    # spending the panel budget on rounding (a stop at ε·∫|a| alone takes 287 panels at 1e6)
     mp = pytest.importorskip("mpmath")
     taus = np.linspace(0.0, 6.0, 61)
     with mp.workdps(50):
-        for mean in (3.0, 30.0, 1e3, 1e4, 1e5):
+        for mean, d in ((3.0, 1), (30.0, 1), (1e3, 1), (1e4, 1), (1e5, 1), (1e3, 3), (1e4, 3), (1e6, 3)):
             f_s, f_lo = SpectralDistribution(mean, 1.0), SpectralDistribution(1.03 * mean, 1.0)
-            gram = compute_interferogram(IntensityRequest(OnePhoton(f_s), OnePhoton(f_lo), taus, 1, "quadrature"))
-            observed = max(abs(r - float(_mp_ratio(mp, "fock", f_s, f_lo, t, 1))) for t, r in zip(taus, gram.ratios))
+            gram = compute_interferogram(IntensityRequest(OnePhoton(f_s), OnePhoton(f_lo), taus, d, "quadrature"))
+            observed = max(abs(r - float(_mp_ratio(mp, "fock", f_s, f_lo, t, d))) for t, r in zip(taus, gram.ratios))
             stated = gram.metadata["quadrature"]["max_error"]
-            assert observed <= stated, mean
-    assert stated <= 100.0 * observed
+            assert observed <= stated, (mean, d)
+            assert d == 1 or gram.metadata["quadrature"]["panels"] <= 100, mean
+            if (mean, d) == (1e5, 1):
+                assert stated <= 100.0 * observed
 
 
 def _past_the_reach(scenario_ports, reach, d):

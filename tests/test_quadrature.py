@@ -65,7 +65,6 @@ def test_oscillatory_integrand_converges():
         envelope=lambda x: math.exp(-x),
         abs_tol=1e-13,
         rel_tol=1e-13,
-        osc_scale=a,
     )
     assert abs(res.value - 1.0 / (1.0 + a * a)) < 1e-12
 
@@ -85,16 +84,26 @@ def test_panel_budget_exhaustion_reports_achieved_tolerance(monkeypatch):
     assert err.value.requested > 0.0
 
 
+def test_tolerance_below_the_smallest_normal_float_forces_a_split():
+    # with abs_tol = 0 a subnormal integrand's tolerance rel_tol·|I| ≈ 5e-322 is below the
+    # smallest normal float, the floor of every panel's share, so no panel exceeds its share
+    # and each pass bisects the panel of the largest share
+    res = integrate(lambda x: 1e-309 * np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, abs_tol=0.0)
+    exact = 1e-309 * (2.0 / 3.0) * (0.3**1.5 + 0.7**1.5)
+    assert TOL * exact < np.finfo(float).tiny
+    assert abs(res.value - exact) <= res.error
+    assert res.panels == 37
+
+
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         integrate(lambda x: x, 1.0, 1.0)
 
 
-def test_oscillation_cap_limits_initial_panel_width():
-    # with osc_scale the first pass must already resolve the fringe count:
-    # integral of cos(50 x) over [0, pi] is ~0, catastrophically wrong if
-    # sampled with 8 panels
-    res = integrate(lambda x: np.cos(50.0 * x), 0.0, math.pi, abs_tol=1e-12, rel_tol=1e-12, osc_scale=50.0)
+def test_fast_oscillation_resolved_from_eight_first_panels():
+    # integral of cos(50 x) over [0, pi] is ~0: each of the eight first panels
+    # spans three periods, where K15 and G7 disagree, so refinement resolves them
+    res = integrate(lambda x: np.cos(50.0 * x), 0.0, math.pi, abs_tol=1e-12, rel_tol=1e-12)
     assert abs(res.value - math.sin(50.0 * math.pi) / 50.0) < 1e-12
 
 
@@ -103,9 +112,7 @@ def test_half_line_envelope_never_decaying_rejected():
         integrate_half_line(lambda x: np.ones_like(x), envelope=lambda x: 1.0, abs_tol=1e-10)
 
 
-def test_non_finite_interval_or_oscillation_rate_rejected():
-    with pytest.raises(ValueError):
-        integrate(lambda x: np.cos(x), 0.0, 1.0, osc_scale=math.inf)
+def test_non_finite_interval_rejected():
     with pytest.raises(ValueError):
         integrate(lambda x: np.ones_like(x), 0.0, math.inf)
 
@@ -123,10 +130,10 @@ def _damped_cosines(rates):
 
 def test_vector_integrand_matches_members_one_at_a_time():
     tol = 1e-13
-    vec = integrate(_damped_cosines(RATES), 0.0, 40.0, abs_tol=tol, rel_tol=tol, osc_scale=RATES.max())
+    vec = integrate(_damped_cosines(RATES), 0.0, 40.0, abs_tol=tol, rel_tol=tol)
     assert vec.value.shape == vec.error.shape == RATES.shape
     for k, rate in enumerate(RATES):
-        one = integrate(lambda x: np.exp(-x) * np.cos(rate * x), 0.0, 40.0, abs_tol=tol, rel_tol=tol, osc_scale=rate)
+        one = integrate(lambda x: np.exp(-x) * np.cos(rate * x), 0.0, 40.0, abs_tol=tol, rel_tol=tol)
         assert isinstance(one.value, float) and isinstance(one.error, float)
         assert abs(vec.value[k] - one.value) <= 1e-13
         assert abs(vec.value[k] - 1.0 / (1.0 + rate * rate)) <= 1e-13
@@ -135,7 +142,7 @@ def test_vector_integrand_matches_members_one_at_a_time():
 
 
 def test_evaluations_count_nodes_once_per_pass():
-    res = integrate(_damped_cosines(RATES), 0.0, 40.0, osc_scale=RATES.max())
+    res = integrate(_damped_cosines(RATES), 0.0, 40.0)
     assert res.evaluations >= NODES.size * res.panels
     assert res.evaluations % NODES.size == 0
     single = integrate(lambda x: x * x, 0.0, 1.0)  # exact on the first pass
@@ -225,7 +232,7 @@ def test_grid_larger_than_one_chunk_stays_within_the_chunk_budget():
 
 
 def test_vector_results_are_read_only():
-    vec = integrate(_damped_cosines(RATES), 0.0, 40.0, osc_scale=RATES.max())
+    vec = integrate(_damped_cosines(RATES), 0.0, 40.0)
     grid, _ = _grid_result(RATES)
     for res in (vec, grid):
         for array in (res.value, res.error):

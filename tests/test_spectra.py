@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mmi.quadrature import integrate
 from mmi.spectra import (
     SpectralDistribution,
     _faddeeva,
@@ -11,6 +10,7 @@ from mmi.spectra import (
     normalization_constant,
     weighted_overlap,
 )
+from conftest import integrate_by_quarter_periods
 from oracles import decimal_erf, riemann_overlap
 
 SQRT_PI = math.sqrt(math.pi)
@@ -149,6 +149,21 @@ def test_overlap_grid_matches_one_delay_calls(power, kernel):
         assert np.max(np.abs(grid.ravel() - single)) <= 1e-13
 
 
+def test_overlap_grid_answers_where_its_rounding_floor_exceeds_the_tolerance():
+    # ω³ cos ωτ at ω̄ = 30σ on 401 delays: the phase-rounding floor ε(1 + X|τ|)·∫|a| of the
+    # largest delays exceeds TOL·|value|, and those members stop there instead of exhausting
+    # the panel budget; f·g is one Gaussian line, whose exact moment M_3 is the reference
+    f, g = SpectralDistribution(30.0, 1.0), SpectralDistribution(30.6, 1.1)
+    taus = np.linspace(-2.0, 30.0, 401)
+    grid = weighted_overlap(f, g, 3, "cos", taus)
+    rate_f, rate_g = 0.5 / f.width**2, 0.5 / g.width**2
+    line = (f.mean_freq * rate_f + g.mean_freq * rate_g) / (rate_f + rate_g)
+    scale = math.exp(-((f.mean_freq - g.mean_freq) ** 2) / (2.0 * (f.width**2 + g.width**2)))
+    exact = scale * gaussian_fourier_moments(line, (rate_f + rate_g) ** -0.5, taus, 3)[3].real
+    exact /= f.normalization * g.normalization
+    assert np.max(np.abs(grid - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
 def test_overlap_rejects_bad_arguments():
     f = SpectralDistribution(3.0, 1.0)
     with pytest.raises(ValueError):
@@ -211,9 +226,9 @@ def test_gaussian_fourier_moments_match_direct_quadrature(mean, width):
         scale = width * (mean + width) ** n  # size of M_n(0)
         for tau, got in zip(taus, moments[n]):
             def part(kernel):
-                return integrate(
+                return integrate_by_quarter_periods(
                     lambda w: w**n * np.exp(-(((w - mean) / width) ** 2)) * kernel(w * tau),
-                    0.0, hi, abs_tol=1e-14 * scale, rel_tol=1e-14, osc_scale=abs(tau),
+                    0.0, hi, abs(tau), abs_tol=1e-14 * scale, rel_tol=1e-14,
                 ).value
             ref = complex(part(np.cos), part(np.sin))
             assert abs(got - ref) <= 1e-13 * scale, (n, tau)

@@ -6,7 +6,7 @@ by side on plain threads, while the calling thread waits for them.  The
 chunks of a quadrature grid do not: with the factored fringe kernel of
 :mod:`mmi.quadrature` a chunk is a few dozen small numpy calls, and on two
 threads they lost more to the GIL than they gained, so
-:func:`mmi.quadrature.integrate_grid` runs them in one loop.
+:func:`mmi.quadrature.integrate` runs them in one loop.
 
 The threads are started on first use and kept, idle, for later calls, and
 the calling thread runs no job.  glibc gives each thread a malloc arena of

@@ -405,8 +405,8 @@ def _thermal(theta_s, theta_lo, tau, d, method):
 
     ``theta_lo`` None is a vacuum LO: w = 0 and no second a-grid.  The closed
     form finishes each block of :func:`_walk` whole, |τ| and both a-grids
-    included.  The quadrature path runs its chunks in one loop on the
-    calling thread (:func:`~mmi.quadrature.integrate_grid`).
+    included.  The quadrature path integrates every a-grid in one call, whose
+    chunks run in one loop on the calling thread (:func:`~mmi.quadrature.integrate`).
     """
     tau = np.asarray(tau, dtype=float)
     vacuum = theta_lo is None

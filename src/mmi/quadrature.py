@@ -56,14 +56,14 @@ X·|τ_k| exceeds :data:`PHASE_REACH` = 2²⁶, where that rounding would take
 half of the digits, is refused with :class:`QuadratureError` on the first
 pass, before any fringe is summed.
 
-:func:`integrate_grid` splits a delay grid into chunks of ascending |τ|,
-so that the first pass of a chunk evaluates at most ``CHUNK_ELEMENTS``
-node × delay values; the budget bounds the memory of one call, it is not
-a tuning knob.  The chunks run one after another in one loop on the
-calling thread: with the factored kernel a chunk is a few dozen small
-numpy calls, and on two threads they lost more to the interpreter lock
-than they gained (on 2 vCPUs, Bose grids of 200-6000 delays ran at most
-2 % faster in wall time, and took 35-50 % more CPU time).
+:func:`integrate` cuts the rates of a fringe family into equal chunks of
+ascending |τ| whose first pass evaluates at most ``CHUNK_ELEMENTS`` node ×
+rate values, their boundaries set by the number of rates alone; the budget
+bounds the memory of one call, it is not a tuning knob.  The chunks run one
+after another on the calling thread: with the factored kernel a chunk is a
+few dozen small numpy calls, and on two threads they lost more to the
+interpreter lock than they gained (on 2 vCPUs, Bose grids of 200-6000
+delays ran at most 2 % faster in wall time, and took 35-50 % more CPU time).
 
 Nodes and weights were generated from the exact Stieltjes-polynomial
 construction in rational arithmetic and verified to integrate monomials
@@ -82,7 +82,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "integrate",
-    "integrate_grid",
     "integrate_half_line",
     "tail_cutoff",
 ]
@@ -137,7 +136,7 @@ MAX_PANELS = 8192
 # Absolute and relative tolerance of every scenario integral (the spectral
 # ones, the thermal fringes in units of J(d), and their metadata).
 TOL = 1e-12
-# Most node × delay values the first pass of one chunk of integrate_grid
+# Most node × rate values the first pass of one chunk of a fringe family
 # evaluates: 512 KiB per float64 array, so memory stays flat on any grid.
 CHUNK_ELEMENTS = 65536
 # Panels of a first pass: eighths of the interval.
@@ -331,14 +330,16 @@ def integrate(
         docstring): such a member meets its floor, not the tolerance.
     rates:
         The finite rates τ_k of a fringe integrand a₀ + a_c cos xτ_k + a_s sin xτ_k:
-        one member per rate, in the shape of ``rates``, with or without a_c and a_s.
+        one member per rate, in the shape of ``rates`` (empty too), with or without
+        a_c and a_s, integrated chunk by chunk (see the module docstring).
 
-    The value and error are floats for a scalar integrand and read-only
-    arrays of shape ``(K,)`` for a vector-valued one; a fringe member's
-    error includes its phase-rounding floor.  Exhausting the budget of
-    :data:`MAX_PANELS` panels raises :class:`QuadratureError` carrying the
-    achieved estimate of the worst member, and so does a fringe member past
-    :data:`PHASE_REACH`, on the first pass (see the module docstring).
+    The value and error are floats for a scalar integrand or a 0-d ``rates``,
+    else read-only arrays of shape ``(K,)`` or of ``rates``; a fringe member's
+    error includes its phase-rounding floor.  Panels and evaluations are
+    summed over the chunks.  Exhausting the budget of :data:`MAX_PANELS`
+    panels raises :class:`QuadratureError` carrying the achieved estimate of
+    the worst member, and so does a fringe member past :data:`PHASE_REACH`,
+    on the first pass (see the module docstring); the first chunk to fail raises.
     """
     lo = float(lo)
     hi = float(hi)
@@ -346,10 +347,33 @@ def integrate(
         raise ValueError(f"non-finite interval [{lo}, {hi}]")
     if not hi > lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
-    if rates is not None:
+    if rates is None:
+        value, error, shape, panels, evaluations = _refine(f, lo, hi, abs_tol, rel_tol)
+    else:
         rates = np.asarray(rates, dtype=float)
-        if not np.isfinite(rates).all():
+        shape, flat = rates.shape, rates.ravel()
+        if not np.isfinite(flat).all():
             raise ValueError("delays must be finite")
+        value, error = np.empty(flat.size), np.empty(flat.size)
+        panels = evaluations = 0
+        order = np.argsort(np.abs(flat), kind="stable")
+        chunks = -(-flat.size // (CHUNK_ELEMENTS // (_FIRST_PANELS * NODES.size)))
+        for idx in np.array_split(order, chunks) if chunks else ():  # no rates, nothing to integrate
+            # an a₀-only family's one column fills every member of its chunk
+            value[idx], error[idx], _, chunk_panels, chunk_evaluations = _refine(f, lo, hi, abs_tol, rel_tol, flat[idx])
+            panels += chunk_panels
+            evaluations += chunk_evaluations
+    value, error = value.reshape(shape), error.reshape(shape)
+    if not shape:
+        value, error = float(value), float(error)
+    return QuadratureResult(value, error, panels, evaluations)
+
+
+def _refine(f, lo: float, hi: float, abs_tol: float, rel_tol: float, rates=None):
+    """One adaptive integration over [lo, hi], of the members of ``f`` or, with
+    ``rates`` (1-D), of one chunk of a fringe family: the value and error sums
+    per member (one column for an a₀-only family), the shape of one member
+    set, the panels and the evaluations."""
     # panels are (midpoint, half-width): a bisection halves a width exactly,
     # so a pass holds few widths, each with one table of product weights
     h = 0.5 * (hi - lo) / _FIRST_PANELS
@@ -359,10 +383,10 @@ def integrate(
     vals, errs, shape, turns, size = _eval_panels(f, mid, half, tables, rates)
     evaluations = vals.shape[0] * NODES.size
     # QUADPACK's roundoff stop: no fringe member refines below ε(1 + X|τ_k|)·S, the part of
-    # its stated rounding floor known after the first pass (an a₀-only family has no phase)
-    stop = 0.0
+    # its stated rounding floor known after the first pass (an a₀-only family, without turns, has no phase)
+    stop = phase = 0.0
     if rates is not None:
-        phase = max(-lo, hi) * np.abs(rates).reshape(-1) if vals.shape[1] == rates.size else 0.0
+        phase = max(-lo, hi) * np.abs(rates) if turns is not None else 0.0
         stop = _EPS * (1.0 + phase) * size
 
     while True:
@@ -373,12 +397,8 @@ def integrate(
         if not unmet.any():
             if rates is not None:
                 depth = math.log2(h / half.min())  # bisections the turns of the finest panel went through
-                err = err + _EPS * (1.0 + 2.0 * depth + max(-lo, hi) * np.abs(rates)) * size
-            # an a₀-only family sums one column, the value of every member
-            value, error = (total if total.size == err.size else np.broadcast_to(total, err.shape)).reshape(shape), err.reshape(shape)
-            if not shape:
-                value, error = float(value), float(error)
-            return QuadratureResult(value, error, len(vals), evaluations)
+                err = err + _EPS * (1.0 + 2.0 * depth + phase) * size
+            return total, err, shape, len(vals), evaluations
         floor = np.maximum(tol, np.finfo(float).tiny)  # abs_tol = 0 may leave tol = 0
         if len(vals) >= MAX_PANELS:
             worst = int(np.argmax(np.where(unmet, err / floor, 0.0)))
@@ -402,41 +422,6 @@ def integrate(
         errs = np.concatenate([errs[keep], n_errs])
         if turns is not None:
             turns = tuple(np.concatenate([t[keep], n]) for t, n in zip(turns, n_turns))
-
-
-def integrate_grid(delays, integrate_chunk: Callable[[np.ndarray], QuadratureResult]) -> QuadratureResult:
-    """Integrate a family of fringe integrands, one per delay τ_k, chunk by chunk.
-
-    The delays are sorted by |τ| and split into equal chunks whose first
-    pass of eight panels holds at most ``CHUNK_ELEMENTS`` node × delay
-    values.  ``integrate_chunk(chunk_delays)`` integrates one chunk as a
-    vector-valued integrand and returns its :class:`QuadratureResult`.  The
-    value and error come back in the shape of ``delays`` (floats for a
-    scalar); panels and evaluations are summed over the chunks.
-
-    The chunks run in ascending order in one loop on the calling thread,
-    each writing its own delays of the output, and the first chunk to fail
-    raises its error.  The chunk boundaries depend on the number of delays
-    alone.
-    """
-    t = np.asarray(delays, dtype=float)
-    flat = t.ravel()
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("delays must be finite")
-    order = np.argsort(np.abs(flat), kind="stable")
-    value = np.empty(flat.size)
-    error = np.empty(flat.size)
-    chunks = -(-flat.size // max(1, CHUNK_ELEMENTS // (_FIRST_PANELS * NODES.size)))
-    panels = evaluations = 0
-    for idx in np.array_split(order, chunks) if chunks else ():  # an empty grid integrates nothing
-        res = integrate_chunk(flat[idx])
-        value[idx] = res.value
-        error[idx] = res.error
-        panels += res.panels
-        evaluations += res.evaluations
-    if not t.ndim:
-        return QuadratureResult(float(value[0]), float(error[0]), panels, evaluations)
-    return QuadratureResult(value.reshape(t.shape), error.reshape(t.shape), panels, evaluations)
 
 
 def tail_cutoff(envelope: Callable[[float], float], abs_tol: float) -> float:

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .quadrature import TOL, QuadratureResult, integrate, integrate_grid
+from .quadrature import TOL, QuadratureResult, integrate
 
 __all__ = [
     "SpectralDistribution",
@@ -221,8 +221,8 @@ def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:
     coefficients negligible outside every spectrum's peak.
 
     ``integrand(w)`` returns the coefficients (a₀, a_c, a_s) at the nodes
-    ``w``, each None where the term is absent; the delays of each chunk of
-    :func:`mmi.quadrature.integrate_grid` reach the engine as its ``rates``.  The domain
+    ``w``, each None where the term is absent; the delays reach
+    :func:`mmi.quadrature.integrate` as its ``rates``, one call per window.  The domain
     is the union of the windows [ω̄ ± 9σ] of ``spectra``, clipped at 0 and
     merged where they overlap; each window gets its own adaptive quadrature
     and an equal share of the absolute tolerance
@@ -242,17 +242,13 @@ def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:
         else:
             windows.append([lo, hi])
     share = TOL / len(windows)
-
-    def integrate_chunk(t):
-        parts = [integrate(integrand, lo, hi, abs_tol=share, rel_tol=TOL, rates=t) for lo, hi in windows]
-        return QuadratureResult(
-            sum(p.value for p in parts),
-            sum(p.error for p in parts),
-            sum(p.panels for p in parts),
-            sum(p.evaluations for p in parts),
-        )
-
-    return integrate_grid(delays, integrate_chunk)
+    parts = [integrate(integrand, lo, hi, abs_tol=share, rel_tol=TOL, rates=delays) for lo, hi in windows]
+    return QuadratureResult(
+        sum(p.value for p in parts),
+        sum(p.error for p in parts),
+        sum(p.panels for p in parts),
+        sum(p.evaluations for p in parts),
+    )
 
 
 def weighted_overlap(f: SpectralDistribution, g: SpectralDistribution, weight_power: int = 0, kernel: str = "one", tau=0.0):

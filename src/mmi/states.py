@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import TOL, QuadratureResult, integrate_grid, integrate_half_line, tail_cutoff
+from .quadrature import TOL, QuadratureResult, integrate_half_line, tail_cutoff
 from .spectra import SpectralDistribution
 from .thermal_kernels import bose_integral_constant
 
@@ -120,17 +120,14 @@ def bose_weighted_integral(theta: float, d: int, tau=0.0, *, abs_tol: float | No
             y[tiny] = x[tiny] ** (d - 1) * (1.0 - 0.5 * x[tiny])
         return y
 
-    def integrate_chunk(rates):
-        return integrate_half_line(
-            lambda x: (None, weight(x), None),  # the Bose weight is the cos coefficient
-            envelope=_bose_envelope(d),
-            abs_tol=tol,
-            rel_tol=TOL,
-            cutoff=cutoff,
-            rates=rates,
-        )
-
-    result = integrate_grid(a, integrate_chunk)
+    result = integrate_half_line(
+        lambda x: (None, weight(x), None),  # the Bose weight is the cos coefficient
+        envelope=_bose_envelope(d),
+        abs_tol=tol,
+        rel_tol=TOL,
+        cutoff=cutoff,
+        rates=a,
+    )
     # the truncated tail: ∫_X^∞ of the envelope, 1.582 Γ(d+1, X) = 1.582 d! e^-X Σ_{k≤d} X^k/k!, bounds it
     tail = _BOSE_BOUND * math.factorial(d) * math.exp(-cutoff) * sum(cutoff**k / math.factorial(k) for k in range(d + 1))
     return replace(result, value=scale * result.value, error=scale * (result.error + tail))

@@ -966,16 +966,16 @@ def test_spectral_grid_quadrature_matches_one_delay_calls(kind):
 
 
 def test_grid_larger_than_one_chunk_matches_one_delay_calls(monkeypatch):
-    import mmi.states as states
+    import mmi.quadrature as quadrature
 
     chunks = []
-    integrate_half_line = states.integrate_half_line
+    refine = quadrature._refine
 
     def counted(*args, **kwargs):
         chunks.append(1)
-        return integrate_half_line(*args, **kwargs)
+        return refine(*args, **kwargs)
 
-    monkeypatch.setattr(states, "integrate_half_line", counted)
+    monkeypatch.setattr(quadrature, "_refine", counted)
     taus = np.random.default_rng(3).uniform(-10.0, 10.0, 600)
     grid = np.asarray(thermal_vacuum_ratio(1.0, taus, 3, "quadrature"))
     assert 1 < len(chunks) < taus.size
@@ -1264,11 +1264,11 @@ def _on_cpus(monkeypatch, cpus):
 def test_thermal_quadrature_is_bitwise_independent_of_cpu_count(monkeypatch, theta_lo, d):
     # the chunk boundaries do not depend on the number of workers, and each
     # chunk writes its own delays
-    from mmi import states
+    from mmi import quadrature
 
     chunks = []
-    integrate_half_line = states.integrate_half_line
-    monkeypatch.setattr(states, "integrate_half_line", lambda *a, **k: chunks.append(1) or integrate_half_line(*a, **k))
+    refine = quadrature._refine
+    monkeypatch.setattr(quadrature, "_refine", lambda *a, **k: chunks.append(1) or refine(*a, **k))
     tau = np.random.default_rng(d).uniform(-6.0, 6.0, 3000)  # unsorted, of both signs
     request = _thermal_request(1.1, theta_lo, tau, d, "quadrature")
     _on_cpus(monkeypatch, 1)

@@ -13,7 +13,6 @@ from mmi.quadrature import (
     TOL,
     QuadratureError,
     integrate,
-    integrate_grid,
     integrate_half_line,
 )
 
@@ -183,14 +182,17 @@ def test_vector_integrand_non_finite_member_rejected():
 
 
 def _grid_result(delays, tol=1e-13):
-    # ∫₀^40 e^-x cos(τx) dx for every delay, chunk by chunk, as fringe integrands
+    # ∫₀^40 e^-x cos(τx) dx for every delay, as fringe integrands, and the rates of each chunk
     calls = []
+    refine = quadrature._refine
 
-    def integrate_chunk(t):
-        calls.append(t.copy())
-        return integrate(lambda x: (None, np.exp(-x), None), 0.0, 40.0, abs_tol=tol, rel_tol=tol, rates=t)
+    def refine_chunk(f, lo, hi, abs_tol, rel_tol, rates):
+        calls.append(rates.copy())
+        return refine(f, lo, hi, abs_tol, rel_tol, rates)
 
-    return integrate_grid(delays, integrate_chunk), calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_refine", refine_chunk)
+        return integrate(lambda x: (None, np.exp(-x), None), 0.0, 40.0, abs_tol=tol, rel_tol=tol, rates=delays), calls
 
 
 def test_grid_matches_delays_one_at_a_time():
@@ -245,10 +247,46 @@ def test_grid_rejects_non_finite_delays():
         _grid_result(np.array([0.0, math.nan]))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (0,), (0, 3)])
+def test_fringe_rates_of_any_shape_come_back_in_their_shape(shape):
+    # ∫₀^10 e^-x cos x dx at every member; an empty family integrates nothing
+    res = integrate(lambda x: (None, np.exp(-x), None), 0.0, 10.0, rates=np.ones(shape))
+    assert res.value.shape == res.error.shape == shape
+    exact = 0.5 * (1.0 + math.exp(-10.0) * (math.sin(10.0) - math.cos(10.0)))
+    assert np.all(np.abs(res.value - exact) <= TOL)
+    if not res.value.size:
+        assert res.panels == res.evaluations == 0
+
+
 def test_fringe_family_of_only_a_constant_term_has_one_member_per_rate():
     res = integrate(lambda x: (np.exp(-x), None, None), 0.0, 10.0, rates=[1.0, 2.0])
     assert res.value.shape == res.error.shape == (2,)
     assert np.all(np.abs(res.value - (1.0 - math.exp(-10.0))) <= TOL)
+
+
+def test_fringe_family_of_only_a_constant_term_states_no_phase_floor():
+    # no cos or sin term, so no phase x·τ rounds, however large the rate
+    res = integrate(lambda x: (np.exp(-x), None, None), 0.0, 10.0, rates=[1.0, 1e6])
+    observed = np.abs(res.value - (1.0 - math.exp(-10.0)))
+    assert np.all(res.error <= 1e-15)
+    assert np.all(res.error >= observed)
+
+
+def test_fringe_grid_memory_stays_flat():
+    # 20 000 rates are 37 chunks of at most CHUNK_ELEMENTS node × rate values in a
+    # first pass; the whole family in one pass took the peak to 105.9 MiB
+    import tracemalloc
+
+    rates = np.random.default_rng(5).uniform(-30.0, 30.0, 20000)
+    integrate(lambda x: (None, np.exp(-x), None), 0.0, 40.0, rates=rates[:3])  # the product-weight import
+    tracemalloc.start()
+    try:
+        res = integrate(lambda x: (None, np.exp(-x), None), 0.0, 40.0, rates=rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(res.value - 1.0 / (1.0 + rates**2))) <= 1e-12
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf])

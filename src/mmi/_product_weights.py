@@ -109,14 +109,11 @@ def _bessel_miller(x: np.ndarray) -> np.ndarray:
 def _spherical_bessel(omega: np.ndarray) -> np.ndarray:
     """j_0 … j_14 at the arguments ω ≥ 0, (15, ω.size): Miller's recurrence below 12, the
     upward one from 12 on."""
-    far = omega >= 12.0
-    if far.all():
-        return _bessel_upward(omega)
-    if not far.any():
-        return _bessel_miller(omega)
     out = np.empty((NODES.size, omega.size))
-    out[:, far] = _bessel_upward(omega[far])
-    out[:, ~far] = _bessel_miller(omega[~far])
+    far = omega >= 12.0
+    for mask, branch in ((far, _bessel_upward), (~far, _bessel_miller)):
+        if mask.any():
+            out[:, mask] = branch(omega[mask])
     return out
 
 

@@ -206,7 +206,7 @@ def _spectral_intensity(f_s, f_lo, grid, d, cross: bool):
     if cross:
         centre, width, detune = _product_gaussian(f_s.mean_freq, f_s.width, f_lo.mean_freq, f_lo.width)
         lines.append((centre, width))
-    moments = [line[d] for line in _line_moments(lines, grid, d)]
+    moments = _line_moments(lines, grid, d)
     m_s = moments[0].real / f_s.normalization**2
     intensity = m_s[0] + m_s
     if f_lo is not None:
@@ -573,13 +573,15 @@ def compute_interferogram(request: IntensityRequest) -> Interferogram:
         cross = isinstance(lo, Coherent)
         if used == "exact":
             ratios, norm = _spectral_exact(f_s, f_lo, taus, d, cross)
-        elif used == "quadrature":
+        elif used == "closed_form":
+            ratios = _closed_pair(f_s, f_lo, taus, cross)
+        elif not taus.size:  # no ratio reads a zero-delay integral, so none is integrated
+            ratios, quad = np.empty(0), {"panels": 0, "evaluations": 0, "max_error": 0.0}
+        else:
             # [0, τ…] in one grid: the zero-delay intensity normalizes the rest
             res = _spectral_integral(f_s, f_lo, np.concatenate([[0.0], taus.ravel()]), d, cross)
             ratios, norm = _normalized(res.value)
             quad = _counters(res, (res.error[1:] + np.abs(ratios) * res.error[0]) / norm)
-        else:
-            ratios = _closed_pair(f_s, f_lo, taus, cross)
 
     ratios = np.asarray(ratios, dtype=float).reshape(taus.shape)
     ratios[taus == 0.0] = 1.0

@@ -51,10 +51,11 @@ known after the first pass, stops there, as QUADPACK's QAG stops at roundoff
 (ier = 2).  The rounding of the coefficients keeps |K15 - G7| from falling
 much below ε·Σ…, and refining under the phase's rounding would not lower the
 stated error.  Where that part exceeds ``max(abs_tol, rel_tol·|I_k|)``, the
-member meets its floor, not the tolerance (:data:`TOL` for a scenario).  A member whose largest phase
+member meets its floor, not the tolerance (:data:`TOL` for a scenario).  A family whose largest phase
 X·|τ_k| exceeds :data:`PHASE_REACH` = 2²⁶, where that rounding would take
-half of the digits, is refused with :class:`QuadratureError` on the first
-pass, before any fringe is summed.
+half of the digits, is refused with :class:`QuadratureError` when
+:func:`integrate` is called, before any evaluation.  The rule reads the
+interval and the rates, not the integrand, so it holds for an a₀-only family too.
 
 :func:`integrate` cuts the rates of a fringe family into equal chunks of
 ascending |τ| whose first pass evaluates at most ``CHUNK_ELEMENTS`` node ×
@@ -219,18 +220,8 @@ def _fringe_sums(mid, half, rates, cos, sin, tables: dict, turns):
     symmetric, so each sum runs over the even and odd parts of a coefficient
     (:func:`_fold`) against half of the weights, and for the panels of each
     half-width it is one product of those parts with its table
-    (:func:`~mmi._product_weights.product_weights`, kept in ``tables`` for later passes).  A member
-    past :data:`PHASE_REACH` raises :class:`QuadratureError` on a first pass
-    (no ``turns`` handed in), before anything is summed.
+    (:func:`~mmi._product_weights.product_weights`, kept in ``tables`` for later passes).
     """
-    if turns is None:  # a first pass, which spans the interval
-        reach = float(np.max(np.abs(mid) + half)) * float(np.max(np.abs(rates), initial=0.0))
-        if not reach <= PHASE_REACH:
-            raise QuadratureError(
-                f"delay beyond the quadrature's reach: phase x·τ up to {reach:.3e}, past 2^26 = {PHASE_REACH:.3e}",
-                _EPS * reach,
-                _EPS * PHASE_REACH,
-            )
     n = mid.size
     parts = [_fold(a, n) for a in (cos, sin) if a is not None]
     even = np.concatenate([e for e, _ in parts]) if len(parts) > 1 else parts[0][0]  # the cos term's rows first
@@ -336,10 +327,10 @@ def integrate(
     The value and error are floats for a scalar integrand or a 0-d ``rates``,
     else read-only arrays of shape ``(K,)`` or of ``rates``; a fringe member's
     error includes its phase-rounding floor.  Panels and evaluations are
-    summed over the chunks.  Exhausting the budget of :data:`MAX_PANELS`
-    panels raises :class:`QuadratureError` carrying the achieved estimate of
-    the worst member, and so does a fringe member past :data:`PHASE_REACH`,
-    on the first pass (see the module docstring); the first chunk to fail raises.
+    summed over the chunks.  A rate past :data:`PHASE_REACH` raises
+    :class:`QuadratureError` before any chunk runs (see the module docstring).
+    Exhausting the budget of :data:`MAX_PANELS` panels raises it too, carrying
+    the achieved estimate of the worst member; the first chunk to exhaust it raises.
     """
     lo = float(lo)
     hi = float(hi)
@@ -354,6 +345,13 @@ def integrate(
         shape, flat = rates.shape, rates.ravel()
         if not np.isfinite(flat).all():
             raise ValueError("delays must be finite")
+        reach = max(-lo, hi) * float(np.max(np.abs(flat), initial=0.0))
+        if not reach <= PHASE_REACH:
+            raise QuadratureError(
+                f"delay beyond the quadrature's reach: phase x·τ up to {reach:.3e}, past 2^26 = {PHASE_REACH:.3e}",
+                _EPS * reach,
+                _EPS * PHASE_REACH,
+            )
         value, error = np.empty(flat.size), np.empty(flat.size)
         panels = evaluations = 0
         order = np.argsort(np.abs(flat), kind="stable")

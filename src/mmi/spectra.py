@@ -128,16 +128,16 @@ def gaussian_fourier_moments(mean: float, width: float, tau, order: int) -> list
     Im(ic/σ) = μ/σ >= 0 keeps w in the upper half-plane.  From σ|τ| =
     :data:`_FAR` on, the Gaussian term, below 1e-160 of M_n(0), is dropped
     and each M_n is the erfc term alone, differentiated n times in τ (see
-    :func:`_far_moments`): there the recurrence would multiply the rounding
+    :func:`_far_moment`): there the recurrence would multiply the rounding
     of M_0 by |c| per step.  Vectorised over τ (complex arrays, shape of τ);
-    nothing overflows at any finite τ.  The one-line case of
-    :func:`_line_moments`.
+    nothing overflows at any finite τ.  One call of :func:`_line_moments`
+    per order.
     """
-    return _line_moments([(mean, width)], tau, order)[0]
+    return [_line_moments([(mean, width)], tau, n)[0] for n in range(order + 1)]
 
 
-def _line_moments(lines, tau, order: int) -> list:
-    """:func:`gaussian_fourier_moments` of each (μ, σ) of ``lines`` on one grid τ.
+def _line_moments(lines, tau, n: int) -> list:
+    """M_n(τ) of :func:`gaussian_fourier_moments` for each (μ, σ) of ``lines`` on one grid τ.
 
     w is evaluated in one :func:`_faddeeva` call over the arguments of every
     line whose weight e^{-(μ/σ)²} is not 0; where it underflows to 0
@@ -158,43 +158,37 @@ def _line_moments(lines, tau, order: int) -> list:
         if edge != 0.0:
             args.append(1j * c / width)
         splits.append((edge, far, near_t, c))
-    if len(args) > 1:
+    if args:
         w = _faddeeva(np.concatenate([z.ravel() for z in args]))
         bounds = list(accumulate((z.size for z in args), initial=0))
         args = [w[lo:hi].reshape(z.shape) for lo, hi, z in zip(bounds, bounds[1:], args)]
-    elif args:  # one live line: no copy, and a 0-d τ stays a scalar
-        args = [_faddeeva(args[0])]
     live = iter(args)
     result = []
     for (mean, width), (edge, far, near_t, c) in zip(lines, splits):
-        near = _near_moments(mean, width, near_t, c, order, edge, next(live) if edge != 0.0 else None)
-        if far is None:
-            result.append(near)
-            continue
-        moments = [np.empty(t.shape, complex) for _ in range(order + 1)]
-        for out, part in zip(moments, near):
-            out[~far] = part
-        for out, part in zip(moments, _far_moments(mean, width, t[far], order, edge)):
-            out[far] = part
-        result.append(moments)
+        moment = _near_moment(mean, width, near_t, c, n, edge, next(live) if edge != 0.0 else None)
+        if far is not None:
+            near, moment = moment, np.empty(t.shape, complex)
+            moment[~far] = near
+            moment[far] = _far_moment(mean, width, t[far], n, edge)
+        result.append(moment)
     return result
 
 
-def _near_moments(mean, width, t, c, order, edge, w):
-    """The moments of :func:`gaussian_fourier_moments` by M_0 and the recurrence,
-    with w = w(ic/σ), or None where the weight e^{-(μ/σ)²} of the w term is 0."""
-    m_0 = width * _SQRT_PI * np.exp(1j * mean * t - 0.25 * (width * t) ** 2)
+def _near_moment(mean, width, t, c, n, edge, w):
+    """M_n of :func:`gaussian_fourier_moments` by M_0 and the recurrence, with
+    w = w(ic/σ), or None where the weight e^{-(μ/σ)²} of the w term is 0."""
+    moment = width * _SQRT_PI * np.exp(1j * mean * t - 0.25 * (width * t) ** 2)
     if w is not None:
-        m_0 -= 0.5 * width * _SQRT_PI * edge * w
-    moments = [m_0]
-    for k in range(order):
-        step = 0.5 * k * width * width * moments[k - 1] if k else 0.5 * width * width * edge
-        moments.append(c * moments[k] + step)
-    return moments
+        moment -= 0.5 * width * _SQRT_PI * edge * w
+    previous = None
+    for k in range(n):
+        step = 0.5 * k * width * width * previous if k else 0.5 * width * width * edge
+        previous, moment = moment, c * moment + step
+    return moment
 
 
-def _far_moments(mean, width, t, order, edge):
-    """The moments of :func:`gaussian_fourier_moments` at σ|τ| >= :data:`_FAR`.
+def _far_moment(mean, width, t, n, edge):
+    """M_n of :func:`gaussian_fourier_moments` at σ|τ| >= :data:`_FAR`.
 
     With z = ic/σ = iμ/σ - στ/2, u = 1/z and dz/dτ = -σ/2, the erfc term
     differentiated n times is M_n = -(σ√π/2) e^{-(μ/σ)²} (iσ/2)ⁿ w⁽ⁿ⁾(z).
@@ -204,16 +198,14 @@ def _far_moments(mean, width, t, order, edge):
     u is formed without z, so that no |τ| up to the float maximum overflows.
     """
     u = (-2.0 / width) / (t - 2j * mean / (width * width))
-    u2 = u * u
-    moments = []
-    factor = (-0.5j * width * edge) * u  # -(σ/2) e^{-(μ/σ)²} i (-iσ/2)ⁿ u^(n+1) at n = 0
-    for n in range(order + 1):
-        acc = 0.0
-        for m in reversed(range(len(_W_SERIES))):
-            acc = acc * u2 + _W_SERIES[m] * math.perm(2 * m + n, n)
-        moments.append(factor * acc)
+    factor = (-0.5j * width * edge) * u  # -(σ/2) e^{-(μ/σ)²} i (-iσ/2)ᵏ u^(k+1) at k = 0
+    for _ in range(n):
         factor = factor * (-0.5j * width) * u
-    return moments
+    u2 = u * u
+    acc = 0.0
+    for m in reversed(range(len(_W_SERIES))):
+        acc = acc * u2 + _W_SERIES[m] * math.perm(2 * m + n, n)
+    return factor * acc
 
 
 def integrate_over_spectra(integrand, spectra, delays) -> QuadratureResult:

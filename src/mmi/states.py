@@ -112,16 +112,10 @@ def bose_weighted_integral(theta: float, d: int, tau=0.0, *, abs_tol: float | No
     tol = abs_tol / scale
     cutoff = _bose_cutoff(d, tol)
 
-    def weight(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = x**d / np.expm1(x)
-        tiny = x < 1e-8  # the series there, where the quotient may be 0/0; scenario grids have no such node
-        if tiny.any():
-            y[tiny] = x[tiny] ** (d - 1) * (1.0 - 0.5 * x[tiny])
-        return y
-
     result = integrate_half_line(
-        lambda x: (None, weight(x), None),  # the Bose weight is the cos coefficient
+        # the Bose weight is the cos coefficient; every node is interior, so x > 0 and
+        # the quotient is exact to rounding, with no 0/0 at the removable singularity
+        lambda x: (None, x**d / np.expm1(x), None),
         envelope=_bose_envelope(d),
         abs_tol=tol,
         rel_tol=TOL,

@@ -555,13 +555,9 @@ def test_empty_delay_grids_give_empty_ratios(ports, method):
     for delays in ([], np.empty((0, 3))):
         gram = compute_interferogram(IntensityRequest(*ports, delays, method=method))
         assert gram.ratios.shape == np.shape(delays)
-        if method != "quadrature":
-            continue
-        quad = gram.metadata["quadrature"]
-        if isinstance(ports[0], Thermal):
-            assert quad == {"panels": 0, "evaluations": 0, "max_error": 0.0}
-        else:  # a spectral grid still integrates its zero-delay normalization, and only that
-            assert quad["max_error"] == 0.0 and gram.normalization > 0.0
+        if method == "quadrature":  # no ratio reads a zero-delay integral, so none is integrated
+            assert gram.metadata["quadrature"] == {"panels": 0, "evaluations": 0, "max_error": 0.0}
+            assert gram.normalization is None
 
 
 def test_empty_delay_grids_in_the_quadrature_entry_points():
@@ -848,6 +844,20 @@ def test_quadrature_error_bounds_a_fock_pair_up_to_optical_frequencies():
                 assert stated <= 100.0 * observed
 
 
+def test_thermal_quadrature_past_its_reach_is_refused_before_any_evaluation(monkeypatch):
+    # 2000 delays up to a = 1.75e6 at d = 3 are 4 chunks, the last past the reach;
+    # checked chunk by chunk, the first 3 were integrated before the refusal
+    from mmi import quadrature
+
+    calls = []
+    eval_panels = quadrature._eval_panels
+    monkeypatch.setattr(quadrature, "_eval_panels", lambda *a, **k: calls.append(1) or eval_panels(*a, **k))
+    request = IntensityRequest(Thermal(1.0), Vacuum(), np.linspace(0.0, 1.75e6, 2000), 3, "quadrature")
+    with pytest.raises(QuadratureError, match="reach"):
+        compute_interferogram(request)
+    assert calls == []
+
+
 def _past_the_reach(scenario_ports, reach, d):
     for far in (1.001 * reach, 1e20):
         with pytest.raises(QuadratureError, match="reach"):
@@ -1095,7 +1105,7 @@ def _unskipped_faddeeva(z):
 def unblocked_moments(mean, width, t, order):
     """Gaussian-Fourier moments M_0..M_order in one pass over the grid, the w term
     evaluated at every near delay however small its weight e^{-(μ/σ)²}."""
-    from mmi.spectra import _FAR, _far_moments
+    from mmi.spectra import _FAR, _far_moment
 
     edge = math.exp(-(mean / width) * (mean / width))
     far = np.abs(t) >= _FAR / width
@@ -1109,8 +1119,8 @@ def unblocked_moments(mean, width, t, order):
         step = 0.5 * k * width * width * near[k - 1] if k else 0.5 * width * width * edge
         near.append(c * near[k] + step)
     moments = [np.empty(t.shape, complex) for _ in range(order + 1)]
-    for out, n_part, f_part in zip(moments, near, _far_moments(mean, width, t[far], order, edge)):
-        out[~far], out[far] = n_part, f_part
+    for n, (out, n_part) in enumerate(zip(moments, near)):
+        out[~far], out[far] = n_part, _far_moment(mean, width, t[far], n, edge)
     return moments
 
 

@@ -289,10 +289,25 @@ def test_fringe_grid_memory_stays_flat():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("rate", [math.nan, math.inf])
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
 def test_fringe_rates_must_be_finite(rate):
     with pytest.raises(ValueError, match="delays must be finite"):
         integrate(lambda x: (None, np.exp(-x), None), 0.0, 10.0, rates=[1.0, rate])
+
+
+@pytest.mark.parametrize("terms", ["a0", "cos"])
+def test_every_rate_past_the_reach_is_refused_before_any_evaluation(terms):
+    # X·|τ| = 10 · 1e7 > 2^26: the rule holds for every family, an a₀-only one too,
+    # though no phase of it rounds
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return (np.exp(-x), None, None) if terms == "a0" else (None, np.exp(-x), None)
+
+    with pytest.raises(QuadratureError, match="reach"):
+        integrate(f, 0.0, 10.0, rates=[1.0, 1e7])
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

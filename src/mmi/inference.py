@@ -14,11 +14,11 @@ The table ``_MODELS`` lists each model once: its parameter names, the
 known quantities it reads from ``FitProblem.fixed`` (a problem missing one
 is rejected when it is built), its prediction and its default start point.
 
-The coherence-time estimator inverts the thermal-vacuum closed form: it
-returns the smallest dimensionless delay beyond which the fringe deviation
-|ratio - 1/2| stays inside a threshold ε.  The default ε is calibrated so
-the answer is 1.5 (in units of ħ/k_B T); the choice of threshold is a
-convention, recorded in the report.
+The coherence-time estimator inverts the thermal-vacuum closed form by one
+grid search: it returns the smallest dimensionless delay beyond which the
+fringe deviation |ratio - 1/2| stays inside a threshold ε.  The default ε
+is calibrated so the answer is 1.5 (in units of ħ/k_B T); the choice of
+threshold is a convention, recorded in the report.
 """
 
 from __future__ import annotations
@@ -386,11 +386,16 @@ def estimate_coherence_time(
 
     Evaluated on the three-dimensional thermal-vacuum closed form.  The
     deviation envelope beyond its first minimum decays monotonically (a
-    power law with an exponentially small correction), so a backward grid
-    scan plus bisection locates the last threshold crossing.  The bisection
-    halves the scan's bracket until its midpoint rounds onto an end, taking
-    ``_TREE_DEPTH`` halvings per closed-form call with the midpoints and
-    comparisons of one halving per call, so a_c does not depend on the depth.
+    power law with an exponentially small correction), so one loop locates
+    the last threshold crossing: it grids its bracket, keeps the last grid
+    point whose deviation reaches ε and that point's right neighbour as the
+    next bracket, and stops once the bracket is two adjacent floats,
+    returning their midpoint (which rounds onto one of them).  The first
+    grid is 4096 points on [0, a_max], every later one ``_GRID_POINTS``
+    across the bracket, one closed-form call per grid.  Where the closed
+    form's rounding makes the deviation cross ε many times within a few
+    hundred ulps (near ε ≈ 0.12–0.16), the answer is the last crossing a
+    grid samples.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("threshold must lie strictly between 0 and 0.5")
@@ -399,49 +404,25 @@ def estimate_coherence_time(
 
     # beyond a_max the power-law envelope 45/(2(aπ)^4) is already below ε
     a_max = max((45.0 / (2.0 * epsilon)) ** 0.25 / math.pi * 1.5, 2.0)
-    # at a = 0 the deviation is exactly 1/2 >= ε, so the scan always finds a crossing
+    # at a = 0 the deviation is exactly 1/2 >= ε, so the first grid always holds a crossing
     grid = np.linspace(0.0, a_max, 4096)
-    i = np.nonzero(_coherence_deviation(grid) >= epsilon)[0][-1]
-    if i + 1 >= grid.size:
-        raise RuntimeError("threshold crossing not bracketed; widen the scan")
-    a_c = _bisect_crossing(float(grid[i]), float(grid[i + 1]), epsilon)
+    while True:
+        deviation = np.abs(thermal_vacuum_ratio(1.0, grid, 3, "closed_form") - 0.5)
+        i = np.nonzero(deviation >= epsilon)[0][-1]
+        if i + 1 >= grid.size:
+            raise RuntimeError("threshold crossing not bracketed; widen the scan")
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        a_c = 0.5 * (lo + hi)
+        if not lo < a_c < hi:  # the bracket cannot shrink further
+            break
+        grid = np.linspace(lo, hi, _GRID_POINTS)
     tau_c = a_c / float(theta)
     return CoherenceReport(a_c, tau_c, float(speed_of_light * tau_c), epsilon)
 
 
-# Halvings per closed-form call of the coherence bisection: a call costs about
-# as much for 63 midpoints as for one, while the 2^d - 1 midpoints double per
-# level.  Depth 6 measured fastest of 4 to 8.
-_TREE_DEPTH = 6
-_TREE_NODES = 2**_TREE_DEPTH - 1
-
-
-def _coherence_deviation(a):
-    return np.abs(thermal_vacuum_ratio(1.0, a, 3, "closed_form") - 0.5)
-
-
-def _bisect_crossing(lo: float, hi: float, epsilon: float) -> float:
-    """Halve [lo, hi] towards the last a with deviation >= ε until the midpoint rounds onto an end.
-
-    Each round stores the midpoints of the next ``_TREE_DEPTH`` halvings in
-    heap order (node k's children are 2k + 1 when its deviation is >= ε, so
-    lo moves up, and 2k + 2 otherwise), evaluates them in one call, and
-    walks down the tree.
-    """
-    while True:
-        brackets, mids = [(lo, hi)], []
-        for k in range(_TREE_NODES):
-            lo, hi = brackets[k]
-            mids.append(0.5 * (lo + hi))
-            brackets += ((mids[k], hi), (lo, mids[k]))
-        reached = (_coherence_deviation(np.array(mids)) >= epsilon).tolist()
-        k = 0
-        while k < _TREE_NODES:
-            lo, hi = brackets[k]
-            if not lo < mids[k] < hi:  # the bracket cannot shrink further
-                return mids[k]
-            k = 2 * k + 1 if reached[k] else 2 * k + 2
-        lo, hi = brackets[k]
+# Points of every coherence grid after the first: the bracket's two ends and 63
+# between.  A closed-form call costs about as much for 65 points as for one.
+_GRID_POINTS = 65
 
 
 # ---------------------------------------------------------------------------

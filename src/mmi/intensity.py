@@ -139,13 +139,14 @@ def _walk(tau, evaluate, lines=1):
     block runs on the calling thread; more run on one worker per CPU into one
     output mapped from the OS, not from malloc, whose heap a grid this size
     would fragment (it moved the benchmark's thermal peak RSS by up to 8 MB
-    with the code layout).  The bits do not depend on the blocks.
+    with the code layout).  The bits do not depend on the blocks.  An empty
+    grid evaluates nothing.
     """
     workers = _workers.cpu_count()
     step = max(1, BLOCK // (lines * workers))
     flat = tau.reshape(-1)
     if flat.size <= step:
-        return evaluate(flat).reshape(tau.shape)
+        return evaluate(flat).reshape(tau.shape) if flat.size else np.empty(tau.shape)
     out = np.frombuffer(mmap.mmap(-1, 8 * flat.size), dtype=float)
 
     def job(i, _):
@@ -506,11 +507,11 @@ class Interferogram:
     sample is identically 1.  ``normalization`` records the unnormalized
     ⟨I⟩(0) of the spectral exact and quadrature paths (module-internal
     scale, the same for both); closed-form paths are born normalized and
-    record None.  A quadrature run also records
-    ``metadata["quadrature"] = {"panels", "evaluations", "max_error"}``: the
-    panels and integrand nodes of every integration call summed, and the
-    largest a-posteriori error estimate of a ratio.  The delays and ratios
-    of a computed interferogram are read-only.
+    record None, as every path does on an empty grid.  A quadrature run
+    also records ``metadata["quadrature"] = {"panels", "evaluations",
+    "max_error"}``: the panels and integrand nodes of every integration call
+    summed, and the largest a-posteriori error estimate of a ratio.  The
+    delays and ratios of a computed interferogram are read-only.
     """
 
     delays: np.ndarray

@@ -130,10 +130,10 @@ def gaussian_fourier_moments(mean: float, width: float, tau, order: int) -> list
     and each M_n is the erfc term alone, differentiated n times in τ (see
     :func:`_far_moment`): there the recurrence would multiply the rounding
     of M_0 by |c| per step.  Vectorised over τ (complex arrays, shape of τ);
-    nothing overflows at any finite τ.  One call of :func:`_line_moments`
-    per order.
+    nothing overflows at any finite τ; a 0-d τ gives ``numpy.complex128``
+    scalars.  One call of :func:`_line_moments` per order.
     """
-    return [_line_moments([(mean, width)], tau, n)[0] for n in range(order + 1)]
+    return [_line_moments([(mean, width)], tau, n)[0][()] for n in range(order + 1)]
 
 
 def _line_moments(lines, tau, n: int) -> list:

@@ -413,7 +413,7 @@ def test_coherence_bisection_stops_when_the_bracket_cannot_shrink(monkeypatch):
 
 
 def _halving_loop(epsilon):
-    """The coherence horizon by one halving per closed-form call: the reference for the tree walk."""
+    """The coherence horizon by one halving per closed-form call from the 4096-point scan's bracket."""
 
     def deviation(a):
         return np.abs(np.asarray(thermal_vacuum_ratio(1.0, a, 3, "closed_form")) - 0.5)
@@ -432,23 +432,44 @@ def _halving_loop(epsilon):
     return a_c
 
 
-def test_speculative_bisection_equals_the_halving_loop(monkeypatch):
+def _ulps_above(a, count):
+    """a and the ``count`` floats after it (a > 0)."""
+    return (np.float64(a).view(np.int64) + np.arange(count + 1)).view(np.float64)
+
+
+def test_coherence_search_returns_the_last_crossing_it_samples(monkeypatch):
     rng = np.random.default_rng(2024)
     epsilons = [DEFAULT_COHERENCE_EPSILON, *np.exp(rng.uniform(math.log(1e-6), math.log(0.49), 500))]
-    expected = [_halving_loop(epsilon) for epsilon in epsilons]
+
+    def deviation(a):
+        return np.abs(np.asarray(thermal_vacuum_ratio(1.0, a, 3, "closed_form")) - 0.5)
+
+    bands = [_ulps_above(_halving_loop(epsilon), 256) for epsilon in epsilons]
+    reached = [deviation(band) >= epsilon for band, epsilon in zip(bands, epsilons)]
     calls = []
 
     def counted(*args):
         calls.append(args)
-        if len(calls) > 10:  # a walk that never stops fails here instead of hanging
+        if len(calls) > 10:  # a search that never stops fails here instead of hanging
             raise AssertionError("more than 10 closed-form calls for one estimate")
         return thermal_vacuum_ratio(*args)
 
     monkeypatch.setattr(mmi.inference, "thermal_vacuum_ratio", counted)
-    for theta in (1.0, 7.3):
-        for epsilon, a_c in zip(epsilons, expected):
+    found = {theta: [] for theta in (1.0, 7.3)}
+    for theta in found:
+        for epsilon in epsilons:
             calls.clear()
-            assert estimate_coherence_time(theta, epsilon).a_c == a_c, (theta, epsilon)
+            found[theta].append(estimate_coherence_time(theta, epsilon).a_c)
+    assert found[1.0] == found[7.3]
+    for epsilon, a_c, band, hit in zip(epsilons, found[1.0], bands, reached):
+        # a_c is one of two adjacent floats lo < hi with deviation(lo) >= ε > deviation(hi)
+        below, above = deviation(np.nextafter(a_c, [-np.inf, np.inf]))
+        at = deviation(a_c)
+        assert (at >= epsilon > above) or (below >= epsilon > at), epsilon
+        if not hit[1:].any():
+            assert a_c == band[0], epsilon
+        else:  # a later float within 256 ulps still reaches ε: a later crossing, inside that band
+            assert band[0] < a_c <= band[-1], epsilon
 
 
 def test_coherence_report_holds_python_floats():

@@ -241,6 +241,15 @@ def test_gaussian_fourier_zero_delay_is_normalization():
         assert abs(m0.real / normalization_constant(mean, 1.7) - 1.0) < 1e-14
 
 
+def test_gaussian_fourier_moments_of_a_zero_dimensional_delay_are_scalars():
+    # near (σ|τ| < 40, the recurrence) and far (the w term's series) give one type
+    for tau in (1.0, 41.0):
+        moments = gaussian_fourier_moments(3.0, 1.0, tau, 1)
+        assert [type(m) for m in moments] == [np.complex128, np.complex128], tau
+        on_grid = [m[0] for m in gaussian_fourier_moments(3.0, 1.0, [tau], 1)]
+        assert np.allclose(moments, on_grid, rtol=1e-14, atol=0.0), tau
+
+
 def test_weighted_overlap_resolves_optical_line():
     # unit norm of f² for a width-1 line far from the origin
     f = SpectralDistribution(3e4, 1.0)

@@ -70,9 +70,9 @@ class NonConvergenceError(RuntimeError):
 def _spectral_pair_start(problem) -> tuple:
     lo_mean = problem.fixed["lo_mean_freq"]
     width = problem.fixed.get("width_guess", lo_mean / 3.0)
-    # plateau of the closed form is (1 + lo/sig)/2: invert the tail mean
-    tail = problem.ratios[problem.tau >= 0.75 * problem.tau.max()]
-    plateau = float(np.mean(tail)) if tail.size else 1.0
+    # plateau of the closed form is (1 + lo/sig)/2: invert the tail mean; the ratio is even in τ
+    distance = np.abs(problem.tau)
+    plateau = float(np.mean(problem.ratios[distance >= 0.75 * distance.max()]))
     mean_guess = lo_mean / max(2.0 * plateau - 1.0, 0.2)
     return (mean_guess, width)
 
@@ -247,13 +247,34 @@ _STEP_TOL = 1e-10
 _GRAD_TOL = 1e-10
 
 
+def _normal_equations(jac, r) -> tuple:
+    """g = Jᵀr and the symmetric H = JᵀJ = [[a, b], [b, c]] as the Python floats (g₀, g₁, a, b, c).
+
+    A one-column J is the 1×1 case: it reads as g = (g₀, 0) and H = diag(a, a).
+    """
+    g, h = (jac.T @ r).tolist(), (jac.T @ jac).tolist()
+    if len(g) == 1:
+        return g[0], 0.0, h[0][0], 0.0, h[0][0]
+    return g[0], g[1], h[0][0], h[0][1], h[1][1]
+
+
+def _extreme_eigenvalues(a, b, c) -> tuple:
+    """Smallest and largest eigenvalue of the symmetric [[a, b], [b, c]]: mid ∓ hypot(½(a - c), b)."""
+    mid, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    return mid - rad, mid + rad
+
+
 def fit(problem: FitProblem) -> FitResult:
     """Damped least-squares fit of a forward model to interferogram data.
 
     Minimizes Σ w_i (ratio_i - model(τ_i; p))² by Levenberg-Marquardt steps
     with the model's exact Jacobian, taken once at each accepted point, and
-    Marquardt's scaling D = diag(JᵀWJ).  One eigendecomposition of
-    D^-½ JᵀWJ D^-½ per iteration serves every damped trial step of it.  The
+    Marquardt's scaling D = diag(JᵀWJ).  Every model has one or two
+    parameters, so after the two products g = JᵀWr and H = JᵀWJ an iteration
+    runs on Python floats in closed form: the guard's extreme eigenvalues of
+    the symmetric 2×2 H, and each damped trial step (H + λD)δ = -g by
+    Cramer's rule on its scaling by D^-½ (a one-parameter model is the 1×1
+    case); no ``numpy.linalg`` routine runs.  The
     damping λ follows Nielsen's rule (Madsen, Nielsen & Tingleff 2004,
     §3.2): an accepted step, ρ its actual over predicted cost reduction,
     scales λ by max(1/3, 1 - (2ρ - 1)³) and resets ν to 2; a rejected one
@@ -268,7 +289,8 @@ def fit(problem: FitProblem) -> FitResult:
     without noise) and s² = cost/dof the reduced χ² of the weighted
     residuals.  They are rescaled by s² also when ``noise`` is given
     (scipy's ``absolute_sigma=False``): ``noise`` sets the weights, and a
-    misstated noise level does not misstate the error bars.
+    misstated noise level does not misstate the error bars.  They are NaN
+    where JᵀWJ has no inverse.
     """
     w = problem.weights()
     data = problem.ratios
@@ -277,15 +299,18 @@ def fit(problem: FitProblem) -> FitResult:
             "interferogram is constant; the scenario parameters are not identifiable"
         )
     row = _MODELS[problem.model]
+    n = len(problem.initial)
 
     def residual(params):
-        return w * (model_prediction(problem.model, problem.tau, params, problem.fixed) - data)
+        return w * (model_prediction(problem.model, problem.tau, params[:n], problem.fixed) - data)
 
     def jacobian(params):
-        return w[:, None] * row.jacobian(problem.tau, params, problem.fixed)
+        return w[:, None] * row.jacobian(problem.tau, params[:n], problem.fixed)
 
-    p = np.array(problem.initial, dtype=float)
     lo, hi = _BOUNDS
+    # a one-parameter row is the 1×1 case of the 2×2 algebra below: a second coordinate, parked
+    # on the lower bound, that H = diag(a, a) and g = (g₀, 0) leave uncoupled, so no step moves it
+    p = [float(x) for x in problem.initial] + [lo] * (2 - n)
     r = residual(p)
     cost = float(r @ r)
     initial_cost = cost
@@ -295,29 +320,28 @@ def fit(problem: FitProblem) -> FitResult:
     iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
-        grad = jac.T @ r
-        if float(np.linalg.norm(grad)) < _GRAD_TOL:
+        g0, g1, a, b, c = _normal_equations(jac, r)
+        if math.hypot(g0, g1) < _GRAD_TOL:
             converged = True
             break
-        hess = jac.T @ jac
-        if not np.all(np.isfinite(hess)):
+        low, high = _extreme_eigenvalues(a, b, c)
+        if not (math.isfinite(high) and 0.0 < low and high <= 1e14 * low):
             raise IdentifiabilityError("normal equations are singular; parameters degenerate")
-        extremes = np.linalg.eigvalsh(hess)[[0, -1]]
-        if extremes[0] <= 0.0 or extremes[1] > 1e14 * extremes[0]:
-            raise IdentifiabilityError("normal equations are singular; parameters degenerate")
-        # (H + λD)δ = -g as δ = -S V (Λ + λ)⁻¹ Vᵀ S g, with S = D^-½ and S H S = V Λ Vᵀ
-        scale = 1.0 / np.sqrt(np.maximum(np.diag(hess), 1e-30))
-        values, vectors = np.linalg.eigh(scale[:, None] * hess * scale)
-        basis = scale[:, None] * vectors
-        projected = basis.T @ grad
+        # (H + λD)δ = -g as (SHS + λ)y = Sg, δ = -Sy, with S = D^-½; each yᵢ by Cramer's rule, its
+        # numerator and determinant divided by the other diagonal entry
+        s0, s1 = 1.0 / math.sqrt(max(a, 1e-30)), 1.0 / math.sqrt(max(c, 1e-30))
+        m0, m1, m01, u0, u1 = s0 * a * s0, s1 * c * s1, s0 * b * s1, s0 * g0, s1 * g1
         for _ in range(40):
-            trial = np.clip(p - basis @ (projected / (values + lam)), lo, hi)
-            step = trial - p
-            small = float(np.linalg.norm(step)) < _STEP_TOL
+            k0, k1 = m01 / (m1 + lam), m01 / (m0 + lam)
+            y0, y1 = (u0 - k0 * u1) / (m0 + lam - k0 * m01), (u1 - k1 * u0) / (m1 + lam - k1 * m01)
+            trial = [min(max(p[0] - s0 * y0, lo), hi), min(max(p[1] - s1 * y1, lo), hi)]
+            e0, e1 = trial[0] - p[0], trial[1] - p[1]
+            small = math.hypot(e0, e1) < _STEP_TOL
             r_trial = residual(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:
-                predicted = -float(step @ (2.0 * grad + hess @ step))  # ‖r‖² - ‖r + Jδ‖²
+                # ‖r‖² - ‖r + Jδ‖² = -δ·(2g + Hδ)
+                predicted = -(e0 * (2.0 * g0 + (a * e0 + b * e1)) + e1 * (2.0 * g1 + (b * e0 + c * e1)))
                 rho = min((cost - cost_trial) / predicted, 1.0) if predicted > 0.0 else 1.0  # λ/3 from ρ = 1 up
                 lam, nu = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-14), 2.0
                 p, r, cost = trial, r_trial, cost_trial
@@ -332,18 +356,19 @@ def fit(problem: FitProblem) -> FitResult:
             converged = True
             break
 
-    dof = max(r.size - p.size, 1)
+    dof = max(r.size - n, 1)
     sigma_sq = max(cost, 1e-300) / dof
-    try:
-        cov = sigma_sq * np.linalg.inv(jac.T @ jac)
-        uncertainties = np.sqrt(np.maximum(np.diag(cov), 1e-300))
-    except np.linalg.LinAlgError:
-        uncertainties = np.full(p.size, math.nan)
+    _, _, a, b, c = _normal_equations(jac, r)
+    try:  # the diagonal of (JᵀJ)⁻¹, each entry the inverse of its Schur complement
+        inverse = (1.0 / (a - b * (b / c)), 1.0 / (c - b * (b / a)))
+    except ZeroDivisionError:  # a column of J vanishes, or the two are parallel
+        inverse = (math.nan, math.nan)
+    uncertainties = [math.sqrt(max(sigma_sq * q, 1e-300)) for q in inverse]
 
     names = problem.parameter_names
     result = FitResult(
-        estimates=dict(zip(names, map(float, p))),
-        uncertainties=dict(zip(names, map(float, uncertainties))),
+        estimates=dict(zip(names, p)),
+        uncertainties=dict(zip(names, uncertainties)),
         residual_norm=math.sqrt(cost),
         initial_residual_norm=math.sqrt(initial_cost),
         iterations=iterations,

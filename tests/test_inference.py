@@ -15,7 +15,8 @@ from mmi.inference import (
     model_prediction,
 )
 from mmi.intensity import (
-    coherent_intensity, fock_intensity, fock_intensity_closed, thermal_thermal_ratio, thermal_vacuum_ratio,
+    coherent_intensity, coherent_intensity_closed, fock_intensity, fock_intensity_closed, thermal_thermal_ratio,
+    thermal_vacuum_ratio,
 )
 from mmi.spectra import SpectralDistribution
 
@@ -186,18 +187,19 @@ def test_uncertainties_come_from_the_jacobian_at_the_estimates(model):
 def _reference_trials(problem):
     """Every point a Levenberg-Marquardt fit with Nielsen's damping evaluates (Madsen, Nielsen &
     Tingleff 2004, Algorithm 3.16, with Marquardt's scaling D = diag(JᵀJ) and fit's stopping
-    rules), each damped step from np.linalg.solve of (JᵀJ + λD)δ = -Jᵀr."""
+    rules), each damped step from np.linalg.solve of (JᵀJ + λD)δ = -Jᵀr, J and r weighted by 1/noise."""
     row = mmi.inference._MODELS[problem.model]
     lo, hi = mmi.inference._BOUNDS
+    w = problem.weights()
 
     def residual(p):
-        return row.predict(problem.tau, p, problem.fixed) - problem.ratios
+        return w * (row.predict(problem.tau, p, problem.fixed) - problem.ratios)
 
     p = np.array(problem.initial, dtype=float)
     r, trials = residual(p), [p]
     lam, nu = 1e-3, 2.0
     while True:
-        jac = row.jacobian(problem.tau, p, problem.fixed)
+        jac = w[:, None] * row.jacobian(problem.tau, p, problem.fixed)
         grad, hess = jac.T @ r, jac.T @ jac
         if np.linalg.norm(grad) < 1e-10:
             return trials
@@ -218,13 +220,8 @@ def _reference_trials(problem):
             return trials
 
 
-def test_fit_evaluates_the_points_of_nielsens_damping(monkeypatch):
-    # rejected, accepted and again rejected trials (ν reset to 2 in between), from a start far
-    # off the truth: fit's eigen-solve of the scaled normal equations takes the reference's steps
-    taus = np.linspace(0.0, 6.0, 121)
-    fixed = {"lo_mean_freq": 3.0}
-    problem = FitProblem(tau=taus, ratios=model_prediction("fock_fock", taus, (3.5, 1.1), fixed), model="fock_fock",
-                         fixed=fixed, initial=(2.9, 0.6))
+def _evaluated_points(monkeypatch, problem):
+    """fit's result and every parameter point at which it evaluates the model."""
     evaluated = []
 
     def recorded(model, tau, params, fixed):
@@ -232,11 +229,78 @@ def test_fit_evaluates_the_points_of_nielsens_damping(monkeypatch):
         return model_prediction(model, tau, params, fixed)
 
     monkeypatch.setattr(mmi.inference, "model_prediction", recorded)
-    result = fit(problem)
+    return fit(problem), evaluated
+
+
+def test_fit_evaluates_the_points_of_nielsens_damping(monkeypatch):
+    # rejected, accepted and again rejected trials (ν reset to 2 in between), from a start far
+    # off the truth: fit's closed-form solve of the scaled normal equations takes the reference's steps
+    taus = np.linspace(0.0, 6.0, 121)
+    fixed = {"lo_mean_freq": 3.0}
+    problem = FitProblem(tau=taus, ratios=model_prediction("fock_fock", taus, (3.5, 1.1), fixed), model="fock_fock",
+                         fixed=fixed, initial=(2.9, 0.6))
+    result, evaluated = _evaluated_points(monkeypatch, problem)
     expected = _reference_trials(problem)
     assert len(evaluated) == len(expected) == 18
     assert np.allclose(evaluated, expected, rtol=1e-9, atol=0.0)
     assert abs(result.estimates["mean_freq"] / 3.5 - 1.0) < 1e-12
+
+
+def _trial_case(case):
+    taus, a = np.linspace(0.0, 6.0, 121), np.linspace(0.0, 3.0, 200)
+    fixed = {"lo_mean_freq": 3.0}
+    if case == "thermal_thermal":
+        return FitProblem(tau=a, ratios=model_prediction(case, a, (1.05,), {"theta0": 1.0}), model=case,
+                          fixed={"theta0": 1.0}, initial=(2.0,))
+    if case == "one_photon_vacuum":
+        return FitProblem(tau=taus, ratios=model_prediction(case, taus, (3.5, 1.1), {}), model=case, initial=(5.0, 2.0))
+    if case == "coherent_coherent":
+        return FitProblem(tau=taus, ratios=model_prediction(case, taus, (3.5, 1.1), fixed), model=case, fixed=fixed,
+                          initial=(3.2, 0.6))
+    rng = np.random.default_rng(11)  # noise-weighted Fock data
+    noise = rng.uniform(5e-4, 2e-3, taus.size)
+    data = model_prediction("fock_fock", taus, (3.5, 1.1), fixed) + noise * rng.standard_normal(taus.size)
+    return FitProblem(tau=taus, ratios=data, model="fock_fock", fixed=fixed, initial=(2.9, 0.6), noise=noise)
+
+
+@pytest.mark.parametrize("case, points", [("thermal_thermal", 17), ("one_photon_vacuum", 13),
+                                          ("coherent_coherent", 7), ("fock_fock_weighted", 18)])
+def test_every_row_evaluates_the_points_of_nielsens_damping(monkeypatch, case, points):
+    # the 1×1 row, the spectral rows with and without the cross term, and weights from a noise
+    # level: each of fit's steps is the reference's np.linalg.solve step
+    assert all(len(row.names) <= 2 for row in mmi.inference._MODELS.values())  # fit's algebra is 2×2
+    problem = _trial_case(case)
+    _, evaluated = _evaluated_points(monkeypatch, problem)
+    expected = _reference_trials(problem)
+    assert len(evaluated) == len(expected) == points
+    assert np.allclose(evaluated, expected, rtol=1e-9, atol=0.0)
+
+
+def test_closed_form_extreme_eigenvalues_match_lapack():
+    # the guard's mid ∓ hypot(½(a - c), b) against eigvalsh, cond from 1 to 1e16, scales 1e-8 to 1e8
+    rng = np.random.default_rng(23)
+    for cond in 10.0 ** np.arange(17):
+        for _ in range(25):
+            rotation, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            h = 10.0 ** rng.uniform(-8.0, 8.0) * (rotation * [1.0, 1.0 / cond]) @ rotation.T
+            a, b, c = h[0, 0], 0.5 * (h[0, 1] + h[1, 0]), h[1, 1]
+            want = np.linalg.eigvalsh(np.array([[a, b], [b, c]]))
+            got = mmi.inference._extreme_eigenvalues(float(a), float(b), float(c))
+            assert np.all(np.abs(np.array(got) - want) <= 4.0 * np.finfo(float).eps * want[1]), (cond, got, want)
+
+
+def test_parallel_jacobian_columns_give_nan_uncertainties(monkeypatch):
+    # noise-free data and a start on the truth converge at iteration 1, before the conditioning
+    # guard; a Jacobian of two equal columns there has no inverse, so the uncertainties are NaN
+    taus = np.linspace(0.0, 6.0, 120)
+    truth = (3.2, 0.9)
+    row = mmi.inference._MODELS["one_photon_vacuum"]
+    parallel = row._replace(jacobian=lambda tau, p, fixed: np.repeat(row.jacobian(tau, p, fixed)[:, :1], 2, axis=1))
+    monkeypatch.setitem(mmi.inference._MODELS, "one_photon_vacuum", parallel)
+    data = model_prediction("one_photon_vacuum", taus, truth, {})
+    result = fit(FitProblem(tau=taus, ratios=data, model="one_photon_vacuum", initial=truth))
+    assert result.iterations == 1 and tuple(result.estimates.values()) == truth
+    assert all(math.isnan(u) for u in result.uncertainties.values())
 
 
 def test_fit_problem_names_missing_fixed_quantities():
@@ -514,6 +578,29 @@ def test_a_failing_competitor_drops_out(signal_mean):
     assert result.label == "fock-like" and result.score == 0.0
     assert result.coherent_fit is None
     assert abs(result.fock_fit.estimates["mean_freq"] / signal_mean - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("model", ["fock_fock", "coherent_coherent"])
+@pytest.mark.parametrize("span", [(-6.0, 0.0), (-8.0, -2.0)])
+def test_spectral_fits_on_a_grid_of_negative_delays(model, span):
+    # the default start reads the plateau where |τ| is largest, which on τ ≤ 0 is the grid's left end
+    taus = np.linspace(*span, 121)
+    closed = fock_intensity_closed if model == "fock_fock" else coherent_intensity_closed
+    data = closed(SpectralDistribution(3.3, 1.0), SpectralDistribution(3.0, 1.0), taus)
+    result = fit(FitProblem(tau=taus, ratios=data, model=model, fixed={"lo_mean_freq": 3.0, "width_guess": 1.0}))
+    assert abs(result.estimates["mean_freq"] - 3.3) < 1e-9
+    assert abs(result.estimates["width"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["fock", "coherent"])
+def test_discrimination_on_a_grid_of_negative_delays(kind):
+    taus = np.linspace(-6.0, 0.0, 121)
+    f_lo = SpectralDistribution(3.0, 1.0)
+    closed = fock_intensity_closed if kind == "fock" else coherent_intensity_closed
+    result = discriminate_state_class(taus, closed(SpectralDistribution(3.3, 1.0), f_lo, taus), f_lo)
+    assert result.label == f"{kind}-like"
+    chosen = result.fock_fit if kind == "fock" else result.coherent_fit
+    assert abs(chosen.estimates["mean_freq"] - 3.3) < 1e-9
 
 
 def test_singular_normal_equations_raise_identifiability():

@@ -79,7 +79,7 @@ def _spectral_pair_start(problem) -> tuple:
 
 def _spectral_jacobian(t, p, mean_lo, cross: bool) -> np.ndarray:
     """Columns ∂/∂ω̄_s and ∂/∂σ of :func:`~mmi.intensity._closed_pair_ratio` with the width σ
-    shared by both ports (``mean_lo`` None: against vacuum).
+    shared by both ports; a ``mean_lo`` of 0 is vacuum, whose LO term has weight ω̄_lo/ω̄_s = 0.
 
     With one width the cross term is (μ/ω̄_s) G e^{-(στ)²/4} sin μτ, μ = (ω̄_s + ω̄_lo)/2 and
     G = e^{-(ω̄_s - ω̄_lo)²/4σ²}: its amplitude is 1 and it shares the other terms' envelope.
@@ -88,10 +88,6 @@ def _spectral_jacobian(t, p, mean_lo, cross: bool) -> np.ndarray:
     env = np.exp(-((width * t) ** 2) / 4.0)
     d_env = -0.5 * width * t * t  # ∂ ln env/∂σ
     jac = np.empty((t.size, 2))
-    if mean_lo is None:
-        jac[:, 0] = -0.5 * t * env * np.sin(t * mean)
-        jac[:, 1] = 0.5 * d_env * env * np.cos(t * mean)
-        return jac
     ratio = mean_lo / mean
     cos_lo = np.cos(t * mean_lo)
     jac[:, 0] = 0.5 * (-(ratio / mean) * (1.0 - env * cos_lo) - t * env * np.sin(t * mean))
@@ -140,7 +136,7 @@ _MODELS = {
     "one_photon_vacuum": _Model(
         ("mean_freq", "width"), (),
         lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], None, None, tau, False),
-        lambda tau, p, fixed: _spectral_jacobian(tau, p, None, False),
+        lambda tau, p, fixed: _spectral_jacobian(tau, p, 0.0, False),
         lambda problem: (3.0, 1.0),
     ),
     "fock_fock": _Model(
@@ -173,8 +169,10 @@ class FitProblem:
     """Least-squares problem binding data, model and start point.
 
     It keeps read-only flat copies of tau, ratios and noise (a scalar noise becomes
-    one level), and a read-only copy of ``fixed``.  Every parameter, the start
-    point too, lies in the box :data:`_BOUNDS`.
+    one level), and a read-only copy of ``fixed``.  Their shapes are checked
+    before the model's default start reads them: one delay per ratio, at least
+    two per parameter, and one noise level or one per ratio.  Every parameter,
+    the start point too, lies in the box :data:`_BOUNDS`.
     """
 
     tau: np.ndarray
@@ -203,6 +201,17 @@ class FitProblem:
         missing = [key for key in needs if self.fixed.get(key) is None]
         if missing:
             raise ValueError(f"model {self.model} needs fixed {missing}")
+        # the data's shapes before the default start, which reads the data
+        if self.tau.shape != self.ratios.shape:
+            raise ValueError("delay and ratio arrays differ in length")
+        if self.noise is not None and self.noise.size not in (1, self.ratios.size):
+            raise ValueError(f"{self.noise.size} noise levels for {self.ratios.size} ratios; give one or one per ratio")
+        samples, count = self.tau.size, len(names)
+        if samples < 2 * count:
+            raise IdentifiabilityError(
+                f"{samples} sample{'s' * (samples != 1)} cannot constrain {count} "
+                f"parameter{'s' * (count != 1)} (need at least twice as many)"
+            )
         initial = tuple(self.initial) if self.initial else start(self)
         object.__setattr__(self, "initial", initial)
         if len(initial) != len(names):
@@ -211,13 +220,6 @@ class FitProblem:
         for p in initial:
             if not lo <= p <= hi:
                 raise ValueError(f"initial guess {p} outside bounds ({lo}, {hi})")
-        if self.tau.shape != self.ratios.shape:
-            raise ValueError("delay and ratio arrays differ in length")
-        if self.tau.size < 2 * len(names):
-            raise IdentifiabilityError(
-                f"{self.tau.size} samples cannot constrain {len(names)} parameters "
-                "(need at least twice as many)"
-            )
 
     @property
     def parameter_names(self) -> tuple:
@@ -407,20 +409,25 @@ def estimate_coherence_time(
     *,
     speed_of_light: float = 1.0,
 ) -> CoherenceReport:
-    """Smallest a beyond which |ratio(a') - 1/2| < ε for all a' >= a.
+    """The dimensionless delay a_c at which |ratio(a) - 1/2| last crosses ε, as a grid samples it.
 
-    Evaluated on the three-dimensional thermal-vacuum closed form.  The
-    deviation envelope beyond its first minimum decays monotonically (a
-    power law with an exponentially small correction), so one loop locates
-    the last threshold crossing: it grids its bracket, keeps the last grid
-    point whose deviation reaches ε and that point's right neighbour as the
-    next bracket, and stops once the bracket is two adjacent floats,
-    returning their midpoint (which rounds onto one of them).  The first
-    grid is 4096 points on [0, a_max], every later one ``_GRID_POINTS``
-    across the bracket, one closed-form call per grid.  Where the closed
-    form's rounding makes the deviation cross ε many times within a few
-    hundred ulps (near ε ≈ 0.12–0.16), the answer is the last crossing a
-    grid samples.
+    a_c is one of two adjacent floats, the lower with a deviation >= ε and
+    the upper with one < ε, and they are the last such pair that a grid of
+    the search samples.  Evaluated on the three-dimensional thermal-vacuum
+    closed form.  The deviation envelope beyond its first minimum decays
+    monotonically (a power law with an exponentially small correction), so
+    one loop locates the last threshold crossing: it grids its bracket,
+    keeps the last grid point whose deviation reaches ε and that point's
+    right neighbour as the next bracket, and stops once the bracket is two
+    adjacent floats, returning their midpoint (which rounds onto one of
+    them).  The first grid is 4096 points on [0, a_max], every later one
+    ``_GRID_POINTS`` across the bracket, one closed-form call per grid.
+    Where the deviation's rounding is smooth this pair is the last crossing
+    of all, so |ratio(a') - 1/2| < ε for every a' above a_c.  Near
+    ε ≈ 0.12–0.16 the closed form's rounding makes the deviation cross ε
+    many times within a few hundred ulps, and floats beyond a_c can still
+    reach ε (at ε = 0.15552299530928815, a_c = 0.3192278333376005, and
+    floats 93 ulps above it do).
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("threshold must lie strictly between 0 and 0.5")

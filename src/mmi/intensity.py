@@ -16,11 +16,11 @@ thermal pair          ω^d[n̄₁(1+cos ωτ) + n̄₀(1-cos ωτ)]          clo
 
 The spectral exact path ("exact" in the metadata) evaluates every term of
 the quadrature integrand, at d = 1 or 3, from the moments
-M_n(τ) = ∫₀^∞ ωⁿ e^{-(ω-μ)²/σ²} e^{iωτ} dω of
-:func:`mmi.spectra.gaussian_fourier_moments`, vectorised over the delay
-grid; the coherent cross term f_s f_lo is a single product Gaussian.  It
-agrees with the quadrature path to its 1e-12 tolerance and keeps working at
-optical ω̄/σ, where the rounding of cos ωτ stops quadrature short of it.
+M_n(τ) = ∫₀^∞ ωⁿ e^{-(ω-μ)²/σ²} e^{iωτ} dω derived in :mod:`mmi.spectra`,
+vectorised over the delay grid; the coherent cross term f_s f_lo is a
+single product Gaussian.  It agrees with the quadrature path to its 1e-12
+tolerance and keeps working at optical ω̄/σ, where the rounding of cos ωτ
+stops quadrature short of it.
 Both thermal scenarios are one evaluator: against an LO at θ_lo the ratio
 is ½[1 + r^{d+1} + K_d(a_s) - r^{d+1} K_d(a_lo)], r = θ_lo/θ_s, a = |τ|θ,
 and a vacuum LO is r = 0.  Its closed forms are exact at every dimension a
@@ -123,7 +123,7 @@ class ClosedFormError(ValueError):
 
 def _finite_delays(tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
-    if not (np.isfinite(tau).all() if tau.ndim else math.isfinite(tau)):  # math is faster on a scalar
+    if not np.isfinite(tau).all():
         raise ValueError("delays must be finite")
     return tau
 
@@ -197,7 +197,7 @@ def _spectral_intensity(f_s, f_lo, grid, d, cross: bool):
     The integrand of :func:`_spectral_integral` term by term: with
     f² = e^{-(ω-ω̄)²/σ²}/N², ∫ω^d f²(1 ± cos ωτ) = (M_d(0) ± Re M_d(τ))/N²,
     and the coherent cross term ∫ω^d f_s f_lo sin ωτ is Im M_d(τ) of the
-    product Gaussian (:func:`mmi.spectra.gaussian_fourier_moments`).  The
+    product Gaussian (see :mod:`mmi.spectra`).  The
     moments of all these lines come from one pass, with one w(z) call.
     ``grid[0]`` must be τ = 0, which supplies M_d(0).
     """

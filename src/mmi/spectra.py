@@ -11,10 +11,22 @@ frequencies and delays only ever appear through products like ωτ, so the
 natural choice is ω in units of σ and τ in units of 1/σ.
 
 Every spectral interferogram is built from the Gaussian-Fourier moments
-M_n(τ) = ∫₀^∞ ωⁿ e^{-(ω-μ)²/σ²} e^{iωτ} dω, which have an exact closed form
-through the Faddeeva function w(z) = e^{-z²} erfc(-iz) (see
-:func:`gaussian_fourier_moments`).  :func:`weighted_overlap` evaluates the
-same family of integrals by quadrature, as the independent check.
+M_n(τ) = ∫₀^∞ ωⁿ e^{-(ω-μ)²/σ²} e^{iωτ} dω, exact through the Faddeeva
+function w(z) = e^{-z²} erfc(-iz).  Completing the square with
+c = μ + iσ²τ/2 gives
+
+    M_0 = σ√π e^{iμτ-(στ)²/4} - (σ√π/2) e^{-(μ/σ)²} w(ic/σ),
+    M_{k+1} = c M_k + (kσ²/2) M_{k-1} + δ_{k0} (σ²/2) e^{-(μ/σ)²},
+
+the recurrence coming from integrating (ω - c) ωᵏ e^{…} by parts.  The
+phase and τ-Gaussian of the erfc term cancel against the prefactor, and
+Im(ic/σ) = μ/σ >= 0 keeps w in the upper half-plane.  From σ|τ| =
+:data:`_FAR` on, the Gaussian term, below 1e-160 of M_n(0), is dropped and
+each M_n is the erfc term alone, differentiated n times in τ
+(:func:`_far_moment`): there the recurrence would multiply the rounding of
+M_0 by |c| per step.  :func:`_line_moments` evaluates M_n on a delay grid,
+and nothing overflows at any finite τ.  :func:`weighted_overlap` evaluates
+the same family of integrals by quadrature, as the independent check.
 """
 
 from __future__ import annotations
@@ -29,7 +41,6 @@ from .quadrature import TOL, QuadratureResult, integrate
 
 __all__ = [
     "SpectralDistribution",
-    "gaussian_fourier_moments",
     "integrate_over_spectra",
     "normalization_constant",
     "weighted_overlap",
@@ -40,7 +51,7 @@ _KERNELS = ("one", "cos", "sin")
 # Half-width, in widths, of the window around each spectral peak that
 # quadrature integrates over; e^{-9²} = 6.6e-36 of the peak lies outside.
 _WINDOW_WIDTHS = 9.0
-# σ|τ| from which gaussian_fourier_moments drops the Gaussian term and sums
+# σ|τ| from which _line_moments drops the Gaussian term and sums
 # 12 terms of the asymptotic series of w, whose coefficients are (2m-1)!!/2^m.
 _FAR = 40.0
 _W_SERIES = tuple(math.prod(j - 0.5 for j in range(1, m + 1)) for m in range(12))
@@ -115,29 +126,9 @@ class SpectralDistribution:
         return out if out.ndim else float(out)
 
 
-def gaussian_fourier_moments(mean: float, width: float, tau, order: int) -> list:
-    """[M_0(τ), ..., M_order(τ)] with M_n(τ) = ∫₀^∞ ωⁿ e^{-(ω-μ)²/σ²} e^{iωτ} dω.
-
-    Exact: completing the square with c = μ + iσ²τ/2 gives
-
-        M_0 = σ√π e^{iμτ-(στ)²/4} - (σ√π/2) e^{-(μ/σ)²} w(ic/σ),
-        M_{k+1} = c M_k + (kσ²/2) M_{k-1} + δ_{k0} (σ²/2) e^{-(μ/σ)²},
-
-    the recurrence coming from integrating (ω - c) ωᵏ e^{…} by parts.  The
-    phase and τ-Gaussian of the erfc term cancel against the prefactor, and
-    Im(ic/σ) = μ/σ >= 0 keeps w in the upper half-plane.  From σ|τ| =
-    :data:`_FAR` on, the Gaussian term, below 1e-160 of M_n(0), is dropped
-    and each M_n is the erfc term alone, differentiated n times in τ (see
-    :func:`_far_moment`): there the recurrence would multiply the rounding
-    of M_0 by |c| per step.  Vectorised over τ (complex arrays, shape of τ);
-    nothing overflows at any finite τ; a 0-d τ gives ``numpy.complex128``
-    scalars.  One call of :func:`_line_moments` per order.
-    """
-    return [_line_moments([(mean, width)], tau, n)[0][()] for n in range(order + 1)]
-
-
 def _line_moments(lines, tau, n: int) -> list:
-    """M_n(τ) of :func:`gaussian_fourier_moments` for each (μ, σ) of ``lines`` on one grid τ.
+    """M_n(τ) (see the module docstring) for each (μ, σ) of ``lines`` on one grid τ,
+    as complex arrays shaped like τ.
 
     w is evaluated in one :func:`_faddeeva` call over the arguments of every
     line whose weight e^{-(μ/σ)²} is not 0; where it underflows to 0
@@ -175,8 +166,8 @@ def _line_moments(lines, tau, n: int) -> list:
 
 
 def _near_moment(mean, width, t, c, n, edge, w):
-    """M_n of :func:`gaussian_fourier_moments` by M_0 and the recurrence, with
-    w = w(ic/σ), or None where the weight e^{-(μ/σ)²} of the w term is 0."""
+    """M_n by M_0 and the recurrence of the module docstring, with w = w(ic/σ),
+    or None where the weight e^{-(μ/σ)²} of the w term is 0."""
     moment = width * _SQRT_PI * np.exp(1j * mean * t - 0.25 * (width * t) ** 2)
     if w is not None:
         moment -= 0.5 * width * _SQRT_PI * edge * w
@@ -188,7 +179,7 @@ def _near_moment(mean, width, t, c, n, edge, w):
 
 
 def _far_moment(mean, width, t, n, edge):
-    """M_n of :func:`gaussian_fourier_moments` at σ|τ| >= :data:`_FAR`.
+    """M_n (see the module docstring) at σ|τ| >= :data:`_FAR`.
 
     With z = ic/σ = iμ/σ - στ/2, u = 1/z and dz/dτ = -σ/2, the erfc term
     differentiated n times is M_n = -(σ√π/2) e^{-(μ/σ)²} (iσ/2)ⁿ w⁽ⁿ⁾(z).

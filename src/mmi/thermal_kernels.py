@@ -46,7 +46,6 @@ __all__ = [
     "SERIES_SWITCH",
     "bose_integral_constant",
     "fringe_deviation",
-    "zeta_even",
 ]
 
 SERIES_SWITCH = 1.0
@@ -80,13 +79,6 @@ def _zeta_over_pi(two_m: int) -> Fraction:
     if two_m >= len(_BERNOULLI):
         raise ValueError(f"ζ({two_m}) needs B_{two_m}, beyond the Bernoulli table (B_0 .. B_{len(_BERNOULLI) - 1})")
     return Fraction(2**two_m) * abs(_BERNOULLI[two_m]) / (2 * math.factorial(two_m))
-
-
-def zeta_even(two_m: int) -> float:
-    """Riemann zeta at a positive even integer, from Bernoulli numbers."""
-    if two_m <= 0 or two_m % 2:
-        raise ValueError("argument must be a positive even integer")
-    return float(_zeta_over_pi(two_m)) * math.pi**two_m
 
 
 def _odd_dimension(d) -> int:
@@ -178,4 +170,5 @@ def bose_integral_constant(d) -> float:
     Equals Gamma(1+d) zeta(1+d), exact (Bernoulli-rational) for odd d up to
     53, where the Bernoulli table ends.  Memoized: it runs Fraction arithmetic.
     """
-    return math.factorial(_odd_dimension(d)) * zeta_even(int(d) + 1)
+    d = _odd_dimension(d)
+    return math.factorial(d) * (float(_zeta_over_pi(d + 1)) * math.pi ** (d + 1))

@@ -334,6 +334,39 @@ def test_unknown_models_and_mismatched_inputs_are_rejected():
         FitProblem(tau=taus, ratios=data[:-1], **thermal)
 
 
+_EVERY_MODEL_FIXED = {
+    "thermal_thermal": {"theta0": 1.0},
+    "one_photon_vacuum": {},
+    "fock_fock": {"lo_mean_freq": 3.15},
+    "coherent_coherent": {"lo_mean_freq": 3.15},
+}
+
+
+@pytest.mark.parametrize("model", sorted(_EVERY_MODEL_FIXED))
+def test_fit_problem_checks_its_arrays_before_the_default_start(model):
+    # each rule has one message for every model, and none reaches the start, which reads the data
+    fixed = _EVERY_MODEL_FIXED[model]
+    taus = np.linspace(0.0, 6.0, 20)
+    data = 0.5 + 0.1 * np.cos(taus)
+    with pytest.raises(ValueError, match="^delay and ratio arrays differ in length$"):
+        FitProblem(tau=taus, ratios=data[:-1], model=model, fixed=fixed)
+    count = 1 if model == "thermal_thermal" else 2
+    unit = "parameter" if count == 1 else "parameters"
+    for size, samples in ((0, "0 samples"), (1, "1 sample")):
+        with pytest.raises(IdentifiabilityError, match=f"^{samples} cannot constrain {count} {unit} "):
+            FitProblem(tau=taus[:size], ratios=data[:size], model=model, fixed=fixed)
+    with pytest.raises(ValueError, match="^19 noise levels for 20 ratios; give one or one per ratio$"):
+        FitProblem(tau=taus, ratios=data, model=model, fixed=fixed, noise=np.full(19, 1e-3))
+    for noise in (1e-3, [1e-3], np.full(20, 1e-3)):  # one level, or one per ratio
+        assert FitProblem(tau=taus, ratios=data, model=model, fixed=fixed, noise=noise).noise.size in (1, 20)
+
+
+def test_discrimination_checks_its_arrays_before_fitting():
+    taus = np.linspace(0.0, 6.0, 121)
+    with pytest.raises(ValueError, match="^delay and ratio arrays differ in length$"):
+        discriminate_state_class(taus, np.ones(120), F_LO)
+
+
 def test_weighting_changes_heteroscedastic_fit():
     rng = np.random.default_rng(3)
     taus = np.linspace(0.0, 3.0, 200) / 1.01

@@ -6,7 +6,7 @@ import pytest
 from mmi.spectra import (
     SpectralDistribution,
     _faddeeva,
-    gaussian_fourier_moments,
+    _line_moments,
     normalization_constant,
     weighted_overlap,
 )
@@ -159,7 +159,7 @@ def test_overlap_grid_answers_where_its_rounding_floor_exceeds_the_tolerance():
     rate_f, rate_g = 0.5 / f.width**2, 0.5 / g.width**2
     line = (f.mean_freq * rate_f + g.mean_freq * rate_g) / (rate_f + rate_g)
     scale = math.exp(-((f.mean_freq - g.mean_freq) ** 2) / (2.0 * (f.width**2 + g.width**2)))
-    exact = scale * gaussian_fourier_moments(line, (rate_f + rate_g) ** -0.5, taus, 3)[3].real
+    exact = scale * _line_moments([(line, (rate_f + rate_g) ** -0.5)], taus, 3)[0].real
     exact /= f.normalization * g.normalization
     assert np.max(np.abs(grid - exact)) <= 1e-14 * np.max(np.abs(exact))
 
@@ -220,11 +220,10 @@ def test_faddeeva_matches_mpmath_erfc():
 @pytest.mark.parametrize("mean,width", [(0.0, 1.0), (0.7, 1.0), (3.0, 0.5), (40.0, 2.0)])
 def test_gaussian_fourier_moments_match_direct_quadrature(mean, width):
     taus = np.array([-7.0, -1.3, 0.0, 0.4, 2.5, 9.0]) / width
-    moments = gaussian_fourier_moments(mean, width, taus, 3)
     hi = mean + 12.0 * width
     for n in range(4):
         scale = width * (mean + width) ** n  # size of M_n(0)
-        for tau, got in zip(taus, moments[n]):
+        for tau, got in zip(taus, _line_moments([(mean, width)], taus, n)[0]):
             def part(kernel):
                 return integrate_by_quarter_periods(
                     lambda w: w**n * np.exp(-(((w - mean) / width) ** 2)) * kernel(w * tau),
@@ -237,17 +236,18 @@ def test_gaussian_fourier_moments_match_direct_quadrature(mean, width):
 def test_gaussian_fourier_zero_delay_is_normalization():
     # M_0(0) = (σ√π/2)(1 + erf(ω̄/σ)) = |N|²
     for mean in (0.0, 0.5, 3.0, 1e4):
-        m0 = gaussian_fourier_moments(mean, 1.7, 0.0, 0)[0]
+        m0 = _line_moments([(mean, 1.7)], 0.0, 0)[0]
         assert abs(m0.real / normalization_constant(mean, 1.7) - 1.0) < 1e-14
 
 
-def test_gaussian_fourier_moments_of_a_zero_dimensional_delay_are_scalars():
-    # near (σ|τ| < 40, the recurrence) and far (the w term's series) give one type
+def test_line_moments_of_a_zero_dimensional_delay_match_the_grid():
+    # near (σ|τ| < 40, the recurrence) and far (the w term's series) give one shape
     for tau in (1.0, 41.0):
-        moments = gaussian_fourier_moments(3.0, 1.0, tau, 1)
-        assert [type(m) for m in moments] == [np.complex128, np.complex128], tau
-        on_grid = [m[0] for m in gaussian_fourier_moments(3.0, 1.0, [tau], 1)]
-        assert np.allclose(moments, on_grid, rtol=1e-14, atol=0.0), tau
+        for n in range(2):
+            moment = _line_moments([(3.0, 1.0)], tau, n)[0]
+            assert moment.shape == () and moment.dtype == complex, (tau, n)
+            on_grid = _line_moments([(3.0, 1.0)], [tau], n)[0][0]
+            assert np.allclose(moment, on_grid, rtol=1e-14, atol=0.0), (tau, n)
 
 
 def test_weighted_overlap_resolves_optical_line():

@@ -10,21 +10,16 @@ from mmi.thermal_kernels import (
     SERIES_SWITCH,
     bose_integral_constant,
     fringe_deviation,
-    zeta_even,
 )
 from oracles import decimal_fringe_deviation
 
 
-def test_zeta_even_known_values():
-    assert abs(zeta_even(2) - math.pi**2 / 6.0) < 1e-15
-    assert abs(zeta_even(4) - math.pi**4 / 90.0) < 1e-15
-    assert abs(zeta_even(6) - math.pi**6 / 945.0) < 1e-14
-
-
-def test_zeta_even_rejects_odd_or_nonpositive():
-    for bad in (0, -2, 3):
-        with pytest.raises(ValueError):
-            zeta_even(bad)
+def test_bose_integral_constant_known_values():
+    # J(d) = d! ζ(d + 1): ζ(2) = π²/6, ζ(4) = π⁴/90, ζ(6) = π⁶/945
+    assert abs(bose_integral_constant(1) - math.pi**2 / 6.0) < 1e-15
+    assert abs(bose_integral_constant(3) / 6.0 - math.pi**4 / 90.0) < 1e-15
+    assert abs(bose_integral_constant(5) / 120.0 - math.pi**6 / 945.0) < 1e-14
+    assert bose_integral_constant(5) == pytest.approx(8.0 * math.pi**6 / 63.0, rel=1e-15)
 
 
 def test_bernoulli_table_equals_the_defining_recurrence():

@@ -30,7 +30,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .intensity import _closed_pair_ratio, thermal_thermal_ratio, thermal_vacuum_ratio
+from .intensity import _closed_fringe, _closed_pair_ratio, _finish, _finite_delays, thermal_vacuum_ratio
 from .spectra import SpectralDistribution
 from .states import _check_temperature
 from .thermal_kernels import _fringe_slope, fringe_deviation
@@ -77,21 +77,20 @@ def _spectral_pair_start(problem) -> tuple:
     return (mean_guess, width)
 
 
-def _spectral_jacobian(t, p, mean_lo, cross: bool) -> np.ndarray:
+def _spectral_jacobian(t, p, mean_lo, cross: bool, env, cos_s, cos_lo) -> np.ndarray:
     """Columns ∂/∂ω̄_s and ∂/∂σ of :func:`~mmi.intensity._closed_pair_ratio` with the width σ
     shared by both ports; a ``mean_lo`` of 0 is vacuum, whose LO term has weight ω̄_lo/ω̄_s = 0.
+    ``env``, ``cos_s`` and ``cos_lo`` are the envelope e^{-(στ)²/4}, cos ω̄_sτ and cos ω̄_loτ.
 
     With one width the cross term is (μ/ω̄_s) G e^{-(στ)²/4} sin μτ, μ = (ω̄_s + ω̄_lo)/2 and
     G = e^{-(ω̄_s - ω̄_lo)²/4σ²}: its amplitude is 1 and it shares the other terms' envelope.
     """
     mean, width = p
-    env = np.exp(-((width * t) ** 2) / 4.0)
     d_env = -0.5 * width * t * t  # ∂ ln env/∂σ
     jac = np.empty((t.size, 2))
     ratio = mean_lo / mean
-    cos_lo = np.cos(t * mean_lo)
     jac[:, 0] = 0.5 * (-(ratio / mean) * (1.0 - env * cos_lo) - t * env * np.sin(t * mean))
-    jac[:, 1] = 0.5 * d_env * env * (np.cos(t * mean) - ratio * cos_lo)
+    jac[:, 1] = 0.5 * d_env * env * (cos_s - ratio * cos_lo)
     if cross:
         mu, gap = 0.5 * (mean + mean_lo), mean - mean_lo
         detune = math.exp(-gap * gap / (4.0 * width * width))
@@ -102,55 +101,83 @@ def _spectral_jacobian(t, p, mean_lo, cross: bool) -> np.ndarray:
     return jac
 
 
-def _thermal_pair_jacobian(tau, p, fixed) -> np.ndarray:
-    """∂ratio/∂p of the thermal pair at d = 3, p = θ₁/θ₀:
-    ½[-(d+1)p^-(d+2)(1 - K(πa₀)) + π|τ|θ₀ K'(πa₁)], a₀ = |τ|θ₀, a₁ = |τ|pθ₀."""
+def _spectral_row(*, vacuum: bool, cross: bool):
+    """``bind`` of a spectral row, the unguarded closed form with one width for both ports:
+    cos ω̄_loτ once per binding (vacuum: ω̄_lo = 0, a row of cos 0 that the Jacobian weighs by 0)."""
+
+    def bind(tau, fixed):
+        mean_lo = 0.0 if vacuum else fixed["lo_mean_freq"]
+        cos_lo = np.cos(tau * mean_lo)
+
+        def evaluate(p):
+            mean, width = p
+            ratios, env, cos_s = _closed_pair_ratio(mean, width, None if vacuum else mean_lo, width, tau, cross, cos_lo)
+            return ratios, lambda: _spectral_jacobian(tau, p, mean_lo, cross, env, cos_s, cos_lo)
+
+        return evaluate
+
+    return bind
+
+
+def _thermal_pair_bind(tau, fixed):
+    """``bind`` of the thermal pair at d = 3, p = θ₁/θ₀: ``thermal_thermal_ratio(θ₀, pθ₀, τ)`` and
+    its Jacobian ½[-(d+1)p^-(d+2)(1 - K(πa₀)) + π|τ|θ₀ K'(πa₁)], a₀ = |τ|θ₀, a₁ = |τ|pθ₀.  The
+    LO's K(πa₀) and K(π|τ|θ₀) are formed at the first evaluation, after the checks of
+    ``thermal_thermal_ratio`` (the trial temperature, θ₀, the delays, in that order)."""
     d, theta0 = 3, fixed["theta0"]
-    with np.errstate(over="ignore"):  # an x that overflows reads K' = 0, as K = 0 in the ratio
-        x0 = np.abs(tau) * (math.pi * theta0)
-        slope = _fringe_slope(np.abs(tau) * (p[0] * theta0) * math.pi, d)
-        column = 0.5 * (-(d + 1) * p[0] ** -(d + 2) * (1.0 - fringe_deviation(x0, d)) + x0 * slope)
-    return column[:, None]
+    t = np.abs(tau).reshape(-1)
+    lo = None  # (K(πa₀), x₀, 1 - K(x₀))
+
+    def evaluate(p):
+        nonlocal lo
+        theta1 = p[0] * theta0
+        _check_temperature(theta1)
+        # an a-grid or x that overflows to inf reads K = K' = 0, their limits at a = inf
+        with np.errstate(over="ignore"):
+            if lo is None:
+                _check_temperature(theta0)
+                _finite_delays(tau)
+                x0 = t * (math.pi * theta0)
+                lo = _closed_fringe(t * theta0, d), x0, 1.0 - fringe_deviation(x0, d)
+            w = (theta0 / theta1) ** (d + 1)
+            x1 = t * theta1
+            ratios = _finish(_closed_fringe(x1, d), lo[0], w)  # x1 is now πa₁
+
+        def jacobian():
+            return (0.5 * (-(d + 1) * p[0] ** -(d + 2) * lo[2] + lo[1] * _fringe_slope(x1, d)))[:, None]
+
+        return ratios.reshape(np.shape(tau)), jacobian
+
+    return evaluate
 
 
 class _Model(NamedTuple):
-    """A fit model: parameter names, the `fixed` keys it reads, its prediction and its
-    Jacobian (tau, params, fixed) -> ratios and ∂ratios/∂params, and its default start."""
+    """A fit model: parameter names, the `fixed` keys it reads, its binding and its default start.
+    ``bind(tau, fixed)``, which forms what depends on them alone, returns ``evaluate(params) ->
+    (ratios, jacobian)``; the thunk ``jacobian()`` reuses what the evaluation formed."""
 
     names: tuple
     needs: tuple
-    predict: Callable
-    jacobian: Callable
+    bind: Callable
     start: Callable
+
+    def predict(self, tau, params, fixed):
+        return self.bind(tau, fixed)(params)[0]
+
+    def jacobian(self, tau, params, fixed):
+        return self.bind(tau, fixed)(params)[1]()
 
 
 # The spectral models use the unguarded closed form: the optimizer may step through
 # parameter regions where the public closed forms refuse the approximation.
 _MODELS = {
-    "thermal_thermal": _Model(
-        ("theta_ratio",), ("theta0",),
-        lambda tau, p, fixed: thermal_thermal_ratio(fixed["theta0"], p[0] * fixed["theta0"], tau),
-        _thermal_pair_jacobian,
-        lambda problem: (1.1,),
-    ),
+    "thermal_thermal": _Model(("theta_ratio",), ("theta0",), _thermal_pair_bind, lambda problem: (1.1,)),
     "one_photon_vacuum": _Model(
-        ("mean_freq", "width"), (),
-        lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], None, None, tau, False),
-        lambda tau, p, fixed: _spectral_jacobian(tau, p, 0.0, False),
-        lambda problem: (3.0, 1.0),
-    ),
+        ("mean_freq", "width"), (), _spectral_row(vacuum=True, cross=False), lambda problem: (3.0, 1.0)),
     "fock_fock": _Model(
-        ("mean_freq", "width"), ("lo_mean_freq",),
-        lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], fixed["lo_mean_freq"], p[1], tau, False),
-        lambda tau, p, fixed: _spectral_jacobian(tau, p, fixed["lo_mean_freq"], False),
-        _spectral_pair_start,
-    ),
+        ("mean_freq", "width"), ("lo_mean_freq",), _spectral_row(vacuum=False, cross=False), _spectral_pair_start),
     "coherent_coherent": _Model(
-        ("mean_freq", "width"), ("lo_mean_freq",),
-        lambda tau, p, fixed: _closed_pair_ratio(p[0], p[1], fixed["lo_mean_freq"], p[1], tau, True),
-        lambda tau, p, fixed: _spectral_jacobian(tau, p, fixed["lo_mean_freq"], True),
-        _spectral_pair_start,
-    ),
+        ("mean_freq", "width"), ("lo_mean_freq",), _spectral_row(vacuum=False, cross=True), _spectral_pair_start),
 }
 
 
@@ -197,7 +224,7 @@ class FitProblem:
             raise ValueError("noise levels must be positive")
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        names, needs, _, _, start = _MODELS[self.model]
+        names, needs, _, start = _MODELS[self.model]
         missing = [key for key in needs if self.fixed.get(key) is None]
         if missing:
             raise ValueError(f"model {self.model} needs fixed {missing}")
@@ -270,7 +297,8 @@ def fit(problem: FitProblem) -> FitResult:
     """Damped least-squares fit of a forward model to interferogram data.
 
     Minimizes Σ w_i (ratio_i - model(τ_i; p))² by Levenberg-Marquardt steps
-    with the model's exact Jacobian, taken once at each accepted point, and
+    with the model's exact Jacobian, taken at each accepted point from that
+    point's evaluation (the row is bound to the delays once), and
     Marquardt's scaling D = diag(JᵀWJ).  Every model has one or two
     parameters, so after the two products g = JᵀWr and H = JᵀWJ an iteration
     runs on Python floats in closed form: the guard's extreme eigenvalues of
@@ -300,23 +328,22 @@ def fit(problem: FitProblem) -> FitResult:
         raise IdentifiabilityError(
             "interferogram is constant; the scenario parameters are not identifiable"
         )
-    row = _MODELS[problem.model]
     n = len(problem.initial)
+    evaluate = _MODELS[problem.model].bind(problem.tau, problem.fixed)
 
     def residual(params):
-        return w * (model_prediction(problem.model, problem.tau, params[:n], problem.fixed) - data)
-
-    def jacobian(params):
-        return w[:, None] * row.jacobian(problem.tau, params[:n], problem.fixed)
+        """The weighted residuals at ``params`` and the thunk of their Jacobian."""
+        ratios, jacobian = evaluate(params[:n])
+        return w * (ratios - data), lambda: w[:, None] * jacobian()
 
     lo, hi = _BOUNDS
     # a one-parameter row is the 1×1 case of the 2×2 algebra below: a second coordinate, parked
     # on the lower bound, that H = diag(a, a) and g = (g₀, 0) leave uncoupled, so no step moves it
     p = [float(x) for x in problem.initial] + [lo] * (2 - n)
-    r = residual(p)
+    r, jacobian = residual(p)
     cost = float(r @ r)
     initial_cost = cost
-    jac = jacobian(p)
+    jac = jacobian()
     lam, nu = 1e-3, 2.0
     converged = False
     iterations = 0
@@ -339,7 +366,7 @@ def fit(problem: FitProblem) -> FitResult:
             trial = [min(max(p[0] - s0 * y0, lo), hi), min(max(p[1] - s1 * y1, lo), hi)]
             e0, e1 = trial[0] - p[0], trial[1] - p[1]
             small = math.hypot(e0, e1) < _STEP_TOL
-            r_trial = residual(trial)
+            r_trial, jacobian = residual(trial)
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:
                 # ‖r‖² - ‖r + Jδ‖² = -δ·(2g + Hδ)
@@ -347,7 +374,7 @@ def fit(problem: FitProblem) -> FitResult:
                 rho = min((cost - cost_trial) / predicted, 1.0) if predicted > 0.0 else 1.0  # λ/3 from ρ = 1 up
                 lam, nu = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-14), 2.0
                 p, r, cost = trial, r_trial, cost_trial
-                jac = jacobian(p)
+                jac = jacobian()
                 break
             if small:  # a larger λ only shortens the step
                 break

@@ -282,23 +282,25 @@ def _check_closed_form_regime(spec: SpectralDistribution, label: str):
         )
 
 
-def _closed_pair_ratio(mean_s, width_s, mean_lo, width_lo, tau, cross: bool):
-    # extended-range, ω -> ω̄ form: ½(1 + fringe) against vacuum (mean_lo None), else plus the LO
-    # term, less its product-Gaussian cross term when `cross`; unguarded so optimizers may roam
-    t = np.asarray(tau, dtype=float)
-    fringe = np.exp(-((width_s * t) ** 2) / 4.0) * np.cos(t * mean_s)
+def _closed_pair_ratio(mean_s, width_s, mean_lo, width_lo, t, cross: bool, cos_lo):
+    """The extended-range, ω -> ω̄ form on the delays ``t``, with the envelope e^{-(σ_s τ)²/4}
+    and the cos ω̄_s τ it formed: ½(1 + fringe) against vacuum (``mean_lo`` None), else plus
+    the LO term, ``cos_lo`` = cos ω̄_lo τ from the caller, less its product-Gaussian cross term
+    when ``cross``.  Unguarded, so optimizers may roam."""
+    env, cos_s = np.exp(-((width_s * t) ** 2) / 4.0), np.cos(t * mean_s)
+    fringe = env * cos_s
     if mean_lo is None:
-        return 0.5 * (1.0 + fringe)
+        return 0.5 * (1.0 + fringe), env, cos_s
     ratio = mean_lo / mean_s
-    env_lo = np.exp(-((width_lo * t) ** 2) / 4.0)
-    out = 0.5 * (1.0 + ratio + fringe - ratio * env_lo * np.cos(t * mean_lo))
+    env_lo = env if width_lo == width_s else np.exp(-((width_lo * t) ** 2) / 4.0)  # the same bits
+    out = 0.5 * (1.0 + ratio + fringe - ratio * env_lo * cos_lo)
     if cross:
         var_sum = width_s**2 + width_lo**2
         mu, _, detune = _product_gaussian(mean_s, width_s, mean_lo, width_lo)
         amp = math.sqrt(2.0 * width_s * width_lo / var_sum)
-        env = np.exp(-(width_s**2 * width_lo**2 / (2.0 * var_sum)) * t**2)
-        out = out - (mu / mean_s) * amp * detune * env * np.sin(mu * t)
-    return out
+        env_mu = np.exp(-(width_s**2 * width_lo**2 / (2.0 * var_sum)) * t**2)
+        out = out - (mu / mean_s) * amp * detune * env_mu * np.sin(mu * t)
+    return out, env, cos_s
 
 
 def _closed_pair(f_s: SpectralDistribution, f_lo: SpectralDistribution | None, tau, cross: bool):
@@ -314,7 +316,12 @@ def _closed_pair(f_s: SpectralDistribution, f_lo: SpectralDistribution | None, t
         _check_closed_form_regime(f_lo, "local oscillator")
         params, width = (*params[:2], f_lo.mean_freq, f_lo.width), min(width, f_lo.width)
     reach = _ENVELOPE_REACH / width
-    out = _walk(_finite_delays(tau), lambda t: _closed_pair_ratio(*params, np.clip(t, -reach, reach), cross))
+
+    def evaluate(t):
+        t = np.clip(t, -reach, reach)
+        return _closed_pair_ratio(*params, t, cross, None if f_lo is None else np.cos(t * f_lo.mean_freq))[0]
+
+    out = _walk(_finite_delays(tau), evaluate)
     if np.any(out < 0.0):
         raise ClosedFormError(
             f"the spectral closed form, a wide-pulse approximation, gives a negative ratio "
@@ -379,12 +386,11 @@ def _closed_fringe(a, d):
 
 
 def _finish(k, k_lo, w):
-    """½(1 + w + (K_s - w K_lo)) in place (``k_lo`` None: a vacuum LO); grouping
-    the kernel difference keeps the equal-temperature cancellation exact in
+    """½(1 + w + (K_s - w K_lo)) in place on ``k``, ``k_lo`` left as it is (None: a vacuum
+    LO); grouping the kernel difference keeps the equal-temperature cancellation exact in
     floating point."""
     if k_lo is not None:
-        k_lo *= w
-        k -= k_lo
+        k -= k_lo * w
     k += 1.0 + w
     k *= 0.5
     return k

@@ -120,7 +120,10 @@ def _series_branch(x: np.ndarray, kernel) -> np.ndarray:
 def _exponential_branch(x: np.ndarray, kernel) -> np.ndarray:
     _, _, scale, gain, eulerian, pole, power = kernel
     q = np.exp(-2.0 * x)
-    return scale * (_eulerian_sum(q, eulerian) * (gain * q) / (1.0 - q) ** power) + pole / x**power
+    out = scale * (_eulerian_sum(q, eulerian) * (gain * q) / (1.0 - q) ** power)
+    with np.errstate(over="ignore"):  # an x^power that overflows to inf gives the pole term its limit 0
+        out += pole / x**power
+    return out
 
 
 def _eulerian_sum(q: np.ndarray, coeffs: tuple) -> np.ndarray:

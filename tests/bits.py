@@ -310,7 +310,43 @@ def _inverse_cases():
         yield f"{model} round trip", lambda m=model: _fit(m)
         for seed in (7, 8):
             yield f"{model} noisy fit seed {seed}", lambda m=model, s=seed: _fit(m, s)
+    for model in ("thermal_thermal", "one_photon_vacuum", "fock_fock", "coherent_coherent"):
+        for label, tau in (("0-d", np.array(1.3)), ("2-d", np.linspace(-6.0, 6.0, 60).reshape(5, 12)),
+                           ("nan", np.array([0.0, np.nan]))):
+            for params in ("truth", "negative"):
+                def prediction(m=model, t=tau, negative=params == "negative"):
+                    _, truth, fixed, _ = _fit_row(m)
+                    return inference.model_prediction(m, t, tuple(-p for p in truth) if negative else truth, fixed)
+                yield f"{model} model_prediction {label} {params}", prediction
+
+    def thermal_fit(taus, data, theta0, initial=(), noise=None):
+        return inference.fit(inference.FitProblem(tau=taus, ratios=data, model="thermal_thermal",
+                                                  fixed={"theta0": theta0}, initial=initial, noise=noise))
+
+    straddle = np.linspace(0.0, 0.6, 40)  # πa₁ crosses SERIES_SWITCH = 1 at a₁ = 1/π
+    yield "thermal_thermal weighted fit across the series switch", lambda: thermal_fit(
+        straddle, inference.model_prediction("thermal_thermal", straddle, (1.01,), {"theta0": 1.0})
+        + np.random.default_rng(3).normal(0.0, 1e-4, 40), 1.0, noise=np.linspace(5e-5, 2e-4, 40))
+    yield "thermal_thermal flat data and theta0 -1", lambda: thermal_fit(straddle, np.ones(40), -1.0)
+    yield "thermal_thermal theta0 -1", lambda: thermal_fit(
+        straddle, inference.model_prediction("thermal_thermal", straddle, (1.01,), {"theta0": 1.0}), -1.0)
+    tiny = np.linspace(0.0, 3e-303, 50)  # a₁ = τ·1.01e303 spans [0, 3]
+    for initial in ((), (2e5,)):  # from 2e5 the trial temperature 2e308 overflows
+        yield f"thermal_thermal theta0 1e303 from {initial}", lambda i=initial: thermal_fit(
+            tiny, inference.model_prediction("thermal_thermal", tiny, (1.01,), {"theta0": 1e303}), 1e303, i)
+    for top in (3.0, 1e6):  # a₀π near the float range, and past it
+        def far(t=np.linspace(0.0, top, 9)):
+            row = inference._MODELS["thermal_thermal"]
+            return (inference.model_prediction("thermal_thermal", t, (1.01,), {"theta0": 1e303}),
+                    row.jacobian(t, (1.01,), {"theta0": 1e303}))
+        yield f"thermal_thermal theta0 1e303 on [0, {top}]", far
     intensity = _m("intensity")
+    drop_out = np.linspace(0.0, 6.0, 121)
+    for signal in (3.15, 3.3, 3.45):  # the coherent fit drifts flat and raises
+        def dropped(s=signal, t=drop_out):
+            f_lo = _spectrum(3.0, 1.0)
+            return inference.discriminate_state_class(t, intensity.fock_intensity_closed(_spectrum(s, 1.0), f_lo, t), f_lo)
+        yield f"discriminate drop-out fock {signal} against 3.0", dropped
     taus = np.linspace(0.0, 6.0, 300)
     for closed, signal, lo in (("coherent_intensity_closed", 3.0, 3.15), ("fock_intensity_closed", 3.1, 3.0),
                                ("fock_intensity_closed", 2.9, 3.0), ("fock_intensity_closed", 3.3, 3.0)):

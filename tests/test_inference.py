@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mmi.inference
+import mmi.intensity
 from mmi.inference import (
     DEFAULT_COHERENCE_EPSILON,
     FitProblem,
@@ -220,16 +221,34 @@ def _reference_trials(problem):
             return trials
 
 
+def _traced_fit(monkeypatch, problem):
+    """fit's result, its bindings of the row, every point it evaluates with the weighted cost
+    there, and every point whose Jacobian thunk runs."""
+    row = mmi.inference._MODELS[problem.model]
+    binds, evaluated, jacobians = [], [], []
+    w = problem.weights()
+
+    def bind(tau, fixed):
+        binds.append(tau)
+        evaluate = row.bind(tau, fixed)
+
+        def traced(params):
+            ratios, jacobian = evaluate(params)
+            r = w * (ratios - problem.ratios)
+            evaluated.append((tuple(params), float(r @ r)))
+            return ratios, lambda: jacobians.append(tuple(params)) or jacobian()
+
+        return traced
+
+    with monkeypatch.context() as patch:  # a reference read after the fit sees the row unpatched
+        patch.setitem(mmi.inference._MODELS, problem.model, row._replace(bind=bind))
+        return fit(problem), binds, evaluated, jacobians
+
+
 def _evaluated_points(monkeypatch, problem):
-    """fit's result and every parameter point at which it evaluates the model."""
-    evaluated = []
-
-    def recorded(model, tau, params, fixed):
-        evaluated.append(np.array(params, dtype=float))
-        return model_prediction(model, tau, params, fixed)
-
-    monkeypatch.setattr(mmi.inference, "model_prediction", recorded)
-    return fit(problem), evaluated
+    """fit's result and every parameter point at which it evaluates the model's bound row."""
+    result, _, evaluated, _ = _traced_fit(monkeypatch, problem)
+    return result, [np.array(params) for params, _ in evaluated]
 
 
 def test_fit_evaluates_the_points_of_nielsens_damping(monkeypatch):
@@ -289,14 +308,73 @@ def test_closed_form_extreme_eigenvalues_match_lapack():
             assert np.all(np.abs(np.array(got) - want) <= 4.0 * np.finfo(float).eps * want[1]), (cond, got, want)
 
 
+def _accepted(evaluated):
+    """The points fit accepts: the start, then each trial whose cost is below its current point's."""
+    points, cost = [], math.inf
+    for params, c in evaluated:
+        if c < cost:
+            points.append(params)
+            cost = c
+    return points
+
+
+def test_a_thermal_fit_forms_the_lo_kernels_once(monkeypatch):
+    # fringe_deviation: the trial's K(πa₁) at every evaluation, and K(πa₀) of the ratio and K(x₀)
+    # of the Jacobian once per fit; K' only where a Jacobian is taken, at the accepted points
+    problem = _trial_case("thermal_thermal")
+    kernels, slopes = [], []
+    for module in (mmi.intensity, mmi.inference):
+        kernel = module.fringe_deviation
+        monkeypatch.setattr(module, "fringe_deviation", lambda x, d, k=kernel: kernels.append(x.size) or k(x, d))
+    slope = mmi.inference._fringe_slope
+    monkeypatch.setattr(mmi.inference, "_fringe_slope", lambda x, d: slopes.append(x.size) or slope(x, d))
+    result, binds, evaluated, jacobians = _traced_fit(monkeypatch, problem)
+    assert abs(result.estimates["theta_ratio"] / 1.05 - 1.0) < 1e-12
+    assert len(binds) == 1
+    assert len(kernels) == len(evaluated) + 2 and set(kernels) == {problem.tau.size}
+    assert jacobians == _accepted(evaluated) and len(slopes) == len(jacobians) < len(evaluated)
+
+
+def test_a_spectral_fit_takes_its_jacobian_only_at_accepted_points(monkeypatch):
+    taus = np.linspace(0.0, 6.0, 121)
+    fixed = {"lo_mean_freq": 3.0}
+    problem = FitProblem(tau=taus, ratios=model_prediction("fock_fock", taus, (3.5, 1.1), fixed), model="fock_fock",
+                         fixed=fixed, initial=(2.9, 0.6))
+    result, binds, evaluated, jacobians = _traced_fit(monkeypatch, problem)
+    assert len(binds) == 1 and len(evaluated) == 18
+    assert jacobians == _accepted(evaluated) and len(jacobians) < len(evaluated)
+    assert tuple(result.estimates.values()) == jacobians[-1]
+
+
+def test_a_discrimination_binds_each_model_once(monkeypatch):
+    binds = []
+    for model in ("fock_fock", "coherent_coherent"):
+        row = mmi.inference._MODELS[model]
+        monkeypatch.setitem(mmi.inference._MODELS, model, row._replace(
+            bind=lambda tau, fixed, m=model, b=row.bind: binds.append(m) or b(tau, fixed)))
+    taus = np.linspace(0.0, 6.0, 121)
+    result = discriminate_state_class(taus, _ratio_curve("coherent", taus), F_LO)
+    assert result.label == "coherent-like"
+    assert binds == ["fock_fock", "coherent_coherent"]
+
+
 def test_parallel_jacobian_columns_give_nan_uncertainties(monkeypatch):
     # noise-free data and a start on the truth converge at iteration 1, before the conditioning
     # guard; a Jacobian of two equal columns there has no inverse, so the uncertainties are NaN
     taus = np.linspace(0.0, 6.0, 120)
     truth = (3.2, 0.9)
     row = mmi.inference._MODELS["one_photon_vacuum"]
-    parallel = row._replace(jacobian=lambda tau, p, fixed: np.repeat(row.jacobian(tau, p, fixed)[:, :1], 2, axis=1))
-    monkeypatch.setitem(mmi.inference._MODELS, "one_photon_vacuum", parallel)
+
+    def bind(tau, fixed):
+        evaluate = row.bind(tau, fixed)
+
+        def parallel(p):
+            ratios, jacobian = evaluate(p)
+            return ratios, lambda: np.repeat(jacobian()[:, :1], 2, axis=1)
+
+        return parallel
+
+    monkeypatch.setitem(mmi.inference._MODELS, "one_photon_vacuum", row._replace(bind=bind))
     data = model_prediction("one_photon_vacuum", taus, truth, {})
     result = fit(FitProblem(tau=taus, ratios=data, model="one_photon_vacuum", initial=truth))
     assert result.iterations == 1 and tuple(result.estimates.values()) == truth

@@ -1321,7 +1321,8 @@ def test_spectral_paths_are_bitwise_independent_of_cpu_count(monkeypatch, kind, 
         assert gram.normalization == norm, d
     lo = (None, None) if kind == "vacuum" else (F_LO.mean_freq, F_LO.width)
     clipped = np.clip(tau, -_ENVELOPE_REACH, _ENVELOPE_REACH)  # both widths are 1
-    closed = _closed_pair_ratio(F_S.mean_freq, F_S.width, *lo, clipped, kind == "coherent")
+    cos_lo = None if kind == "vacuum" else np.cos(clipped * F_LO.mean_freq)
+    closed = _closed_pair_ratio(F_S.mean_freq, F_S.width, *lo, clipped, kind == "coherent", cos_lo)[0]
     assert np.array_equal(compute_interferogram(IntensityRequest(*ports, tau, method="closed_form")).ratios, closed)
 
 

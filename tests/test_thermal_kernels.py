@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,16 @@ def test_kernel_survives_where_naive_cosh_overflows():
         val = fringe_deviation(400.0)
     assert np.isfinite(val)
     assert abs(val + 45.0 / 400.0**4) <= 1e-15 * 45.0 / 400.0**4
+
+
+def test_an_overflowing_pole_term_reads_zero_without_a_warning():
+    # x^(d+1) (K) and x^(d+2) (K') overflow to inf here, and the pole term takes its limit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fringe_deviation(1e78, 3) == 0.0
+        assert fringe_deviation(1e155, 1) == 0.0
+        for d in (1, 3):
+            assert np.all(thermal_kernels._fringe_slope(np.array([1e103, 1e155, np.inf]), d) == 0.0), d
 
 
 def test_fringe_deviation_limits():
